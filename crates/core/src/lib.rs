@@ -16,8 +16,9 @@
 //! - **Baselines** ([`hierarchical`]): round-robin / random / least-loaded /
 //!   first-fit allocation; always-on / sleep-immediately / fixed-timeout
 //!   power management — every system the paper compares against.
-//! - **Runner** ([`runner`]): executes policy pairs on workload traces and
-//!   extracts the metrics of Table I and Figs. 8–10.
+//! - **Runner** ([`runner`]): one [`runner::Experiment`] type runs policy
+//!   pairs over an ordered list of workload segments (a plain run is one
+//!   segment) and extracts the metrics of Table I and Figs. 8–10.
 //!
 //! # Examples
 //!
@@ -32,12 +33,8 @@
 //!     .generate_n(200);
 //!
 //! // Run the round-robin baseline.
-//! let result = run_experiment(
-//!     &PolicyPair::round_robin_baseline(),
-//!     &cluster,
-//!     &trace,
-//!     RunLimit::unbounded(),
-//! )?;
+//! let result = Experiment::new("baseline", &cluster, &trace)
+//!     .run_pair(&PolicyPair::round_robin_baseline())?;
 //! assert_eq!(result.outcome.totals.jobs_completed, 200);
 //! # Ok::<(), String>(())
 //! ```
@@ -65,8 +62,8 @@ pub mod prelude {
     };
     pub use crate::reward::{reward_rate_between, RewardWeights};
     pub use crate::runner::{
-        aggregate_shards, concat_segments, pretrain_drl, pretrain_pair, run_experiment,
-        run_policies, Experiment, ExperimentResult, FleetStats, SegmentedExperiment, ShardResult,
+        aggregate_shards, concat_segments, pretrain_drl, pretrain_pair, Experiment,
+        ExperimentResult, FleetStats, Segment, ShardResult,
     };
     pub use crate::state::{GlobalState, StateEncoder, StateEncoderConfig};
 }

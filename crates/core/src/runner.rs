@@ -89,120 +89,90 @@ fn fleet_stats(cluster: &Cluster) -> FleetStats {
     f
 }
 
-/// A single, reusable experiment definition: one cluster configuration and
-/// one workload trace, executable under any control-plane pair.
-///
-/// This is the entry point the experiment-orchestration layer
-/// (`hierdrl-exp`) drives: a suite cell borrows its (possibly cached) trace
-/// and cluster config, builds an `Experiment`, and runs whichever policies
-/// the scenario names. The historical free functions
-/// [`run_experiment`]/[`run_policies`] are thin wrappers around it.
+/// Where one segment's arrivals come from.
+#[derive(Debug)]
+enum Arrivals<'a> {
+    /// A materialized trace, validated and stably sorted up front by
+    /// [`Cluster::new`].
+    Trace(&'a Trace),
+    /// A lazily pulled job stream ([`Cluster::from_source`]).
+    Stream(ArrivalSource),
+}
+
+/// One segment of an [`Experiment`]: an arrival source plus the fleet
+/// events that fire during it. Every segment restarts the cluster fresh
+/// with its clock at zero, so its fleet events are on its own clock.
 ///
 /// # Examples
+///
+/// A two-segment run under one set of carried policy objects:
 ///
 /// ```
 /// use hierdrl_core::prelude::*;
 /// use hierdrl_sim::prelude::*;
 /// use hierdrl_trace::prelude::*;
 ///
-/// let cluster = ClusterConfig::paper(4);
-/// let trace = TraceGenerator::new(WorkloadConfig::google_like(1, 95_000.0))?
-///     .generate_n(100);
+/// let cluster = ClusterConfig::paper(3);
+/// let segments: Vec<Trace> = (0..2)
+///     .map(|s| {
+///         TraceGenerator::new(WorkloadConfig::google_like(s, 60_000.0))
+///             .unwrap()
+///             .generate_n(80)
+///     })
+///     .collect();
 ///
-/// let experiment = Experiment::new("demo", &cluster, &trace);
-/// let result = experiment.run_pair(&PolicyPair::round_robin_baseline())?;
-/// assert_eq!(result.outcome.totals.jobs_completed, 100);
+/// let mut allocator = hierdrl_sim::policies::RoundRobinAllocator::new();
+/// let mut power = hierdrl_sim::policies::SleepImmediatelyPower;
+/// let results =
+///     Experiment::from_segments("demo", &cluster, segments.iter().map(Segment::trace))
+///         .run_segments(&mut allocator, &mut power)?;
+/// assert_eq!(results.len(), 2);
+/// assert_eq!(results[0].outcome.totals.jobs_completed, 80);
 /// # Ok::<(), String>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Experiment<'a> {
-    /// Display name attached to results.
-    pub name: &'a str,
-    /// Cluster under test.
-    pub cluster: &'a ClusterConfig,
-    /// Workload to replay.
-    pub trace: &'a Trace,
-    /// Bounds on the run.
-    pub limit: RunLimit,
-    /// Deterministic fault schedule: `(time_s, op)` fleet events injected
-    /// into the cluster before the run starts, fired between arrivals.
-    pub fleet_events: &'a [(f64, FleetOp)],
+#[derive(Debug)]
+pub struct Segment<'a> {
+    arrivals: Arrivals<'a>,
+    fleet_events: &'a [(f64, FleetOp)],
 }
 
-impl<'a> Experiment<'a> {
-    /// An unbounded experiment over the given cluster and trace.
-    pub fn new(name: &'a str, cluster: &'a ClusterConfig, trace: &'a Trace) -> Self {
+impl<'a> Segment<'a> {
+    /// A segment replaying a materialized trace.
+    pub fn trace(trace: &'a Trace) -> Self {
         Self {
-            name,
-            cluster,
-            trace,
-            limit: RunLimit::unbounded(),
+            arrivals: Arrivals::Trace(trace),
             fleet_events: &[],
         }
     }
 
-    /// Replaces the run limit.
-    #[must_use]
-    pub fn with_limit(mut self, limit: RunLimit) -> Self {
-        self.limit = limit;
-        self
+    /// A segment pulling its jobs from a stream — the raw-scale form: no
+    /// materialized `Vec<Job>` ever exists, and combined with
+    /// `lazy_accounting` and `retain_completed_jobs = false` on the
+    /// cluster config, peak memory is bounded by the fleet size, not the
+    /// trace length. With retention off the result's `latency`
+    /// percentiles are `None`; totals and sample curves are unaffected.
+    pub fn stream(arrivals: ArrivalSource) -> Self {
+        Self {
+            arrivals: Arrivals::Stream(arrivals),
+            fleet_events: &[],
+        }
     }
 
-    /// Attaches a pre-computed fleet-event (fault) schedule. Events are
-    /// pushed into the cluster's queue before the run and fire at their
-    /// scheduled times, interleaved deterministically with arrivals.
+    /// Attaches a pre-computed fleet-event schedule: `(time_s, op)` events
+    /// pushed into the cluster's queue before the segment starts, fired at
+    /// their times, interleaved deterministically with arrivals.
     #[must_use]
     pub fn with_fleet_events(mut self, events: &'a [(f64, FleetOp)]) -> Self {
         self.fleet_events = events;
         self
     }
-
-    /// Runs pre-built policy objects, leaving them trained afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the cluster configuration or trace is invalid.
-    pub fn run(
-        &self,
-        allocator: &mut dyn Allocator,
-        power: &mut dyn PowerManager,
-    ) -> Result<ExperimentResult, String> {
-        let mut cluster = Cluster::new(self.cluster.clone(), self.trace.jobs().to_vec())?;
-        for (time_s, op) in self.fleet_events {
-            cluster.schedule_fleet_op(SimTime::from_secs(*time_s), op.clone());
-        }
-        let outcome = cluster.run(allocator, power, self.limit);
-        Ok(ExperimentResult {
-            name: self.name.to_string(),
-            latency: LatencyStats::from_jobs(cluster.completed_jobs()),
-            fleet: fleet_stats(&cluster),
-            outcome,
-        })
-    }
-
-    /// Builds fresh policy objects from a [`PolicyPair`] and runs them.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the cluster configuration or trace is invalid.
-    pub fn run_pair(&self, pair: &PolicyPair) -> Result<ExperimentResult, String> {
-        let mut allocator = pair
-            .allocator
-            .build(self.cluster.num_servers, self.cluster.resource_dims);
-        let mut power = pair.power.build(self.cluster);
-        Experiment {
-            name: &pair.name,
-            ..*self
-        }
-        .run(allocator.as_mut(), power.as_mut())
-    }
 }
 
-/// An ordered sequence of workload segments run under *one* set of policy
-/// objects — the online-learning / concept-drift entry point. Learners are
-/// carried across segment boundaries (continuing online training on a
-/// drifting stream), while the *cluster* restarts fresh each segment with
-/// its clock at zero, exactly like the paper's week-scale trace segments.
+/// An experiment: an ordered list of [`Segment`]s run on one cluster
+/// configuration under *one* set of policy objects, which are carried
+/// across segment boundaries (continuing online training on a drifting
+/// stream) while the cluster restarts fresh each segment. A plain run is
+/// one segment.
 ///
 /// The segment boundary is a bug-prone seam: any policy state anchored to
 /// the previous segment's clock (pending transitions, last-arrival marks
@@ -218,115 +188,135 @@ impl<'a> Experiment<'a> {
 /// use hierdrl_sim::prelude::*;
 /// use hierdrl_trace::prelude::*;
 ///
-/// let cluster = ClusterConfig::paper(3);
-/// let segments: Vec<Trace> = (0..2)
-///     .map(|s| {
-///         TraceGenerator::new(WorkloadConfig::google_like(s, 60_000.0))
-///             .unwrap()
-///             .generate_n(80)
-///     })
-///     .collect();
-/// let refs: Vec<&Trace> = segments.iter().collect();
+/// let cluster = ClusterConfig::paper(4);
+/// let trace = TraceGenerator::new(WorkloadConfig::google_like(1, 95_000.0))?
+///     .generate_n(100);
 ///
-/// let mut allocator = hierdrl_sim::policies::RoundRobinAllocator::new();
-/// let mut power = hierdrl_sim::policies::SleepImmediatelyPower;
-/// let results = SegmentedExperiment::new("demo", &cluster, &refs)
-///     .run(&mut allocator, &mut power)?;
-/// assert_eq!(results.len(), 2);
-/// assert_eq!(results[0].outcome.totals.jobs_completed, 80);
+/// let result = Experiment::new("demo", &cluster, &trace)
+///     .run_pair(&PolicyPair::round_robin_baseline())?;
+/// assert_eq!(result.outcome.totals.jobs_completed, 100);
 /// # Ok::<(), String>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentedExperiment<'a> {
-    /// Display name attached to every segment's result.
-    pub name: &'a str,
-    /// Cluster under test (rebuilt fresh for each segment).
-    pub cluster: &'a ClusterConfig,
-    /// The workload segments, in drift order.
-    pub segments: &'a [&'a Trace],
-    /// Bounds applied to *each* segment's run.
-    pub limit: RunLimit,
-    /// Per-segment fault schedules (each on its own segment clock, which
-    /// restarts at zero). Segments past the end of this list run fault-free,
-    /// so `&[]` means no faults anywhere.
-    pub fleet_events: &'a [Vec<(f64, FleetOp)>],
+#[derive(Debug)]
+pub struct Experiment<'a> {
+    name: &'a str,
+    cluster: &'a ClusterConfig,
+    limit: RunLimit,
+    /// Segments not yet run, in order.
+    pending: std::vec::IntoIter<Segment<'a>>,
+    /// Segments run so far.
+    done: usize,
 }
 
-impl<'a> SegmentedExperiment<'a> {
-    /// An unbounded segmented experiment.
-    pub fn new(name: &'a str, cluster: &'a ClusterConfig, segments: &'a [&'a Trace]) -> Self {
+impl<'a> Experiment<'a> {
+    /// An unbounded one-segment experiment replaying `trace`.
+    pub fn new(name: &'a str, cluster: &'a ClusterConfig, trace: &'a Trace) -> Self {
+        Self::from_segments(name, cluster, [Segment::trace(trace)])
+    }
+
+    /// An unbounded experiment over `segments`, in order.
+    pub fn from_segments(
+        name: &'a str,
+        cluster: &'a ClusterConfig,
+        segments: impl IntoIterator<Item = Segment<'a>>,
+    ) -> Self {
         Self {
             name,
             cluster,
-            segments,
             limit: RunLimit::unbounded(),
-            fleet_events: &[],
+            pending: segments.into_iter().collect::<Vec<_>>().into_iter(),
+            done: 0,
         }
     }
 
-    /// Replaces the per-segment run limit.
+    /// Replaces the run limit, which bounds *each* segment's run.
     #[must_use]
     pub fn with_limit(mut self, limit: RunLimit) -> Self {
         self.limit = limit;
         self
     }
 
-    /// Attaches per-segment fault schedules; entry `i` fires during segment
-    /// `i` on that segment's own clock.
-    #[must_use]
-    pub fn with_fleet_events(mut self, events: &'a [Vec<(f64, FleetOp)>]) -> Self {
-        self.fleet_events = events;
-        self
+    /// Runs the next segment on the carried policy objects, leaving them
+    /// trained (and ready for the next segment) afterwards; `None` once
+    /// every segment has run. Drivers that interleave bookkeeping between
+    /// segments (per-segment stats snapshots, timing) call this in a loop.
+    pub fn run_next(
+        &mut self,
+        allocator: &mut dyn Allocator,
+        power: &mut dyn PowerManager,
+    ) -> Option<Result<ExperimentResult, String>> {
+        let segment = self.pending.next()?;
+        let index = self.done;
+        self.done += 1;
+        let cluster = match segment.arrivals {
+            Arrivals::Trace(trace) => Cluster::new(self.cluster.clone(), trace.jobs().to_vec()),
+            Arrivals::Stream(source) => Cluster::from_source(self.cluster.clone(), source),
+        };
+        Some(
+            cluster
+                .map(|mut cluster| {
+                    for (time_s, op) in segment.fleet_events {
+                        cluster.schedule_fleet_op(SimTime::from_secs(*time_s), op.clone());
+                    }
+                    let outcome = cluster.run(allocator, power, self.limit);
+                    ExperimentResult {
+                        name: self.name.to_string(),
+                        latency: LatencyStats::from_jobs(cluster.completed_jobs()),
+                        fleet: fleet_stats(&cluster),
+                        outcome,
+                    }
+                })
+                .map_err(|e| format!("segment {index}: {e}")),
+        )
     }
 
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Whether there are no segments.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Runs segment `index` on the carried policy objects, leaving them
-    /// trained (and ready for the next segment) afterwards. Drivers that
-    /// need to interleave bookkeeping between segments (per-segment stats
-    /// snapshots, timing) call this in a loop; everyone else uses
-    /// [`SegmentedExperiment::run`].
+    /// Runs every remaining segment in order on the carried policy
+    /// objects and returns the per-segment results.
     ///
     /// # Errors
     ///
-    /// Returns an error if the cluster configuration or segment trace is
-    /// invalid.
-    pub fn run_segment(
-        &self,
-        index: usize,
+    /// Returns the first failing segment's error (an invalid cluster
+    /// configuration or trace).
+    pub fn run_segments(
+        mut self,
         allocator: &mut dyn Allocator,
         power: &mut dyn PowerManager,
-    ) -> Result<ExperimentResult, String> {
-        Experiment::new(self.name, self.cluster, self.segments[index])
-            .with_limit(self.limit)
-            .with_fleet_events(self.fleet_events.get(index).map_or(&[], Vec::as_slice))
-            .run(allocator, power)
-            .map_err(|e| format!("segment {index}: {e}"))
+    ) -> Result<Vec<ExperimentResult>, String> {
+        std::iter::from_fn(|| self.run_next(allocator, power)).collect()
     }
 
-    /// Runs every segment in order on the carried policy objects,
-    /// continuing online training across boundaries, and returns the
-    /// per-segment results.
+    /// Runs every segment and returns the whole-run result: the
+    /// time-sequential [`concat_segments`] of the segments, which for a
+    /// one-segment experiment is that segment's result itself.
     ///
     /// # Errors
     ///
     /// Returns the first failing segment's error.
     pub fn run(
-        &self,
+        self,
         allocator: &mut dyn Allocator,
         power: &mut dyn PowerManager,
-    ) -> Result<Vec<ExperimentResult>, String> {
-        (0..self.segments.len())
-            .map(|i| self.run_segment(i, allocator, power))
-            .collect()
+    ) -> Result<ExperimentResult, String> {
+        let name = self.name;
+        let results = self.run_segments(allocator, power)?;
+        let refs: Vec<&ExperimentResult> = results.iter().collect();
+        Ok(concat_segments(name, &refs))
+    }
+
+    /// Builds fresh policy objects from a [`PolicyPair`] and runs them,
+    /// naming the result after the pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing segment's error.
+    pub fn run_pair(self, pair: &PolicyPair) -> Result<ExperimentResult, String> {
+        let mut allocator = pair
+            .allocator
+            .build(self.cluster.num_servers, self.cluster.resource_dims);
+        let mut power = pair.power.build(self.cluster);
+        let mut result = self.run(allocator.as_mut(), power.as_mut())?;
+        result.name.clone_from(&pair.name);
+        Ok(result)
     }
 }
 
@@ -338,13 +328,19 @@ impl<'a> SegmentedExperiment<'a> {
 /// preceding segments, producing one continuous accumulated curve across
 /// the whole drift. Latency percentiles merge job-count-weighted (the same
 /// approximation as shard aggregation); fleet fractions weight by segment
-/// span.
+/// span. A single segment comes back unchanged, bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `segments` is empty.
 pub fn concat_segments(name: &str, segments: &[&ExperimentResult]) -> ExperimentResult {
     assert!(!segments.is_empty(), "concat needs >= 1 segment");
+    if let [only] = segments {
+        return ExperimentResult {
+            name: name.to_string(),
+            ..(*only).clone()
+        };
+    }
     let mut totals = hierdrl_sim::metrics::ClusterTotals::default();
     let mut samples: Vec<SamplePoint> = Vec::new();
     let mut fleet = FleetStats::default();
@@ -386,12 +382,27 @@ pub fn concat_segments(name: &str, segments: &[&ExperimentResult]) -> Experiment
         fleet.total_wake_transitions += seg.fleet.total_wake_transitions;
     }
 
-    let with_latency: Vec<(u64, LatencyStats)> = segments
-        .iter()
-        .filter_map(|s| s.latency.map(|l| (s.outcome.totals.jobs_completed, l)))
+    ExperimentResult {
+        name: name.to_string(),
+        outcome: RunOutcome {
+            totals,
+            end_time: SimTime::from_secs(end_s),
+            samples,
+        },
+        latency: merge_latency(segments.iter().copied()),
+        fleet,
+    }
+}
+
+/// Job-count-weighted merge of per-part latency summaries (percentiles
+/// cannot be recovered from summaries, so this is an approximation);
+/// `None` when no part completed a job with a retained record.
+fn merge_latency<'r>(parts: impl Iterator<Item = &'r ExperimentResult>) -> Option<LatencyStats> {
+    let with_latency: Vec<(u64, LatencyStats)> = parts
+        .filter_map(|r| r.latency.map(|l| (r.outcome.totals.jobs_completed, l)))
         .collect();
     let jobs_with_latency: u64 = with_latency.iter().map(|(n, _)| n).sum();
-    let latency = (jobs_with_latency > 0).then(|| {
+    (jobs_with_latency > 0).then(|| {
         let mut merged = LatencyStats {
             count: 0,
             mean: 0.0,
@@ -410,86 +421,7 @@ pub fn concat_segments(name: &str, segments: &[&ExperimentResult]) -> Experiment
             merged.max = merged.max.max(l.max);
         }
         merged
-    });
-
-    ExperimentResult {
-        name: name.to_string(),
-        outcome: RunOutcome {
-            totals,
-            end_time: SimTime::from_secs(end_s),
-            samples,
-        },
-        latency,
-        fleet,
-    }
-}
-
-/// Runs pre-built policy objects on a trace. Useful when the caller owns a
-/// pre-trained learner and wants to keep it afterwards.
-///
-/// # Errors
-///
-/// Returns an error if the cluster configuration or trace is invalid.
-pub fn run_policies(
-    name: &str,
-    cluster_config: &ClusterConfig,
-    trace: &Trace,
-    allocator: &mut dyn Allocator,
-    power: &mut dyn PowerManager,
-    limit: RunLimit,
-) -> Result<ExperimentResult, String> {
-    Experiment::new(name, cluster_config, trace)
-        .with_limit(limit)
-        .run(allocator, power)
-}
-
-/// Runs a policy pair over a *streamed* arrival source — the raw-scale
-/// twin of [`run_policies`]. The cluster pulls jobs lazily from `arrivals`
-/// (e.g. a `GeneratorStream` wrapped in
-/// [`ArrivalSource::from_stream`](hierdrl_sim::cluster::ArrivalSource)),
-/// so no materialized `Vec<Job>` ever exists; combined with
-/// `lazy_accounting` and `retain_completed_jobs = false` on the cluster
-/// config, peak memory is bounded by the fleet size, not the trace length.
-///
-/// With retention off the result's `latency` percentiles are `None`
-/// (per-job records were never kept); aggregate totals, the latency *sum*,
-/// and the sample curves are unaffected.
-///
-/// # Errors
-///
-/// Returns an error if the cluster configuration is invalid.
-pub fn run_streamed(
-    name: &str,
-    cluster_config: &ClusterConfig,
-    arrivals: ArrivalSource,
-    allocator: &mut dyn Allocator,
-    power: &mut dyn PowerManager,
-    limit: RunLimit,
-) -> Result<ExperimentResult, String> {
-    let mut cluster = Cluster::from_source(cluster_config.clone(), arrivals)?;
-    let outcome = cluster.run(allocator, power, limit);
-    Ok(ExperimentResult {
-        name: name.to_string(),
-        latency: LatencyStats::from_jobs(cluster.completed_jobs()),
-        fleet: fleet_stats(&cluster),
-        outcome,
     })
-}
-
-/// Runs a [`PolicyPair`] on a trace, building fresh policy objects.
-///
-/// # Errors
-///
-/// Returns an error if the cluster configuration or trace is invalid.
-pub fn run_experiment(
-    pair: &PolicyPair,
-    cluster_config: &ClusterConfig,
-    trace: &Trace,
-    limit: RunLimit,
-) -> Result<ExperimentResult, String> {
-    Experiment::new(&pair.name, cluster_config, trace)
-        .with_limit(limit)
-        .run_pair(pair)
 }
 
 /// One cluster's share of a multi-cluster cell: the shard index within the
@@ -517,7 +449,8 @@ pub struct ShardResult {
 /// server count. Latency *percentiles* cannot be recovered from per-shard
 /// summaries, so the merged [`LatencyStats`] weights each shard's
 /// percentiles by its job count — an approximation; exact per-cluster
-/// distributions remain in the shard results.
+/// distributions remain in the shard results. A single shard comes back
+/// unchanged, bit for bit.
 ///
 /// The instantaneous `power_watts` sums each shard's final snapshot.
 /// Shards that drain early are frozen in their final machine states (the
@@ -530,6 +463,12 @@ pub struct ShardResult {
 /// Panics if `shards` is empty — an empty topology is always a caller bug.
 pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult {
     assert!(!shards.is_empty(), "aggregate needs >= 1 shard");
+    if let [only] = shards {
+        return ExperimentResult {
+            name: name.to_string(),
+            ..only.result.clone()
+        };
+    }
     let mut totals = hierdrl_sim::metrics::ClusterTotals::default();
     let mut end_time = SimTime::ZERO;
     for shard in shards {
@@ -596,36 +535,6 @@ pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult 
         fleet.total_wake_transitions += f.total_wake_transitions;
     }
 
-    let with_latency: Vec<(u64, LatencyStats)> = shards
-        .iter()
-        .filter_map(|s| {
-            s.result
-                .latency
-                .map(|l| (s.result.outcome.totals.jobs_completed, l))
-        })
-        .collect();
-    let jobs_with_latency: u64 = with_latency.iter().map(|(n, _)| n).sum();
-    let latency = (jobs_with_latency > 0).then(|| {
-        let mut merged = LatencyStats {
-            count: 0,
-            mean: 0.0,
-            p50: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-            max: 0.0,
-        };
-        for (jobs, l) in &with_latency {
-            let w = *jobs as f64 / jobs_with_latency as f64;
-            merged.count += l.count;
-            merged.mean += w * l.mean;
-            merged.p50 += w * l.p50;
-            merged.p95 += w * l.p95;
-            merged.p99 += w * l.p99;
-            merged.max = merged.max.max(l.max);
-        }
-        merged
-    });
-
     ExperimentResult {
         name: name.to_string(),
         outcome: RunOutcome {
@@ -633,7 +542,7 @@ pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult 
             end_time,
             samples,
         },
-        latency,
+        latency: merge_latency(shards.iter().map(|s| &s.result)),
         fleet,
     }
 }
@@ -694,16 +603,20 @@ mod tests {
         TraceGenerator::new(config).unwrap().generate_n(n)
     }
 
+    fn run_pair(pair: &PolicyPair, config: &ClusterConfig, trace: &Trace) -> ExperimentResult {
+        Experiment::new(&pair.name, config, trace)
+            .run_pair(pair)
+            .unwrap()
+    }
+
     #[test]
     fn round_robin_experiment_completes() {
         let trace = small_trace(1, 300);
-        let result = run_experiment(
+        let result = run_pair(
             &PolicyPair::round_robin_baseline(),
             &ClusterConfig::paper(5),
             &trace,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        );
         assert_eq!(result.outcome.totals.jobs_completed, 300);
         assert!(result.energy_kwh() > 0.0);
         assert!(result.latency.is_some());
@@ -717,26 +630,21 @@ mod tests {
 
         let trace = small_trace(3, 400);
         let config = ClusterConfig::paper(5);
-        let reference = run_policies(
-            "rr",
-            &config,
-            &trace,
-            &mut RoundRobinAllocator::new(),
-            &mut FixedTimeoutPower::new(60.0),
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        let reference = Experiment::new("rr", &config, &trace)
+            .run(
+                &mut RoundRobinAllocator::new(),
+                &mut FixedTimeoutPower::new(60.0),
+            )
+            .unwrap();
 
         let stream = hierdrl_trace::stream::TraceStream::new(std::sync::Arc::new(trace));
-        let streamed = run_streamed(
-            "rr",
-            &config,
-            ArrivalSource::from_stream(stream),
-            &mut RoundRobinAllocator::new(),
-            &mut FixedTimeoutPower::new(60.0),
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        let segment = Segment::stream(ArrivalSource::from_stream(stream));
+        let streamed = Experiment::from_segments("rr", &config, [segment])
+            .run(
+                &mut RoundRobinAllocator::new(),
+                &mut FixedTimeoutPower::new(60.0),
+            )
+            .unwrap();
 
         assert_eq!(reference.outcome.totals, streamed.outcome.totals);
         assert_eq!(reference.outcome.end_time, streamed.outcome.end_time);
@@ -751,29 +659,18 @@ mod tests {
 
         let trace = small_trace(4, 300);
         let config = ClusterConfig::paper(4);
-        let reference = run_policies(
-            "rr",
-            &config,
-            &trace,
-            &mut RoundRobinAllocator::new(),
-            &mut AlwaysOnPower,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        let reference = Experiment::new("rr", &config, &trace)
+            .run(&mut RoundRobinAllocator::new(), &mut AlwaysOnPower)
+            .unwrap();
 
         let mut raw = config.clone();
         raw.lazy_accounting = true;
         raw.retain_completed_jobs = false;
         let stream = hierdrl_trace::stream::TraceStream::new(std::sync::Arc::new(trace));
-        let streamed = run_streamed(
-            "rr",
-            &raw,
-            ArrivalSource::from_stream(stream),
-            &mut RoundRobinAllocator::new(),
-            &mut AlwaysOnPower,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        let segment = Segment::stream(ArrivalSource::from_stream(stream));
+        let streamed = Experiment::from_segments("rr", &raw, [segment])
+            .run(&mut RoundRobinAllocator::new(), &mut AlwaysOnPower)
+            .unwrap();
 
         // Counts are exact in the raw-scale configuration; percentiles are
         // unavailable because no per-job records were retained.
@@ -800,13 +697,7 @@ mod tests {
             allocator: crate::hierarchical::AllocatorKind::FirstFit,
             power: crate::hierarchical::PowerKind::FixedTimeout(60.0),
         };
-        let result = run_experiment(
-            &pair,
-            &ClusterConfig::paper(5),
-            &trace,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        let result = run_pair(&pair, &ClusterConfig::paper(5), &trace);
         let f = result.fleet;
         let sum = f.busy_fraction + f.idle_fraction + f.sleep_fraction + f.transition_fraction;
         assert!((sum - 1.0).abs() < 1e-6, "fractions sum to {sum}");
@@ -830,15 +721,9 @@ mod tests {
         assert_eq!(trained_decisions, 300);
 
         let eval = small_trace(99, 100);
-        let result = run_policies(
-            "drl-eval",
-            &config,
-            &eval,
-            &mut allocator,
-            &mut SleepImmediatelyPower,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        let result = Experiment::new("drl-eval", &config, &eval)
+            .run(&mut allocator, &mut SleepImmediatelyPower)
+            .unwrap();
         assert_eq!(result.outcome.totals.jobs_completed, 100);
         assert_eq!(allocator.stats().decisions, trained_decisions + 100);
     }
@@ -846,13 +731,11 @@ mod tests {
     #[test]
     fn aggregating_one_shard_reproduces_it() {
         let trace = small_trace(5, 150);
-        let result = run_experiment(
+        let result = run_pair(
             &PolicyPair::round_robin_baseline(),
             &ClusterConfig::paper(4),
             &trace,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        );
         let agg = aggregate_shards(
             "fleet",
             &[ShardResult {
@@ -867,9 +750,8 @@ mod tests {
         assert_eq!(agg.outcome.end_time, result.outcome.end_time);
         assert_eq!(agg.outcome.samples, result.outcome.samples);
         assert_eq!(agg.fleet, result.fleet);
-        let (a, b) = (agg.latency.unwrap(), result.latency.unwrap());
-        assert_eq!(a.count, b.count);
-        assert!((a.mean - b.mean).abs() < 1e-9);
+        assert_eq!(agg.latency, result.latency);
+        assert!(agg.latency.is_some());
     }
 
     #[test]
@@ -879,13 +761,7 @@ mod tests {
                 let mut config = ClusterConfig::paper(3);
                 config.sample_every = 40;
                 let trace = small_trace(20 + k as u64, 120);
-                let result = run_experiment(
-                    &PolicyPair::round_robin_baseline(),
-                    &config,
-                    &trace,
-                    RunLimit::unbounded(),
-                )
-                .unwrap();
+                let result = run_pair(&PolicyPair::round_robin_baseline(), &config, &trace);
                 ShardResult {
                     cluster: k,
                     servers: 3,
@@ -934,10 +810,10 @@ mod tests {
         };
         let mut allocator = DrlAllocator::new(4, 3, drl_config);
         let segments: Vec<Trace> = (0..3).map(|s| small_trace(30 + s, 120)).collect();
-        let refs: Vec<&Trace> = segments.iter().collect();
-        let results = SegmentedExperiment::new("drift", &config, &refs)
-            .run(&mut allocator, &mut SleepImmediatelyPower)
-            .unwrap();
+        let results =
+            Experiment::from_segments("drift", &config, segments.iter().map(Segment::trace))
+                .run_segments(&mut allocator, &mut SleepImmediatelyPower)
+                .unwrap();
         assert_eq!(results.len(), 3);
         for r in &results {
             assert_eq!(r.outcome.totals.jobs_completed, 120);
@@ -954,13 +830,11 @@ mod tests {
         config.sample_every = 40;
         let results: Vec<ExperimentResult> = (0..2)
             .map(|k| {
-                run_experiment(
+                run_pair(
                     &PolicyPair::round_robin_baseline(),
                     &config,
                     &small_trace(40 + k, 100),
-                    RunLimit::unbounded(),
                 )
-                .unwrap()
             })
             .collect();
         let refs: Vec<&ExperimentResult> = results.iter().collect();
@@ -989,22 +863,24 @@ mod tests {
         let sum = f.busy_fraction + f.idle_fraction + f.sleep_fraction + f.transition_fraction;
         assert!((sum - 1.0).abs() < 1e-6);
 
-        // Concatenating one segment reproduces it.
+        // Concatenating one segment reproduces it bit for bit.
         let one = concat_segments("one", &refs[..1]);
+        assert_eq!(one.name, "one");
         assert_eq!(one.outcome.totals, results[0].outcome.totals);
+        assert_eq!(one.outcome.end_time, results[0].outcome.end_time);
         assert_eq!(one.outcome.samples, results[0].outcome.samples);
+        assert_eq!(one.latency, results[0].latency);
+        assert_eq!(one.fleet, results[0].fleet);
     }
 
     #[test]
     fn table_one_columns_are_consistent() {
         let trace = small_trace(3, 200);
-        let result = run_experiment(
+        let result = run_pair(
             &PolicyPair::round_robin_baseline(),
             &ClusterConfig::paper(5),
             &trace,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        );
         // energy (kWh) == avg power (W) * span (h) / 1000
         let hours = result.outcome.end_time.as_hours();
         let expect_kwh = result.average_power_w() * hours / 1000.0;

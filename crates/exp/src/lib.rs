@@ -76,11 +76,13 @@
 //!
 //! # Multi-cluster sharding
 //!
-//! A [`scenario::Topology::MultiCluster`] cell splits its arrival stream
+//! Every cell is a fleet of execution units, one per member cluster; a
+//! single cluster is a one-unit fleet fed the whole stream. A
+//! [`scenario::Topology::MultiCluster`] cell splits its arrival stream
 //! across independent clusters with a deterministic front-end router and
-//! simulates each cluster on its own worker thread; per-shard learner
-//! seeds derive from the cell seed (two-level SplitMix64), so the sharded
-//! run stays byte-identical to serial execution.
+//! simulates each cluster on its own worker thread; per-unit learner seeds
+//! derive from the cell seed ([`scenario::Scenario::unit_seed`]), so the
+//! sharded run stays byte-identical to serial execution.
 //!
 //! ```
 //! use hierdrl_exp::prelude::*;
@@ -299,7 +301,7 @@ pub mod prelude {
     pub use crate::scale::{ScaleCellRun, ScaleSpec};
     pub use crate::scenario::{
         AutoscalePolicy, DriftSpec, ElasticSchedule, ElasticSpec, FaultShape, FaultSpec,
-        JobsBudget, PolicySpec, Pretrain, Scenario, Topology, WorkloadSpec,
+        JobsBudget, PolicySpec, Pretrain, Scenario, SeedStream, Topology, WorkloadSpec,
     };
     pub use crate::suite::{Expectation, Suite, SuiteBuilder};
     pub use hierdrl_core::hierarchical::{AllocatorKind, PowerKind};

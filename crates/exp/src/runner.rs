@@ -9,29 +9,31 @@
 //! once) — and cached values are themselves deterministic functions of
 //! their keys, so caching never changes results, only wall-clock.
 //!
-//! # Multi-cluster cells
+//! # Execution units
 //!
-//! A [`Topology::MultiCluster`](crate::scenario::Topology) cell adds a
-//! second level of parallelism *inside* the cell: the evaluation stream is
-//! split by the deterministic front-end [`Router`], each cluster (shard)
-//! simulates on its own worker thread with learner seeds derived from the
-//! cell seed via per-shard SplitMix64 sub-seeds, and shard results merge
-//! in shard order — so the sharded run is byte-identical to the same cell
-//! executed serially. One semantic difference from single-cluster cells:
-//! `max_jobs` truncates the *arrival stream* before routing (independent
-//! shards cannot coordinate a global completion count deterministically),
-//! whereas a single cluster stops after `max_jobs` completions.
+//! Every cell is a fleet of execution units, one per member cluster of its
+//! [`Topology`]; a single cluster is a one-unit fleet. Each evaluation
+//! segment's arrival stream is truncated to `max_jobs`, then routed to the
+//! units — passed through unchanged to a single cluster, split by the
+//! deterministic front-end [`Router`] otherwise. Each unit simulates its
+//! share of every segment under its own learners, seeded from its unit
+//! seed ([`Scenario::unit_seed`]), on its own worker thread, and unit
+//! results merge in unit order — so a sharded run is byte-identical to the
+//! same cell executed serially, and a one-unit merge returns the unit's
+//! result unchanged.
 
 use crate::report::{
     BenchCell, BenchReport, BenchSegment, BenchShard, CellMetrics, CellReport, CellTiming,
     ExpectationRow, FleetSize, SegmentReport, ShardReport, SuiteReport, TraceProvenance,
 };
-use crate::scenario::{mix_seed, ElasticSchedule, ElasticSpec, PolicySpec, Pretrain, Scenario};
+use crate::scenario::{
+    mix_seed, ElasticSchedule, ElasticSpec, PolicySpec, Pretrain, Scenario, SeedStream, Topology,
+};
 use crate::suite::{Expectation, Suite};
 use hierdrl_core::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
 use hierdrl_core::dpm::{DpmSnapshot, RlPowerConfig, RlPowerManager};
 use hierdrl_core::runner::{
-    aggregate_shards, concat_segments, pretrain_pair, ExperimentResult, SegmentedExperiment,
+    aggregate_shards, concat_segments, pretrain_pair, Experiment, ExperimentResult, Segment,
     ShardResult,
 };
 use hierdrl_sim::cluster::{Allocator, PowerManager};
@@ -125,8 +127,8 @@ impl RunContext {
     }
 }
 
-/// The outcome of one segment of a concept-drift cell (or of one shard of
-/// such a cell): the learners were carried into it from the previous
+/// The outcome of one evaluation segment of a cell (or of one execution
+/// unit of it): the learners were carried into it from the previous
 /// segment and, unless the cell is a frozen ablation, kept training online
 /// through it.
 #[derive(Debug, Clone)]
@@ -142,22 +144,22 @@ pub struct SegmentRun {
     /// Cumulative global-tier statistics at segment end, for learned
     /// policies.
     pub drl_stats: Option<DrlStats>,
-    /// Segment wall-clock, seconds (max across shards at fleet level).
+    /// Segment wall-clock, seconds (max across units at fleet level).
     pub wall_s: f64,
 }
 
-/// The outcome of one shard (cluster) of a multi-cluster cell.
+/// The outcome of one execution unit (member cluster) of a cell.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
-    /// The shard's routed jobs and simulation result (the concatenation
+    /// The unit's routed jobs and simulation result (the concatenation
     /// across segments for drift cells).
     pub shard: ShardResult,
-    /// The shard's global-tier statistics, for learned policies.
+    /// The unit's global-tier statistics, for learned policies.
     pub drl_stats: Option<DrlStats>,
-    /// The shard's per-segment outcomes in drift order (empty for
+    /// The unit's per-segment outcomes in segment order (one for
     /// non-drift cells).
     pub segments: Vec<SegmentRun>,
-    /// Shard wall-clock, seconds.
+    /// Unit wall-clock, seconds.
     pub wall_s: f64,
 }
 
@@ -167,22 +169,23 @@ pub struct ShardRun {
 pub struct CellRun {
     /// The scenario that produced this result.
     pub scenario: Scenario,
-    /// Full experiment result (including sample curves for Figs. 8/9).
-    /// For multi-cluster cells this is the fleet-level aggregate; for
-    /// drift cells, the time-sequential concatenation of the segments.
+    /// Full experiment result (including sample curves for Figs. 8/9):
+    /// the time-sequential concatenation over segments of the fleet-level
+    /// aggregate over units, each of which is the identity for one input.
     pub result: ExperimentResult,
-    /// Global-tier statistics, for learned policies. For multi-cluster
-    /// cells, counters sum across shards and losses are decision-weighted.
+    /// Global-tier statistics, for learned policies. Across units,
+    /// counters sum and losses are decision-weighted.
     pub drl_stats: Option<DrlStats>,
-    /// Per-segment outcomes in drift order (empty for non-drift cells;
-    /// the fleet-level aggregate per segment when sharded).
+    /// Per-segment fleet-level outcomes in drift order (empty for
+    /// non-drift cells).
     pub segments: Vec<SegmentRun>,
-    /// Per-cluster outcomes in shard order (empty for single-cluster
-    /// cells).
+    /// Per-unit outcomes in unit order: one per member cluster, so a
+    /// single-cluster cell has exactly one. Reports carry per-cluster rows
+    /// for multi-cluster topologies only.
     pub shards: Vec<ShardRun>,
     /// The cell's scheduled fleet-size envelope: constant at the topology
     /// size for fixed fleets, the lowered membership trajectory (summed
-    /// across shards, span-weighted across segments) for elastic cells.
+    /// across units, span-weighted across segments) for elastic cells.
     pub fleet_size: FleetSize,
     /// Real-trace provenance (`None` for synthetic cells).
     pub provenance: Option<TraceProvenance>,
@@ -243,7 +246,7 @@ fn cell_report(c: &CellRun) -> CellReport {
                 })
                 .collect()
         }),
-        clusters: (!c.shards.is_empty()).then(|| {
+        clusters: c.scenario.topology.is_multi_cluster().then(|| {
             c.shards
                 .iter()
                 .map(|s| ShardReport {
@@ -309,7 +312,7 @@ impl SuiteRun {
                             })
                             .collect()
                     }),
-                    clusters: (!c.shards.is_empty()).then(|| {
+                    clusters: c.scenario.topology.is_multi_cluster().then(|| {
                         c.shards
                             .iter()
                             .map(|s| BenchShard {
@@ -564,9 +567,7 @@ fn check_job_conservation(run: &SuiteRun) -> (bool, String) {
     let (mut jobs, mut requeued) = (0u64, 0u64);
     for cell in &run.cells {
         let t = &cell.result.outcome.totals;
-        // `max_jobs` cells stop mid-stream by design; conservation is only
-        // checkable where the whole stream drains.
-        if cell.scenario.max_jobs.is_none() && t.jobs_completed != t.jobs_arrived {
+        if t.jobs_completed != t.jobs_arrived {
             return (
                 false,
                 format!(
@@ -745,13 +746,10 @@ fn check_autoscale_economics(
     )
 }
 
-/// The fully-derived learner inputs of one execution unit — a whole
-/// single-cluster cell, or one shard of a multi-cluster cell. Both levels
-/// run through the same policy executor; only the seed derivation differs.
+/// The fully-derived learner inputs of one execution unit.
 struct LearnerSeeds {
     policy_seed: u64,
-    /// Seed of the unit's fault schedule (cell- or shard-derived, so
-    /// sharded chaos cells stay byte-identical to serial execution).
+    /// Seed of the unit's fault schedule.
     fault_seed: u64,
     /// The unit's share of the evaluation stream (sizes pre-training).
     eval_jobs: u64,
@@ -763,32 +761,22 @@ struct LearnerSeeds {
 }
 
 impl LearnerSeeds {
-    /// Cell-level derivation (single-cluster path).
-    fn for_cell(scenario: &Scenario) -> Self {
+    /// Unit `unit`'s derivation: every stream re-derives from the unit
+    /// seed, and the pre-training budget prorates to the unit's share of
+    /// the fleet (the whole of it for a single cluster).
+    fn new(scenario: &Scenario, unit: usize) -> Self {
+        let seed = |stream| scenario.unit_seed(unit, stream);
+        let unit_m = scenario.topology.clusters()[unit].num_servers;
+        let dpm = scenario.dpm_config_seeded(seed(SeedStream::Dpm));
         Self {
-            policy_seed: scenario.policy_seed(),
-            fault_seed: scenario.fault_seed(),
-            eval_jobs: scenario.workload.jobs_for(scenario.topology.servers()),
-            drl: scenario.drl_config(),
-            dpm: scenario.dpm_config(),
-            co_dpm: scenario.co_pretrain_dpm_config(),
-        }
-    }
-
-    /// Shard-level derivation (multi-cluster path): everything re-derives
-    /// from the shard's SplitMix64 sub-seed, and the pre-training budget
-    /// prorates to the shard's share of the fleet.
-    fn for_shard(scenario: &Scenario, shard: usize) -> Self {
-        let shard_m = scenario.topology.clusters()[shard].num_servers;
-        Self {
-            policy_seed: scenario.shard_policy_seed(shard),
-            fault_seed: scenario.shard_fault_seed(shard),
+            policy_seed: seed(SeedStream::Policy),
+            fault_seed: seed(SeedStream::Fault),
             eval_jobs: scenario
                 .workload
-                .shard_jobs_for(shard_m, scenario.topology.servers()),
-            drl: scenario.shard_drl_config(shard),
-            dpm: scenario.shard_dpm_config(shard),
-            co_dpm: scenario.shard_co_pretrain_dpm_config(shard),
+                .shard_jobs_for(unit_m, scenario.topology.servers()),
+            drl: scenario.drl_config_seeded(seed(SeedStream::Policy)),
+            co_dpm: dpm.clone().filter(|_| scenario.policy.co_pretrains()),
+            dpm,
         }
     }
 }
@@ -962,21 +950,22 @@ fn build_policy(
     }
 }
 
-/// Runs one execution unit's policy pair over its evaluation segments (one
-/// segment for non-drift cells), carrying the learners across segment
-/// boundaries with online training continuing — or frozen after
-/// pre-training for ablation cells. Returns the whole-run result (the
-/// time-sequential concatenation for drift cells), the final learner
-/// statistics, and the per-segment outcomes (empty for non-drift cells).
-fn execute_policy(
+/// Simulates one execution unit of a cell on its routed share of every
+/// evaluation segment, carrying its learners across segment boundaries
+/// with online training continuing — or frozen after pre-training for
+/// ablation cells. Fully self-contained: learner seeds derive from the
+/// unit's own seed, so units can run on any thread in any order.
+fn run_unit(
     scenario: &Scenario,
     ctx: &RunContext,
-    cluster: &ClusterConfig,
-    name: &str,
-    seeds: &LearnerSeeds,
-    segment_traces: &[&Trace],
+    unit: usize,
+    segment_traces: &[Arc<Trace>],
     elastic: &[ElasticSchedule],
-) -> Result<(ExperimentResult, Option<DrlStats>, Vec<SegmentRun>), String> {
+    name: &str,
+) -> Result<ShardRun, String> {
+    let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
+    let member = &scenario.topology.clusters()[unit];
+    let seeds = LearnerSeeds::new(scenario, unit);
     // Elastic cells run (and pre-train) against the headroom config, so
     // mid-run joins have slots and learners size their padded width from
     // the same `effective_max`. Pre-training itself stays membership-free,
@@ -984,135 +973,99 @@ fn execute_policy(
     let headroom = scenario
         .elastic
         .as_ref()
-        .map(|spec| spec.cluster_with_headroom(cluster));
-    let cluster = headroom.as_ref().unwrap_or(cluster);
-    let (mut allocator, mut power) = build_policy(scenario, ctx, cluster, seeds)?;
+        .map(|spec| spec.cluster_with_headroom(member));
+    let cluster = headroom.as_ref().unwrap_or(member);
+    let (mut allocator, mut power) = build_policy(scenario, ctx, cluster, &seeds)?;
     if !scenario.online_learning() {
         allocator.set_learning(false);
         power.set_learning(false);
     }
-    // Lower the chaos axis (if any) to per-segment fleet events against
-    // *this unit's* cluster size and segment spans, from the unit's own
-    // fault seed. Pre-training above stays fault-free — the paper's
-    // learners train on healthy fleets and meet faults only at evaluation
-    // (and pre-train cache keys stay stable across the fault axis).
-    let mut fleet_events: Vec<Vec<(f64, FleetOp)>> = match &scenario.fault {
-        None => Vec::new(),
-        Some(fault) => segment_traces
-            .iter()
-            .map(|trace| match trace.jobs().last() {
-                // An empty segment (possible for a small shard's share)
-                // has no span to schedule against — run it fault-free.
-                None => Vec::new(),
-                Some(last) => fault.lower(
+    // Lower the chaos axis (if any) per segment against this unit's
+    // cluster size and segment span, from the unit's own fault seed; an
+    // empty segment has no span to schedule against and runs fault-free.
+    // Pre-training above stays fault-free: the paper's learners train on
+    // healthy fleets and meet faults only at evaluation (and pre-train
+    // cache keys stay stable across the fault axis).
+    // The pre-lowered elastic schedules merge in behind the fault events:
+    // a stable sort keeps fault ops ahead of membership ops at equal times.
+    let fleet_events: Vec<Vec<(f64, FleetOp)>> = segment_traces
+        .iter()
+        .enumerate()
+        .map(|(i, trace)| {
+            let mut events = match (&scenario.fault, trace.jobs().last()) {
+                (Some(fault), Some(last)) => fault.lower(
                     seeds.fault_seed,
                     cluster.num_servers,
                     last.arrival.as_secs(),
                 ),
-            })
-            .collect(),
-    };
-    // Merge the pre-lowered elastic schedules (the caller lowers them —
-    // against the cell stream for the single path, the shard's capacity
-    // share for shards) behind the fault events: a stable sort keeps fault
-    // ops ahead of membership ops at equal times, deterministically.
-    if !elastic.is_empty() {
-        if fleet_events.is_empty() {
-            fleet_events = vec![Vec::new(); segment_traces.len()];
-        }
-        for (events, schedule) in fleet_events.iter_mut().zip(elastic) {
-            events.extend(schedule.events.iter().cloned());
-            events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("event times are finite"));
-        }
-    }
-    let experiment = SegmentedExperiment::new(name, cluster, segment_traces)
-        .with_limit(scenario.run_limit())
-        .with_fleet_events(&fleet_events);
+                _ => Vec::new(),
+            };
+            if let Some(schedule) = elastic.get(i) {
+                events.extend(schedule.events.iter().cloned());
+                events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("event times are finite"));
+            }
+            events
+        })
+        .collect();
+    let mut experiment = Experiment::from_segments(
+        name,
+        cluster,
+        segment_traces
+            .iter()
+            .zip(&fleet_events)
+            .map(|(trace, events)| Segment::trace(trace).with_fleet_events(events)),
+    )
+    .with_limit(scenario.run_limit());
     let mut segments: Vec<SegmentRun> = Vec::with_capacity(segment_traces.len());
-    for (i, trace) in segment_traces.iter().enumerate() {
+    loop {
         let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
-        let result = experiment.run_segment(i, allocator.as_dyn(), power.as_dyn())?;
+        let Some(result) = experiment.run_next(allocator.as_dyn(), power.as_dyn()) else {
+            break;
+        };
+        let i = segments.len();
         segments.push(SegmentRun {
             segment: i,
             shift: scenario.segment_label(i),
-            jobs_routed: trace.len() as u64,
+            jobs_routed: segment_traces[i].len() as u64,
+            result: result?,
             drl_stats: allocator.stats(),
             wall_s: started.elapsed().as_secs_f64(),
-            result,
         });
     }
-    let drl_stats = allocator.stats();
-    // Gate on the drift axis, not the segment count: a (degenerate but
-    // valid) single-segment drift cell must still report its segment row,
-    // while non-drift cells stay on the historical single-result shape.
-    if scenario.drift.is_none() {
-        let result = segments.remove(0).result;
-        Ok((result, drl_stats, Vec::new()))
-    } else {
-        let refs: Vec<&ExperimentResult> = segments.iter().map(|s| &s.result).collect();
-        let overall = concat_segments(name, &refs);
-        Ok((overall, drl_stats, segments))
-    }
-}
-
-/// Simulates one shard (cluster) of a multi-cluster cell on its routed
-/// per-segment sub-streams. Fully self-contained: learner seeds derive
-/// from the shard's own sub-seed, so shards can run on any thread in any
-/// order; within the shard, segments run sequentially under the carried
-/// learners.
-fn run_shard(
-    scenario: &Scenario,
-    ctx: &RunContext,
-    shard: usize,
-    cluster: &ClusterConfig,
-    segment_jobs: Vec<Vec<hierdrl_sim::job::Job>>,
-    elastic: &[ElasticSchedule],
-    name: &str,
-) -> Result<ShardRun, String> {
-    let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
-    let jobs_routed: u64 = segment_jobs.iter().map(|j| j.len() as u64).sum();
-    // The streams were truncated before routing; each shard drains its
-    // share of each segment.
-    let traces: Vec<Trace> = segment_jobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, jobs)| {
-            Trace::new(jobs).map_err(|e| format!("shard {shard} segment {i} trace: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let refs: Vec<&Trace> = traces.iter().collect();
-    let seeds = LearnerSeeds::for_shard(scenario, shard);
-    let (result, drl_stats, segments) =
-        execute_policy(scenario, ctx, cluster, name, &seeds, &refs, elastic)?;
+    let refs: Vec<&ExperimentResult> = segments.iter().map(|s| &s.result).collect();
     Ok(ShardRun {
         shard: ShardResult {
-            cluster: shard,
-            servers: cluster.num_servers,
-            jobs_routed,
-            result,
+            cluster: unit,
+            servers: member.num_servers,
+            jobs_routed: segments.iter().map(|s| s.jobs_routed).sum(),
+            result: concat_segments(name, &refs),
         },
-        drl_stats,
+        drl_stats: allocator.stats(),
         segments,
         wall_s: started.elapsed().as_secs_f64(),
     })
 }
 
-/// Fleet-level view of per-shard learner statistics: counters sum, losses
-/// weight by decision count, and the autoencoder flag ANDs across shards.
-fn merge_drl_stats(per_shard: impl IntoIterator<Item = Option<DrlStats>>) -> Option<DrlStats> {
-    let stats: Vec<DrlStats> = per_shard.into_iter().flatten().collect();
-    if stats.is_empty() {
-        return None;
+/// Fleet-level view of per-unit learner statistics: counters sum, losses
+/// weight by decision count, and the autoencoder flag ANDs across units.
+/// A single unit's statistics come back unchanged.
+fn merge_drl_stats(per_unit: impl IntoIterator<Item = Option<DrlStats>>) -> Option<DrlStats> {
+    let stats: Vec<DrlStats> = per_unit.into_iter().flatten().collect();
+    match stats.as_slice() {
+        [] => None,
+        [only] => Some(*only),
+        _ => {
+            let decisions: u64 = stats.iter().map(|s| s.decisions).sum();
+            let weight = |s: &DrlStats| s.decisions as f64 / decisions.max(1) as f64;
+            Some(DrlStats {
+                decisions,
+                train_steps: stats.iter().map(|s| s.train_steps).sum(),
+                loss_ema: stats.iter().map(|s| weight(s) * s.loss_ema).sum(),
+                autoencoder_trained: stats.iter().all(|s| s.autoencoder_trained),
+                autoencoder_loss: stats.iter().map(|s| weight(s) * s.autoencoder_loss).sum(),
+            })
+        }
     }
-    let decisions: u64 = stats.iter().map(|s| s.decisions).sum();
-    let weight = |s: &DrlStats| s.decisions as f64 / decisions.max(1) as f64;
-    Some(DrlStats {
-        decisions,
-        train_steps: stats.iter().map(|s| s.train_steps).sum(),
-        loss_ema: stats.iter().map(|s| weight(s) * s.loss_ema).sum(),
-        autoencoder_trained: stats.iter().all(|s| s.autoencoder_trained),
-        autoencoder_loss: stats.iter().map(|s| weight(s) * s.autoencoder_loss).sum(),
-    })
 }
 
 /// Resolves a cell's evaluation segments. Synthetic workloads materialize
@@ -1137,9 +1090,17 @@ fn resolve_cell_traces(
     };
     let parsed = ctx.load_real(&source)?;
     let (full, stats) = (&parsed.0, parsed.1);
-    // The workload's job cap truncates the arrival stream itself — before
-    // gating and segmentation — so capped cells agree between the
-    // single-cluster and sharded execution paths.
+    // A file can parse cleanly to zero jobs (e.g. only incomplete task
+    // lifecycles); there is no stream to replay, so name the cell and file.
+    if full.is_empty() {
+        return Err(format!(
+            "empty real trace: cell {} replays {}, which holds no complete jobs",
+            scenario.id,
+            source.label()
+        ));
+    }
+    // The workload's job cap truncates the arrival stream itself, before
+    // gating and segmentation.
     let cap = scenario.workload.jobs_for(scenario.topology.servers()) as usize;
     let mut trace = if cap > 0 && cap < full.len() {
         Trace::new(full.jobs()[..cap].to_vec())
@@ -1273,13 +1234,66 @@ fn segment_spans<'a>(segments: impl IntoIterator<Item = &'a [hierdrl_sim::job::J
         .collect()
 }
 
+/// Routes one segment's cell stream to the execution units: passed
+/// through unchanged to a single cluster (no copy), split by the
+/// front-end router across the clusters of a multi-cluster fleet — by
+/// static capacity weights for fixed fleets, or by a piecewise-constant
+/// weight timeline scaling each cluster's weight with its scheduled live
+/// count for elastic cells.
+fn route(
+    topology: &Topology,
+    segment: usize,
+    stream: &Arc<Trace>,
+    elastic_per_unit: &[Vec<ElasticSchedule>],
+) -> Result<Vec<Arc<Trace>>, String> {
+    let Some(router) = topology.router() else {
+        return Ok(vec![Arc::clone(stream)]);
+    };
+    let clusters = topology.clusters();
+    // Weigh clusters by aggregate capacity (server count for unit-capacity
+    // fleets), so a cluster of two 2x servers outweighs one of three little
+    // machines.
+    let weights: Vec<f64> = clusters.iter().map(ClusterConfig::routing_weight).collect();
+    let routed = if elastic_per_unit.is_empty() {
+        Router::split(router, &weights, stream.jobs())
+    } else {
+        let mut times: Vec<f64> = vec![0.0];
+        for schedules in elastic_per_unit {
+            times.extend(schedules[segment].sizes.iter().skip(1).map(|&(t, _)| t));
+        }
+        times.sort_by(|a, b| a.partial_cmp(b).expect("schedule times are finite"));
+        times.dedup();
+        let epochs: Vec<(f64, Vec<f64>)> = times
+            .iter()
+            .map(|&t| {
+                let w = (0..clusters.len())
+                    .map(|k| {
+                        elastic_per_unit[k][segment].size_at(t) as f64 * weights[k]
+                            / clusters[k].num_servers as f64
+                    })
+                    .collect();
+                (t, w)
+            })
+            .collect();
+        Router::split_epochs(router, &epochs, stream.jobs())
+    };
+    routed
+        .into_iter()
+        .enumerate()
+        .map(|(k, jobs)| {
+            Trace::new(jobs)
+                .map(Arc::new)
+                .map_err(|e| format!("shard {k} segment {segment} trace: {e}"))
+        })
+        .collect()
+}
+
 fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
     let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
     let (mut traces, provenance) = resolve_cell_traces(scenario, ctx)?;
     // Arrival-spike fault shapes extend the evaluation stream itself, so
-    // they inject here — before the single/multi-cluster split and before
-    // routing — from the *cell-level* fault seed. Both execution paths see
-    // the same merged stream, preserving sharded-vs-serial byte-identity.
+    // they inject here — before routing — from the *cell-level* fault
+    // seed, so every unit sees its share of the same merged stream.
     if let Some(fault) = scenario.fault.as_ref().filter(|f| f.has_spikes()) {
         let fault_seed = scenario.fault_seed();
         traces = traces
@@ -1300,178 +1314,111 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
             })
             .collect::<Result<_, _>>()?;
     }
-    let name = scenario.policy.name();
-
-    let (result, drl_stats, segments, shards, fleet_size) = match &scenario.topology {
-        crate::scenario::Topology::Single { cluster, .. } => {
-            let refs: Vec<&Trace> = traces.iter().map(Arc::as_ref).collect();
-            // Lower the elastic axis (if any) feed-forward from the cell
-            // stream: one schedule per segment, from the cell-level
-            // elastic seed, seeing the whole offered demand.
-            let elastic: Vec<ElasticSchedule> = match &scenario.elastic {
-                None => Vec::new(),
-                Some(spec) => refs
-                    .iter()
-                    .map(|t| lower_elastic(spec, scenario.elastic_seed(), cluster, t.jobs(), 1.0))
-                    .collect(),
-            };
-            let fleet_size = if elastic.is_empty() {
-                FleetSize::fixed(cluster.num_servers)
-            } else {
-                let spans = segment_spans(refs.iter().map(|t| t.jobs()));
-                fleet_size_for(cluster.num_servers, std::slice::from_ref(&elastic), &spans)
-            };
-            let seeds = LearnerSeeds::for_cell(scenario);
-            let (result, drl_stats, segments) =
-                execute_policy(scenario, ctx, cluster, &name, &seeds, &refs, &elastic)?;
-            (result, drl_stats, segments, Vec::new(), fleet_size)
+    // `max_jobs` truncates each segment's arrival stream before routing.
+    if let Some(n) = scenario.max_jobs.map(|n| n as usize) {
+        for (i, trace) in traces.iter_mut().enumerate() {
+            if trace.len() > n {
+                let capped = Trace::new(trace.jobs()[..n].to_vec())
+                    .map_err(|e| format!("segment {i} capped to {n} jobs: {e}"))?;
+                *trace = Arc::new(capped);
+            }
         }
-        crate::scenario::Topology::MultiCluster {
-            clusters, router, ..
-        } => {
-            // Weigh clusters by aggregate capacity (server count for
-            // unit-capacity fleets), so a cluster of two 2x servers
-            // outweighs one of three little machines.
+    }
+    let name = scenario.policy.name();
+    let clusters = scenario.topology.clusters();
+
+    // Elastic cells lower every unit's membership trajectory *before*
+    // routing, from the cell stream scaled by the unit's initial capacity
+    // share — feed-forward, so the router can re-derive capacity weights
+    // at the scheduled membership boundaries without ever observing live
+    // simulation state.
+    let elastic_per_unit: Vec<Vec<ElasticSchedule>> = match &scenario.elastic {
+        None => Vec::new(),
+        Some(spec) => {
             let weights: Vec<f64> = clusters.iter().map(ClusterConfig::routing_weight).collect();
-            // `max_jobs` truncates each segment's arrival stream before
-            // routing (see module docs).
-            let streams: Vec<&[hierdrl_sim::job::Job]> = traces
-                .iter()
-                .map(|trace| {
-                    let jobs = trace.jobs();
-                    match scenario.max_jobs {
-                        Some(n) => &jobs[..jobs.len().min(n as usize)],
-                        None => jobs,
-                    }
-                })
-                .collect();
-            // Elastic cells lower every shard's membership trajectory
-            // *before* routing, from the cell-level stream scaled by the
-            // shard's initial capacity share — feed-forward, so the router
-            // can re-derive capacity weights at the scheduled membership
-            // boundaries without ever observing live simulation state.
-            let elastic_per_shard: Vec<Vec<ElasticSchedule>> = match &scenario.elastic {
-                None => Vec::new(),
-                Some(spec) => {
-                    let total: f64 = weights.iter().sum();
-                    (0..clusters.len())
-                        .map(|k| {
-                            streams
-                                .iter()
-                                .map(|jobs| {
-                                    lower_elastic(
-                                        spec,
-                                        scenario.shard_elastic_seed(k),
-                                        &clusters[k],
-                                        jobs,
-                                        weights[k] / total,
-                                    )
-                                })
-                                .collect()
+            let total: f64 = weights.iter().sum();
+            (0..clusters.len())
+                .map(|k| {
+                    traces
+                        .iter()
+                        .map(|trace| {
+                            lower_elastic(
+                                spec,
+                                scenario.unit_seed(k, SeedStream::Elastic),
+                                &clusters[k],
+                                trace.jobs(),
+                                weights[k] / total,
+                            )
                         })
                         .collect()
-                }
-            };
-            let fleet_size = if elastic_per_shard.is_empty() {
-                FleetSize::fixed(scenario.topology.servers())
-            } else {
-                let spans = segment_spans(streams.iter().copied());
-                fleet_size_for(scenario.topology.servers(), &elastic_per_shard, &spans)
-            };
-            // Route every segment independently and deterministically:
-            // static capacity weights for fixed fleets; for elastic cells,
-            // a piecewise-constant weight timeline that scales each
-            // shard's weight with its scheduled live count.
-            let mut per_shard: Vec<Vec<Vec<hierdrl_sim::job::Job>>> =
-                (0..clusters.len()).map(|_| Vec::new()).collect();
-            for (i, stream) in streams.iter().enumerate() {
-                let routed = if elastic_per_shard.is_empty() {
-                    Router::split(*router, &weights, stream)
-                } else {
-                    let mut times: Vec<f64> = vec![0.0];
-                    for schedules in &elastic_per_shard {
-                        times.extend(schedules[i].sizes.iter().skip(1).map(|&(t, _)| t));
-                    }
-                    times.sort_by(|a, b| a.partial_cmp(b).expect("schedule times are finite"));
-                    times.dedup();
-                    let epochs: Vec<(f64, Vec<f64>)> = times
-                        .iter()
-                        .map(|&t| {
-                            let w = (0..clusters.len())
-                                .map(|k| {
-                                    elastic_per_shard[k][i].size_at(t) as f64 * weights[k]
-                                        / clusters[k].num_servers as f64
-                                })
-                                .collect();
-                            (t, w)
-                        })
-                        .collect();
-                    Router::split_epochs(*router, &epochs, stream)
-                };
-                for (k, jobs) in routed.into_iter().enumerate() {
-                    per_shard[k].push(jobs);
-                }
-            }
+                })
+                .collect()
+        }
+    };
+    let spans = segment_spans(traces.iter().map(|t| t.jobs()));
+    let fleet_size = fleet_size_for(scenario.topology.servers(), &elastic_per_unit, &spans);
 
-            // Intra-cell shard parallelism: each cluster simulates on its
-            // own worker thread (running its segments sequentially under
-            // carried learners); the rayon shim returns results in input
-            // (shard) order, so the merge below is schedule-independent.
-            let work: Vec<(usize, Vec<Vec<hierdrl_sim::job::Job>>)> =
-                per_shard.into_iter().enumerate().collect();
-            let outcomes: Vec<Result<ShardRun, String>> = work
-                .into_par_iter()
-                .map(|(k, segs)| {
-                    let elastic: &[ElasticSchedule] =
-                        elastic_per_shard.get(k).map_or(&[], Vec::as_slice);
-                    run_shard(scenario, ctx, k, &clusters[k], segs, elastic, &name)
+    let mut per_unit: Vec<Vec<Arc<Trace>>> = vec![Vec::new(); clusters.len()];
+    for (i, stream) in traces.iter().enumerate() {
+        for (k, share) in route(&scenario.topology, i, stream, &elastic_per_unit)?
+            .into_iter()
+            .enumerate()
+        {
+            per_unit[k].push(share);
+        }
+    }
+    // Intra-cell unit parallelism: each unit simulates on its own worker
+    // thread (running its segments sequentially under carried learners);
+    // the rayon shim returns results in input (unit) order, so the merge
+    // below is schedule-independent.
+    let outcomes: Vec<Result<ShardRun, String>> = per_unit
+        .into_iter()
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(k, segments)| {
+            let elastic = elastic_per_unit.get(k).map_or(&[][..], Vec::as_slice);
+            run_unit(scenario, ctx, k, &segments, elastic, &name)
+        })
+        .collect();
+    let units = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    // Units share a clock *within* a segment (aggregate); segments run
+    // back to back (concatenate).
+    let fleet_segments: Vec<SegmentRun> = (0..traces.len())
+        .map(|i| {
+            let parts: Vec<ShardResult> = units
+                .iter()
+                .map(|u| ShardResult {
+                    cluster: u.shard.cluster,
+                    servers: u.shard.servers,
+                    jobs_routed: u.segments[i].jobs_routed,
+                    result: u.segments[i].result.clone(),
                 })
                 .collect();
-            let shards = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-            // Gate on the drift axis (as in `execute_policy`): even a
-            // single-segment drift cell reports its segment row.
-            let (result, segments) = if scenario.drift.is_some() {
-                // Fleet-level per-segment rows: shards share a clock
-                // *within* a segment (aggregate), segments run back to
-                // back (concatenate).
-                let fleet_segments: Vec<SegmentRun> = (0..traces.len())
-                    .map(|i| {
-                        let shard_results: Vec<ShardResult> = shards
-                            .iter()
-                            .map(|s| ShardResult {
-                                cluster: s.shard.cluster,
-                                servers: s.shard.servers,
-                                jobs_routed: s.segments[i].jobs_routed,
-                                result: s.segments[i].result.clone(),
-                            })
-                            .collect();
-                        SegmentRun {
-                            segment: i,
-                            shift: scenario.segment_label(i),
-                            jobs_routed: shard_results.iter().map(|s| s.jobs_routed).sum(),
-                            drl_stats: merge_drl_stats(
-                                shards.iter().map(|s| s.segments[i].drl_stats),
-                            ),
-                            wall_s: shards
-                                .iter()
-                                .map(|s| s.segments[i].wall_s)
-                                .fold(0.0, f64::max),
-                            result: aggregate_shards(&name, &shard_results),
-                        }
-                    })
-                    .collect();
-                let refs: Vec<&ExperimentResult> =
-                    fleet_segments.iter().map(|s| &s.result).collect();
-                (concat_segments(&name, &refs), fleet_segments)
-            } else {
-                let shard_results: Vec<ShardResult> =
-                    shards.iter().map(|s| s.shard.clone()).collect();
-                (aggregate_shards(&name, &shard_results), Vec::new())
-            };
-            let drl_stats = merge_drl_stats(shards.iter().map(|s| s.drl_stats));
-            (result, drl_stats, segments, shards, fleet_size)
-        }
+            SegmentRun {
+                segment: i,
+                shift: scenario.segment_label(i),
+                jobs_routed: parts.iter().map(|s| s.jobs_routed).sum(),
+                drl_stats: merge_drl_stats(units.iter().map(|u| u.segments[i].drl_stats)),
+                wall_s: units
+                    .iter()
+                    .map(|u| u.segments[i].wall_s)
+                    .fold(0.0, f64::max),
+                result: aggregate_shards(&name, &parts),
+            }
+        })
+        .collect();
+    let refs: Vec<&ExperimentResult> = fleet_segments.iter().map(|s| &s.result).collect();
+    let result = concat_segments(&name, &refs);
+    let drl_stats = merge_drl_stats(units.iter().map(|u| u.drl_stats));
+    // Gate segment rows on the drift axis, not the segment count: a
+    // (degenerate but valid) single-segment drift cell still reports its
+    // row, while non-drift cells keep the single-result shape.
+    let segments = if scenario.drift.is_some() {
+        fleet_segments
+    } else {
+        Vec::new()
     };
 
     let wall_s = started.elapsed().as_secs_f64();
@@ -1481,7 +1428,7 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
         result,
         drl_stats,
         segments,
-        shards,
+        shards: units,
         fleet_size,
         provenance,
         timing: CellTiming {
@@ -1489,4 +1436,35 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
             jobs_per_s: jobs as f64 / wall_s.max(1e-9),
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stats(decisions: u64, loss_ema: f64) -> DrlStats {
+        DrlStats {
+            decisions,
+            train_steps: decisions / 2,
+            loss_ema,
+            autoencoder_trained: true,
+            autoencoder_loss: 0.25,
+        }
+    }
+
+    #[test]
+    fn merging_one_units_learner_stats_returns_them_unchanged() {
+        for one in [stats(40, 0.7), stats(0, 0.3)] {
+            // Including a learner that made no decisions, whose loss a
+            // decision-weighted merge would otherwise zero out.
+            assert_eq!(merge_drl_stats([Some(one)]), Some(one));
+            assert_eq!(merge_drl_stats([None, Some(one)]), Some(one));
+        }
+        assert_eq!(merge_drl_stats([None, None]), None);
+
+        let merged = merge_drl_stats([Some(stats(30, 1.0)), Some(stats(10, 0.0))]).unwrap();
+        assert_eq!(merged.decisions, 40);
+        assert_eq!(merged.train_steps, 20);
+        assert!((merged.loss_ema - 0.75).abs() < 1e-12);
+    }
 }

@@ -31,8 +31,8 @@
 
 use crate::report::{peak_rss_bytes, BenchCell, BenchReport};
 use crate::scenario::PAPER_WEEKLY_JOBS_PER_SERVER;
-use hierdrl_core::runner::{run_streamed, ExperimentResult};
-use hierdrl_sim::cluster::{ArrivalSource, RunLimit};
+use hierdrl_core::runner::{Experiment, ExperimentResult, Segment};
+use hierdrl_sim::cluster::{ArrivalSource, PowerManager};
 use hierdrl_sim::config::ClusterConfig;
 use hierdrl_sim::policies::{AlwaysOnPower, FixedTimeoutPower, RoundRobinAllocator};
 use hierdrl_trace::generator::WorkloadConfig;
@@ -154,34 +154,21 @@ impl ScaleCellRun {
 /// Returns an error for an unknown policy name or an invalid
 /// configuration.
 pub fn run_scale_cell(spec: &ScaleSpec, policy: &str) -> Result<ScaleCellRun, String> {
-    let cluster = spec.cluster();
-    let arrivals = ArrivalSource::from_stream(spec.trace_spec().stream()?);
-    let mut allocator = RoundRobinAllocator::new();
-    // lint:allow(wall-clock): throughput telemetry only, kept out of reports
-    let started = Instant::now();
-    let result = match policy {
-        "round-robin" => run_streamed(
-            policy,
-            &cluster,
-            arrivals,
-            &mut allocator,
-            &mut AlwaysOnPower,
-            RunLimit::unbounded(),
-        )?,
-        "rr-timeout-60s" => run_streamed(
-            policy,
-            &cluster,
-            arrivals,
-            &mut allocator,
-            &mut FixedTimeoutPower::new(RAW_SCALE_TIMEOUT_S),
-            RunLimit::unbounded(),
-        )?,
+    let mut power: Box<dyn PowerManager> = match policy {
+        "round-robin" => Box::new(AlwaysOnPower),
+        "rr-timeout-60s" => Box::new(FixedTimeoutPower::new(RAW_SCALE_TIMEOUT_S)),
         other => {
             return Err(format!(
                 "unknown scale policy {other:?}; expected one of {SCALE_POLICIES:?}"
             ))
         }
     };
+    let cluster = spec.cluster();
+    let arrivals = ArrivalSource::from_stream(spec.trace_spec().stream()?);
+    // lint:allow(wall-clock): throughput telemetry only, kept out of reports
+    let started = Instant::now();
+    let result = Experiment::from_segments(policy, &cluster, [Segment::stream(arrivals)])
+        .run(&mut RoundRobinAllocator::new(), power.as_mut())?;
     let wall_s = started.elapsed().as_secs_f64();
     let jobs = result.outcome.totals.jobs_completed;
     Ok(ScaleCellRun {

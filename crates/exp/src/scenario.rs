@@ -26,6 +26,31 @@ use serde::{Deserialize, Serialize};
 /// rollouts, and drift segments ([`hierdrl_trace::drift::mix_seed`]).
 pub use hierdrl_trace::drift::mix_seed;
 
+/// The named random streams of an execution unit (and of a cell), by
+/// `mix_seed` stream index. Every stream draws from `mix(base, stream)`,
+/// so streams are mutually disjoint; a new axis costs one variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeedStream {
+    /// The evaluation trace (cell-level only: the stream is routed).
+    Trace = 1,
+    /// The global-tier learner and its pre-training segments.
+    Policy = 2,
+    /// The local-tier learner.
+    Dpm = 3,
+    /// The fault schedule (which servers crash/straggle, and when).
+    Fault = 4,
+    /// The elastic schedule (the learned autoscaler's exploration and
+    /// every seed-drawn scaling choice).
+    Elastic = 5,
+}
+
+impl SeedStream {
+    /// This stream's seed under `base` (a cell seed or a unit seed).
+    pub fn derive(self, base: u64) -> u64 {
+        mix_seed(base, self as u64)
+    }
+}
+
 /// A named cluster topology under test: either the paper's single cluster,
 /// or a fleet of independent clusters behind a deterministic front-end
 /// router (the multi-cluster scaling axis).
@@ -272,6 +297,17 @@ impl Topology {
     /// Whether this topology shards the arrival stream across clusters.
     pub fn is_multi_cluster(&self) -> bool {
         matches!(self, Topology::MultiCluster { .. })
+    }
+
+    /// The base seed of execution unit `unit` (one unit per member
+    /// cluster): the cell seed itself for a single cluster — a one-unit
+    /// fleet — and the disjoint sub-seed `mix(cell_seed, 0x100 + unit)`
+    /// for each cluster of a multi-cluster fleet.
+    pub fn unit_seed(&self, cell_seed: u64, unit: usize) -> u64 {
+        match self {
+            Topology::Single { .. } => cell_seed,
+            Topology::MultiCluster { .. } => mix_seed(cell_seed, 0x100 + unit as u64),
+        }
     }
 }
 
@@ -1620,6 +1656,18 @@ impl PolicySpec {
     pub fn is_learned(&self) -> bool {
         !matches!(self, PolicySpec::Static { .. })
     }
+
+    /// Whether pre-training includes the local tier (co-pre-trained
+    /// hierarchical cells).
+    pub(crate) fn co_pretrains(&self) -> bool {
+        matches!(
+            self,
+            PolicySpec::Hierarchical {
+                co_pretrain: true,
+                ..
+            }
+        )
+    }
 }
 
 /// One cell of an experiment grid: everything needed to reproduce a single
@@ -1649,8 +1697,8 @@ pub struct Scenario {
     /// The cell's base seed; every random stream in the cell derives from
     /// it, so two scenarios with different seeds are independent.
     pub seed: u64,
-    /// Stop after this many completed jobs — per segment for drift cells
-    /// (`None` = run the whole trace).
+    /// Truncate each evaluation segment's arrival stream to this many jobs
+    /// before routing, for every topology (`None` = the whole stream).
     pub max_jobs: Option<u64>,
 }
 
@@ -1747,69 +1795,32 @@ impl Scenario {
         self
     }
 
-    /// Seed of the evaluation trace.
+    /// Seed of the evaluation trace (a cell-level stream: the trace is
+    /// generated once per cell, then routed to the execution units).
     pub fn trace_seed(&self) -> u64 {
-        mix_seed(self.seed, 1)
+        SeedStream::Trace.derive(self.seed)
     }
 
-    /// Seed of the global-tier learner (and pre-training segments).
+    /// Seed of the cell-level global-tier stream: the learner (and
+    /// pre-training segments) of a single-cluster cell, whose one
+    /// execution unit seeds from the cell seed.
     pub fn policy_seed(&self) -> u64 {
-        mix_seed(self.seed, 2)
+        SeedStream::Policy.derive(self.seed)
     }
 
-    /// Seed of the local-tier learner.
-    pub fn dpm_seed(&self) -> u64 {
-        mix_seed(self.seed, 3)
-    }
-
-    /// Seed of the fault schedule (which servers crash/straggle and when
-    /// the seed-drawn shapes fire) — stream 4, disjoint from trace (1),
-    /// policy (2), and local-tier (3) streams.
+    /// Seed of the cell-level fault stream, which draws the arrival spikes
+    /// injected into the stream before routing (per-unit fault schedules
+    /// derive from [`Scenario::unit_seed`]).
     pub fn fault_seed(&self) -> u64 {
-        mix_seed(self.seed, 4)
+        SeedStream::Fault.derive(self.seed)
     }
 
-    /// Seed of the elastic schedule (the learned autoscaler's exploration
-    /// and every seed-drawn scaling choice) — stream 5, disjoint from
-    /// trace (1), policy (2), local-tier (3), and fault (4) streams.
-    pub fn elastic_seed(&self) -> u64 {
-        mix_seed(self.seed, 5)
-    }
-
-    /// Base seed of shard `k` of a multi-cluster cell — the second level of
-    /// the two-level derivation scheme: the cell seed spawns one SplitMix64
-    /// sub-seed per shard (streams `0x100 + k`, disjoint from the cell's
-    /// own 1–3), and each shard then derives its learner seeds from its
-    /// sub-seed exactly like a single-cluster cell does from the cell seed.
-    /// Shards are therefore mutually independent *and* independent of the
-    /// cell-level streams.
-    pub fn shard_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.seed, 0x100 + shard as u64)
-    }
-
-    /// Seed of shard `k`'s global-tier learner (and pre-training segments).
-    pub fn shard_policy_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 2)
-    }
-
-    /// Seed of shard `k`'s local-tier learner.
-    pub fn shard_dpm_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 3)
-    }
-
-    /// Seed of shard `k`'s fault schedule: each shard lowers the cell's
-    /// [`FaultSpec`] independently against its own cluster size, so
-    /// sharded execution stays byte-identical to serial.
-    pub fn shard_fault_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 4)
-    }
-
-    /// Seed of shard `k`'s elastic schedule: each shard's membership
-    /// trajectory lowers from its own sub-seed (and its capacity share of
-    /// the cell stream), so sharded elastic cells stay byte-identical to
-    /// serial execution.
-    pub fn shard_elastic_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 5)
+    /// Seed of named stream `stream` in execution unit `unit` — the one
+    /// per-unit derivation every learner, fault schedule, and elastic
+    /// schedule draws from: `mix(u, stream)` over the unit seed `u` that
+    /// [`Topology::unit_seed`] derives from the cell seed.
+    pub fn unit_seed(&self, unit: usize, stream: SeedStream) -> u64 {
+        stream.derive(self.topology.unit_seed(self.seed, unit))
     }
 
     /// The evaluation trace recipe (the whole stream for non-drift cells;
@@ -1889,7 +1900,9 @@ impl Scenario {
         }
     }
 
-    /// The run limit.
+    /// The run limit each execution unit runs every segment under: at most
+    /// `max_jobs` completions, which a unit reaches only when it holds the
+    /// whole truncated stream (it then stops at its last completion).
     pub fn run_limit(&self) -> RunLimit {
         match self.max_jobs {
             Some(n) => RunLimit::jobs(n),
@@ -1897,7 +1910,9 @@ impl Scenario {
         }
     }
 
-    fn drl_config_with_seed(&self, policy_seed: u64) -> Option<DrlAllocatorConfig> {
+    /// The global-tier configuration seeded with `policy_seed` (`None`
+    /// for static policies).
+    pub(crate) fn drl_config_seeded(&self, policy_seed: u64) -> Option<DrlAllocatorConfig> {
         let seeded = |mut config: DrlAllocatorConfig| {
             config.seed = policy_seed;
             config
@@ -1913,7 +1928,9 @@ impl Scenario {
         }
     }
 
-    fn dpm_config_with_seed(&self, dpm_seed: u64) -> Option<RlPowerConfig> {
+    /// The local-tier configuration seeded with `dpm_seed` (hierarchical
+    /// only).
+    pub(crate) fn dpm_config_seeded(&self, dpm_seed: u64) -> Option<RlPowerConfig> {
         match &self.policy {
             PolicySpec::Hierarchical { weight, .. } => Some(RlPowerConfig {
                 weight: *weight,
@@ -1924,26 +1941,14 @@ impl Scenario {
         }
     }
 
-    /// The global-tier configuration this cell trains (learned policies).
+    /// The global-tier configuration of the cell-level policy stream.
     pub fn drl_config(&self) -> Option<DrlAllocatorConfig> {
-        self.drl_config_with_seed(self.policy_seed())
+        self.drl_config_seeded(self.policy_seed())
     }
 
-    /// Shard `k`'s global-tier configuration (multi-cluster cells; every
-    /// shard trains its own learner from its own derived seed).
-    pub fn shard_drl_config(&self, shard: usize) -> Option<DrlAllocatorConfig> {
-        self.drl_config_with_seed(self.shard_policy_seed(shard))
-    }
-
-    /// The local-tier configuration this cell runs (hierarchical only).
+    /// The local-tier configuration of the cell-level local-tier stream.
     pub fn dpm_config(&self) -> Option<RlPowerConfig> {
-        self.dpm_config_with_seed(self.dpm_seed())
-    }
-
-    /// Shard `k`'s local-tier configuration (multi-cluster hierarchical
-    /// cells).
-    pub fn shard_dpm_config(&self, shard: usize) -> Option<RlPowerConfig> {
-        self.dpm_config_with_seed(self.shard_dpm_seed(shard))
+        self.dpm_config_seeded(SeedStream::Dpm.derive(self.seed))
     }
 
     /// The local-tier configuration *included in pre-training* — `None`
@@ -1951,23 +1956,7 @@ impl Scenario {
     /// of the pre-train cache key so every Fig. 10 operating point (and
     /// the fixed-timeout baselines) shares one pre-trained global tier.
     pub fn co_pretrain_dpm_config(&self) -> Option<RlPowerConfig> {
-        match &self.policy {
-            PolicySpec::Hierarchical {
-                co_pretrain: true, ..
-            } => self.dpm_config(),
-            _ => None,
-        }
-    }
-
-    /// Shard `k`'s pre-training local-tier configuration (the shard-level
-    /// analogue of [`Scenario::co_pretrain_dpm_config`]).
-    pub fn shard_co_pretrain_dpm_config(&self, shard: usize) -> Option<RlPowerConfig> {
-        match &self.policy {
-            PolicySpec::Hierarchical {
-                co_pretrain: true, ..
-            } => self.shard_dpm_config(shard),
-            _ => None,
-        }
+        self.dpm_config().filter(|_| self.policy.co_pretrains())
     }
 }
 
@@ -2028,7 +2017,7 @@ mod tests {
             None,
         );
         assert_ne!(s.trace_seed(), s.policy_seed());
-        assert_ne!(s.policy_seed(), s.dpm_seed());
+        assert_ne!(s.policy_seed(), s.unit_seed(0, SeedStream::Dpm));
         // Neighbouring base seeds produce unrelated trace seeds.
         let t = Scenario {
             seed: 8,
@@ -2048,7 +2037,9 @@ mod tests {
         );
         assert_eq!(s.drl_config().unwrap().seed, s.policy_seed());
         let dpm = s.dpm_config().unwrap();
-        assert_eq!(dpm.seed, s.dpm_seed());
+        // A single cluster is a one-unit fleet seeded by the cell seed.
+        assert_eq!(dpm.seed, s.unit_seed(0, SeedStream::Dpm));
+        assert_eq!(s.policy_seed(), s.unit_seed(0, SeedStream::Policy));
         assert!((dpm.weight - 0.3).abs() < 1e-12);
         assert!(s.policy.is_learned());
     }
@@ -2237,25 +2228,26 @@ mod tests {
             7,
             None,
         );
-        // Shard sub-seeds differ from each other and from the cell streams.
-        let mut seen = vec![s.trace_seed(), s.policy_seed(), s.dpm_seed()];
+        // Unit sub-seeds differ from each other and from the cell streams.
+        let cell = |stream: SeedStream| stream.derive(s.seed);
+        let mut seen = vec![
+            cell(SeedStream::Trace),
+            cell(SeedStream::Policy),
+            cell(SeedStream::Dpm),
+        ];
         for k in 0..3 {
-            seen.push(s.shard_seed(k));
-            seen.push(s.shard_policy_seed(k));
-            seen.push(s.shard_dpm_seed(k));
+            seen.push(s.topology.unit_seed(s.seed, k));
+            seen.push(s.unit_seed(k, SeedStream::Policy));
+            seen.push(s.unit_seed(k, SeedStream::Dpm));
         }
         let mut dedup = seen.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), seen.len(), "derived seeds must not collide");
-
-        // Shard configs carry the shard-derived seeds.
-        assert_eq!(s.shard_drl_config(1).unwrap().seed, s.shard_policy_seed(1));
-        assert_eq!(s.shard_dpm_config(2).unwrap().seed, s.shard_dpm_seed(2));
         assert_eq!(
-            s.shard_co_pretrain_dpm_config(0),
-            s.shard_dpm_config(0),
-            "co-pre-trained hierarchical shards restore their local tier"
+            s.topology.unit_seed(s.seed, 1),
+            mix_seed(s.seed, 0x101),
+            "multi-cluster unit k seeds from mix(s, 0x100 + k)"
         );
     }
 
@@ -2274,14 +2266,18 @@ mod tests {
         let seeds = [
             faulted.trace_seed(),
             faulted.policy_seed(),
-            faulted.dpm_seed(),
+            faulted.unit_seed(0, SeedStream::Dpm),
             faulted.fault_seed(),
-            faulted.shard_fault_seed(0),
         ];
         let mut dedup = seeds.to_vec();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), seeds.len());
+        // The single cluster's one unit lowers faults from the cell stream.
+        assert_eq!(
+            faulted.unit_seed(0, SeedStream::Fault),
+            faulted.fault_seed()
+        );
         // The fault axis changes nothing about the evaluation stream.
         assert_eq!(faulted.segment_trace_specs(), base.segment_trace_specs());
 
@@ -2542,9 +2538,18 @@ mod tests {
             "paper-m4/paper%cap-window/round-robin/s7"
         );
         // Stream 5 is disjoint from the other per-cell streams.
-        assert_ne!(s.elastic_seed(), s.fault_seed());
-        assert_ne!(s.elastic_seed(), s.trace_seed());
-        assert_ne!(s.shard_elastic_seed(0), s.shard_elastic_seed(1));
+        let elastic_seed = s.unit_seed(0, SeedStream::Elastic);
+        assert_eq!(elastic_seed, SeedStream::Elastic.derive(s.seed));
+        assert_ne!(elastic_seed, s.fault_seed());
+        assert_ne!(elastic_seed, s.trace_seed());
+        let sharded = Scenario {
+            topology: Topology::sharded_paper(2, 4, RouterPolicy::RoundRobin),
+            ..s
+        };
+        assert_ne!(
+            sharded.unit_seed(0, SeedStream::Elastic),
+            sharded.unit_seed(1, SeedStream::Elastic)
+        );
     }
 
     /// A saturating-then-quiet stream: heavy demand in the first half of

@@ -253,7 +253,8 @@ impl SuiteBuilder {
         self
     }
 
-    /// Caps every cell at `n` completed jobs.
+    /// Caps every cell's arrival stream at `n` jobs per evaluation segment
+    /// (see [`Scenario::max_jobs`]).
     #[must_use]
     pub fn limit_jobs(mut self, n: u64) -> Self {
         self.max_jobs = Some(n);

@@ -136,7 +136,8 @@ fn shard_learners_are_independent_per_shard() {
     // Changing the cell seed changes both shards' learner seeds (the
     // two-level derivation): the per-shard configs must differ.
     let s = &cell.scenario;
-    assert_ne!(s.shard_policy_seed(0), s.shard_policy_seed(1));
+    let policy_seed = |s: &Scenario, k| s.unit_seed(k, SeedStream::Policy);
+    assert_ne!(policy_seed(s, 0), policy_seed(s, 1));
     let t = Scenario::new(
         s.topology.clone(),
         s.workload.clone(),
@@ -144,7 +145,7 @@ fn shard_learners_are_independent_per_shard() {
         s.seed + 1,
         s.max_jobs,
     );
-    assert_ne!(t.shard_policy_seed(0), s.shard_policy_seed(0));
+    assert_ne!(policy_seed(&t, 0), policy_seed(s, 0));
 }
 
 #[test]
@@ -219,16 +220,26 @@ fn capacity_weighted_router_weighs_capacity_not_server_counts() {
 
 #[test]
 fn max_jobs_truncates_the_stream_before_routing() {
+    // One meaning for every topology: the arrival stream is cut to
+    // `max_jobs` before routing, so every arrived job completes — on a
+    // single cluster (a one-unit fleet) exactly as on a sharded fleet.
     let suite = Suite::builder("truncate")
-        .topologies([Topology::sharded_paper(2, 4, RouterPolicy::RoundRobin)])
+        .topologies([
+            Topology::sharded_paper(2, 4, RouterPolicy::RoundRobin),
+            Topology::paper(4),
+        ])
         .workloads([WorkloadSpec::paper().with_total_jobs(100)])
         .policies([PolicySpec::round_robin()])
         .seeds([3])
         .limit_jobs(40)
         .build();
     let run = SuiteRunner::new().run(&suite).expect("run");
-    let cell = &run.cells[0];
-    let routed: u64 = cell.shards.iter().map(|s| s.shard.jobs_routed).sum();
-    assert_eq!(routed, 40);
-    assert_eq!(cell.result.outcome.totals.jobs_completed, 40);
+    assert_eq!(run.cells.len(), 2);
+    for cell in &run.cells {
+        let routed: u64 = cell.shards.iter().map(|s| s.shard.jobs_routed).sum();
+        assert_eq!(routed, 40, "{}", cell.scenario.id);
+        let totals = &cell.result.outcome.totals;
+        assert_eq!(totals.jobs_arrived, 40, "{}", cell.scenario.id);
+        assert_eq!(totals.jobs_completed, 40, "{}", cell.scenario.id);
+    }
 }

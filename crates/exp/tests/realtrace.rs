@@ -179,3 +179,35 @@ fn frozen_twin_stops_training_across_real_weeks() {
         "frozen learners stop at the pre-training step count: {frozen_steps:?}"
     );
 }
+
+#[test]
+fn empty_real_trace_is_a_named_error_not_a_panic() {
+    // A lone submit row is an incomplete lifecycle: the file parses
+    // cleanly to zero jobs. With and without the drift axis, the cell must
+    // fail with an error naming the cell and the file.
+    let path = std::env::temp_dir().join(format!("hierdrl-empty-trace-{}.csv", std::process::id()));
+    std::fs::write(&path, "1000000,,7,0,42,0,user,2,5,0.25,0.125,0.01,0\n").expect("write");
+    let empty = WorkloadSpec::real_trace(
+        "real-empty",
+        path.to_string_lossy(),
+        TraceFormat::GoogleTaskEvents,
+    );
+    for drift in [None, Some(DriftSpec::real_segments())] {
+        let mut builder = Suite::builder("empty")
+            .topologies([Topology::paper(4)])
+            .workloads([empty.clone()])
+            .policies([PolicySpec::round_robin()])
+            .seeds([1]);
+        if let Some(drift) = drift {
+            builder = builder.drifts([drift]);
+        }
+        let suite = builder.build();
+        let err = SuiteRunner::serial()
+            .run(&suite)
+            .expect_err("an empty trace has nothing to replay");
+        assert!(err.contains("empty real trace"), "{err}");
+        assert!(err.contains(&suite.scenarios[0].id), "{err}");
+        assert!(err.contains(&format!("google:{}", path.display())), "{err}");
+    }
+    std::fs::remove_file(&path).expect("remove");
+}

@@ -12,7 +12,8 @@
 //! Each segment materializes as its own re-based trace (arrivals start at
 //! zero), mirroring how the paper splits the month-long Google trace into
 //! week-scale segments. Segment boundaries are exactly where learners are
-//! carried across runs — see `hierdrl_core::runner::SegmentedExperiment`.
+//! carried across runs — see `hierdrl_core::runner::Experiment`, which runs
+//! an ordered list of segments under one set of policy objects.
 
 use crate::generator::WorkloadConfig;
 use crate::materialize::{TraceCache, TraceSpec};

@@ -29,7 +29,7 @@ fn main() -> Result<(), String> {
             allocator: AllocatorKind::FirstFit,
             power: PowerKind::FixedTimeout(timeout),
         };
-        let r = run_experiment(&pair, &cluster, &trace, RunLimit::unbounded())?;
+        let r = Experiment::new(&pair.name, &cluster, &trace).run_pair(&pair)?;
         println!(
             "{:<24} {:>14.1} {:>14.1}",
             r.name,
@@ -48,7 +48,7 @@ fn main() -> Result<(), String> {
                 ..Default::default()
             }),
         };
-        let r = run_experiment(&pair, &cluster, &trace, RunLimit::unbounded())?;
+        let r = Experiment::new(&pair.name, &cluster, &trace).run_pair(&pair)?;
         println!(
             "{:<24} {:>14.1} {:>14.1}",
             r.name,

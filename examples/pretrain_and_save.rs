@@ -51,14 +51,8 @@ fn main() -> Result<(), String> {
 
     let eval =
         TraceGenerator::new(WorkloadConfig::google_like(999, jobs_per_week))?.generate_n(2_000);
-    let result = run_policies(
-        "restored hierarchical",
-        &cluster,
-        &eval,
-        &mut restored_drl,
-        &mut restored_dpm,
-        RunLimit::unbounded(),
-    )?;
+    let result = Experiment::new("restored hierarchical", &cluster, &eval)
+        .run(&mut restored_drl, &mut restored_dpm)?;
     println!(
         "restored policy: {:.2} kWh, {:.0} s/job, sleep fraction {:.2}",
         result.energy_kwh(),

@@ -38,7 +38,7 @@ fn main() -> Result<(), String> {
         "system", "energy kWh", "lat/job s", "avg power W", "sleep %"
     );
     for pair in &systems {
-        let result = run_experiment(pair, &cluster, &trace, RunLimit::unbounded())?;
+        let result = Experiment::new(&pair.name, &cluster, &trace).run_pair(pair)?;
         println!(
             "{:<14} {:>12.2} {:>12.1} {:>12.1} {:>10.1}",
             result.name,

@@ -50,7 +50,8 @@ fn every_policy_pair_completes_all_jobs() {
         ),
     ];
     for pair in pairs {
-        let result = run_experiment(&pair, &cluster, &trace, RunLimit::unbounded())
+        let result = Experiment::new(&pair.name, &cluster, &trace)
+            .run_pair(&pair)
             .unwrap_or_else(|e| panic!("{} failed: {e}", pair.name));
         assert_eq!(
             result.outcome.totals.jobs_completed, 200,
@@ -79,7 +80,9 @@ fn runs_are_deterministic_under_fixed_seeds() {
             seed: 99,
             ..Default::default()
         });
-        let r = run_experiment(&pair, &cluster, &trace, RunLimit::unbounded()).unwrap();
+        let r = Experiment::new(&pair.name, &cluster, &trace)
+            .run_pair(&pair)
+            .unwrap();
         (
             r.outcome.totals.energy_joules,
             r.outcome.totals.total_latency_s,
@@ -97,17 +100,13 @@ fn always_on_beats_sleep_immediately_on_latency_and_loses_on_energy() {
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(3, 400, m);
     let run = |power: PowerKind, name: &str| {
-        run_experiment(
-            &PolicyPair {
+        Experiment::new(name, &cluster, &trace)
+            .run_pair(&PolicyPair {
                 name: name.into(),
                 allocator: AllocatorKind::FirstFit,
                 power,
-            },
-            &cluster,
-            &trace,
-            RunLimit::unbounded(),
-        )
-        .unwrap()
+            })
+            .unwrap()
     };
     let on = run(PowerKind::AlwaysOn, "on");
     let sleepy = run(PowerKind::SleepImmediately, "sleepy");
@@ -130,24 +129,16 @@ fn first_fit_consolidation_saves_energy_vs_round_robin() {
     let m = 8;
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(4, 600, m);
-    let rr = run_experiment(
-        &PolicyPair::round_robin_baseline(),
-        &cluster,
-        &trace,
-        RunLimit::unbounded(),
-    )
-    .unwrap();
-    let ff = run_experiment(
-        &PolicyPair {
+    let rr = Experiment::new("rr", &cluster, &trace)
+        .run_pair(&PolicyPair::round_robin_baseline())
+        .unwrap();
+    let ff = Experiment::new("ff", &cluster, &trace)
+        .run_pair(&PolicyPair {
             name: "first-fit+sleep".into(),
             allocator: AllocatorKind::FirstFit,
             power: PowerKind::SleepImmediately,
-        },
-        &cluster,
-        &trace,
-        RunLimit::unbounded(),
-    )
-    .unwrap();
+        })
+        .unwrap();
     assert!(
         ff.energy_kwh() < rr.energy_kwh() * 0.8,
         "consolidation should save >20% energy: {} vs {}",
@@ -175,15 +166,12 @@ fn pretrained_allocator_transfers_across_traces() {
     assert!(allocator.stats().train_steps > 0);
 
     let eval = small_trace(50, 120, m);
-    let result = run_policies(
-        "transfer",
-        &cluster,
-        &eval,
-        &mut allocator,
-        &mut hierdrl::sim::policies::SleepImmediatelyPower,
-        RunLimit::unbounded(),
-    )
-    .unwrap();
+    let result = Experiment::new("transfer", &cluster, &eval)
+        .run(
+            &mut allocator,
+            &mut hierdrl::sim::policies::SleepImmediatelyPower,
+        )
+        .unwrap();
     assert_eq!(result.outcome.totals.jobs_completed, 120);
 }
 
@@ -192,13 +180,10 @@ fn run_limit_by_jobs_is_respected() {
     let m = 3;
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(6, 300, m);
-    let result = run_experiment(
-        &PolicyPair::round_robin_baseline(),
-        &cluster,
-        &trace,
-        RunLimit::jobs(100),
-    )
-    .unwrap();
+    let result = Experiment::new("rr", &cluster, &trace)
+        .with_limit(RunLimit::jobs(100))
+        .run_pair(&PolicyPair::round_robin_baseline())
+        .unwrap();
     assert_eq!(result.outcome.totals.jobs_completed, 100);
 }
 
@@ -216,7 +201,9 @@ fn sample_curves_are_monotone_for_all_policies() {
             power: PowerKind::FixedTimeout(30.0),
         },
     ] {
-        let result = run_experiment(&pair, &cluster, &trace, RunLimit::unbounded()).unwrap();
+        let result = Experiment::new(&pair.name, &cluster, &trace)
+            .run_pair(&pair)
+            .unwrap();
         let samples = result.samples();
         assert!(!samples.is_empty(), "{} produced no samples", pair.name);
         for w in samples.windows(2) {

@@ -38,15 +38,12 @@ fn drl_snapshot_round_trips_through_json() {
     assert!(restored.stats().autoencoder_trained);
 
     let eval = small_trace(9, 100, m);
-    let result = run_policies(
-        "restored",
-        &cluster,
-        &eval,
-        &mut restored,
-        &mut hierdrl::sim::policies::SleepImmediatelyPower,
-        RunLimit::unbounded(),
-    )
-    .unwrap();
+    let result = Experiment::new("restored", &cluster, &eval)
+        .run(
+            &mut restored,
+            &mut hierdrl::sim::policies::SleepImmediatelyPower,
+        )
+        .unwrap();
     assert_eq!(result.outcome.totals.jobs_completed, 100);
 }
 
@@ -65,15 +62,12 @@ fn frozen_restored_policies_act_identically() {
         let mut alloc = DrlAllocator::from_snapshot(snap);
         alloc.set_learning(false);
         let eval = small_trace(8, 120, m);
-        let r = run_policies(
-            "frozen",
-            &cluster,
-            &eval,
-            &mut alloc,
-            &mut hierdrl::sim::policies::SleepImmediatelyPower,
-            RunLimit::unbounded(),
-        )
-        .unwrap();
+        let r = Experiment::new("frozen", &cluster, &eval)
+            .run(
+                &mut alloc,
+                &mut hierdrl::sim::policies::SleepImmediatelyPower,
+            )
+            .unwrap();
         (
             r.outcome.totals.energy_joules,
             r.outcome.totals.total_latency_s,
