@@ -1,18 +1,10 @@
-//! Presentation helpers for the benchmark binaries.
+//! Presentation helpers for the `hierdrl-bench` subcommands.
 //!
 //! All experiment *orchestration* (scales, grids, pre-training, execution)
 //! lives in `hierdrl-exp`; this module only formats the resulting
 //! [`ExperimentResult`]s into the paper's tables and figure series.
 
 use hierdrl_core::runner::ExperimentResult;
-
-/// The process's peak resident-set size in bytes (Linux `VmHWM`), `None`
-/// where unavailable. Delegates to
-/// [`hierdrl_exp::report::peak_rss_bytes`], which owns the parsing, so the
-/// bench binaries and the report layer can never disagree on the reading.
-pub fn peak_rss_bytes() -> Option<u64> {
-    hierdrl_exp::report::peak_rss_bytes()
-}
 
 /// Formats a row of the Table I-style summary.
 pub fn summary_row(result: &ExperimentResult) -> String {

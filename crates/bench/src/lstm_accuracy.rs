@@ -1,4 +1,4 @@
-//! Evaluates the local tier's LSTM workload predictor against the simpler
+//! `lstm_accuracy`: evaluates the local tier's LSTM workload predictor against the simpler
 //! predictors the paper argues against (Section VI-A motivates the LSTM by
 //! the failure of linear combinations of previous inter-arrival times, and
 //! of schemes that one long gap can derail).
@@ -10,7 +10,7 @@
 //! fraction of predictions landing in the correct discretized RL category.
 //!
 //! ```sh
-//! cargo run --release -p hierdrl-bench --bin lstm_accuracy -- --jobs 20000
+//! cargo run --release -p hierdrl-bench -- lstm_accuracy --jobs 20000
 //! ```
 
 use hierdrl_core::predictor::{
@@ -72,8 +72,10 @@ fn score(mut p: impl IatPredictor, streams: &[Vec<f64>], bins: &Discretizer) -> 
     )
 }
 
-fn main() {
-    let scale = SweepArgs::from_env().scale(Scale {
+/// Scores every predictor on the per-server arrival streams of a
+/// first-fit run at the scale `args` selects.
+pub fn run(args: &SweepArgs) -> Result<(), String> {
+    let scale = args.scale(Scale {
         m: 30,
         jobs: 20_000,
     });
@@ -84,10 +86,8 @@ fn main() {
     let trace = WorkloadSpec::paper()
         .with_total_jobs(scale.jobs)
         .trace_spec(&topology, 70)
-        .materialize()
-        .expect("trace materializes");
-    let mut cluster =
-        Cluster::new(topology.clusters()[0].clone(), trace.into_jobs()).expect("cluster");
+        .materialize()?;
+    let mut cluster = Cluster::new(topology.clusters()[0].clone(), trace.into_jobs())?;
     let mut recorder = ArrivalRecorder {
         arrivals: vec![Vec::new(); scale.m],
     };
@@ -127,4 +127,5 @@ fn main() {
 
     let (mae, acc, n) = score(EwmaPredictor::new(0.3), &streams, &bins);
     println!("{:<22} {:>16.4} {:>14.3} {:>10}", "ewma(0.3)", mae, acc, n);
+    Ok(())
 }

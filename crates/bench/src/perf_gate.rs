@@ -1,8 +1,9 @@
-//! CI performance-regression gate over `BENCH_suite.json`.
+//! `perf_gate`: the CI performance-regression gate over two bench
+//! artifacts (`BENCH_suite.json`-shaped [`BenchReport`]s).
 //!
-//! Diffs a freshly generated bench artifact against the committed baseline,
-//! cell by cell (matched on scenario id), prints a per-cell comparison
-//! table, and exits non-zero if:
+//! Diffs a fresh artifact against the committed baseline, cell by cell
+//! (matched on scenario id), prints a per-cell comparison table, and
+//! fails (exit 1) if:
 //!
 //! - any matched cell's `jobs_per_s` regressed by more than the allowed
 //!   percentage;
@@ -12,17 +13,16 @@
 //!   compares false against every threshold, so an unguarded NaN would
 //!   sail through the regression check);
 //! - any matched cell whose baseline carries a `peak_rss_bytes` reading
-//!   (the sequential raw-scale cells of the `scale` bin) grew its peak RSS
-//!   by more than the allowed percentage — or lost the reading entirely
-//!   (a fresh run that stopped measuring memory must not pass the memory
-//!   gate);
-//! - any matched cell whose baseline carries `fleet_size` columns (every
-//!   suite cell since the elastic axis landed) lost them in the fresh
-//!   artifact — a run that silently dropped the membership accounting
-//!   must not pass the gate.
+//!   (the sequential raw-scale cells of `scale`) grew its peak RSS by more
+//!   than the allowed percentage — or lost the reading entirely (a fresh
+//!   run that stopped measuring memory must not pass the memory gate).
+//!
+//! It refuses to compare (exit 2) artifacts measured with different
+//! `threads` counts, whose per-cell timings are not comparable, and
+//! artifacts with no cell id in common.
 //!
 //! ```sh
-//! cargo run --release -p hierdrl-bench --bin perf_gate -- \
+//! cargo run --release -p hierdrl-bench -- perf_gate \
 //!     --baseline BENCH_suite.json --fresh /tmp/BENCH_suite.json \
 //!     --max-regression-pct 40
 //! ```
@@ -30,9 +30,10 @@
 //! Cells present only in the *fresh* artifact are reported as `new` and
 //! never fail the gate (additions are reviewed through the baseline diff
 //! itself). To refresh the committed baseline after an intentional change,
-//! re-run the `table1` bin with the baseline's flags and commit the new
-//! file (see `crates/exp/README.md`, "Performance & CI gate").
+//! re-run its recipe (see `crates/exp/README.md`, "Performance & CI gate")
+//! and commit the new file.
 
+use crate::read_report;
 use hierdrl_exp::report::BenchReport;
 use std::process::ExitCode;
 
@@ -43,47 +44,62 @@ struct GateArgs {
 }
 
 impl GateArgs {
-    fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    fn parse(args: Vec<String>) -> Result<Self, String> {
         let mut out = GateArgs {
             baseline: "BENCH_suite.json".to_string(),
             fresh: "/tmp/BENCH_suite.json".to_string(),
             max_regression_pct: 40.0,
         };
         let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            let mut take = |what: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("{what} expects a value"))
-            };
-            match arg.as_str() {
-                "--baseline" => out.baseline = take("--baseline"),
-                "--fresh" => out.fresh = take("--fresh"),
+        while let Some(flag) = iter.next() {
+            let mut value = || iter.next().ok_or_else(|| format!("{flag} expects a value"));
+            match flag.as_str() {
+                "--baseline" => out.baseline = value()?,
+                "--fresh" => out.fresh = value()?,
                 "--max-regression-pct" => {
-                    out.max_regression_pct = take("--max-regression-pct")
+                    let pct = value()?;
+                    out.max_regression_pct = pct
                         .parse()
-                        .expect("--max-regression-pct expects a number");
+                        .map_err(|_| format!("{flag} expects a number, got {pct:?}"))?;
                 }
-                other => eprintln!("ignoring unknown argument {other:?}"),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        assert!(
-            out.max_regression_pct > 0.0 && out.max_regression_pct < 100.0,
-            "--max-regression-pct must be in (0, 100)"
-        );
-        out
+        if !(out.max_regression_pct > 0.0 && out.max_regression_pct < 100.0) {
+            return Err(format!(
+                "--max-regression-pct must be in (0, 100), got {}",
+                out.max_regression_pct
+            ));
+        }
+        Ok(out)
     }
 }
 
-fn load(path: &str) -> BenchReport {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("perf_gate: cannot read {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("perf_gate: cannot parse {path}: {e}"))
+/// Gates the fresh artifact `argv` names against its baseline.
+pub fn run(argv: Vec<String>) -> Result<ExitCode, String> {
+    let args = GateArgs::parse(argv)?;
+    let baseline = read_report(&args.baseline)?;
+    let fresh = read_report(&args.fresh)?;
+    if baseline.threads != fresh.threads {
+        return Err(format!(
+            "{} was measured on {} thread(s) but {} on {}; regenerate the fresh artifact with --threads {}",
+            args.baseline, baseline.threads, args.fresh, fresh.threads, baseline.threads
+        ));
+    }
+    if !baseline
+        .cells
+        .iter()
+        .any(|b| fresh.cells.iter().any(|f| f.id == b.id))
+    {
+        return Err(format!(
+            "no cell ids in common between {} and {}; wrong artifacts?",
+            args.baseline, args.fresh
+        ));
+    }
+    Ok(gate(&args, &baseline, &fresh))
 }
 
-fn main() -> ExitCode {
-    let args = GateArgs::parse(std::env::args().skip(1));
-    let baseline = load(&args.baseline);
-    let fresh = load(&args.fresh);
+fn gate(args: &GateArgs, baseline: &BenchReport, fresh: &BenchReport) -> ExitCode {
     let floor = 1.0 - args.max_regression_pct / 100.0;
 
     println!(
@@ -229,33 +245,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // Fleet-size gate: baseline cells carrying the membership columns must
-    // keep reporting them. There is no numeric threshold here — the
-    // columns are bookkeeping, not a performance metric — but losing them
-    // silently would blind the elastic axis, so their absence fails hard.
-    let mut fleet_failures = 0usize;
-    for base_cell in &baseline.cells {
-        if base_cell.fleet_size.is_none() {
-            continue;
-        }
-        let Some(fresh_cell) = fresh.cells.iter().find(|c| c.id == base_cell.id) else {
-            continue; // already counted under `missing`
-        };
-        if fresh_cell.fleet_size.is_none() {
-            fleet_failures += 1;
-            println!(
-                "fleet-size gate: {} lost its fleet_size columns",
-                base_cell.id
-            );
-        }
-    }
-
-    assert!(
-        matched > 0,
-        "perf_gate: no cell ids in common between {} and {} — wrong artifacts?",
-        args.baseline,
-        args.fresh
-    );
     let mut verdicts: Vec<String> = Vec::new();
     if failures > 0 {
         verdicts.push(format!(
@@ -275,11 +264,6 @@ fn main() -> ExitCode {
         verdicts.push(format!(
             "{rss_failures}/{rss_matched} memory-gated cell(s) regressed peak RSS more than {:.0}% (or lost the reading)",
             args.max_regression_pct
-        ));
-    }
-    if fleet_failures > 0 {
-        verdicts.push(format!(
-            "{fleet_failures} cell(s) lost their fleet_size columns"
         ));
     }
     if verdicts.is_empty() {

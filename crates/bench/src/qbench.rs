@@ -1,20 +1,19 @@
-//! Microbenchmark pinning the batched DQN hot-path throughput: `q_values`
+//! `qbench`: microbenchmark pinning the batched DQN hot-path throughput: `q_values`
 //! (one global-tier decision) and `train_batch` (one minibatch update) at
 //! the CI smoke sizes M ∈ {10, 14}, next to the retained unbatched
 //! reference implementations so the batching speedup stays measurable.
 //!
-//! Runs through the criterion shim's wall-clock harness as a plain binary
-//! so CI can exercise the batched path on every PR:
+//! Runs through the criterion shim's wall-clock harness as a subcommand
+//! so CI can exercise the batched path on every change:
 //!
 //! ```sh
-//! cargo run --release -p hierdrl-bench --bin qbench            # full
-//! cargo run --release -p hierdrl-bench --bin qbench -- --quick # smoke
+//! cargo run --release -p hierdrl-bench -- qbench            # full
+//! cargo run --release -p hierdrl-bench -- qbench --quick    # smoke
 //! ```
 
 use criterion::Criterion;
 use hierdrl_core::dqn::{GroupedQNetwork, QNetworkConfig, QSample};
 use hierdrl_core::state::{GlobalState, StateEncoder, StateEncoderConfig};
-use hierdrl_exp::cli::SweepArgs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -74,15 +73,15 @@ fn bench_m(c: &mut Criterion, m: usize, minibatch: usize, quick: bool) {
     group.finish();
 }
 
-fn main() {
-    let args = SweepArgs::from_env();
+/// Benchmarks both fleet sizes; `quick` shrinks the sample count.
+pub fn run(quick: bool) {
     let minibatch = 32;
     eprintln!(
         "qbench: batched vs unbatched-reference DQN hot path (minibatch = {minibatch}{})",
-        if args.quick { ", quick" } else { "" }
+        if quick { ", quick" } else { "" }
     );
     let mut criterion = Criterion::default();
     for m in [10usize, 14] {
-        bench_m(&mut criterion, m, minibatch, args.quick);
+        bench_m(&mut criterion, m, minibatch, quick);
     }
 }

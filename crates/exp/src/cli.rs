@@ -1,15 +1,15 @@
-//! Shared command-line parsing for the bench binaries.
+//! Shared command-line parsing for the `hierdrl-bench` subcommands.
 //!
-//! Every binary accepts the same flags:
+//! Every subcommand except `perf_gate` accepts the same flags:
 //!
 //! - `--m <M>` — base cluster size;
 //! - `--jobs <N>` — evaluation job count;
 //! - `--quick` — smoke scale (`M = 10`, 5,000 jobs);
 //! - `--threads <T>` — suite worker threads (default: all cores);
-//! - `--out <PATH>` — where to write the timing artifact (binaries that
-//!   emit one);
-//! - `--merge <PATH>` — an existing bench artifact to merge rows into
-//!   instead of writing a standalone one (the `scale` bin);
+//! - `--out <PATH>` — write the run's bench artifact to `PATH`;
+//! - `--merge <PATH>` — merge the run's rows and expectation verdicts into
+//!   the bench artifact already at `PATH` instead (exclusive with `--out`;
+//!   with neither flag no artifact is written);
 //! - `--clusters <C1,C2,...>` — cluster-counts axis for sharded presets;
 //! - `--ms <M1,M2,...>` — cluster-size axis for sweep presets;
 //! - `--rates <F1,F2,...>` — arrival-rate factor axis for sweep presets;
@@ -23,10 +23,14 @@
 //!   (default: both committed fixtures);
 //! - `--format <google|alibaba>` — the `--trace` file's format (names
 //!   from `TraceFormat::from_name`; default `google`).
+//!
+//! [`SweepArgs::parse`] rejects malformed input with a one-line message
+//! naming the flag, before any suite is built.
 
-use crate::presets::Scale;
+use crate::presets::{Scale, DRIFT_NAMES, ELASTIC_NAMES, FAULT_NAMES};
 use crate::runner::SuiteRunner;
 use hierdrl_trace::source::TraceFormat;
+use std::str::FromStr;
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
@@ -41,8 +45,7 @@ pub struct SweepArgs {
     pub threads: Option<usize>,
     /// `--out` artifact path.
     pub out: Option<String>,
-    /// `--merge` path of an existing bench artifact to merge rows into
-    /// (the `scale` bin folds its cells into the suite artifact in place).
+    /// `--merge` path of an existing bench artifact to merge the run into.
     pub merge: Option<String>,
     /// `--clusters` override (comma-separated cluster counts for sharded
     /// presets).
@@ -69,107 +72,51 @@ pub struct SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parses `std::env::args()`, ignoring unknown flags with a warning.
-    pub fn from_env() -> Self {
-        // lint:allow(ambient-entropy): CLI argv parsing for bin targets, not sim state
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    /// Parses an argument list: the flags after the subcommand name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the flag for a missing or
+    /// unparsable value, an unknown flag, a drift/fault/autoscaler name
+    /// outside its preset axis, an unknown `--format`, and `--out` together
+    /// with `--merge`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = SweepArgs::default();
-        let mut iter = args.into_iter().peekable();
-        while let Some(arg) = iter.next() {
-            let mut take = |what: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("{what} expects a value"))
-            };
-            match arg.as_str() {
-                "--m" => out.m = Some(take("--m").parse().expect("--m expects an integer")),
-                "--jobs" => {
-                    out.jobs = Some(take("--jobs").parse().expect("--jobs expects an integer"));
-                }
-                "--threads" => {
-                    out.threads = Some(
-                        take("--threads")
-                            .parse()
-                            .expect("--threads expects an integer"),
-                    );
-                }
-                "--out" => out.out = Some(take("--out")),
-                "--merge" => out.merge = Some(take("--merge")),
-                "--clusters" => {
-                    out.clusters = Some(
-                        take("--clusters")
-                            .split(',')
-                            .map(|s| {
-                                s.trim()
-                                    .parse()
-                                    .expect("--clusters expects comma-separated integers")
-                            })
-                            .collect(),
-                    );
-                }
-                "--ms" => {
-                    out.ms = Some(
-                        take("--ms")
-                            .split(',')
-                            .map(|s| {
-                                s.trim()
-                                    .parse()
-                                    .expect("--ms expects comma-separated integers")
-                            })
-                            .collect(),
-                    );
-                }
-                "--rates" => {
-                    out.rates = Some(
-                        take("--rates")
-                            .split(',')
-                            .map(|s| {
-                                s.trim()
-                                    .parse()
-                                    .expect("--rates expects comma-separated numbers")
-                            })
-                            .collect(),
-                    );
-                }
-                "--drifts" => {
-                    out.drifts = Some(
-                        take("--drifts")
-                            .split(',')
-                            .map(|s| s.trim().to_string())
-                            .collect(),
-                    );
-                }
-                "--faults" => {
-                    out.faults = Some(
-                        take("--faults")
-                            .split(',')
-                            .map(|s| s.trim().to_string())
-                            .collect(),
-                    );
-                }
-                "--elastics" => {
-                    out.elastics = Some(
-                        take("--elastics")
-                            .split(',')
-                            .map(|s| s.trim().to_string())
-                            .collect(),
-                    );
-                }
-                "--trace" => out.trace = Some(take("--trace")),
-                "--format" => {
-                    let name = take("--format");
-                    out.format = Some(TraceFormat::from_name(name.trim()).unwrap_or_else(|| {
-                        panic!("--format expects google or alibaba, got {name:?}")
-                    }));
-                }
+        let mut iter = args.into_iter();
+        while let Some(flag) = iter.next() {
+            let mut value = || iter.next().ok_or_else(|| format!("{flag} expects a value"));
+            match flag.as_str() {
                 "--quick" => out.quick = true,
-                other => eprintln!("ignoring unknown argument {other:?}"),
+                "--m" => out.m = Some(parse_value(&flag, &value()?)?),
+                "--jobs" => out.jobs = Some(parse_value(&flag, &value()?)?),
+                "--threads" => out.threads = Some(parse_value(&flag, &value()?)?),
+                "--out" => out.out = Some(value()?),
+                "--merge" => out.merge = Some(value()?),
+                "--clusters" => out.clusters = Some(parse_list(&flag, &value()?)?),
+                "--ms" => out.ms = Some(parse_list(&flag, &value()?)?),
+                "--rates" => out.rates = Some(parse_list(&flag, &value()?)?),
+                "--drifts" => out.drifts = Some(parse_names(&flag, &value()?, &DRIFT_NAMES)?),
+                "--faults" => out.faults = Some(parse_names(&flag, &value()?, &FAULT_NAMES)?),
+                "--elastics" => {
+                    out.elastics = Some(parse_names(&flag, &value()?, &ELASTIC_NAMES)?);
+                }
+                "--trace" => out.trace = Some(value()?),
+                "--format" => {
+                    let name = value()?;
+                    let format = TraceFormat::from_name(name.trim()).ok_or_else(|| {
+                        format!("--format expects google or alibaba, got {name:?}")
+                    })?;
+                    out.format = Some(format);
+                }
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        out
+        if let (Some(out_path), Some(merge_path)) = (&out.out, &out.merge) {
+            return Err(format!(
+                "--out {out_path} and --merge {merge_path} are exclusive: pass one artifact path"
+            ));
+        }
+        Ok(out)
     }
 
     /// Resolves the scale, starting from a preset's default.
@@ -235,12 +182,46 @@ impl SweepArgs {
     }
 }
 
+/// Parses one flag value, naming the flag on failure.
+fn parse_value<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
+/// Parses a comma-separated flag value item by item: the one parser of
+/// every list flag.
+fn parse_list<T: FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String> {
+    value
+        .split(',')
+        .map(|item| parse_value(flag, item))
+        .collect()
+}
+
+/// Parses a comma-separated list of names, each of which must be on the
+/// preset axis `known`.
+fn parse_names(flag: &str, value: &str, known: &[&str]) -> Result<Vec<String>, String> {
+    let names: Vec<String> = parse_list(flag, value)?;
+    match names.iter().find(|n| !known.contains(&n.as_str())) {
+        Some(bad) => Err(format!(
+            "{flag}: unknown name {bad:?}; expected one of {}",
+            known.join(", ")
+        )),
+        None => Ok(names),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> SweepArgs {
+    fn try_parse(args: &[&str]) -> Result<SweepArgs, String> {
         SweepArgs::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(args: &[&str]) -> SweepArgs {
+        try_parse(args).expect("valid flags")
     }
 
     #[test]
@@ -258,9 +239,27 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_ignored() {
-        let args = parse(&["--frobnicate", "--jobs", "100"]);
-        assert_eq!(args.jobs, Some(100));
+    fn unknown_flags_are_rejected() {
+        let err = try_parse(&["--frobnicate", "--jobs", "100"]).unwrap_err();
+        assert!(err.contains("--frobnicate"), "{err}");
+    }
+
+    #[test]
+    fn malformed_values_are_named_errors() {
+        let cases: [(&[&str], &str); 8] = [
+            (&["--jobs"], "--jobs expects a value"),
+            (&["--m", "ten"], "--m"),
+            (&["--rates", "0.5,fast"], "--rates"),
+            (&["--faults", "meteor-strike"], "meteor-strike"),
+            (&["--drifts", "rate-step,tidal"], "tidal"),
+            (&["--elastics", "magic"], "magic"),
+            (&["--format", "csv"], "--format"),
+            (&["--out", "a.json", "--merge", "b.json"], "exclusive"),
+        ];
+        for (args, needle) in cases {
+            let err = try_parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 
     #[test]

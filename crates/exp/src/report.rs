@@ -153,16 +153,11 @@ pub struct CellReport {
     /// Workload name.
     pub workload: String,
     /// Fault-schedule name (`None` for fault-free cells).
-    #[serde(default)]
     pub fault: Option<String>,
     /// Elastic-schedule name (`None` for fixed-fleet cells).
-    #[serde(default)]
     pub elastic: Option<String>,
-    /// Scheduled fleet-size envelope (`None` only in reports written
-    /// before the elastic axis existed; fresh runs always populate it,
-    /// fixed fleets included).
-    #[serde(default)]
-    pub fleet_size: Option<FleetSize>,
+    /// Scheduled fleet-size envelope (fixed fleets report `min = max = M`).
+    pub fleet_size: FleetSize,
     /// Policy name.
     pub policy: String,
     /// The cell's base seed.
@@ -171,7 +166,6 @@ pub struct CellReport {
     pub metrics: CellMetrics,
     /// Jobs requeued by server crashes (each surviving job exactly once
     /// per crash it lived through; `0` for fault-free cells).
-    #[serde(default)]
     pub jobs_requeued: u64,
     /// Global-tier learner statistics, for learned policies.
     pub drl: Option<DrlStats>,
@@ -179,9 +173,7 @@ pub struct CellReport {
     pub segments: Option<Vec<SegmentReport>>,
     /// Per-cluster rows in shard order (`None` for single-cluster cells).
     pub clusters: Option<Vec<ShardReport>>,
-    /// Real-trace provenance (`None` for synthetic cells and for reports
-    /// written before the real-trace backends existed).
-    #[serde(default)]
+    /// Real-trace provenance (`None` for synthetic cells).
     pub trace: Option<TraceProvenance>,
 }
 
@@ -211,7 +203,6 @@ pub struct SuiteReport {
     pub cells: Vec<CellReport>,
     /// Evaluated expectations, in suite declaration order (empty for
     /// suites without expectations).
-    #[serde(default)]
     pub expectations: Vec<ExpectationRow>,
 }
 
@@ -272,10 +263,8 @@ pub struct BenchCell {
     pub jobs: u64,
     /// Per-server capacity skew of the cell's fleet (`1.0` = homogeneous).
     pub capacity_skew: f64,
-    /// Scheduled fleet-size envelope (`None` only in artifacts written
-    /// before the elastic axis existed; fresh runs always populate it).
-    #[serde(default)]
-    pub fleet_size: Option<FleetSize>,
+    /// Scheduled fleet-size envelope (fixed fleets report `min = max = M`).
+    pub fleet_size: FleetSize,
     /// Cell wall-clock, seconds.
     pub wall_s: f64,
     /// Simulated jobs per wall-clock second.
@@ -288,15 +277,12 @@ pub struct BenchCell {
     pub clusters: Option<Vec<BenchShard>>,
     /// Process peak-RSS snapshot (bytes) taken right after the cell
     /// finished, for cells run *sequentially* by a memory-gated harness
-    /// (the `scale` bin). `VmHWM` is a process-wide monotone high-water
-    /// mark, so within one process each cell's snapshot includes every
-    /// earlier cell's footprint; `None` for cells of parallel suite runs,
-    /// where a per-cell figure would be meaningless.
-    #[serde(default)]
+    /// (`hierdrl_exp::scale`). `VmHWM` is a process-wide monotone
+    /// high-water mark, so within one process each cell's snapshot includes
+    /// every earlier cell's footprint; `None` for cells of parallel suite
+    /// runs, where a per-cell figure would be meaningless.
     pub peak_rss_bytes: Option<u64>,
-    /// Real-trace provenance (`None` for synthetic cells and for artifacts
-    /// written before the real-trace backends existed).
-    #[serde(default)]
+    /// Real-trace provenance (`None` for synthetic cells).
     pub trace: Option<TraceProvenance>,
 }
 
@@ -326,12 +312,10 @@ pub struct BenchReport {
     pub trace_cache_hits: u64,
     /// Process-wide peak RSS (bytes, from `VmHWM`) at the end of the run;
     /// `None` where the kernel interface is unavailable (non-Linux).
-    #[serde(default)]
     pub peak_rss_bytes: Option<u64>,
     /// Evaluated suite expectations (duplicated from the canonical report
     /// so CI can gate on the committed bench artifact alone; empty for
     /// suites without expectations).
-    #[serde(default)]
     pub expectations: Vec<ExpectationRow>,
     /// Per-cell timing, in suite order.
     pub cells: Vec<BenchCell>,
@@ -341,6 +325,22 @@ impl BenchReport {
     /// Indented JSON for the checked-in artifact.
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("bench report serializes")
+    }
+
+    /// Folds `other` into this artifact: rows with the same id are
+    /// replaced in place, new rows append in `other`'s order, `cells_total`
+    /// is recounted, and `other`'s expectation verdicts append. The
+    /// suite-level timing aggregates keep describing this artifact's own
+    /// run, since `other` ran in a different process.
+    pub fn merge(&mut self, other: BenchReport) {
+        for cell in other.cells {
+            match self.cells.iter_mut().find(|c| c.id == cell.id) {
+                Some(existing) => *existing = cell,
+                None => self.cells.push(cell),
+            }
+        }
+        self.cells_total = self.cells.len();
+        self.expectations.extend(other.expectations);
     }
 }
 
@@ -371,6 +371,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::{run_scale, scale_bench_report, ScaleSpec, RAW_SCALE_SEED};
 
     #[test]
     fn peak_rss_reads_a_plausible_value_on_linux() {
@@ -384,57 +385,42 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_round_trips_without_rss_fields() {
-        // Committed baselines predate the peak-RSS column; they must keep
-        // deserializing (serde default = None).
-        let legacy = r#"{
-            "suite": "table1", "threads": 1, "cells_total": 1,
-            "total_wall_s": 1.0, "cell_wall_s_sum": 1.0, "jobs_total": 10,
-            "jobs_per_s": 10.0, "traces_materialized": 1, "trace_cache_hits": 0,
-            "cells": [{
-                "id": "a/b/c/s1", "jobs": 10, "capacity_skew": 1.0,
-                "wall_s": 1.0, "jobs_per_s": 10.0,
-                "segments": null, "clusters": null
-            }]
-        }"#;
-        let report: BenchReport = serde_json::from_str(legacy).expect("legacy artifact parses");
-        assert_eq!(report.peak_rss_bytes, None);
-        assert_eq!(report.cells[0].peak_rss_bytes, None);
-        assert_eq!(report.cells[0].trace, None);
-        assert_eq!(report.cells[0].fleet_size, None);
-        assert!(report.expectations.is_empty());
-        let back: BenchReport = serde_json::from_str(&report.to_json_pretty()).expect("round trip");
-        assert_eq!(report, back);
-    }
+    fn merge_replaces_matching_rows_and_appends_new_ones() {
+        let spec = ScaleSpec {
+            m: 40,
+            jobs: 800,
+            seed: RAW_SCALE_SEED,
+        };
+        let runs = run_scale(&spec).expect("tiny scale regime");
+        let verdict = |name: &str| ExpectationRow {
+            name: name.to_string(),
+            passed: true,
+            detail: String::new(),
+        };
+        let mut report = scale_bench_report(&runs[..1]);
+        report.expectations.push(verdict("first"));
+        let mut other = scale_bench_report(&runs);
+        other.expectations.push(verdict("second"));
 
-    #[test]
-    fn cell_report_round_trips_without_chaos_fields() {
-        // Pre-chaos reports carry neither the fault column nor the requeue
-        // counter nor suite expectations; they must keep deserializing.
-        let legacy = r#"{
-            "suite": "demo",
-            "cells": [{
-                "id": "a/b/c/s1", "topology": "a", "servers": 2,
-                "capacity_total": 2.0, "capacity_skew": 1.0,
-                "workload": "b", "policy": "c", "seed": 1,
-                "metrics": {
-                    "jobs_completed": 10, "energy_kwh": 1.0,
-                    "latency_mega_s": 0.1, "average_power_w": 100.0,
-                    "mean_latency_s": 3.0, "energy_per_job_j": 5.0,
-                    "sleep_fraction": 0.2, "wake_transitions": 4,
-                    "span_hours": 2.0
-                },
-                "drl": null, "segments": null, "clusters": null
-            }]
-        }"#;
-        let report: SuiteReport = serde_json::from_str(legacy).expect("legacy report parses");
-        assert_eq!(report.cells[0].fault, None);
-        assert_eq!(report.cells[0].elastic, None);
-        assert_eq!(report.cells[0].fleet_size, None);
-        assert_eq!(report.cells[0].jobs_requeued, 0);
-        assert_eq!(report.cells[0].trace, None);
-        assert!(report.expectations.is_empty());
-        let back: SuiteReport = serde_json::from_str(&report.to_json()).expect("round trip");
-        assert_eq!(report, back);
+        report.merge(other.clone());
+        assert_eq!(report.cells_total, 2);
+        let ids: Vec<&str> = report.cells.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(
+            ids,
+            vec![
+                "scale-m40/paper/round-robin/s42",
+                "scale-m40/paper/rr-timeout-60s/s42"
+            ]
+        );
+        let names: Vec<&str> = report
+            .expectations
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(names, vec!["first", "second"]);
+        // Re-merging is idempotent on the cells; the verdicts append again.
+        report.merge(other);
+        assert_eq!(report.cells.len(), 2);
+        assert_eq!(report.expectations.len(), 3);
     }
 }

@@ -229,7 +229,7 @@ fn cell_report(c: &CellRun) -> CellReport {
         workload: c.scenario.workload.name().to_string(),
         fault: c.scenario.fault.as_ref().map(|f| f.name.clone()),
         elastic: c.scenario.elastic.as_ref().map(|e| e.name.clone()),
-        fleet_size: Some(c.fleet_size),
+        fleet_size: c.fleet_size,
         policy: c.scenario.policy.name(),
         seed: c.scenario.seed,
         metrics: CellMetrics::from_result(&c.result),
@@ -298,7 +298,7 @@ impl SuiteRun {
                     id: c.scenario.id.clone(),
                     jobs: c.result.outcome.totals.jobs_completed,
                     capacity_skew: c.scenario.topology.capacity_skew(),
-                    fleet_size: Some(c.fleet_size),
+                    fleet_size: c.fleet_size,
                     wall_s: c.timing.wall_s,
                     jobs_per_s: c.timing.jobs_per_s,
                     segments: (!c.segments.is_empty()).then(|| {

@@ -26,10 +26,10 @@
 //! bounds *everything up to and including* that cell — exactly the right
 //! shape for a memory gate, and the reason the cells must not run in
 //! parallel. The rows merge into the committed `BENCH_suite.json` via
-//! [`merge_into_report`], where `perf_gate` guards both jobs/s and
+//! [`BenchReport::merge`], where `perf_gate` guards both jobs/s and
 //! peak-RSS regressions.
 
-use crate::report::{peak_rss_bytes, BenchCell, BenchReport};
+use crate::report::{peak_rss_bytes, BenchCell, BenchReport, FleetSize};
 use crate::scenario::PAPER_WEEKLY_JOBS_PER_SERVER;
 use hierdrl_core::runner::{Experiment, ExperimentResult, Segment};
 use hierdrl_sim::cluster::{ArrivalSource, PowerManager};
@@ -115,6 +115,8 @@ impl ScaleSpec {
 pub struct ScaleCellRun {
     /// Cell id (`scale-m<M>/paper/<policy>/s<seed>`).
     pub id: String,
+    /// Fleet size `M` (fixed: the regime has no elastic axis).
+    pub servers: usize,
     /// The cell's full simulation result (aggregates only; latency
     /// percentiles are `None` because retention is off).
     pub result: ExperimentResult,
@@ -134,7 +136,7 @@ impl ScaleCellRun {
             id: self.id.clone(),
             jobs: self.result.outcome.totals.jobs_completed,
             capacity_skew: 1.0,
-            fleet_size: None,
+            fleet_size: FleetSize::fixed(self.servers),
             wall_s: self.wall_s,
             jobs_per_s: self.jobs_per_s,
             segments: None,
@@ -173,6 +175,7 @@ pub fn run_scale_cell(spec: &ScaleSpec, policy: &str) -> Result<ScaleCellRun, St
     let jobs = result.outcome.totals.jobs_completed;
     Ok(ScaleCellRun {
         id: spec.cell_id(policy),
+        servers: spec.m,
         result,
         wall_s,
         jobs_per_s: jobs as f64 / wall_s.max(1e-9),
@@ -215,22 +218,6 @@ pub fn scale_bench_report(runs: &[ScaleCellRun]) -> BenchReport {
         expectations: Vec::new(),
         cells: runs.iter().map(ScaleCellRun::bench_cell).collect(),
     }
-}
-
-/// Merges scale rows into an existing bench artifact: rows with the same
-/// id are replaced in place, new rows append in run order. Only the cell
-/// list (and the cell count) change — the report's suite-level wall-clock
-/// aggregates still describe the original suite run, which ran in a
-/// different process than the scale cells.
-pub fn merge_into_report(report: &mut BenchReport, runs: &[ScaleCellRun]) {
-    for run in runs {
-        let row = run.bench_cell();
-        match report.cells.iter_mut().find(|c| c.id == row.id) {
-            Some(existing) => *existing = row,
-            None => report.cells.push(row),
-        }
-    }
-    report.cells_total = report.cells.len();
 }
 
 #[cfg(test)]
@@ -277,27 +264,6 @@ mod tests {
         assert!(runs[1].result.fleet.sleep_fraction > 0.0);
         // Always-on never does.
         assert_eq!(runs[0].result.fleet.sleep_fraction, 0.0);
-    }
-
-    #[test]
-    fn merge_replaces_matching_rows_and_appends_new_ones() {
-        let runs = run_scale(&tiny()).expect("tiny scale regime");
-        let mut report = scale_bench_report(&runs[..1]);
-        assert_eq!(report.cells_total, 1);
-        merge_into_report(&mut report, &runs);
-        assert_eq!(report.cells_total, 2);
-        assert_eq!(report.cells.len(), 2);
-        let ids: Vec<&str> = report.cells.iter().map(|c| c.id.as_str()).collect();
-        assert_eq!(
-            ids,
-            vec![
-                "scale-m40/paper/round-robin/s42",
-                "scale-m40/paper/rr-timeout-60s/s42"
-            ]
-        );
-        // Re-merging is idempotent on the cell count.
-        merge_into_report(&mut report, &runs);
-        assert_eq!(report.cells.len(), 2);
     }
 
     #[test]

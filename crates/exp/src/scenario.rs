@@ -1531,7 +1531,6 @@ pub enum PolicySpec {
         /// quick test builds); `None` runs the paper's default. The
         /// config's RNG seed is replaced by the scenario's derived
         /// policy seed either way.
-        #[serde(default)]
         config: Option<Box<DrlAllocatorConfig>>,
     },
     /// A DRL global-tier ablation with an explicit configuration
@@ -1686,11 +1685,9 @@ pub struct Scenario {
     pub drift: Option<DriftSpec>,
     /// Chaos axis: a deterministic fault schedule applied to every
     /// evaluation segment (`None` = the classic fault-free cell).
-    #[serde(default)]
     pub fault: Option<FaultSpec>,
     /// Elastic axis: an autoscaler tier scheduling membership changes at
     /// deterministic epoch boundaries (`None` = the classic fixed fleet).
-    #[serde(default)]
     pub elastic: Option<ElasticSpec>,
     /// Control planes.
     pub policy: PolicySpec,

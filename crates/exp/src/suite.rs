@@ -102,7 +102,6 @@ pub struct Suite {
     /// The grid cells, in deterministic builder order.
     pub scenarios: Vec<Scenario>,
     /// Declarative acceptance checks, evaluated after the grid runs.
-    #[serde(default)]
     pub expectations: Vec<Expectation>,
 }
 

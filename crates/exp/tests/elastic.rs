@@ -78,23 +78,22 @@ fn elastic_sharded_byte_identity() {
     assert_eq!(sharded.report().to_json(), again.report().to_json());
 
     // The membership actually changed: some autoscaled cell's fleet-size
-    // columns span more than the initial size, and every cell reports the
-    // columns (fixed cells as min = max = M).
+    // columns span more than the initial size, and fixed cells report
+    // min = max = M.
     let report = serial.report();
-    assert!(report.cells.iter().all(|c| c.fleet_size.is_some()));
     assert!(
         report
             .cells
             .iter()
             .filter(|c| c.elastic.is_some())
             .any(|c| {
-                let f = c.fleet_size.as_ref().unwrap();
+                let f = &c.fleet_size;
                 f.min < f.max
             }),
         "at least one autoscaled cell must actually resize its fleet"
     );
     for cell in report.cells.iter().filter(|c| c.elastic.is_none()) {
-        let f = cell.fleet_size.as_ref().unwrap();
+        let f = &cell.fleet_size;
         assert_eq!((f.min, f.max), (f.mean as usize, f.mean as usize));
     }
 }
@@ -176,11 +175,9 @@ fn autoscale_beats_fixed_fleet_or_holds() {
         );
     }
 
-    // The verdicts ride the canonical report and the bench artifact, and
-    // the bench rows carry the fleet-size columns the perf gate requires.
+    // The verdicts ride the canonical report and the bench artifact.
     let report = run.report();
     assert_eq!(report.expectations, run.expectations);
     let bench = run.bench_report();
     assert_eq!(bench.expectations, run.expectations);
-    assert!(bench.cells.iter().all(|c| c.fleet_size.is_some()));
 }

@@ -63,7 +63,7 @@ fn canonical_report() -> SuiteReport {
                 seed: 7,
                 metrics: metrics(1.0),
                 jobs_requeued: 0,
-                fleet_size: Some(FleetSize::fixed(5)),
+                fleet_size: FleetSize::fixed(5),
                 drl: Some(drl_stats(550)),
                 segments: None,
                 clusters: None,
@@ -82,7 +82,7 @@ fn canonical_report() -> SuiteReport {
                 seed: 7,
                 metrics: metrics(2.0),
                 jobs_requeued: 0,
-                fleet_size: Some(FleetSize::fixed(6)),
+                fleet_size: FleetSize::fixed(6),
                 drl: None,
                 segments: None,
                 trace: None,
@@ -116,7 +116,7 @@ fn canonical_report() -> SuiteReport {
                 seed: 7,
                 metrics: metrics(2.0),
                 jobs_requeued: 0,
-                fleet_size: Some(FleetSize::fixed(5)),
+                fleet_size: FleetSize::fixed(5),
                 drl: Some(drl_stats(700)),
                 segments: Some(vec![
                     SegmentReport {
@@ -148,7 +148,7 @@ fn canonical_report() -> SuiteReport {
                 seed: 7,
                 metrics: metrics(1.0),
                 jobs_requeued: 17,
-                fleet_size: Some(FleetSize::fixed(5)),
+                fleet_size: FleetSize::fixed(5),
                 drl: Some(drl_stats(550)),
                 segments: None,
                 clusters: None,
@@ -167,11 +167,11 @@ fn canonical_report() -> SuiteReport {
                 seed: 7,
                 metrics: metrics(1.0),
                 jobs_requeued: 4,
-                fleet_size: Some(FleetSize {
+                fleet_size: FleetSize {
                     min: 3,
                     max: 7,
                     mean: 4.75,
-                }),
+                },
                 drl: Some(drl_stats(550)),
                 segments: None,
                 clusters: None,

@@ -31,9 +31,7 @@ pub struct ClusterTotals {
     /// Jobs re-placed through the allocator after a server crash. Each
     /// crashed job is requeued exactly once per crash it survives; the
     /// counter exists so conservation checks can separate re-placements
-    /// from fresh arrivals (absent from pre-chaos artifacts, hence the
-    /// serde default).
-    #[serde(default)]
+    /// from fresh arrivals.
     pub jobs_requeued: u64,
 }
 

@@ -58,6 +58,6 @@ fn main() -> Result<(), String> {
     }
 
     println!("\nLarger w favors power saving; smaller w favors latency.");
-    println!("The full Fig. 10 reproduction lives in `cargo run -p hierdrl-bench --bin fig10`.");
+    println!("The full Fig. 10 reproduction lives in `cargo run -p hierdrl-bench -- fig10`.");
     Ok(())
 }
