@@ -26,16 +26,15 @@ fn layout_m30() -> StateEncoder {
 }
 
 fn random_state(layout: &StateEncoder, rng: &mut StdRng) -> GlobalState {
-    GlobalState {
-        groups: (0..layout.num_groups())
-            .map(|_| {
-                (0..layout.group_width())
-                    .map(|_| rng.gen::<f32>())
-                    .collect()
-            })
-            .collect(),
-        job: (0..layout.job_width()).map(|_| rng.gen::<f32>()).collect(),
-    }
+    let groups: Vec<Vec<f32>> = (0..layout.num_groups())
+        .map(|_| {
+            (0..layout.group_width())
+                .map(|_| rng.gen::<f32>())
+                .collect()
+        })
+        .collect();
+    let job: Vec<f32> = (0..layout.job_width()).map(|_| rng.gen::<f32>()).collect();
+    GlobalState::from_parts(&groups, &job)
 }
 
 fn bench_dqn(c: &mut Criterion) {
@@ -48,9 +47,12 @@ fn bench_dqn(c: &mut Criterion) {
         b.iter(|| black_box(net.q_values(black_box(&state))))
     });
 
-    let samples: Vec<QSample> = (0..32)
-        .map(|i| QSample {
-            state: random_state(&layout, &mut rng),
+    let states: Vec<GlobalState> = (0..32).map(|_| random_state(&layout, &mut rng)).collect();
+    let samples: Vec<QSample> = states
+        .iter()
+        .enumerate()
+        .map(|(i, s)| QSample {
+            state: s.into(),
             action: i % 30,
             target: -1.0,
         })

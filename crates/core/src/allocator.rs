@@ -6,10 +6,20 @@
 //! updates follow Q-learning for SMDP (Eqn. 2); the Q-function is the
 //! weight-shared, autoencoder-compressed DNN of [`crate::dqn`]; transitions
 //! are replayed from an experience memory (Algorithm 1).
+//!
+//! A train step does no work it can avoid. Each learning decision's state
+//! is written once, as a flat row of a contiguous arena beside the encoder
+//! codes `select` computes for it anyway, so a replayed transition is a
+//! handful of row indices and a minibatch borrows its rows instead of
+//! copying them. The sweeps reuse those codes while the encoder is
+//! unchanged (its [`EncoderGeneration`] still matches), and each
+//! transition's target-network values are memoized until the next target
+//! sync. None of this changes a value, an RNG draw or a report byte: the
+//! tests pin memoized runs to always-recompute runs bit for bit.
 
-use crate::dqn::{GroupedQNetwork, QNetworkConfig, QSample};
+use crate::dqn::{EncoderGeneration, GroupedQNetwork, QNetworkConfig, QSample, StateRow};
 use crate::reward::{reward_rate_between, RewardWeights};
-use crate::state::{GlobalState, StateEncoder, StateEncoderConfig};
+use crate::state::{StateEncoder, StateEncoderConfig};
 use hierdrl_neural::matrix::Matrix;
 use hierdrl_rl::policy::{EpsilonGreedy, EpsilonSchedule};
 use hierdrl_rl::replay::ReplayMemory;
@@ -173,7 +183,8 @@ pub struct DrlStats {
 
 #[derive(Debug)]
 struct Pending {
-    state: GlobalState,
+    /// Arena row of the decision's state (holds one reference).
+    row: usize,
     action: usize,
     time_s: f64,
     totals: ClusterTotals,
@@ -181,14 +192,15 @@ struct Pending {
 
 /// A raw state transition, exactly what Algorithm 1 (line 10) stores in the
 /// experience memory: `(s_k, a_k, r_k, s_{k+1})` plus the sojourn time the
-/// continuous-time update needs.
-#[derive(Debug, Clone)]
+/// continuous-time update needs. The states are [`StateArena`] rows, each
+/// holding one reference.
+#[derive(Debug)]
 struct Transition {
-    state: GlobalState,
+    state: usize,
     action: usize,
     reward_rate: f64,
     sojourn: f64,
-    next_state: GlobalState,
+    next_state: usize,
     /// Target-network evaluations memoized per target-net era (see
     /// [`TargetCache`]). Interior mutability because the replay memory
     /// hands out shared references at sampling time.
@@ -201,12 +213,14 @@ struct Transition {
 /// `max_a Q_target(s', a)` and `Q_target(s, a)` are pure functions of the
 /// transition — and every kernel in the neural substrate is deterministic
 /// and row-independent, so recomputing them in a *different* minibatch
-/// yields bitwise-identical `f32`s. Sampling the same transition twice in
-/// one era (the common case: the replay memory is resampled ~16x per
-/// target-sync window) can therefore reuse the stored values instead of
-/// re-running the two target-net GEMM sweeps, changing nothing about the
-/// learning trajectory. Entries are invalidated wholesale by bumping the
-/// era counter at each sync.
+/// yields bitwise-identical `f32`s. A transition sampled again within the
+/// same era therefore reuses the stored values instead of going through
+/// the target-net sweep, changing nothing about the learning trajectory.
+/// How often that happens: a 250-step era draws 8,000 samples over a
+/// replay of up to 6,000 transitions, and one `hier-m30` benchmark
+/// evaluation measured about 25,000 misses in 79,488 sampled transitions
+/// (31%, ~10 of each 32-sample minibatch). Entries are invalidated
+/// wholesale by bumping the era counter at each sync.
 #[derive(Debug, Clone, Copy)]
 struct TargetCache {
     /// Target-net era (sync count) the values were computed under.
@@ -215,6 +229,103 @@ struct TargetCache {
     max_next: f32,
     /// `Q_target(state, action)` for the taken action.
     prev: f32,
+}
+
+/// The replay memory's states, each stored once: a learning decision's
+/// flat state row ([`StateEncoder::encode_into`]) beside its `K` encoder
+/// codes and the [`EncoderGeneration`] that computed them, in one
+/// contiguous `f32` arena. Consecutive transitions share a row (`s_{k+1}`
+/// of one is `s_k` of the next), so rows are reference-counted by the
+/// transitions and the pending decision that name them and recycled
+/// through a free list. One long run therefore needs `replay_capacity + 2`
+/// rows, and each run boundary still in the replay one more.
+#[derive(Debug)]
+struct StateArena {
+    state_width: usize,
+    code_width: usize,
+    /// Row-major `[state | codes]` rows.
+    data: Vec<f32>,
+    generations: Vec<EncoderGeneration>,
+    refs: Vec<u32>,
+    free: Vec<usize>,
+    /// Whether `memoize_codes` stores codes (off only in the equivalence
+    /// test, which then recomputes every code in the sweeps).
+    memo: bool,
+}
+
+impl StateArena {
+    fn new(state_width: usize, code_width: usize, rows: usize) -> Self {
+        Self {
+            state_width,
+            code_width,
+            data: Vec::with_capacity(rows * (state_width + code_width)),
+            generations: Vec::with_capacity(rows),
+            refs: Vec::with_capacity(rows),
+            free: Vec::new(),
+            memo: true,
+        }
+    }
+
+    fn stride(&self) -> usize {
+        self.state_width + self.code_width
+    }
+
+    /// A row holding one reference, with no codes and unspecified state.
+    fn alloc(&mut self) -> usize {
+        let r = self.free.pop().unwrap_or_else(|| {
+            self.data.resize(self.data.len() + self.stride(), 0.0);
+            self.generations.push(EncoderGeneration::NONE);
+            self.refs.push(0);
+            self.refs.len() - 1
+        });
+        self.refs[r] = 1;
+        self.generations[r] = EncoderGeneration::NONE;
+        r
+    }
+
+    fn retain(&mut self, r: usize) {
+        self.refs[r] += 1;
+    }
+
+    fn release(&mut self, r: usize) {
+        self.refs[r] -= 1;
+        if self.refs[r] == 0 {
+            self.free.push(r);
+        }
+    }
+
+    fn state(&self, r: usize) -> &[f32] {
+        let start = r * self.stride();
+        &self.data[start..start + self.state_width]
+    }
+
+    fn state_mut(&mut self, r: usize) -> &mut [f32] {
+        let start = r * self.stride();
+        &mut self.data[start..start + self.state_width]
+    }
+
+    /// Computes row `r`'s codes through `net`'s encoder and stamps them
+    /// with its generation.
+    fn memoize_codes(&mut self, r: usize, net: &GroupedQNetwork) {
+        if !self.memo {
+            return;
+        }
+        let stride = self.stride();
+        let (state, codes) = self.data[r * stride..(r + 1) * stride].split_at_mut(self.state_width);
+        net.encode_codes(state, codes);
+        self.generations[r] = net.encoder_generation();
+    }
+
+    /// Row `r` as the sweeps read it.
+    fn row(&self, r: usize) -> StateRow<'_> {
+        let stride = self.stride();
+        let (state, codes) = self.data[r * stride..(r + 1) * stride].split_at(self.state_width);
+        StateRow {
+            state,
+            codes,
+            generation: self.generations[r],
+        }
+    }
 }
 
 /// The DRL-based global-tier allocator (implements [`Allocator`]).
@@ -230,13 +341,15 @@ pub struct DrlAllocator {
     encoder: StateEncoder,
     qnet: GroupedQNetwork,
     target_net: GroupedQNetwork,
+    arena: StateArena,
     replay: ReplayMemory<Transition>,
     policy: EpsilonGreedy,
     rng: StdRng,
     pending: Option<Pending>,
     num_servers: usize,
     learning: bool,
-    ae_buffer: Vec<Vec<f32>>,
+    /// Group rows collected for the autoencoder pre-training, flat.
+    ae_buffer: Vec<f32>,
     stats: DrlStats,
     /// Target-net era: bumped at every target sync, invalidating all
     /// [`TargetCache`] entries at once.
@@ -262,12 +375,18 @@ impl DrlAllocator {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let encoder = StateEncoder::new(num_servers, resource_dims, config.state);
         let qnet = GroupedQNetwork::new(&encoder, config.qnet, &mut rng);
+        let arena = StateArena::new(
+            encoder.state_width(),
+            qnet.code_width(),
+            config.replay_capacity + 2,
+        );
         let replay = ReplayMemory::new(config.replay_capacity);
         let policy = EpsilonGreedy::new(config.epsilon);
         Self {
             encoder,
             target_net: qnet.clone(),
             qnet,
+            arena,
             replay,
             policy,
             rng,
@@ -298,7 +417,8 @@ impl DrlAllocator {
     }
 
     /// Enables or disables learning (exploration continues per schedule;
-    /// with learning off the network and replay memory are frozen).
+    /// with learning off the network — autoencoder included — and the
+    /// replay memory are frozen).
     pub fn set_learning(&mut self, on: bool) {
         self.learning = on;
     }
@@ -310,6 +430,15 @@ impl DrlAllocator {
     #[cfg(test)]
     fn set_target_cache(&mut self, on: bool) {
         self.use_target_cache = on;
+    }
+
+    /// Test-only switch to always-recompute encoder codes: rows are stored
+    /// without memoized codes, so every sweep runs the encoder on every
+    /// row (which must be — and is tested to be — bitwise
+    /// indistinguishable).
+    #[cfg(test)]
+    fn set_code_memo(&mut self, on: bool) {
+        self.arena.memo = on;
     }
 
     /// Captures a serializable snapshot of the trained policy.
@@ -331,6 +460,11 @@ impl DrlAllocator {
         let rng = StdRng::seed_from_u64(snapshot.config.seed ^ 0x9e3779b97f4a7c15);
         Self {
             target_net: snapshot.qnet.clone(),
+            arena: StateArena::new(
+                snapshot.encoder.state_width(),
+                snapshot.qnet.code_width(),
+                snapshot.config.replay_capacity + 2,
+            ),
             replay: ReplayMemory::new(snapshot.config.replay_capacity),
             rng,
             pending: None,
@@ -361,22 +495,34 @@ impl DrlAllocator {
         self.stats.autoencoder_loss = loss as f64;
     }
 
-    fn maybe_collect_ae_sample(&mut self, state: &GlobalState) {
+    /// Collects arena row `row`'s group blocks for the autoencoder
+    /// pre-training and runs it once enough have been seen. Learning
+    /// decisions only: a frozen allocator's encoder never changes.
+    fn maybe_collect_ae_sample(&mut self, row: usize) {
         if self.stats.autoencoder_trained || self.config.ae_pretrain_samples == 0 {
             return;
         }
-        for g in &state.groups {
-            self.ae_buffer.push(g.clone());
-        }
-        if self.ae_buffer.len() >= self.config.ae_pretrain_samples {
-            let rows: Vec<&[f32]> = self.ae_buffer.iter().map(|r| r.as_slice()).collect();
-            let data = Matrix::from_rows(&rows);
+        let group_width = self.encoder.group_width();
+        let groups = self.encoder.num_groups() * group_width;
+        self.ae_buffer
+            .extend_from_slice(&self.arena.state(row)[..groups]);
+        if self.ae_buffer.len() >= self.config.ae_pretrain_samples * group_width {
+            let rows = self.ae_buffer.len() / group_width;
+            let data = Matrix::from_vec(rows, group_width, std::mem::take(&mut self.ae_buffer));
             self.pretrain_autoencoder(&data);
-            self.ae_buffer.clear();
         }
     }
 
-    fn close_pending(&mut self, next_state: &GlobalState, view: &ClusterView<'_>) {
+    /// Drops the pending decision (no successor epoch will close it).
+    fn drop_pending(&mut self) {
+        if let Some(p) = self.pending.take() {
+            self.arena.release(p.row);
+        }
+    }
+
+    /// Closes the pending decision into a transition whose successor state
+    /// is arena row `next_state`.
+    fn close_pending(&mut self, next_state: usize, view: &ClusterView<'_>) {
         let Some(p) = self.pending.take() else {
             return;
         };
@@ -394,14 +540,21 @@ impl DrlAllocator {
                 view.num_live(),
                 view.fleet_peak_watts(),
             );
-        self.replay.push(Transition {
-            state: p.state,
+        // The transition takes over the pending decision's reference to its
+        // state row and adds one to the successor's.
+        self.arena.retain(next_state);
+        let evicted = self.replay.push(Transition {
+            state: p.row,
             action: p.action,
             reward_rate,
             sojourn: tau,
-            next_state: next_state.clone(),
+            next_state,
             cache: Cell::new(None),
         });
+        if let Some(t) = evicted {
+            self.arena.release(t.state);
+            self.arena.release(t.next_state);
+        }
     }
 
     /// Consolidating guide action: the lowest-numbered awake server where
@@ -445,9 +598,7 @@ impl DrlAllocator {
         {
             return;
         }
-        // Sample by reference — only each transition's `state` needs an
-        // owned copy (for its QSample); cloning whole transitions would
-        // deep-copy every next-state for nothing.
+        // Sample by reference: a minibatch borrows its arena rows.
         let transitions: Vec<&Transition> =
             self.replay.sample(self.config.minibatch, &mut self.rng);
         // Fresh SMDP targets from the frozen target network (Eqn. 2 with
@@ -456,37 +607,35 @@ impl DrlAllocator {
         // upper clamp removes the max-operator overestimation spiral.
         // Transitions already evaluated under the *current* target net (the
         // net is frozen between syncs) reuse their memoized values; only
-        // cache misses go through the network. One batched sweep per role
-        // over the misses: all next-states in one GEMM pair (the max needs
-        // every action), all previous states in another that only evaluates
-        // the taken action's Sub-Q row. Each miss is encoded exactly once,
-        // and every value — cached or fresh — is bitwise identical to a
-        // per-transition `q_values`/`max_q` sweep (row independence).
+        // cache misses go through one batched target sweep, which reuses
+        // each row's memoized codes while the generations match. Every
+        // value — cached or fresh — is bitwise identical to a
+        // per-transition `q_values` sweep (row independence).
         let era = self.target_era;
-        let misses: Vec<usize> = transitions
+        let misses: Vec<&Transition> = transitions
             .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !self.use_target_cache || !matches!(t.cache.get(), Some(c) if c.era == era)
+            .copied()
+            .filter(|t| !self.use_target_cache || !matches!(t.cache.get(), Some(c) if c.era == era))
+            .collect();
+        let items: Vec<(StateRow<'_>, usize, StateRow<'_>)> = misses
+            .iter()
+            .map(|t| {
+                (
+                    self.arena.row(t.state),
+                    t.action,
+                    self.arena.row(t.next_state),
+                )
             })
-            .map(|(i, _)| i)
             .collect();
-        let next_states: Vec<&GlobalState> =
-            misses.iter().map(|&i| &transitions[i].next_state).collect();
-        let next_q = self.target_net.q_values_batch(&next_states);
-        let prev_items: Vec<(&GlobalState, usize)> = misses
-            .iter()
-            .map(|&i| (&transitions[i].state, transitions[i].action))
-            .collect();
-        let prev_q = self.target_net.q_action_batch(&prev_items);
-        for ((&i, nq), prev) in misses.iter().zip(&next_q).zip(prev_q) {
-            transitions[i].cache.set(Some(TargetCache {
-                era,
-                max_next: GroupedQNetwork::max_q_of(nq, self.num_servers),
-                prev,
-            }));
-        }
-        let batch: Vec<QSample> = transitions
+        self.target_net
+            .target_values(&items, self.num_servers, |i, prev, max_next| {
+                misses[i].cache.set(Some(TargetCache {
+                    era,
+                    max_next,
+                    prev,
+                }));
+            });
+        let batch: Vec<QSample<'_>> = transitions
             .into_iter()
             .map(|t| {
                 let cached = t.cache.get().expect("miss pass filled every cache entry");
@@ -500,7 +649,7 @@ impl DrlAllocator {
                 let prev = f64::from(cached.prev);
                 let blended = prev + self.config.smdp.alpha * (raw - prev);
                 QSample {
-                    state: t.state.clone(),
+                    state: self.arena.row(t.state),
                     action: t.action,
                     target: blended.clamp(-self.config.q_clamp, 0.0) as f32,
                 }
@@ -527,17 +676,21 @@ impl DrlAllocator {
 impl Allocator for DrlAllocator {
     fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
         self.stats.decisions += 1;
-        let state = self.encoder.encode(job, view);
-        self.maybe_collect_ae_sample(&state);
+        let row = self.arena.alloc();
+        self.encoder
+            .encode_into(job, view, self.arena.state_mut(row));
 
         if self.learning {
-            self.close_pending(&state, view);
+            self.maybe_collect_ae_sample(row);
+            self.close_pending(row, view);
             self.maybe_train();
         } else {
-            self.pending = None;
+            self.drop_pending();
         }
 
-        let q = self.qnet.q_values(&state);
+        // The codes are computed here anyway; storing them beside the row
+        // spares every later sweep over it the encoder pass.
+        self.arena.memoize_codes(row, &self.qnet);
         let dither = self.config.q_dither;
         // Elastic fleets: actions are masked to the slots that exist right
         // now — a view narrower than the declared width means trailing
@@ -545,10 +698,15 @@ impl Allocator for DrlAllocator {
         // in-range slots stay selectable; the cluster's healthy remap
         // redirects them deterministically, exactly like crashed targets).
         let live_width = view.num_servers().min(self.num_servers);
-        let q64: Vec<f64> = q[..live_width]
-            .iter()
-            .map(|&v| f64::from(v) + self.rng.gen_range(-dither..=dither))
-            .collect();
+        let mut q64: Vec<f64> = Vec::with_capacity(live_width);
+        let rng = &mut self.rng;
+        self.qnet.q_values_batch(&[self.arena.row(row)], |_, q| {
+            q64.extend(
+                q[..live_width]
+                    .iter()
+                    .map(|&v| f64::from(v) + rng.gen_range(-dither..=dither)),
+            );
+        });
         let guide_p = self.config.guide.value(self.stats.decisions - 1);
         let action = if self.learning && self.rng.gen::<f64>() < guide_p {
             // Behavior-policy guidance (Algorithm 1's offline experience
@@ -564,11 +722,13 @@ impl Allocator for DrlAllocator {
 
         if self.learning {
             self.pending = Some(Pending {
-                state,
+                row,
                 action,
                 time_s: view.totals().time_s,
                 totals: *view.totals(),
             });
+        } else {
+            self.arena.release(row);
         }
         ServerId(action)
     }
@@ -578,12 +738,12 @@ impl Allocator for DrlAllocator {
         // anchored to the previous run's clock would close against a
         // nonsensical sojourn. Normally already dropped by `on_run_end`,
         // but the start hook holds even across aborted runs.
-        self.pending = None;
+        self.drop_pending();
     }
 
     fn on_run_end(&mut self, _view: &ClusterView<'_>) {
         // The final transition has no successor epoch; drop it.
-        self.pending = None;
+        self.drop_pending();
     }
 }
 
@@ -761,6 +921,111 @@ mod tests {
     }
 
     #[test]
+    fn code_memo_is_bitwise_invisible_to_learning() {
+        // Same seed, same jobs, with and without memoized encoder codes:
+        // the learning trajectory must be bitwise identical. The run
+        // crosses an autoencoder pre-training after training has started
+        // (warm-up at decision 10, pre-training at decision 20), so rows
+        // stamped under the old encoder must be re-encoded, and several
+        // target-net eras. With a fine-tuned encoder every train step
+        // draws a new generation, so the memo mostly misses — and must
+        // still never be reused across a change.
+        for fine_tune_encoder in [false, true] {
+            let mut config = small_config();
+            config.target_sync = 20;
+            config.qnet.fine_tune_encoder = fine_tune_encoder;
+            let run = |memo: bool| {
+                let mut alloc = DrlAllocator::new(5, 3, config.clone());
+                alloc.set_code_memo(memo);
+                let mut cluster = Cluster::new(ClusterConfig::paper(5), jobs(400, 9.0)).unwrap();
+                let out = cluster.run(
+                    &mut alloc,
+                    &mut SleepImmediatelyPower,
+                    RunLimit::unbounded(),
+                );
+                (out, alloc)
+            };
+            let (out_memo, alloc_memo) = run(true);
+            let (out_ref, alloc_ref) = run(false);
+            assert!(alloc_memo.stats().autoencoder_trained);
+            assert!(
+                alloc_memo.stats().train_steps > 2 * config.target_sync,
+                "run too short to cross target-net eras"
+            );
+            if !fine_tune_encoder {
+                let current = alloc_memo.qnet.encoder_generation();
+                let memoized = alloc_memo
+                    .replay
+                    .iter()
+                    .filter(|t| alloc_memo.arena.row(t.state).generation == current)
+                    .count();
+                assert!(memoized > 0, "no replayed row carries reusable codes");
+            }
+            assert_eq!(out_memo.totals, out_ref.totals);
+            assert_eq!(alloc_memo.stats(), alloc_ref.stats());
+            let snap = |a: &DrlAllocator| serde_json::to_string(&a.snapshot()).unwrap();
+            assert_eq!(
+                snap(&alloc_memo),
+                snap(&alloc_ref),
+                "memoized-code training diverged (fine_tune_encoder = {fine_tune_encoder})"
+            );
+        }
+    }
+
+    #[test]
+    fn frozen_allocator_leaves_its_autoencoder_untrained() {
+        // A frozen learner whose pre-training never saw enough decisions
+        // to fit its autoencoder must not fit it mid-run: with learning
+        // off the whole network is read-only.
+        let config = small_config();
+        let mut alloc = DrlAllocator::new(4, 3, config.clone());
+        alloc.set_learning(false);
+        let before = serde_json::to_string(&alloc.snapshot().qnet).unwrap();
+        let mut cluster = Cluster::new(ClusterConfig::paper(4), jobs(100, 10.0)).unwrap();
+        cluster.run(
+            &mut alloc,
+            &mut SleepImmediatelyPower,
+            RunLimit::unbounded(),
+        );
+        let k = alloc.state_encoder().num_groups() as u64;
+        assert!(alloc.stats().decisions > config.ae_pretrain_samples as u64 / k);
+        assert!(!alloc.stats().autoencoder_trained);
+        let after = serde_json::to_string(&alloc.snapshot().qnet).unwrap();
+        assert_eq!(before, after, "a frozen allocator changed its network");
+    }
+
+    #[test]
+    fn arena_rows_are_shared_and_recycled() {
+        // Consecutive transitions share their arena rows and evicted rows
+        // are reused: after each run every reference belongs to a replayed
+        // transition, the replay is one chain (replay + 1 live rows), and
+        // the arena grows by at most one row per run boundary beyond
+        // `replay_capacity + 2`.
+        let mut config = small_config();
+        config.replay_capacity = 32;
+        let mut alloc = DrlAllocator::new(4, 3, config);
+        for run in 0..3 {
+            let mut cluster = Cluster::new(ClusterConfig::paper(4), jobs(200, 10.0)).unwrap();
+            cluster.run(
+                &mut alloc,
+                &mut SleepImmediatelyPower,
+                RunLimit::unbounded(),
+            );
+            let arena = &alloc.arena;
+            let refs: u32 = arena.refs.iter().sum();
+            assert_eq!(refs as usize, 2 * alloc.replay.len());
+            let live = arena.refs.iter().filter(|&&r| r > 0).count();
+            assert_eq!(live, alloc.replay.len() + 1);
+            assert_eq!(live + arena.free.len(), arena.refs.len());
+            assert!(
+                arena.refs.len() <= 32 + 2 + run,
+                "run {run}: {} rows",
+                arena.refs.len()
+            );
+        }
+    }
+
+    #[test]
     fn cached_targets_match_fresh_recomputation() {
         // The cache invariant: every entry stamped with the current era
         // equals a fresh evaluation through the current target net.
@@ -781,10 +1046,20 @@ mod tests {
             if c.era != era {
                 continue;
             }
-            let q = alloc.target_net.q_values(&t.next_state);
-            assert_eq!(c.max_next, GroupedQNetwork::max_q_of(&q, 5));
-            let prev = alloc.target_net.q_action_batch(&[(&t.state, t.action)])[0];
-            assert_eq!(c.prev, prev);
+            // Fresh evaluations ignore the memoized codes.
+            let fresh = |row: usize| {
+                let mut q = Vec::new();
+                let state = StateRow::uncoded(alloc.arena.state(row));
+                alloc
+                    .target_net
+                    .q_values_batch(&[state], |_, v| q.extend_from_slice(v));
+                q
+            };
+            assert_eq!(
+                c.max_next,
+                GroupedQNetwork::max_q_of(&fresh(t.next_state), 5)
+            );
+            assert_eq!(c.prev, fresh(t.state)[t.action]);
             checked += 1;
         }
         assert!(checked > 0, "no current-era cache entries to verify");

@@ -9,6 +9,12 @@
 //! shared by all `K` autoencoder applications and one by all `K` Sub-Q
 //! applications; gradients from every application accumulate into the
 //! shared weights (the crate's cache-stack layers make this exact).
+//!
+//! States enter the batched sweeps as flat rows ([`StateRow`]). The codes
+//! `ḡ_k` are a pure function of a row and the encoder's weights, and the
+//! paper freezes the encoder once pre-trained, so a caller may memoize them
+//! beside the row, stamped with the network's [`EncoderGeneration`]; the
+//! sweeps then run the encoder only on rows whose stamp is not their own.
 
 use crate::state::{GlobalState, StateEncoder};
 use hierdrl_neural::activation::Activation;
@@ -20,6 +26,7 @@ use hierdrl_neural::optim::{clip_grad_norm, Adam, Optimizer, Trainable};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hyper-parameters of the grouped Q-network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,11 +59,74 @@ impl Default for QNetworkConfig {
     }
 }
 
-/// A training sample: fit `Q(state, action)` to `target`.
-#[derive(Debug, Clone)]
-pub struct QSample {
-    /// Encoded global state.
-    pub state: GlobalState,
+/// Identifies one setting of the shared encoder's weights. A network draws
+/// a fresh generation whenever its encoder changes (autoencoder
+/// pre-training, every fine-tuning step) and a clone carries it along, so
+/// two equal generations mean bitwise-equal codes for every state. Callers
+/// that memoize codes stamp them with the generation that computed them
+/// (see [`StateRow`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncoderGeneration(u64);
+
+impl EncoderGeneration {
+    /// The stamp of codes that were never computed: no network carries it.
+    pub const NONE: Self = Self(0);
+
+    /// A generation no network in this process has carried before. Only
+    /// equality is ever observed, so the values never reach a report.
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Self(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// Draws a fresh generation: a network restored from JSON (the generation
+/// is not serialized) never matches codes memoized under another.
+impl Default for EncoderGeneration {
+    fn default() -> Self {
+        Self::fresh()
+    }
+}
+
+/// One state as the batched sweeps read it: the flat row
+/// `[g_1 | … | g_K | s_j]` and, optionally, its `K` encoder codes memoized
+/// by the caller with the generation of the encoder that computed them. A
+/// sweep reuses the codes only when that generation is its own network's
+/// and runs the encoder on the row otherwise, so a stale memo costs time
+/// but can never change a value.
+#[derive(Debug, Clone, Copy)]
+pub struct StateRow<'a> {
+    /// The flat state row (see [`GlobalState`]).
+    pub state: &'a [f32],
+    /// The `K` codes, group-major (`K * code_size` values; empty if none).
+    pub codes: &'a [f32],
+    /// The encoder generation that computed `codes`.
+    pub generation: EncoderGeneration,
+}
+
+impl<'a> StateRow<'a> {
+    /// A row without memoized codes.
+    pub fn uncoded(state: &'a [f32]) -> Self {
+        Self {
+            state,
+            codes: &[],
+            generation: EncoderGeneration::NONE,
+        }
+    }
+}
+
+impl<'a> From<&'a GlobalState> for StateRow<'a> {
+    fn from(s: &'a GlobalState) -> Self {
+        Self::uncoded(s.as_slice())
+    }
+}
+
+/// A training sample borrowed from wherever its state lives (the
+/// allocator's replay arena): fit `Q(state, action)` to `target`.
+#[derive(Debug, Clone, Copy)]
+pub struct QSample<'a> {
+    /// The state, with its memoized codes if any.
+    pub state: StateRow<'a>,
     /// Global action index (server index).
     pub action: usize,
     /// Target Q value (from the SMDP update rule).
@@ -70,7 +140,11 @@ pub struct QSample {
 /// use, so results never depend on the buffers' previous contents.
 #[derive(Debug, Clone, Default)]
 struct QWorkspace {
+    /// Group blocks of the rows without usable memoized codes.
     group_rows: Matrix,
+    /// The shared encoder's output for `group_rows`.
+    fresh_codes: Matrix,
+    /// Every swept row's `K` codes, one row per state.
     codes: Matrix,
     inputs: Matrix,
     q: Matrix,
@@ -91,6 +165,8 @@ pub struct GroupedQNetwork {
     group_size: usize,
     group_width: usize,
     job_width: usize,
+    #[serde(skip)]
+    generation: EncoderGeneration,
     #[serde(skip)]
     workspace: RefCell<QWorkspace>,
 }
@@ -123,6 +199,7 @@ impl GroupedQNetwork {
             group_size: layout.group_size(),
             group_width,
             job_width,
+            generation: EncoderGeneration::fresh(),
             workspace: RefCell::new(QWorkspace::default()),
         }
     }
@@ -141,6 +218,11 @@ impl GroupedQNetwork {
         )
     }
 
+    /// Width of one state's memoized codes (`K * code_size`).
+    pub fn code_width(&self) -> usize {
+        self.num_groups * self.config.code_size
+    }
+
     /// Total action count (`K * group_size`, including padding slots).
     pub fn num_actions(&self) -> usize {
         self.num_groups * self.group_size
@@ -156,17 +238,36 @@ impl GroupedQNetwork {
         &self.autoencoder
     }
 
+    /// The generation of the shared encoder's current weights (see
+    /// [`EncoderGeneration`]).
+    pub fn encoder_generation(&self) -> EncoderGeneration {
+        self.generation
+    }
+
+    /// Group `g`'s block of a flat state row.
+    fn group_block<'s>(&self, state: &'s [f32], g: usize) -> &'s [f32] {
+        &state[g * self.group_width..(g + 1) * self.group_width]
+    }
+
+    /// The job block of a flat state row.
+    fn job_block<'s>(&self, state: &'s [f32]) -> &'s [f32] {
+        &state[self.num_groups * self.group_width..]
+    }
+
     /// Encodes every group state into its low-dimensional code.
-    fn codes(&self, s: &GlobalState) -> Vec<Matrix> {
+    fn codes(&self, state: &[f32]) -> Vec<Matrix> {
         (0..self.num_groups)
-            .map(|k| self.autoencoder.encode(&s.group_matrix(k)))
+            .map(|k| {
+                self.autoencoder
+                    .encode(&Matrix::row_vector(self.group_block(state, k)))
+            })
             .collect()
     }
 
     /// Builds the Sub-Q input row for group `k`: `[g_k | s_j | ḡ_{k'≠k}]`.
-    fn sub_q_input(&self, s: &GlobalState, k: usize, codes: &[Matrix]) -> Matrix {
-        let g_k = s.group_matrix(k);
-        let job = s.job_matrix();
+    fn sub_q_input(&self, state: &[f32], k: usize, codes: &[Matrix]) -> Matrix {
+        let g_k = Matrix::row_vector(self.group_block(state, k));
+        let job = Matrix::row_vector(self.job_block(state));
         let mut parts: Vec<&Matrix> = vec![&g_k, &job];
         for (k2, code) in codes.iter().enumerate() {
             if k2 != k {
@@ -176,120 +277,167 @@ impl GroupedQNetwork {
         Matrix::hcat(&parts)
     }
 
-    /// Stacks every group row of `states` (state-major, group-minor) into
-    /// `group_rows` and runs one shared-encoder sweep into `codes`.
-    fn encode_all_groups(&self, states: &[&GlobalState], ws: &mut QWorkspace) {
-        let k = self.num_groups;
-        ws.group_rows.resize_to(states.len() * k, self.group_width);
-        for (i, s) in states.iter().enumerate() {
-            for g in 0..k {
-                ws.group_rows
-                    .row_mut(i * k + g)
-                    .copy_from_slice(&s.groups[g]);
+    /// Leaves every row's `K` codes in `ws.codes` (row `i` = state `i`,
+    /// group-major). A row whose memo carries this network's generation
+    /// contributes its stored codes; the group blocks of all other rows go
+    /// through one shared-encoder GEMM. Row independence makes the two
+    /// sources bitwise identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state row has the wrong width.
+    fn gather_codes(&self, rows: &[StateRow<'_>], ws: &mut QWorkspace) {
+        let code_w = self.code_width();
+        let groups_w = self.num_groups * self.group_width;
+        let state_w = groups_w + self.job_width;
+        let memo_hit = |r: &StateRow<'_>| r.generation == self.generation;
+        let stale = rows.iter().filter(|r| !memo_hit(r)).count();
+        if stale > 0 {
+            ws.group_rows
+                .resize_to(stale * self.num_groups, self.group_width);
+            let blocks = ws.group_rows.as_mut_slice().chunks_exact_mut(groups_w);
+            for (dst, r) in blocks.zip(rows.iter().filter(|r| !memo_hit(r))) {
+                dst.copy_from_slice(&r.state[..groups_w]);
             }
+            self.autoencoder
+                .encode_into(&ws.group_rows, &mut ws.fresh_codes, &mut ws.scratch);
         }
-        self.autoencoder
-            .encode_into(&ws.group_rows, &mut ws.codes, &mut ws.scratch);
+        ws.codes.resize_to(rows.len(), code_w);
+        let mut fresh = ws.fresh_codes.as_slice().chunks_exact(code_w);
+        for (dst, r) in ws.codes.as_mut_slice().chunks_exact_mut(code_w).zip(rows) {
+            assert_eq!(r.state.len(), state_w, "state row width mismatch");
+            let src = if memo_hit(r) {
+                r.codes
+            } else {
+                fresh.next().expect("one fresh code block per stale row")
+            };
+            dst.copy_from_slice(src);
+        }
     }
 
-    /// Writes group `g`'s Sub-Q input row `[g_g | s_j | ḡ_{g'≠g}]` for the
-    /// state whose codes occupy rows `code_base..code_base + K` of `codes`.
-    fn fill_sub_q_row(
+    /// Writes one Sub-Q input row `[g_g | s_j | ḡ_{g'≠g}]` per `(row,
+    /// group)` head, in order, into `ws.inputs` (`count` heads), reading
+    /// codes from `ws.codes` (filled by [`Self::gather_codes`]).
+    fn fill_inputs(
         &self,
-        row: &mut [f32],
-        s: &GlobalState,
-        g: usize,
-        codes: &Matrix,
-        code_base: usize,
+        rows: &[StateRow<'_>],
+        heads: impl Iterator<Item = (usize, usize)>,
+        count: usize,
+        ws: &mut QWorkspace,
     ) {
         let code_w = self.config.code_size;
-        row[..self.group_width].copy_from_slice(&s.groups[g]);
-        let mut ofs = self.group_width;
-        row[ofs..ofs + self.job_width].copy_from_slice(&s.job);
-        ofs += self.job_width;
-        for g2 in 0..self.num_groups {
-            if g2 != g {
-                row[ofs..ofs + code_w].copy_from_slice(codes.row(code_base + g2));
-                ofs += code_w;
-            }
+        let width = self.input_width();
+        ws.inputs.resize_to(count, width);
+        let dsts = ws.inputs.as_mut_slice().chunks_exact_mut(width);
+        for (dst, (i, g)) in dsts.zip(heads) {
+            let state = rows[i].state;
+            let codes = ws.codes.row(i);
+            let (own, rest) = dst.split_at_mut(self.group_width);
+            own.copy_from_slice(self.group_block(state, g));
+            let (job, others) = rest.split_at_mut(self.job_width);
+            job.copy_from_slice(self.job_block(state));
+            let (before, after) = others.split_at_mut(g * code_w);
+            before.copy_from_slice(&codes[..g * code_w]);
+            after.copy_from_slice(&codes[(g + 1) * code_w..]);
         }
+    }
+
+    /// Runs the shared encoder over one flat state row's `K` group blocks,
+    /// writing the codes (group-major, [`GroupedQNetwork::code_width`]
+    /// values) into `codes` — what a caller memoizes beside the row,
+    /// stamped with [`GroupedQNetwork::encoder_generation`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row or `codes` has the wrong width.
+    pub fn encode_codes(&self, state: &[f32], codes: &mut [f32]) {
+        let ws = &mut *self.workspace.borrow_mut();
+        self.gather_codes(&[StateRow::uncoded(state)], ws);
+        codes.copy_from_slice(ws.codes.row(0));
     }
 
     /// Q estimates for all `K * group_size` actions (padding slots
     /// included; callers mask indices `>= M`).
     pub fn q_values(&self, s: &GlobalState) -> Vec<f32> {
-        self.q_values_batch(&[s])
-            .pop()
-            .expect("one state in, one Q vector out")
+        let mut out = Vec::with_capacity(self.num_actions());
+        self.q_values_batch(&[StateRow::from(s)], |_, q| out.extend_from_slice(q));
+        out
     }
 
-    /// Q estimates for every state in `states`, batched: one shared-encoder
-    /// GEMM over all `B * K` group rows and one Sub-Q GEMM over all `B * K`
-    /// input rows, instead of `B * 2K` single-row passes. Per-state results
-    /// are bitwise identical to [`GroupedQNetwork::q_values_reference`]
-    /// because every kernel in the neural substrate is row-independent with
-    /// in-order accumulation (see the batched-equivalence test suite).
-    pub fn q_values_batch(&self, states: &[&GlobalState]) -> Vec<Vec<f32>> {
-        if states.is_empty() {
-            return Vec::new();
+    /// Q estimates for every row, batched: one shared-encoder GEMM over the
+    /// group rows without usable memoized codes and one Sub-Q GEMM over
+    /// all `B * K` input rows, instead of `B * 2K` single-row passes.
+    /// `sink(i, q)` receives row `i`'s `K * group_size` values (padding
+    /// included) straight from the workspace, in row order; it must not
+    /// start another sweep on this network (the workspace is borrowed).
+    /// Per-state results are bitwise identical to
+    /// [`GroupedQNetwork::q_values_reference`] because every kernel in the
+    /// neural substrate is row-independent with in-order accumulation (see
+    /// the batched-equivalence test suite).
+    pub fn q_values_batch(&self, rows: &[StateRow<'_>], mut sink: impl FnMut(usize, &[f32])) {
+        if rows.is_empty() {
+            return;
         }
         let k = self.num_groups;
         let ws = &mut *self.workspace.borrow_mut();
-        self.encode_all_groups(states, ws);
-        ws.inputs.resize_to(states.len() * k, self.input_width());
-        for (i, s) in states.iter().enumerate() {
-            for g in 0..k {
-                let (inputs, codes) = (&mut ws.inputs, &ws.codes);
-                self.fill_sub_q_row(inputs.row_mut(i * k + g), s, g, codes, i * k);
-            }
-        }
-        // Rows are (state, group)-major, so each state's K output rows
-        // concatenate into exactly the per-group q_values layout.
+        self.gather_codes(rows, ws);
+        let heads = (0..rows.len() * k).map(|r| (r / k, r % k));
+        self.fill_inputs(rows, heads, rows.len() * k, ws);
         self.sub_q
             .infer_into(&ws.inputs, &mut ws.q, &mut ws.scratch);
-        (0..states.len())
-            .map(|i| {
-                let mut out = Vec::with_capacity(self.num_actions());
-                for g in 0..k {
-                    out.extend_from_slice(ws.q.row(i * k + g));
-                }
-                out
-            })
-            .collect()
+        // Rows are (state, group)-major, so each state's K output rows
+        // concatenate into exactly the per-group q_values layout.
+        for (i, q) in ws.q.as_slice().chunks_exact(self.num_actions()).enumerate() {
+            sink(i, q);
+        }
     }
 
-    /// `Q(s, a)` for a batch of state/action pairs: like
-    /// [`GroupedQNetwork::q_values_batch`] but evaluating only the **one**
-    /// Sub-Q row containing each pair's action — the allocator's target
-    /// sweep needs just the taken action's value for the previous state,
-    /// so the other `K-1` rows would be wasted GEMM work. Each returned
-    /// value is bitwise identical to `q_values(s)[a]` (row independence).
+    /// The SMDP target sweep over `(state, action, next_state)`
+    /// transitions: `Q(state, action)` and `max_{a < valid_actions}
+    /// Q(next_state, a)` for each, passed to `sink(i, q_taken, max_next)`
+    /// straight from the workspace (the sink must not start another sweep
+    /// on this network). One shared-encoder GEMM covers every row without usable
+    /// memoized codes, and one Sub-Q GEMM covers one row per `state` (only
+    /// the taken action's group: the other `K-1` would be wasted work) plus
+    /// all `K` rows per `next_state`. Each value is bitwise identical to
+    /// the matching entry (or prefix maximum) of `q_values` (row
+    /// independence).
     ///
     /// # Panics
     ///
-    /// Panics if an action index is out of range.
-    pub fn q_action_batch(&self, items: &[(&GlobalState, usize)]) -> Vec<f32> {
-        if items.is_empty() {
-            return Vec::new();
+    /// Panics if an action index or `valid_actions` is out of range.
+    pub fn target_values(
+        &self,
+        items: &[(StateRow<'_>, usize, StateRow<'_>)],
+        valid_actions: usize,
+        mut sink: impl FnMut(usize, f32, f32),
+    ) {
+        let n = items.len();
+        if n == 0 {
+            return;
         }
         let k = self.num_groups;
         let ws = &mut *self.workspace.borrow_mut();
-        let states: Vec<&GlobalState> = items.iter().map(|(s, _)| *s).collect();
-        self.encode_all_groups(&states, ws);
-        ws.inputs.resize_to(items.len(), self.input_width());
-        for (i, (s, action)) in items.iter().enumerate() {
-            assert!(*action < self.num_actions(), "action {action} out of range");
-            let g = action / self.group_size;
-            let (inputs, codes) = (&mut ws.inputs, &ws.codes);
-            self.fill_sub_q_row(inputs.row_mut(i), s, g, codes, i * k);
-        }
+        let rows: Vec<StateRow<'_>> = items
+            .iter()
+            .map(|t| t.0)
+            .chain(items.iter().map(|t| t.2))
+            .collect();
+        self.gather_codes(&rows, ws);
+        let taken = items.iter().enumerate().map(|(i, &(_, action, _))| {
+            assert!(action < self.num_actions(), "action {action} out of range");
+            (i, action / self.group_size)
+        });
+        let next = (0..n * k).map(|r| (n + r / k, r % k));
+        self.fill_inputs(&rows, taken.chain(next), n + n * k, ws);
         self.sub_q
             .infer_into(&ws.inputs, &mut ws.q, &mut ws.scratch);
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, (_, action))| ws.q[(i, action % self.group_size)])
-            .collect()
+        let (taken_q, next_q) = ws.q.as_slice().split_at(n * self.group_size);
+        let next_q = next_q.chunks_exact(self.num_actions());
+        for (i, (&(_, action, _), nq)) in items.iter().zip(next_q).enumerate() {
+            let q_taken = taken_q[i * self.group_size + action % self.group_size];
+            sink(i, q_taken, Self::max_q_of(nq, valid_actions));
+        }
     }
 
     /// The retained **unbatched** reference for [`GroupedQNetwork::q_values`]:
@@ -298,10 +446,11 @@ impl GroupedQNetwork {
     /// is bitwise identical; production code never calls it.
     #[doc(hidden)]
     pub fn q_values_reference(&self, s: &GlobalState) -> Vec<f32> {
-        let codes = self.codes(s);
+        let state = s.as_slice();
+        let codes = self.codes(state);
         let mut out = Vec::with_capacity(self.num_actions());
         for k in 0..self.num_groups {
-            let input = self.sub_q_input(s, k, &codes);
+            let input = self.sub_q_input(state, k, &codes);
             let q = self.sub_q.infer(&input);
             out.extend_from_slice(q.row(0));
         }
@@ -341,7 +490,8 @@ impl GroupedQNetwork {
 
     /// Pre-trains the shared autoencoder on observed group states
     /// (rows = samples of width `group_width`), returning the final epoch's
-    /// reconstruction loss.
+    /// reconstruction loss. The encoder changes, so the network draws a
+    /// new [`EncoderGeneration`].
     ///
     /// # Panics
     ///
@@ -360,8 +510,11 @@ impl GroupedQNetwork {
             self.group_width
         );
         let mut adam = Adam::new(learning_rate);
-        self.autoencoder
-            .fit(group_states, epochs, batch_size, &mut adam)
+        let loss = self
+            .autoencoder
+            .fit(group_states, epochs, batch_size, &mut adam);
+        self.generation = EncoderGeneration::fresh();
+        loss
     }
 
     /// One fitted-Q training step over a minibatch: regresses the chosen
@@ -369,14 +522,17 @@ impl GroupedQNetwork {
     /// gradient norm, and applies Adam. Returns the mean squared error.
     ///
     /// With the (default) frozen encoder the whole minibatch runs as one
-    /// shared-encoder GEMM plus one Sub-Q forward/backward, with the
-    /// per-sample error scattered into the batched output gradient —
-    /// bitwise identical to [`GroupedQNetwork::train_batch_reference`].
+    /// Sub-Q forward/backward over the borrowed samples, reusing each
+    /// sample's memoized codes when they carry this network's generation
+    /// (one shared-encoder GEMM covers the rest), with the per-sample error
+    /// scattered into the batched output gradient — bitwise identical to
+    /// [`GroupedQNetwork::train_batch_reference`]. A fine-tuning step
+    /// changes the encoder and so draws a new [`EncoderGeneration`].
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty or an action index is out of range.
-    pub fn train_batch(&mut self, samples: &[QSample]) -> f32 {
+    pub fn train_batch(&mut self, samples: &[QSample<'_>]) -> f32 {
         self.check_batch(samples);
         self.sub_q.zero_grad();
         self.autoencoder.zero_grad();
@@ -394,21 +550,20 @@ impl GroupedQNetwork {
             };
             clip_grad_norm(&mut joint, self.config.grad_clip);
             self.adam.step(&mut joint);
+            self.generation = EncoderGeneration::fresh();
         } else {
             // Frozen encoder: one batched forward/backward over the whole
             // minibatch, rows in sample order, entirely through recycled
             // workspace buffers (encoder codes, Sub-Q inputs and caches,
             // the scattered output gradient).
             let ws = &mut *self.workspace.borrow_mut();
-            let states: Vec<&GlobalState> = samples.iter().map(|s| &s.state).collect();
-            self.encode_all_groups(&states, ws);
-            ws.inputs.resize_to(samples.len(), self.input_width());
-            let k = self.num_groups;
-            for (i, s) in samples.iter().enumerate() {
-                let g = s.action / self.group_size;
-                let (inputs, codes) = (&mut ws.inputs, &ws.codes);
-                self.fill_sub_q_row(inputs.row_mut(i), &s.state, g, codes, i * k);
-            }
+            let rows: Vec<StateRow<'_>> = samples.iter().map(|s| s.state).collect();
+            self.gather_codes(&rows, ws);
+            let heads = samples
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i, s.action / self.group_size));
+            self.fill_inputs(&rows, heads, samples.len(), ws);
             let y = self.sub_q.forward_ws(&ws.inputs);
             ws.dy.resize_to(y.rows(), y.cols());
             for (i, s) in samples.iter().enumerate() {
@@ -431,17 +586,18 @@ impl GroupedQNetwork {
 
     /// The retained **unbatched** reference for [`GroupedQNetwork::train_batch`]
     /// (frozen-encoder path): per-sample single-row encoder sweeps and
-    /// Sub-Q forward/backward passes, in sample order. Kept (test-only) so
-    /// the equivalence suite can assert the batched step leaves bitwise
-    /// identical weights, optimizer state, and loss; production code never
-    /// calls it. Delegates to [`GroupedQNetwork::train_batch`] when the
-    /// encoder is fine-tuned (that path is per-sample already).
+    /// Sub-Q forward/backward passes, in sample order, ignoring memoized
+    /// codes. Kept (test-only) so the equivalence suite can assert the
+    /// batched step leaves bitwise identical weights, optimizer state, and
+    /// loss; production code never calls it. Delegates to
+    /// [`GroupedQNetwork::train_batch`] when the encoder is fine-tuned
+    /// (that path is per-sample already).
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty or an action index is out of range.
     #[doc(hidden)]
-    pub fn train_batch_reference(&mut self, samples: &[QSample]) -> f32 {
+    pub fn train_batch_reference(&mut self, samples: &[QSample<'_>]) -> f32 {
         if self.config.fine_tune_encoder {
             return self.train_batch(samples);
         }
@@ -453,8 +609,8 @@ impl GroupedQNetwork {
         for s in samples {
             let k = s.action / self.group_size;
             let slot = s.action % self.group_size;
-            let codes = self.codes(&s.state);
-            let x = self.sub_q_input(&s.state, k, &codes);
+            let codes = self.codes(s.state.state);
+            let x = self.sub_q_input(s.state.state, k, &codes);
             let y = self.sub_q.forward(&x);
             let err = y[(0, slot)] - s.target;
             loss += err * err;
@@ -472,7 +628,7 @@ impl GroupedQNetwork {
     }
 
     /// Validates a training minibatch.
-    fn check_batch(&self, samples: &[QSample]) {
+    fn check_batch(&self, samples: &[QSample<'_>]) {
         assert!(!samples.is_empty(), "training batch is empty");
         for s in samples {
             assert!(
@@ -485,22 +641,21 @@ impl GroupedQNetwork {
     }
 
     /// Forward/backward for one sample with encoder fine-tuning.
-    fn train_one_finetune(&mut self, s: &QSample, n: f32) -> f32 {
+    fn train_one_finetune(&mut self, s: &QSample<'_>, n: f32) -> f32 {
         let k = s.action / self.group_size;
         let slot = s.action % self.group_size;
+        let state = s.state.state;
         // Forward the encoder for every other group, caching (ascending k').
         let mut codes: Vec<(usize, Matrix)> = Vec::with_capacity(self.num_groups - 1);
         for k2 in 0..self.num_groups {
             if k2 != k {
-                let code = self
-                    .autoencoder
-                    .encoder_mut()
-                    .forward(&s.state.group_matrix(k2));
+                let g = Matrix::row_vector(self.group_block(state, k2));
+                let code = self.autoencoder.encoder_mut().forward(&g);
                 codes.push((k2, code));
             }
         }
-        let g_k = s.state.group_matrix(k);
-        let job = s.state.job_matrix();
+        let g_k = Matrix::row_vector(self.group_block(state, k));
+        let job = Matrix::row_vector(self.job_block(state));
         let mut parts: Vec<&Matrix> = vec![&g_k, &job];
         for (_, c) in &codes {
             parts.push(c);
@@ -566,16 +721,15 @@ mod tests {
 
     fn random_state(layout: &StateEncoder, rng: &mut StdRng) -> GlobalState {
         use rand::Rng;
-        GlobalState {
-            groups: (0..layout.num_groups())
-                .map(|_| {
-                    (0..layout.group_width())
-                        .map(|_| rng.gen::<f32>())
-                        .collect()
-                })
-                .collect(),
-            job: (0..layout.job_width()).map(|_| rng.gen::<f32>()).collect(),
-        }
+        let groups: Vec<Vec<f32>> = (0..layout.num_groups())
+            .map(|_| {
+                (0..layout.group_width())
+                    .map(|_| rng.gen::<f32>())
+                    .collect()
+            })
+            .collect();
+        let job: Vec<f32> = (0..layout.job_width()).map(|_| rng.gen::<f32>()).collect();
+        GlobalState::from_parts(&groups, &job)
     }
 
     #[test]
@@ -617,9 +771,12 @@ mod tests {
             &mut rng,
         );
         // A handful of fixed states with fixed targets: loss must fall.
-        let samples: Vec<QSample> = (0..8)
-            .map(|i| QSample {
-                state: random_state(&lay, &mut rng),
+        let states: Vec<GlobalState> = (0..8).map(|_| random_state(&lay, &mut rng)).collect();
+        let samples: Vec<QSample> = states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| QSample {
+                state: s.into(),
                 action: i % 8,
                 target: (i as f32 - 4.0) * 0.5,
             })
@@ -645,9 +802,12 @@ mod tests {
             },
             &mut rng,
         );
-        let samples: Vec<QSample> = (0..6)
-            .map(|i| QSample {
-                state: random_state(&lay, &mut rng),
+        let states: Vec<GlobalState> = (0..6).map(|_| random_state(&lay, &mut rng)).collect();
+        let samples: Vec<QSample> = states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| QSample {
+                state: s.into(),
                 action: i,
                 target: 1.0,
             })
@@ -687,6 +847,68 @@ mod tests {
         let net = GroupedQNetwork::new(&lay, QNetworkConfig::default(), &mut rng);
         let s = random_state(&lay, &mut rng);
         assert_eq!(net.q_values(&s), net.q_values(&s));
+    }
+
+    #[test]
+    fn codes_stamped_before_pretraining_are_recomputed() {
+        // Rows memoized under the random-init encoder: once pre-training
+        // draws a new generation the sweeps must re-encode them, so every
+        // value matches the reference through the *pre-trained* encoder
+        // (stale codes would give the old encoder's answers). The rows
+        // stamped afterwards are reused and must match too.
+        let mut rng = StdRng::seed_from_u64(7);
+        let lay = layout(10, 3); // group size 4, two padding actions
+        let mut net = GroupedQNetwork::new(&lay, QNetworkConfig::default(), &mut rng);
+        let states: Vec<GlobalState> = (0..6).map(|_| random_state(&lay, &mut rng)).collect();
+        let memoize = |net: &GroupedQNetwork| -> Vec<Vec<f32>> {
+            states
+                .iter()
+                .map(|s| {
+                    let mut codes = vec![0.0; net.code_width()];
+                    net.encode_codes(s.as_slice(), &mut codes);
+                    codes
+                })
+                .collect()
+        };
+        let old_gen = net.encoder_generation();
+        let old_codes = memoize(&net);
+        let mut data = Matrix::zeros(32, lay.group_width());
+        for r in 0..32 {
+            for c in 0..lay.group_width() {
+                data[(r, c)] = ((r * 7 + c) % 11) as f32 / 11.0;
+            }
+        }
+        net.pretrain_autoencoder(&data, 5, 8, 3e-3);
+        assert_ne!(net.encoder_generation(), old_gen);
+        let new_gen = net.encoder_generation();
+        let new_codes = memoize(&net);
+        assert_ne!(
+            old_codes, new_codes,
+            "pre-training left the codes unchanged"
+        );
+        for (codes, generation) in [(&old_codes, old_gen), (&new_codes, new_gen)] {
+            let rows: Vec<StateRow> = states
+                .iter()
+                .zip(codes)
+                .map(|(s, c)| StateRow {
+                    state: s.as_slice(),
+                    codes: c,
+                    generation,
+                })
+                .collect();
+            net.q_values_batch(&rows, |i, q| {
+                assert_eq!(q, net.q_values_reference(&states[i]), "row {i}");
+            });
+            let items: Vec<(StateRow, usize, StateRow)> = (0..rows.len())
+                .map(|i| (rows[i], (i * 5) % 10, rows[(i + 1) % rows.len()]))
+                .collect();
+            net.target_values(&items, 10, |i, q_taken, max_next| {
+                let (a, next) = (items[i].1, (i + 1) % rows.len());
+                let q_next = net.q_values_reference(&states[next]);
+                assert_eq!(q_taken, net.q_values_reference(&states[i])[a]);
+                assert_eq!(max_next, GroupedQNetwork::max_q_of(&q_next, 10));
+            });
+        }
     }
 
     #[test]

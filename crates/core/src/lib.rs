@@ -54,7 +54,7 @@ pub mod state;
 pub mod prelude {
     pub use crate::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
     pub use crate::dpm::{DpmSnapshot, DpmStats, RlPowerConfig, RlPowerManager};
-    pub use crate::dqn::{GroupedQNetwork, QNetworkConfig, QSample};
+    pub use crate::dqn::{GroupedQNetwork, QNetworkConfig, QSample, StateRow};
     pub use crate::hierarchical::{AllocatorKind, PolicyPair, PowerKind};
     pub use crate::predictor::{
         EwmaPredictor, IatPredictor, LastValuePredictor, LstmIatPredictor, MovingAveragePredictor,

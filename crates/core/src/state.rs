@@ -5,7 +5,6 @@
 //! the per-resource utilization of every server in group `G_k` and `s_j`
 //! holds the job's resource demands and (estimated) duration.
 
-use hierdrl_neural::matrix::Matrix;
 use hierdrl_sim::cluster::ClusterView;
 use hierdrl_sim::job::Job;
 use hierdrl_sim::power::MachineState;
@@ -59,25 +58,55 @@ impl Default for StateEncoderConfig {
     }
 }
 
-/// The encoded global state: `K` per-group feature vectors plus the job
-/// feature vector.
+/// The encoded global state as one flat row, `[g_1 | … | g_K | s_j]`: `K`
+/// group blocks of `group_width` features each, then the job features.
+/// The flat layout is the one the DRL allocator's replay arena stores and
+/// the Q-network's batched sweeps read (see [`GlobalState::as_slice`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalState {
-    /// Per-group feature vectors, each `group_width` long.
-    pub groups: Vec<Vec<f32>>,
-    /// Job features: demands then normalized duration.
-    pub job: Vec<f32>,
+    values: Vec<f32>,
+    num_groups: usize,
+    group_width: usize,
 }
 
 impl GlobalState {
-    /// Group `k` as a `1 x group_width` matrix.
-    pub fn group_matrix(&self, k: usize) -> Matrix {
-        Matrix::row_vector(&self.groups[k])
+    /// Assembles a state from its group blocks and job features.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` is empty or the blocks differ in width.
+    pub fn from_parts(groups: &[Vec<f32>], job: &[f32]) -> Self {
+        assert!(!groups.is_empty(), "a state needs at least one group");
+        let group_width = groups[0].len();
+        assert!(
+            groups.iter().all(|g| g.len() == group_width),
+            "group blocks must share one width"
+        );
+        let mut values = Vec::with_capacity(groups.len() * group_width + job.len());
+        for g in groups {
+            values.extend_from_slice(g);
+        }
+        values.extend_from_slice(job);
+        Self {
+            values,
+            num_groups: groups.len(),
+            group_width,
+        }
     }
 
-    /// Job features as a `1 x job_width` matrix.
-    pub fn job_matrix(&self) -> Matrix {
-        Matrix::row_vector(&self.job)
+    /// The flat row `[g_1 | … | g_K | s_j]`.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// Group `k`'s feature block.
+    pub fn group(&self, k: usize) -> &[f32] {
+        &self.values[k * self.group_width..(k + 1) * self.group_width]
+    }
+
+    /// The job features: demands then normalized duration.
+    pub fn job(&self) -> &[f32] {
+        &self.values[self.num_groups * self.group_width..]
     }
 }
 
@@ -221,6 +250,11 @@ impl StateEncoder {
         )
     }
 
+    /// Width of the flat state row: `K` group blocks plus the job block.
+    pub fn state_width(&self) -> usize {
+        self.config.num_groups * self.group_width() + self.job_width()
+    }
+
     /// Encodes the cluster + job state at a decision epoch.
     ///
     /// Elastic fleets: a view may carry *fewer* slots than the encoder was
@@ -234,6 +268,23 @@ impl StateEncoder {
     /// Panics if the view has more servers than the encoder was declared
     /// with, or the job's demand dimensionality disagrees.
     pub fn encode(&self, job: &Job, view: &ClusterView<'_>) -> GlobalState {
+        let mut values = vec![0.0; self.state_width()];
+        self.encode_into(job, view, &mut values);
+        GlobalState {
+            values,
+            num_groups: self.config.num_groups,
+            group_width: self.group_width(),
+        }
+    }
+
+    /// [`StateEncoder::encode`] into a caller-owned flat row (every entry
+    /// is overwritten), so the DRL allocator can encode straight into its
+    /// replay arena.
+    ///
+    /// # Panics
+    ///
+    /// As [`StateEncoder::encode`], and if `out.len() != state_width()`.
+    pub fn encode_into(&self, job: &Job, view: &ClusterView<'_>, out: &mut [f32]) {
         assert!(
             view.num_servers() <= self.num_servers,
             "view has {} servers, encoder expects at most {}",
@@ -247,15 +298,16 @@ impl StateEncoder {
             job.demand.dims(),
             self.resource_dims
         );
+        assert_eq!(out.len(), self.state_width(), "state row width mismatch");
         let f = self.features_per_server();
         let capacities = if self.config.include_capacity {
             Self::capacity_features(view)
         } else {
             None
         };
-        let mut groups = Vec::with_capacity(self.config.num_groups);
-        for k in 0..self.config.num_groups {
-            let mut g = vec![0.0f32; self.group_width()];
+        out.fill(0.0);
+        let (groups, job_out) = out.split_at_mut(self.config.num_groups * self.group_width());
+        for (k, g) in groups.chunks_exact_mut(self.group_width()).enumerate() {
             for slot in 0..self.group_size {
                 if let Some(m) = self.server_at(k, slot) {
                     if m >= view.num_servers() {
@@ -287,17 +339,11 @@ impl StateEncoder {
                     }
                 }
             }
-            groups.push(g);
         }
-        let mut job_vec = Vec::with_capacity(self.job_width());
-        for p in 0..self.resource_dims {
-            job_vec.push(job.demand.get(p) as f32);
+        for (p, v) in job_out[..self.resource_dims].iter_mut().enumerate() {
+            *v = job.demand.get(p) as f32;
         }
-        job_vec.push((job.duration / self.config.duration_scale).min(1.0) as f32);
-        GlobalState {
-            groups,
-            job: job_vec,
-        }
+        job_out[self.resource_dims] = (job.duration / self.config.duration_scale).min(1.0) as f32;
     }
 }
 
@@ -394,17 +440,17 @@ mod tests {
         let s = probe.state.expect("probe saw the second arrival");
 
         // Group 0, slot 0 = server 0 running job 0.
-        assert!((s.groups[0][0] - 0.5).abs() < 1e-6); // cpu
-        assert!((s.groups[0][1] - 0.25).abs() < 1e-6); // mem
-        assert!((s.groups[0][2] - 0.1).abs() < 1e-6); // disk
-        assert!((s.groups[0][3] - 1.0).abs() < 1e-6); // availability: on
-        assert_eq!(s.groups[0][4], 0.0); // empty queue
-        assert_eq!(s.groups[0][5], 1.0); // capacity (homogeneous)
-                                         // Server 1 idle (slot 1 starts at feature 6).
-        assert_eq!(s.groups[0][6], 0.0);
+        assert!((s.group(0)[0] - 0.5).abs() < 1e-6); // cpu
+        assert!((s.group(0)[1] - 0.25).abs() < 1e-6); // mem
+        assert!((s.group(0)[2] - 0.1).abs() < 1e-6); // disk
+        assert!((s.group(0)[3] - 1.0).abs() < 1e-6); // availability: on
+        assert_eq!(s.group(0)[4], 0.0); // empty queue
+        assert_eq!(s.group(0)[5], 1.0); // capacity (homogeneous)
+                                        // Server 1 idle (slot 1 starts at feature 6).
+        assert_eq!(s.group(0)[6], 0.0);
         // Job features of job 1.
-        assert!((s.job[0] - 0.3).abs() < 1e-6);
-        assert!((s.job[3] - 0.5).abs() < 1e-6); // 3600 / 7200
+        assert!((s.job()[0] - 0.3).abs() < 1e-6);
+        assert!((s.job()[3] - 0.5).abs() < 1e-6); // 3600 / 7200
     }
 
     /// Encodes the state observed at the first arrival of an otherwise
@@ -443,11 +489,11 @@ mod tests {
         let cap_feature = f - 1; // resources, availability, queue, capacity
         let s = idle_probe_state(config, e.clone());
         for m in 0..5 {
-            let got = s.groups[e.group_of(m)][e.slot_of(m) * f + cap_feature];
+            let got = s.group(e.group_of(m))[e.slot_of(m) * f + cap_feature];
             let want = if m == 0 { 1.0 } else { 0.5 };
             assert_eq!(got, want, "server {m} capacity slot");
         }
-        let padded = &s.groups[1][2 * f..3 * f];
+        let padded = &s.group(1)[2 * f..3 * f];
         assert!(
             padded.iter().all(|&x| x == 0.0),
             "padding slot must stay zero, got {padded:?}"
@@ -471,12 +517,12 @@ mod tests {
         ]);
         let hetero = idle_probe_state(hetero_config, e.clone());
 
-        assert_eq!(homo.job, hetero.job);
+        assert_eq!(homo.job(), hetero.job());
         for g in 0..e.num_groups() {
             for slot in 0..e.group_size() {
                 for feat in 0..f {
-                    let a = homo.groups[g][slot * f + feat];
-                    let b = hetero.groups[g][slot * f + feat];
+                    let a = homo.group(g)[slot * f + feat];
+                    let b = hetero.group(g)[slot * f + feat];
                     if feat == cap_feature {
                         if let Some(m) = e.server_at(g, slot) {
                             assert_eq!(a, 1.0, "homogeneous capacity slot {m}");
@@ -501,14 +547,14 @@ mod tests {
         let s = idle_probe_state(ClusterConfig::paper(2), e.clone());
         // Real slots: idle, on, capacity 1.
         for m in 0..2 {
-            let g = &s.groups[e.group_of(m)];
+            let g = s.group(e.group_of(m));
             let base = e.slot_of(m) * f;
             assert_eq!(g[base + 3], 1.0, "server {m} availability");
             assert_eq!(g[base + f - 1], 1.0, "server {m} capacity");
         }
         // Slots 2 and 3 have not joined: all-zero.
         for m in 2..4 {
-            let g = &s.groups[e.group_of(m)];
+            let g = s.group(e.group_of(m));
             let base = e.slot_of(m) * f;
             assert!(
                 g[base..base + f].iter().all(|&x| x == 0.0),
@@ -528,13 +574,38 @@ mod tests {
     }
 
     #[test]
-    fn group_matrices_have_expected_shape() {
-        let s = GlobalState {
-            groups: vec![vec![0.0; 6], vec![0.0; 6]],
-            job: vec![0.0; 4],
-        };
-        assert_eq!(s.group_matrix(1).shape(), (1, 6));
-        assert_eq!(s.job_matrix().shape(), (1, 4));
+    fn flat_state_blocks_have_expected_shape() {
+        let s = GlobalState::from_parts(&[vec![1.0; 6], vec![2.0; 6]], &[3.0; 4]);
+        assert_eq!(s.as_slice().len(), 16);
+        assert_eq!(s.group(0), &[1.0; 6]);
+        assert_eq!(s.group(1), &[2.0; 6]);
+        assert_eq!(s.job(), &[3.0; 4]);
+    }
+
+    #[test]
+    fn encode_into_overwrites_a_dirty_row() {
+        // The arena hands `encode_into` recycled rows: stale contents must
+        // not leak into zero (padding, not-yet-joined) slots.
+        let e = encoder(4, 2);
+        let s = idle_probe_state(ClusterConfig::paper(2), e.clone());
+        let jobs = vec![Job::new(
+            JobId(0),
+            SimTime::from_secs(1.0),
+            60.0,
+            ResourceVec::cpu_mem_disk(0.2, 0.1, 0.05),
+        )];
+        struct Dirty(StateEncoder, Vec<f32>);
+        impl Allocator for Dirty {
+            fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
+                self.1.fill(9.0);
+                self.0.encode_into(job, view, &mut self.1);
+                ServerId(0)
+            }
+        }
+        let mut dirty = Dirty(e.clone(), vec![0.0; e.state_width()]);
+        let mut cluster = Cluster::new(ClusterConfig::paper(2), jobs).unwrap();
+        cluster.run(&mut dirty, &mut AlwaysOnPower, RunLimit::unbounded());
+        assert_eq!(dirty.1, s.as_slice());
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! suite, because the reference and hot paths share these kernels and so
 //! remain mutually bitwise identical.
 //!
+//! Ragged widths never change that order either. `gemm_row` fuses the
+//! columns after its 32-wide tiles into one k loop of 8-wide, 4-wide and
+//! scalar accumulators; `gemm_row4` runs them as a single masked tile,
+//! 16 lanes wide or 8 when at most 8 columns remain (`maskload`/
+//! `maskstore`, whose dead lanes neither read nor write memory), so each
+//! live lane is exactly a full-tile lane.
+//!
 //! On non-x86_64 targets (or CPUs without AVX and FMA) everything falls
 //! back to scalar `mul_add` loops with the identical accumulation order.
 
@@ -123,6 +130,13 @@ fn gemm_row_scalar(
 /// tile, so the k loop runs at add *latency*, not throughput. Four rows
 /// share each `b` load and keep four chains in flight, which is worth
 /// ~2-3x at this codebase's layer widths (15/30-wide autoencoder rows).
+///
+/// The SIMD path walks `j` in 16-wide tiles (two YMM halves × four rows =
+/// eight register accumulators) and finishes the 1-15 columns left over
+/// as one more tile with its dead lanes masked off (its high half only
+/// when more than 8 columns remain): a ragged width such as the 15-wide
+/// Sub-Q head at M = 30 then costs a single pass over `k` with all eight
+/// accumulator chains in flight.
 ///
 /// `matmul` passes four consecutive rows (`a_row_step = cols`,
 /// `a_k_stride = 1`); `matmul_tn` passes four consecutive columns
@@ -619,83 +633,113 @@ unsafe fn gemm_row4_avx(
         _mm256_storeu_ps(op.add(3 * n + j + 8), c31);
         j += 16;
     }
-    while j + 8 <= n {
-        let mut c0 = _mm256_loadu_ps(op.add(j));
-        let mut c1 = _mm256_loadu_ps(op.add(n + j));
-        let mut c2 = _mm256_loadu_ps(op.add(2 * n + j));
-        let mut c3 = _mm256_loadu_ps(op.add(3 * n + j));
-        for k in 0..k_count {
-            let bv = _mm256_loadu_ps(bp0.add(k * ldb + j));
-            let ak = ap.add(k * a_k_stride);
-            let a0 = *ak;
-            if a0 != 0.0 {
-                c0 = _mm256_fmadd_ps(_mm256_set1_ps(a0), bv, c0);
-            }
-            let a1 = *ak.add(a_row_step);
-            if a1 != 0.0 {
-                c1 = _mm256_fmadd_ps(_mm256_set1_ps(a1), bv, c1);
-            }
-            let a2 = *ak.add(2 * a_row_step);
-            if a2 != 0.0 {
-                c2 = _mm256_fmadd_ps(_mm256_set1_ps(a2), bv, c2);
-            }
-            let a3 = *ak.add(3 * a_row_step);
-            if a3 != 0.0 {
-                c3 = _mm256_fmadd_ps(_mm256_set1_ps(a3), bv, c3);
-            }
+    // The 1-15 columns left over run as one masked tile.
+    let (bp, op) = (bp0.add(j), op.add(j));
+    match n - j {
+        0 => {}
+        rem @ 1..=8 => {
+            gemm_row4_masked::<false>(ap, a_row_step, a_k_stride, k_count, bp, ldb, op, n, rem)
         }
-        _mm256_storeu_ps(op.add(j), c0);
-        _mm256_storeu_ps(op.add(n + j), c1);
-        _mm256_storeu_ps(op.add(2 * n + j), c2);
-        _mm256_storeu_ps(op.add(3 * n + j), c3);
-        j += 8;
+        rem => gemm_row4_masked::<true>(ap, a_row_step, a_k_stride, k_count, bp, ldb, op, n, rem),
     }
-    while j + 4 <= n {
-        let mut c0 = _mm_loadu_ps(op.add(j));
-        let mut c1 = _mm_loadu_ps(op.add(n + j));
-        let mut c2 = _mm_loadu_ps(op.add(2 * n + j));
-        let mut c3 = _mm_loadu_ps(op.add(3 * n + j));
-        for k in 0..k_count {
-            let bv = _mm_loadu_ps(bp0.add(k * ldb + j));
-            let ak = ap.add(k * a_k_stride);
-            let a0 = *ak;
-            if a0 != 0.0 {
-                c0 = _mm_fmadd_ps(_mm_set1_ps(a0), bv, c0);
-            }
-            let a1 = *ak.add(a_row_step);
-            if a1 != 0.0 {
-                c1 = _mm_fmadd_ps(_mm_set1_ps(a1), bv, c1);
-            }
-            let a2 = *ak.add(2 * a_row_step);
-            if a2 != 0.0 {
-                c2 = _mm_fmadd_ps(_mm_set1_ps(a2), bv, c2);
-            }
-            let a3 = *ak.add(3 * a_row_step);
-            if a3 != 0.0 {
-                c3 = _mm_fmadd_ps(_mm_set1_ps(a3), bv, c3);
-            }
+}
+
+/// The masked remainder tile of [`gemm_row4_avx`]: the last `rem` (1-15)
+/// columns of its four output rows, starting at `op` (row stride `n`),
+/// against `b` columns starting at `bp` (row stride `ldb`). A `WIDE` tile
+/// holds two YMM halves per row (eight accumulators, for `rem > 8`);
+/// otherwise only the low half exists, so a narrow remainder does not pay
+/// for a dead one. Lanes past `rem` are masked off: masked loads read them
+/// as zero without touching memory and masked stores leave them alone, so
+/// every live lane performs exactly the per-element FMA sequence of the
+/// full tiles (ascending `k`, zero coefficients skipped), with the
+/// accumulators in registers for the whole `k` loop.
+///
+/// # Safety
+///
+/// The caller must ensure AVX and FMA support, `rem` in `1..=8` (`WIDE =
+/// false`) or `9..=15` (`WIDE = true`), and that the four output rows and
+/// the `k_count` rows of `b` hold `rem` columns from `op`/`bp` on.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx,fma")]
+unsafe fn gemm_row4_masked<const WIDE: bool>(
+    ap: *const f32,
+    a_row_step: usize,
+    a_k_stride: usize,
+    k_count: usize,
+    bp: *const f32,
+    ldb: usize,
+    op: *mut f32,
+    n: usize,
+    rem: usize,
+) {
+    use std::arch::x86_64::*;
+    let (m0, m1) = remainder_masks(rem);
+    let rows = [op, op.add(n), op.add(2 * n), op.add(3 * n)];
+    let mut lo = [_mm256_setzero_ps(); 4];
+    let mut hi = [_mm256_setzero_ps(); 4];
+    for r in 0..4 {
+        lo[r] = _mm256_maskload_ps(rows[r], m0);
+        if WIDE {
+            hi[r] = _mm256_maskload_ps(rows[r].add(8), m1);
         }
-        _mm_storeu_ps(op.add(j), c0);
-        _mm_storeu_ps(op.add(n + j), c1);
-        _mm_storeu_ps(op.add(2 * n + j), c2);
-        _mm_storeu_ps(op.add(3 * n + j), c3);
-        j += 4;
     }
-    if j < n {
-        // Scalar tail (at most three columns per row), same k-ascending
-        // order per element as every path above.
+    for k in 0..k_count {
+        let bk = bp.add(k * ldb);
+        let b0 = _mm256_maskload_ps(bk, m0);
+        let b1 = if WIDE {
+            _mm256_maskload_ps(bk.add(8), m1)
+        } else {
+            _mm256_setzero_ps()
+        };
+        let ak = ap.add(k * a_k_stride);
         for r in 0..4 {
-            for k in 0..k_count {
-                let aik = *ap.add(r * a_row_step + k * a_k_stride);
-                if aik == 0.0 {
-                    continue;
-                }
-                for jj in j..n {
-                    *op.add(r * n + jj) = aik.mul_add(*bp0.add(k * ldb + jj), *op.add(r * n + jj));
+            let a = *ak.add(r * a_row_step);
+            if a != 0.0 {
+                let av = _mm256_set1_ps(a);
+                lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
+                if WIDE {
+                    hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
                 }
             }
         }
     }
+    for r in 0..4 {
+        _mm256_maskstore_ps(rows[r], m0, lo[r]);
+        if WIDE {
+            _mm256_maskstore_ps(rows[r].add(8), m1, hi[r]);
+        }
+    }
+}
+
+/// Lane masks for a tile of which only the first `rem` lanes (`1..=15`)
+/// are live: the low and high eight-lane halves, all-ones on live lanes.
+/// Loaded from a sliding window over a constant table, so building them
+/// needs only AVX (no AVX2 integer compares).
+///
+/// # Safety
+///
+/// The caller must ensure AVX support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn remainder_masks(rem: usize) -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
+    use std::arch::x86_64::*;
+    /// Sixteen live lanes then sixteen dead ones: the window starting at
+    /// `16 - live` holds `live` ones first.
+    static TABLE: [i32; 32] = [
+        -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ];
+    assert!(
+        (1..16).contains(&rem),
+        "remainder tile width {rem} not in 1..16"
+    );
+    let tp = TABLE.as_ptr();
+    (
+        _mm256_loadu_si256(tp.add(16 - rem).cast()),
+        _mm256_loadu_si256(tp.add(24 - rem).cast()),
+    )
 }
 
 /// # Safety
@@ -901,10 +945,10 @@ mod tests {
 
     #[test]
     fn gemm_row4_matches_four_gemm_row_calls_bitwise() {
-        // Widths cover the 16-tile, 8-tile, 4-tile, and scalar-tail paths;
-        // the (row_step, k_stride) pairs cover the matmul (rows) and
-        // matmul_tn (columns) access patterns.
-        for &w in &[1usize, 3, 5, 8, 12, 15, 19, 30, 32, 39, 64, 71] {
+        // Every width 1..=48: each masked remainder (1-15 columns) alone,
+        // after one 16-tile and after two; the (row_step, k_stride) pairs
+        // cover the matmul (rows) and matmul_tn (columns) access patterns.
+        for w in 1usize..=48 {
             for &(row_step, k_stride) in &[(7usize, 1usize), (1, 4)] {
                 for k_count in [1usize, 2, 7] {
                     let a_len = 3 * row_step + (k_count - 1) * k_stride + 1;

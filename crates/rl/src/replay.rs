@@ -50,13 +50,17 @@ impl<T> ReplayMemory<T> {
         self.items.len() == self.capacity
     }
 
-    /// Inserts a transition, evicting the oldest if full.
-    pub fn push(&mut self, item: T) {
+    /// Inserts a transition, evicting the oldest if full. Returns the
+    /// evicted transition, so a caller that keeps per-transition resources
+    /// elsewhere (the DRL allocator's state arena) can release them.
+    pub fn push(&mut self, item: T) -> Option<T> {
         if self.items.len() < self.capacity {
             self.items.push(item);
+            None
         } else {
-            self.items[self.next] = item;
+            let evicted = std::mem::replace(&mut self.items[self.next], item);
             self.next = (self.next + 1) % self.capacity;
+            Some(evicted)
         }
     }
 
@@ -96,7 +100,7 @@ mod tests {
             m.push(i);
         }
         assert!(m.is_full());
-        m.push(3); // evicts 0
+        assert_eq!(m.push(3), Some(0)); // evicts 0
         let mut items: Vec<i32> = m.iter().cloned().collect();
         items.sort_unstable();
         assert_eq!(items, vec![1, 2, 3]);
@@ -106,10 +110,10 @@ mod tests {
     #[test]
     fn eviction_is_fifo() {
         let mut m = ReplayMemory::new(2);
-        m.push("a");
-        m.push("b");
-        m.push("c"); // evicts a
-        m.push("d"); // evicts b
+        assert_eq!(m.push("a"), None);
+        assert_eq!(m.push("b"), None);
+        assert_eq!(m.push("c"), Some("a"));
+        assert_eq!(m.push("d"), Some("b"));
         let mut items: Vec<&str> = m.iter().cloned().collect();
         items.sort_unstable();
         assert_eq!(items, vec!["c", "d"]);
