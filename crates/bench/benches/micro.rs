@@ -1,17 +1,14 @@
 //! Criterion micro-benchmarks for the performance-critical paths:
 //!
-//! - `dqn_inference`: one global-tier decision's DNN work (`q_values` over
-//!   all servers) — the paper argues online complexity is low because it is
-//!   proportional to the number of actions;
-//! - `dqn_train_batch`: one minibatch DNN update;
 //! - `lstm_predict` / `lstm_train_step`: the local tier's predictor;
 //! - `simulator_throughput`: event-loop speed with non-learning policies;
 //! - `matmul`: the neural substrate's kernel.
+//!
+//! The global tier's DNN work (`q_values`, `train_batch`) is timed by the
+//! `qbench` subcommand of `hierdrl-bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hierdrl_core::dqn::{GroupedQNetwork, QNetworkConfig, QSample};
 use hierdrl_core::predictor::{IatPredictor, LstmIatPredictor, PredictorConfig};
-use hierdrl_core::state::{GlobalState, StateEncoder, StateEncoderConfig};
 use hierdrl_neural::matrix::Matrix;
 use hierdrl_sim::cluster::{Cluster, RunLimit};
 use hierdrl_sim::config::ClusterConfig;
@@ -20,50 +17,6 @@ use hierdrl_trace::generator::{TraceGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-
-fn layout_m30() -> StateEncoder {
-    StateEncoder::new(30, 3, StateEncoderConfig::default())
-}
-
-fn random_state(layout: &StateEncoder, rng: &mut StdRng) -> GlobalState {
-    let groups: Vec<Vec<f32>> = (0..layout.num_groups())
-        .map(|_| {
-            (0..layout.group_width())
-                .map(|_| rng.gen::<f32>())
-                .collect()
-        })
-        .collect();
-    let job: Vec<f32> = (0..layout.job_width()).map(|_| rng.gen::<f32>()).collect();
-    GlobalState::from_parts(&groups, &job)
-}
-
-fn bench_dqn(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let layout = layout_m30();
-    let mut net = GroupedQNetwork::new(&layout, QNetworkConfig::default(), &mut rng);
-    let state = random_state(&layout, &mut rng);
-
-    c.bench_function("dqn_inference_m30", |b| {
-        b.iter(|| black_box(net.q_values(black_box(&state))))
-    });
-
-    let states: Vec<GlobalState> = (0..32).map(|_| random_state(&layout, &mut rng)).collect();
-    let samples: Vec<QSample> = states
-        .iter()
-        .enumerate()
-        .map(|(i, s)| QSample {
-            state: s.into(),
-            action: i % 30,
-            target: -1.0,
-        })
-        .collect();
-    let mut group = c.benchmark_group("dqn_train");
-    group.sample_size(20);
-    group.bench_function("dqn_train_batch_32", |b| {
-        b.iter(|| black_box(net.train_batch(black_box(&samples))))
-    });
-    group.finish();
-}
 
 fn bench_lstm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
@@ -118,11 +71,5 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_dqn,
-    bench_lstm,
-    bench_simulator,
-    bench_matmul
-);
+criterion_group!(benches, bench_lstm, bench_simulator, bench_matmul);
 criterion_main!(benches);

@@ -43,8 +43,9 @@
 //! missing or malformed value, an unreadable input, or a failed run),
 //! after a one-line message on stderr.
 //!
-//! Criterion micro-benches (decision latency, LSTM step, simulator
-//! throughput) live in `benches/`.
+//! Criterion micro-benches (LSTM predictor step, simulator throughput,
+//! matmul kernel) live in `benches/`; the global tier's DNN hot path is
+//! timed by `qbench`.
 
 #![forbid(unsafe_code)]
 

@@ -128,10 +128,8 @@ pub struct DpmSnapshot {
     pub tables: Vec<QTable<u16>>,
     /// Representative capacity vector of each class, in class
     /// (first-appearance) order — what each shared table was trained *on*.
-    /// Empty for managers built with [`RlPowerManager::new`], whose
-    /// capacity structure is unknown; cluster-aware restores validate
-    /// against it so a class-permuted cluster cannot silently receive a
-    /// big-server table on its little servers.
+    /// Restores validate against it so a class-permuted cluster cannot
+    /// silently receive a big-server table on its little servers.
     pub class_capacities: Vec<Vec<f64>>,
     /// Statistics at snapshot time.
     pub stats: DpmStats,
@@ -207,8 +205,8 @@ fn capacity_classes(cluster: &hierdrl_sim::config::ClusterConfig) -> (Vec<usize>
 /// [`RlPowerConfig::shared_learning`] (the default) servers of the same
 /// capacity class pool their learned Q-values, exactly as the paper's
 /// Sub-Q networks share weights; set it to `false` for fully isolated
-/// tables. Build heterogeneous fleets with
-/// [`RlPowerManager::for_cluster`] so big and little servers learn in
+/// tables. [`RlPowerManager::for_cluster`] reads the capacity classes off
+/// the cluster, so on heterogeneous fleets big and little servers learn in
 /// separate pools.
 #[derive(Debug)]
 pub struct RlPowerManager {
@@ -216,8 +214,7 @@ pub struct RlPowerManager {
     discretizer: Discretizer,
     agents: Vec<ServerAgent>,
     tables: Vec<QTable<u16>>,
-    /// Representative capacity per class, in class order (empty when the
-    /// capacity structure is unknown, i.e. built via [`RlPowerManager::new`]).
+    /// Representative capacity per class, in class order.
     class_capacities: Vec<Vec<f64>>,
     /// `false` freezes every learnable part (Q-tables, predictors,
     /// exploration) — the no-continued-training ablation of online
@@ -227,22 +224,11 @@ pub struct RlPowerManager {
 }
 
 impl RlPowerManager {
-    /// Builds a manager for `num_servers` *unit-capacity* servers (one
-    /// capacity class). Use [`RlPowerManager::for_cluster`] when the
-    /// cluster may be heterogeneous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or `num_servers == 0`.
-    pub fn new(num_servers: usize, config: RlPowerConfig) -> Self {
-        assert!(num_servers > 0, "need at least one server");
-        Self::with_classes(num_servers, vec![0; num_servers], Vec::new(), config)
-    }
-
     /// Builds a manager for `cluster`, keying shared learning by capacity
     /// class: servers with equal capacity vectors pool one Q-table; unequal
-    /// servers learn separately (their idle economics differ). Collapses to
-    /// [`RlPowerManager::new`] on homogeneous clusters.
+    /// servers learn separately (their idle economics differ). A
+    /// homogeneous cluster (e.g. `ClusterConfig::paper(n)`) gets the
+    /// paper's single shared table.
     ///
     /// # Panics
     ///
@@ -253,20 +239,9 @@ impl RlPowerManager {
         config: RlPowerConfig,
     ) -> Self {
         assert!(cluster.num_servers > 0, "need at least one server");
-        let (classes, class_capacities) = capacity_classes(cluster);
-        Self::with_classes(cluster.effective_max(), classes, class_capacities, config)
-    }
-
-    /// `class_capacities` is empty when the capacity structure is unknown
-    /// ([`RlPowerManager::new`]); then there is exactly one class.
-    fn with_classes(
-        num_servers: usize,
-        classes: Vec<usize>,
-        class_capacities: Vec<Vec<f64>>,
-        config: RlPowerConfig,
-    ) -> Self {
-        let num_classes = class_capacities.len().max(1);
         config.validate().expect("invalid RL power config");
+        let (classes, class_capacities) = capacity_classes(cluster);
+        let num_servers = cluster.effective_max();
         let discretizer =
             Discretizer::log_spaced(config.iat_range.0, config.iat_range.1, config.iat_bins);
         let agents: Vec<ServerAgent> = (0..num_servers)
@@ -287,7 +262,7 @@ impl RlPowerManager {
             })
             .collect();
         let table_count = if config.shared_learning {
-            num_classes
+            class_capacities.len()
         } else {
             num_servers
         };
@@ -331,53 +306,22 @@ impl RlPowerManager {
         }
     }
 
-    /// Reconstructs a manager for `num_servers` *unit-capacity* servers
-    /// from a snapshot. Use [`RlPowerManager::from_snapshot_for_cluster`]
-    /// for heterogeneous clusters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's table count is incompatible with
-    /// `num_servers` under its own `shared_learning` setting.
-    pub fn from_snapshot(num_servers: usize, snapshot: DpmSnapshot) -> Self {
-        let expected = if snapshot.config.shared_learning {
-            1
-        } else {
-            num_servers
-        };
-        assert_eq!(
-            snapshot.tables.len(),
-            expected,
-            "snapshot has {} tables, expected {expected}",
-            snapshot.tables.len()
-        );
-        let mut mgr = Self::new(num_servers, snapshot.config);
-        mgr.tables = snapshot.tables;
-        mgr.stats = snapshot.stats;
-        mgr
-    }
-
     /// Reconstructs a manager for `cluster` from a snapshot taken on a
     /// cluster with the same capacity-class structure.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's table count is incompatible with the
-    /// cluster's capacity classes under its own `shared_learning` setting.
-    /// Panics also if the snapshot records class capacities (taken via
-    /// [`RlPowerManager::for_cluster`]) that differ from the cluster's —
+    /// cluster's capacity classes under its own `shared_learning` setting,
+    /// or if the snapshot's class capacities differ from the cluster's —
     /// including the same classes in a different order, which would
     /// silently hand a big-server table to little servers.
     pub fn from_snapshot_for_cluster(
         cluster: &hierdrl_sim::config::ClusterConfig,
         snapshot: DpmSnapshot,
     ) -> Self {
-        let (classes, class_capacities) = capacity_classes(cluster);
-        let expected = if snapshot.config.shared_learning {
-            class_capacities.len()
-        } else {
-            cluster.effective_max()
-        };
+        let mut mgr = Self::for_cluster(cluster, snapshot.config);
+        let expected = mgr.tables.len();
         assert_eq!(
             snapshot.tables.len(),
             expected,
@@ -385,26 +329,18 @@ impl RlPowerManager {
              capacity classes",
             snapshot.tables.len()
         );
-        if !snapshot.class_capacities.is_empty() {
-            assert!(
-                snapshot.class_capacities.len() == class_capacities.len()
-                    && snapshot
-                        .class_capacities
-                        .iter()
-                        .zip(&class_capacities)
-                        .all(|(a, b)| capacity_eq(a, b)),
-                "snapshot capacity classes {:?} do not match this cluster's {:?} \
-                 (same class in a different order still mismatches: tables are \
-                 keyed by class index)",
-                snapshot.class_capacities,
-                class_capacities
-            );
-        }
-        let mut mgr = Self::with_classes(
-            cluster.effective_max(),
-            classes,
-            class_capacities,
-            snapshot.config,
+        assert!(
+            snapshot.class_capacities.len() == mgr.class_capacities.len()
+                && snapshot
+                    .class_capacities
+                    .iter()
+                    .zip(&mgr.class_capacities)
+                    .all(|(a, b)| capacity_eq(a, b)),
+            "snapshot capacity classes {:?} do not match this cluster's {:?} \
+             (same class in a different order still mismatches: tables are \
+             keyed by class index)",
+            snapshot.class_capacities,
+            mgr.class_capacities
         );
         mgr.tables = snapshot.tables;
         mgr.stats = snapshot.stats;
@@ -628,7 +564,7 @@ mod tests {
 
     #[test]
     fn runs_end_to_end_and_updates() {
-        let mut mgr = RlPowerManager::new(2, fast_config());
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(2), fast_config());
         let mut cluster = Cluster::new(ClusterConfig::paper(2), bursty_jobs(200)).unwrap();
         let out = cluster.run(
             &mut RoundRobinAllocator::new(),
@@ -647,7 +583,7 @@ mod tests {
         // yielding clearly less energy than always-on.
         let mut config = fast_config();
         config.weight = 1.0;
-        let mut mgr = RlPowerManager::new(1, config);
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(1), config);
         let jobs = bursty_jobs(150);
         let mut cluster = Cluster::new(ClusterConfig::paper(1), jobs.clone()).unwrap();
         let rl = cluster
@@ -680,7 +616,7 @@ mod tests {
         // the learned policy should approach the always-on latency.
         let mut config = fast_config();
         config.weight = 0.0;
-        let mut mgr = RlPowerManager::new(1, config);
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(1), config);
         let jobs = bursty_jobs(300);
         let mut cluster = Cluster::new(ClusterConfig::paper(1), jobs.clone()).unwrap();
         let rl = cluster
@@ -709,7 +645,7 @@ mod tests {
 
     #[test]
     fn per_server_agents_are_independent() {
-        let mut mgr = RlPowerManager::new(3, fast_config());
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(3), fast_config());
         // All jobs to server 0 via a constant allocator.
         struct ToZero;
         impl hierdrl_sim::cluster::Allocator for ToZero {
@@ -786,6 +722,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "do not match this cluster's")]
+    fn snapshot_without_capacity_classes_is_rejected() {
+        // A snapshot whose class record is missing cannot vouch for which
+        // table belongs to which class: restoring it onto a class-permuted
+        // cluster with a matching table count must refuse rather than hand
+        // the big-server table to the little server.
+        let mut cluster = ClusterConfig::paper(2);
+        cluster.server_capacities = Some(vec![
+            ResourceVec::new(&[2.0, 2.0, 2.0]),
+            ResourceVec::ones(3),
+        ]);
+        let mut snapshot = RlPowerManager::for_cluster(&cluster, fast_config()).snapshot();
+        snapshot.class_capacities.clear();
+        let mut permuted = ClusterConfig::paper(2);
+        permuted.server_capacities = Some(vec![
+            ResourceVec::ones(3),
+            ResourceVec::new(&[2.0, 2.0, 2.0]),
+        ]);
+        let _ = RlPowerManager::from_snapshot_for_cluster(&permuted, snapshot);
+    }
+
+    #[test]
     fn class_tables_learn_independently() {
         // All jobs land on big server 0; the little class's table must
         // stay untouched.
@@ -814,7 +772,7 @@ mod tests {
 
     #[test]
     fn run_begin_clears_timestamp_anchored_state() {
-        let mut mgr = RlPowerManager::new(2, fast_config());
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(2), fast_config());
         let mut cluster = Cluster::new(ClusterConfig::paper(2), bursty_jobs(60)).unwrap();
         cluster.run(
             &mut RoundRobinAllocator::new(),
@@ -849,7 +807,7 @@ mod tests {
         // exact: zero rejections, and per-segment observation counts that
         // match independent runs (one unobservable gap per server per
         // segment, never one fewer).
-        let mut mgr = RlPowerManager::new(1, fast_config());
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(1), fast_config());
         let seg_a = bursty_jobs(90);
         let seg_b = bursty_jobs(60);
         let mut cluster = Cluster::new(ClusterConfig::paper(1), seg_a).unwrap();
@@ -879,7 +837,7 @@ mod tests {
 
     #[test]
     fn frozen_manager_stops_learning_but_keeps_deciding() {
-        let mut mgr = RlPowerManager::new(2, fast_config());
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(2), fast_config());
         let jobs = bursty_jobs(120);
         let mut cluster = Cluster::new(ClusterConfig::paper(2), jobs.clone()).unwrap();
         cluster.run(

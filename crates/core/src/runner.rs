@@ -637,8 +637,7 @@ mod tests {
             )
             .unwrap();
 
-        let stream = hierdrl_trace::stream::TraceStream::new(std::sync::Arc::new(trace));
-        let segment = Segment::stream(ArrivalSource::from_stream(stream));
+        let segment = Segment::stream(ArrivalSource::from_stream(trace.into_jobs().into_iter()));
         let streamed = Experiment::from_segments("rr", &config, [segment])
             .run(
                 &mut RoundRobinAllocator::new(),
@@ -666,8 +665,7 @@ mod tests {
         let mut raw = config.clone();
         raw.lazy_accounting = true;
         raw.retain_completed_jobs = false;
-        let stream = hierdrl_trace::stream::TraceStream::new(std::sync::Arc::new(trace));
-        let segment = Segment::stream(ArrivalSource::from_stream(stream));
+        let segment = Segment::stream(ArrivalSource::from_stream(trace.into_jobs().into_iter()));
         let streamed = Experiment::from_segments("rr", &raw, [segment])
             .run(&mut RoundRobinAllocator::new(), &mut AlwaysOnPower)
             .unwrap();

@@ -213,7 +213,7 @@
 //!
 //! [`scenario::WorkloadSpec::RealTrace`] swaps a cell's synthetic
 //! generator for an on-disk trace — Google `task_events` or Alibaba
-//! `batch_task`, behind [`hierdrl_trace::source::TraceSource`]. The runner
+//! `batch_task`, read by [`hierdrl_trace::source::RealTraceSource`]. The runner
 //! parses the file once per run, trusts its demand columns only while the
 //! parser's `demand_defaulted` fraction stays under the cell's gate
 //! (falling back to seeded synthetic demands over the file's arrival

@@ -43,7 +43,7 @@ use hierdrl_sim::policies::{FixedTimeoutPower, SleepImmediatelyPower};
 use hierdrl_sim::router::Router;
 use hierdrl_trace::google::ParseStats;
 use hierdrl_trace::materialize::{TraceCache, TraceSpec};
-use hierdrl_trace::source::{with_synthetic_demands, TraceSource};
+use hierdrl_trace::source::{with_synthetic_demands, RealTraceSource};
 use hierdrl_trace::trace::Trace;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -92,9 +92,11 @@ impl PretrainCache {
     }
 }
 
-/// Shared per-run context handed to every cell.
+/// Shared per-run context handed to every cell; every run starts from an
+/// empty one.
+#[derive(Default)]
 struct RunContext {
-    traces: Arc<TraceCache>,
+    traces: TraceCache,
     pretrained: PretrainCache,
     /// Parsed on-disk traces, memoized by source label (`format:path`) so
     /// every cell replaying the same file parses it once. Parsing is a
@@ -104,7 +106,7 @@ struct RunContext {
 
 impl RunContext {
     /// Loads (or returns the memoized) parse of a real-trace source.
-    fn load_real(&self, source: &dyn TraceSource) -> Result<Arc<(Trace, ParseStats)>, String> {
+    fn load_real(&self, source: &RealTraceSource) -> Result<Arc<(Trace, ParseStats)>, String> {
         let label = source.label();
         if let Some(hit) = self
             .real_traces
@@ -369,7 +371,6 @@ impl SuiteRun {
 #[derive(Debug, Clone, Default)]
 pub struct SuiteRunner {
     threads: Option<usize>,
-    traces: Option<Arc<TraceCache>>,
 }
 
 impl SuiteRunner {
@@ -381,24 +382,13 @@ impl SuiteRunner {
     /// A single-threaded runner (reference execution for determinism
     /// checks).
     pub fn serial() -> Self {
-        Self {
-            threads: Some(1),
-            traces: None,
-        }
+        Self { threads: Some(1) }
     }
 
     /// Pins the worker-thread count (`0`/unset = machine default).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
-        self
-    }
-
-    /// Shares an external trace cache with the run, so callers can reuse
-    /// the traces it materializes (or pre-seed them) without regenerating.
-    #[must_use]
-    pub fn with_trace_cache(mut self, cache: Arc<TraceCache>) -> Self {
-        self.traces = Some(cache);
         self
     }
 
@@ -420,13 +410,7 @@ impl SuiteRunner {
     /// Returns the first failing cell's error, tagged with its scenario id.
     pub fn run(&self, suite: &Suite) -> Result<SuiteRun, String> {
         let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
-        let ctx = RunContext {
-            traces: self.traces.clone().unwrap_or_default(),
-            pretrained: PretrainCache::default(),
-            real_traces: Mutex::new(BTreeMap::new()),
-        };
-        // An external cache may carry earlier activity; report deltas.
-        let (hits_before, misses_before) = (ctx.traces.hits(), ctx.traces.misses());
+        let ctx = RunContext::default();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.threads())
             .build()
@@ -446,8 +430,8 @@ impl SuiteRunner {
             cells,
             threads: self.threads(),
             total_wall_s: 0.0,
-            traces_materialized: ctx.traces.misses() - misses_before,
-            trace_cache_hits: ctx.traces.hits() - hits_before,
+            traces_materialized: ctx.traces.misses(),
+            trace_cache_hits: ctx.traces.hits(),
             expectations: Vec::new(),
         };
         run.expectations = evaluate_expectations(&suite.expectations, &run);

@@ -1960,7 +1960,6 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierdrl_trace::source::TraceSource;
 
     #[test]
     fn workload_scales_with_cluster_size() {

@@ -39,7 +39,6 @@ pub mod policy;
 pub mod qtable;
 pub mod replay;
 pub mod smdp;
-pub mod ucb;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
@@ -48,5 +47,4 @@ pub mod prelude {
     pub use crate::qtable::QTable;
     pub use crate::replay::ReplayMemory;
     pub use crate::smdp::{discount, reward_weight, smdp_target, smdp_update, SmdpParams};
-    pub use crate::ucb::Ucb1;
 }

@@ -6,8 +6,8 @@
 //! uses microseconds) and planned resource requests. This parser extracts
 //! the same `(arrival, duration, demand)` tuples the paper's evaluation
 //! consumes from the Google trace, behind the same [`ParseStats`]
-//! provenance contract, so either trace can sit behind
-//! [`crate::source::TraceSource`].
+//! provenance contract, so either trace replays through
+//! [`crate::source::RealTraceSource`].
 //!
 //! `batch_task.csv` columns as consumed here:
 //! `0` create timestamp (s), `1` end timestamp (s), `2` job id,

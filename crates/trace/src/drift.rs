@@ -16,10 +16,8 @@
 //! an ordered list of segments under one set of policy objects.
 
 use crate::generator::WorkloadConfig;
-use crate::materialize::{TraceCache, TraceSpec};
-use crate::trace::Trace;
+use crate::materialize::TraceSpec;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// SplitMix64 finalizer: decorrelates derived seeds so that per-segment
 /// (and, in the suite layer, per-cell and per-shard) seed streams are
@@ -188,31 +186,12 @@ impl SegmentedTraceSpec {
             .collect();
         Self { segments }
     }
-
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Whether the spec has no segments (never true for
-    /// [`SegmentedTraceSpec::from_shifts`] output).
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Materializes every segment through `cache`, in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first segment's materialization error.
-    pub fn materialize(&self, cache: &TraceCache) -> Result<Vec<Arc<Trace>>, String> {
-        self.segments.iter().map(|spec| cache.get(spec)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::materialize::TraceCache;
 
     fn base() -> WorkloadConfig {
         WorkloadConfig::google_like(7, 50_000.0)
@@ -275,7 +254,11 @@ mod tests {
         let shifts = [SegmentShift::Stationary, SegmentShift::RateScale(2.0)];
         let spec = SegmentedTraceSpec::from_shifts(&base(), &shifts, 200, 9);
         let cache = TraceCache::new();
-        let traces = spec.materialize(&cache).unwrap();
+        let traces: Vec<_> = spec
+            .segments
+            .iter()
+            .map(|s| cache.get(s).unwrap())
+            .collect();
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].len() + traces[1].len(), 200);
         // Stationary and rate-shifted segments draw from different seeds

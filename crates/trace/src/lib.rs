@@ -1,9 +1,10 @@
 //! # hierdrl-trace
 //!
 //! Workload substrate for the hierarchical DRL framework: synthetic
-//! Google-cluster-style trace generation, trace statistics/slicing, parsers
-//! for two real cluster-trace formats, and a common [`source::TraceSource`]
-//! interface over all of them.
+//! Google-cluster-style trace generation (materialized through a
+//! [`materialize::TraceCache`] or streamed by [`stream::GeneratorStream`]),
+//! trace statistics/slicing, and parsers for two real cluster-trace
+//! formats behind [`source::RealTraceSource`].
 //!
 //! The paper evaluates on the May-2011 Google cluster-usage traces, split
 //! into ~week-long segments of ~100,000 jobs for a 30–40 machine cluster,
@@ -34,28 +35,23 @@
 //! # Ok::<(), String>(())
 //! ```
 //!
-//! Any source — synthetic recipe or real trace file — behind the common
-//! interface, with load/stream equivalence:
+//! The two arrival paths: a synthetic recipe, materialized or streamed
+//! byte-identically, and a real trace file:
 //!
 //! ```
 //! use hierdrl_trace::prelude::*;
 //!
-//! let sources: Vec<Box<dyn TraceSource>> = vec![
-//!     Box::new(SyntheticSource::new(TraceSpec::new(
-//!         WorkloadConfig::google_like(42, 60_000.0),
-//!         500,
-//!     ))),
-//!     Box::new(RealTraceSource::from_csv(
-//!         "0,300,1,1,1,Terminated,50,0.25",
-//!         TraceFormat::AlibabaBatchTask,
-//!     )),
-//! ];
-//! for source in &sources {
-//!     let (trace, stats) = source.load()?;
-//!     assert_eq!(stats.jobs_kept, trace.len());
-//!     let streamed: Vec<_> = source.stream()?.collect();
-//!     assert_eq!(trace.jobs(), streamed.as_slice());
-//! }
+//! let spec = TraceSpec::new(WorkloadConfig::google_like(42, 60_000.0), 500);
+//! let trace = spec.materialize()?;
+//! let streamed: Vec<_> = spec.stream()?.collect();
+//! assert_eq!(trace.jobs(), streamed.as_slice());
+//!
+//! let source = RealTraceSource::from_csv(
+//!     "0,300,1,1,1,Terminated,50,0.25",
+//!     TraceFormat::AlibabaBatchTask,
+//! );
+//! let (trace, stats) = source.load()?;
+//! assert_eq!(stats.jobs_kept, trace.len());
 //! # Ok::<(), String>(())
 //! ```
 
@@ -70,7 +66,6 @@ pub mod google;
 pub mod materialize;
 pub mod pattern;
 pub mod source;
-pub mod stats;
 pub mod stream;
 pub mod trace;
 
@@ -88,10 +83,7 @@ pub mod prelude {
     };
     pub use crate::materialize::{TraceCache, TraceSpec};
     pub use crate::pattern::{ArrivalPattern, SECS_PER_DAY, SECS_PER_WEEK};
-    pub use crate::source::{
-        with_synthetic_demands, RealTraceSource, SyntheticSource, TraceFormat, TraceSource,
-    };
-    pub use crate::stats::{Histogram, WorkloadProfile};
-    pub use crate::stream::{GeneratorStream, JobStream, TraceStream};
+    pub use crate::source::{with_synthetic_demands, RealTraceSource, TraceFormat};
+    pub use crate::stream::GeneratorStream;
     pub use crate::trace::{Trace, TraceError, TraceStats};
 }

@@ -66,66 +66,24 @@ impl TraceSpec {
 
 type Slot = Arc<Mutex<Option<Arc<Trace>>>>;
 
-/// One cache slot plus the recency stamp the bounded mode orders
-/// evictions by (refreshed on every `get`, hit or miss).
-#[derive(Debug)]
-struct SlotEntry {
-    slot: Slot,
-    last_used: u64,
-}
-
 /// A thread-safe, per-spec memoization of trace materialization.
 ///
 /// Locking is two-level: a brief map lock to find/create the spec's slot,
 /// then a per-slot lock while generating — so concurrent requests for
 /// *different* specs generate in parallel, while concurrent requests for
-/// the *same* spec generate once and share the result.
-///
-/// Key-ordered (`BTreeMap`) so any walk over the slots — [`resident`]
-/// today, diagnostics tomorrow — observes a deterministic order.
-///
-/// [`TraceCache::new`] caches without bound; [`TraceCache::with_capacity`]
-/// caps the number of *resident* traces, evicting the least-recently-used
-/// one when a fresh materialization would exceed the cap — the working-set
-/// mode for segmented sweeps, where each segment's trace is re-touched many
-/// times in a burst and then never again.
-///
-/// [`resident`]: TraceCache::resident
+/// the *same* spec generate once and share the result. Traces stay
+/// resident for the cache's lifetime (one suite run).
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    slots: Mutex<BTreeMap<String, SlotEntry>>,
-    /// Maximum resident traces (`None`: unbounded).
-    capacity: Option<usize>,
-    /// Monotonic recency clock; each `get` stamps its slot.
-    tick: AtomicU64,
+    slots: Mutex<BTreeMap<String, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl TraceCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache holding at most `capacity` resident traces.
-    ///
-    /// When a materialization would leave more than `capacity` traces
-    /// resident, least-recently-used resident traces are dropped (counted
-    /// by [`TraceCache::evictions`]). Outstanding `Arc<Trace>` handles
-    /// survive, and a later `get` re-materializes byte-identically, so the
-    /// cap trades wall-clock for memory without affecting results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace cache capacity must be positive");
-        Self {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
     }
 
     /// Returns the trace for `spec`, generating it on first request.
@@ -134,18 +92,9 @@ impl TraceCache {
     ///
     /// Returns an error if the workload configuration is invalid.
     pub fn get(&self, spec: &TraceSpec) -> Result<Arc<Trace>, String> {
-        let fingerprint = spec.fingerprint();
         let slot = {
             let mut slots = self.slots.lock().expect("trace cache map lock");
-            let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-            let entry = slots
-                .entry(fingerprint.clone())
-                .or_insert_with(|| SlotEntry {
-                    slot: Arc::new(Mutex::new(None)),
-                    last_used: 0,
-                });
-            entry.last_used = stamp;
-            Arc::clone(&entry.slot)
+            Arc::clone(slots.entry(spec.fingerprint()).or_default())
         };
         let mut entry = slot.lock().expect("trace cache slot lock");
         if let Some(trace) = entry.as_ref() {
@@ -155,49 +104,7 @@ impl TraceCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let trace = Arc::new(spec.materialize()?);
         *entry = Some(Arc::clone(&trace));
-        drop(entry);
-        self.enforce_capacity(&fingerprint);
         Ok(trace)
-    }
-
-    /// Evicts least-recently-used resident traces until at most
-    /// `capacity` remain. `keep` (the slot just filled) is never evicted.
-    /// Slots whose per-slot lock is busy are mid-materialization or being
-    /// read — in active use, so they count as resident but are skipped as
-    /// eviction candidates.
-    fn enforce_capacity(&self, keep: &str) {
-        let Some(cap) = self.capacity else { return };
-        let slots = self.slots.lock().expect("trace cache map lock");
-        let mut resident = 0usize;
-        let mut candidates: Vec<(u64, &SlotEntry)> = Vec::new();
-        for (key, entry) in slots.iter() {
-            match entry.slot.try_lock() {
-                Ok(guard) => {
-                    if guard.is_some() {
-                        resident += 1;
-                        if key != keep {
-                            candidates.push((entry.last_used, entry));
-                        }
-                    }
-                }
-                Err(_) => resident += 1,
-            }
-        }
-        if resident <= cap {
-            return;
-        }
-        candidates.sort_unstable_by_key(|(stamp, _)| *stamp);
-        for (_, entry) in candidates.into_iter().take(resident - cap) {
-            if entry
-                .slot
-                .lock()
-                .expect("trace cache slot lock")
-                .take()
-                .is_some()
-            {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Number of cache hits so far.
@@ -210,12 +117,6 @@ impl TraceCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of traces dropped by the capacity bound (explicit
-    /// [`TraceCache::evict`]/[`TraceCache::clear`] calls do not count).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// Number of distinct specs requested so far.
     pub fn len(&self) -> usize {
         self.slots.lock().expect("trace cache map lock").len()
@@ -224,43 +125,6 @@ impl TraceCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of traces currently resident in memory (slots that hold a
-    /// materialized trace). Unlike [`TraceCache::len`], evicted and
-    /// never-materialized slots do not count.
-    pub fn resident(&self) -> usize {
-        let slots = self.slots.lock().expect("trace cache map lock");
-        slots
-            .values()
-            .filter(|entry| entry.slot.lock().expect("trace cache slot lock").is_some())
-            .count()
-    }
-
-    /// Drops the cached trace for `spec`, returning whether one was
-    /// resident. Single-use cells (e.g. raw-scale presets, where each spec
-    /// is requested exactly once) call this after their run so a large
-    /// sweep's memory footprint is one trace, not the whole grid's.
-    ///
-    /// Outstanding `Arc<Trace>` handles keep their trace alive; eviction
-    /// only releases the cache's reference. A later `get` of the same spec
-    /// re-materializes (deterministically, so byte-identical).
-    pub fn evict(&self, spec: &TraceSpec) -> bool {
-        let mut slots = self.slots.lock().expect("trace cache map lock");
-        match slots.remove(&spec.fingerprint()) {
-            Some(entry) => entry
-                .slot
-                .lock()
-                .expect("trace cache slot lock")
-                .take()
-                .is_some(),
-            None => false,
-        }
-    }
-
-    /// Drops every cached trace (hit/miss counters are preserved).
-    pub fn clear(&self) {
-        self.slots.lock().expect("trace cache map lock").clear();
     }
 }
 
@@ -309,91 +173,6 @@ mod tests {
         assert!(cache.get(&bad).is_err());
         // The slot exists but holds no trace; a valid retry would regenerate.
         assert_eq!(cache.hits(), 0);
-    }
-
-    #[test]
-    fn evict_releases_occupancy_and_regenerates_identically() {
-        let cache = TraceCache::new();
-        let s1 = spec(1, 100);
-        let s2 = spec(2, 100);
-        let first = cache.get(&s1).unwrap();
-        let _second = cache.get(&s2).unwrap();
-        assert_eq!(cache.resident(), 2);
-
-        assert!(cache.evict(&s1), "resident trace reports eviction");
-        assert_eq!(cache.resident(), 1);
-        assert!(!cache.evict(&s1), "double eviction is a no-op");
-        // Outstanding handles survive eviction.
-        assert_eq!(first.len(), 100);
-
-        // Re-requesting re-materializes byte-identically (a fresh miss).
-        let again = cache.get(&s1).unwrap();
-        assert!(!Arc::ptr_eq(&first, &again));
-        assert_eq!(*first, *again);
-        assert_eq!(cache.misses(), 3);
-    }
-
-    #[test]
-    fn clear_empties_the_cache_but_keeps_counters() {
-        let cache = TraceCache::new();
-        let _ = cache.get(&spec(1, 50)).unwrap();
-        let _ = cache.get(&spec(2, 50)).unwrap();
-        assert_eq!(cache.resident(), 2);
-        cache.clear();
-        assert_eq!(cache.resident(), 0);
-        assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 2, "counters survive clear");
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used_segment() {
-        // A segmented sweep touches per-segment traces in interleaved
-        // bursts: segment 0 and 1 alternate while both cells run, then
-        // segment 2 starts. With room for two resident traces the third
-        // materialization must push out the *least recently used* one —
-        // segment 1 here, because segment 0 was re-touched after it.
-        let cache = TraceCache::with_capacity(2);
-        let segments = [spec(10, 60), spec(11, 60), spec(12, 60)];
-
-        let s0_first = cache.get(&segments[0]).unwrap(); // miss
-        let _s1 = cache.get(&segments[1]).unwrap(); // miss
-        let _ = cache.get(&segments[1]).unwrap(); // hit
-        let _ = cache.get(&segments[0]).unwrap(); // hit: s0 now most recent
-        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (2, 2, 0));
-        assert_eq!(cache.resident(), 2);
-
-        let _s2 = cache.get(&segments[2]).unwrap(); // miss: evicts segment 1
-        assert_eq!(cache.resident(), 2);
-        assert_eq!(cache.evictions(), 1);
-
-        // Segment 0 survived (still a hit, same allocation)...
-        let s0_again = cache.get(&segments[0]).unwrap();
-        assert!(Arc::ptr_eq(&s0_first, &s0_again));
-        // ...while segment 1 was evicted: re-touching it is a fresh miss
-        // that regenerates byte-identically and in turn evicts segment 2
-        // (now the least recently used).
-        let s1_again = cache.get(&segments[1]).unwrap();
-        assert_eq!(*s1_again, segments[1].materialize().unwrap());
-        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (3, 4, 2));
-        assert_eq!(cache.resident(), 2);
-    }
-
-    #[test]
-    fn bounded_cache_never_evicts_below_its_capacity() {
-        // Repeated access to a working set that fits the cap must be pure
-        // hits: no eviction churn.
-        let cache = TraceCache::with_capacity(2);
-        for _ in 0..3 {
-            let _ = cache.get(&spec(21, 40)).unwrap();
-            let _ = cache.get(&spec(22, 40)).unwrap();
-        }
-        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (4, 2, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = TraceCache::with_capacity(0);
     }
 
     #[test]

@@ -1,19 +1,17 @@
-//! A common interface over every way a workload trace can originate:
-//! synthetic generation, the Google ClusterData-2011 `task_events` parser,
-//! and the Alibaba cluster-trace-v2017 `batch_task` parser.
+//! Real-trace files: the Google ClusterData-2011 `task_events` parser and
+//! the Alibaba cluster-trace-v2017 `batch_task` parser behind one
+//! [`RealTraceSource`].
 //!
-//! Consumers (the `hierdrl-exp` suite runner, bench bins) program against
-//! [`TraceSource`]: jobs come back in arrival order, either materialized
-//! ([`TraceSource::load`]) or streamed ([`TraceSource::stream`]), and every
-//! source reports [`ParseStats`]-style provenance so callers can decide
-//! whether the demand columns are trustworthy before using them —
-//! see [`ParseStats::demand_defaulted`] and [`with_synthetic_demands`].
+//! [`RealTraceSource::load`] returns the jobs in arrival order together
+//! with [`ParseStats`] provenance, so callers can decide whether the
+//! demand columns are trustworthy before using them — see
+//! [`ParseStats::demand_defaulted`] and [`with_synthetic_demands`]. Every
+//! file is parsed with the paper's duration window of [1 minute, 2 hours].
 //!
 //! # Example
 //!
 //! A real-trace source over an in-memory fixture (the on-disk form is
-//! [`RealTraceSource::from_path`]); streaming and loading are
-//! byte-identical:
+//! [`RealTraceSource::from_path`]):
 //!
 //! ```
 //! use hierdrl_trace::prelude::*;
@@ -25,9 +23,7 @@
 //! let (trace, stats) = source.load()?;
 //! assert_eq!(stats.jobs_kept, 2);
 //! assert_eq!(stats.demand_defaulted, 0);
-//!
-//! let streamed: Vec<_> = source.stream()?.collect();
-//! assert_eq!(trace.jobs(), streamed.as_slice());
+//! assert_eq!(trace.len(), 2);
 //! # Ok::<(), String>(())
 //! ```
 
@@ -36,12 +32,9 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, Cursor};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use crate::drift::mix_seed;
 use crate::google::{ParseStats, PAPER_MAX_DURATION_S, PAPER_MIN_DURATION_S};
-use crate::materialize::TraceSpec;
-use crate::stream::{JobStream, TraceStream};
 use crate::trace::Trace;
 use crate::{alibaba, google};
 use hierdrl_sim::job::Job;
@@ -80,109 +73,27 @@ impl fmt::Display for TraceFormat {
     }
 }
 
-/// A source of jobs in arrival order with parse provenance.
-///
-/// The two access paths are equivalent by contract: the jobs yielded by
-/// [`TraceSource::stream`] are byte-identical to
-/// [`TraceSource::load`]`.0.jobs()` — committed tests pin this for every
-/// implementation in this crate.
-pub trait TraceSource {
-    /// Human-readable identity of the source (path, format, or recipe).
-    fn label(&self) -> String;
-
-    /// Materializes the full trace along with what the source did to the
-    /// raw rows to produce it. Synthetic sources report an all-kept
-    /// [`ParseStats`] (every job "row" kept, nothing defaulted).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the I/O, parse, or config failure.
-    fn load(&self) -> Result<(Trace, ParseStats), String>;
-
-    /// Streams the same jobs lazily. The default implementation loads and
-    /// replays; sources with a genuinely lazy path override it.
-    ///
-    /// # Errors
-    ///
-    /// See [`TraceSource::load`].
-    fn stream(&self) -> Result<Box<dyn JobStream>, String> {
-        let (trace, _) = self.load()?;
-        Ok(Box::new(TraceStream::new(Arc::new(trace))))
-    }
-}
-
-/// The synthetic-generator path behind the [`TraceSource`] interface: a
-/// [`TraceSpec`] recipe, loaded via `materialize()` or streamed via the
-/// byte-identical [`crate::stream::GeneratorStream`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyntheticSource {
-    spec: TraceSpec,
-}
-
-impl SyntheticSource {
-    /// Wraps a trace recipe.
-    pub fn new(spec: TraceSpec) -> Self {
-        Self { spec }
-    }
-
-    /// The underlying recipe.
-    pub fn spec(&self) -> &TraceSpec {
-        &self.spec
-    }
-}
-
-impl TraceSource for SyntheticSource {
-    fn label(&self) -> String {
-        format!("synthetic:{}", self.spec.fingerprint())
-    }
-
-    fn load(&self) -> Result<(Trace, ParseStats), String> {
-        let trace = self.spec.materialize()?;
-        let n = trace.len();
-        Ok((
-            trace,
-            ParseStats {
-                rows: n,
-                tasks_seen: n,
-                jobs_kept: n,
-                ..ParseStats::default()
-            },
-        ))
-    }
-
-    fn stream(&self) -> Result<Box<dyn JobStream>, String> {
-        Ok(Box::new(self.spec.stream()?))
-    }
-}
-
 #[derive(Debug, Clone, PartialEq)]
 enum Input {
     Path(PathBuf),
     Memory(String),
 }
 
-/// An on-disk (or in-memory) real trace file behind the [`TraceSource`]
-/// interface, parsed by the format's parser with the paper's duration
-/// window unless overridden.
+/// An on-disk (or in-memory) real trace file, parsed by the format's
+/// parser with the paper's duration window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RealTraceSource {
     input: Input,
     /// Which parser reads the bytes.
     pub format: TraceFormat,
-    /// Lower duration bound (seconds); defaults to the paper's 1 minute.
-    pub min_duration_s: f64,
-    /// Upper duration bound (seconds); defaults to the paper's 2 hours.
-    pub max_duration_s: f64,
 }
 
 impl RealTraceSource {
-    /// A source reading `path` with the paper's duration window.
+    /// A source reading `path`.
     pub fn from_path(path: impl AsRef<Path>, format: TraceFormat) -> Self {
         Self {
             input: Input::Path(path.as_ref().to_path_buf()),
             format,
-            min_duration_s: PAPER_MIN_DURATION_S,
-            max_duration_s: PAPER_MAX_DURATION_S,
         }
     }
 
@@ -192,45 +103,26 @@ impl RealTraceSource {
         Self {
             input: Input::Memory(csv.into()),
             format,
-            min_duration_s: PAPER_MIN_DURATION_S,
-            max_duration_s: PAPER_MAX_DURATION_S,
         }
     }
 
-    /// Replaces the paper's duration window.
-    #[must_use]
-    pub fn with_duration_window(mut self, min_s: f64, max_s: f64) -> Self {
-        self.min_duration_s = min_s;
-        self.max_duration_s = max_s;
-        self
-    }
-
-    fn parse<R: std::io::BufRead>(&self, reader: R) -> Result<(Trace, ParseStats), String> {
-        let parsed = match self.format {
-            TraceFormat::GoogleTaskEvents => google::parse_task_events_with_stats(
-                reader,
-                self.min_duration_s,
-                self.max_duration_s,
-            ),
-            TraceFormat::AlibabaBatchTask => alibaba::parse_batch_tasks_with_stats(
-                reader,
-                self.min_duration_s,
-                self.max_duration_s,
-            ),
-        };
-        parsed.map_err(|e| format!("{}: {e}", self.label()))
-    }
-}
-
-impl TraceSource for RealTraceSource {
-    fn label(&self) -> String {
+    /// Human-readable identity of the source: `format:path`, or
+    /// `format:<memory>` for [`RealTraceSource::from_csv`].
+    pub fn label(&self) -> String {
         match &self.input {
             Input::Path(p) => format!("{}:{}", self.format.name(), p.display()),
             Input::Memory(_) => format!("{}:<memory>", self.format.name()),
         }
     }
 
-    fn load(&self) -> Result<(Trace, ParseStats), String> {
+    /// Parses the whole file into a trace, along with what the parser did
+    /// to the raw rows to produce it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the I/O failure (naming the path) or of
+    /// the parse failure (prefixed with [`RealTraceSource::label`]).
+    pub fn load(&self) -> Result<(Trace, ParseStats), String> {
         match &self.input {
             Input::Path(p) => {
                 let file =
@@ -239,6 +131,19 @@ impl TraceSource for RealTraceSource {
             }
             Input::Memory(csv) => self.parse(Cursor::new(csv.as_bytes())),
         }
+    }
+
+    fn parse<R: std::io::BufRead>(&self, reader: R) -> Result<(Trace, ParseStats), String> {
+        let (min_s, max_s) = (PAPER_MIN_DURATION_S, PAPER_MAX_DURATION_S);
+        let parsed = match self.format {
+            TraceFormat::GoogleTaskEvents => {
+                google::parse_task_events_with_stats(reader, min_s, max_s)
+            }
+            TraceFormat::AlibabaBatchTask => {
+                alibaba::parse_batch_tasks_with_stats(reader, min_s, max_s)
+            }
+        };
+        parsed.map_err(|e| format!("{}: {e}", self.label()))
     }
 }
 
@@ -276,42 +181,6 @@ pub fn with_synthetic_demands(trace: &Trace, seed: u64) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::WorkloadConfig;
-
-    #[test]
-    fn synthetic_source_stream_matches_load() {
-        let source = SyntheticSource::new(TraceSpec::new(
-            WorkloadConfig::google_like(11, 60_000.0),
-            800,
-        ));
-        let (trace, stats) = source.load().unwrap();
-        assert_eq!(stats.jobs_kept, 800);
-        assert_eq!(stats.rows, 800);
-        assert_eq!(stats.demand_defaulted, 0);
-        let streamed: Vec<Job> = source.stream().unwrap().collect();
-        assert_eq!(trace.jobs(), streamed.as_slice());
-    }
-
-    #[test]
-    fn real_source_stream_matches_load_for_both_formats() {
-        let google_csv = "\
-1000000,,1,0,42,0,u,2,5,0.25,0.1,0.01,0
-2000000,,1,0,42,1,u,2,5,,,,0
-302000000,,1,0,42,4,u,2,5,,,,0";
-        let alibaba_csv = "\
-100,400,1,1,1,Terminated,50,0.25
-900,1500,2,1,1,Terminated,25,0.125";
-        for (csv, format) in [
-            (google_csv, TraceFormat::GoogleTaskEvents),
-            (alibaba_csv, TraceFormat::AlibabaBatchTask),
-        ] {
-            let source = RealTraceSource::from_csv(csv, format);
-            let (trace, stats) = source.load().unwrap();
-            assert!(stats.jobs_kept > 0, "{}", source.label());
-            let streamed: Vec<Job> = source.stream().unwrap().collect();
-            assert_eq!(trace.jobs(), streamed.as_slice(), "{}", source.label());
-        }
-    }
 
     #[test]
     fn missing_file_reports_path_in_error() {

@@ -1,49 +1,26 @@
-//! Streaming job sources: traces as iterators, without materializing
-//! `Vec<Job>`.
+//! Streaming job generation: a synthetic trace as an iterator, without
+//! materializing `Vec<Job>`.
 //!
 //! At the paper's pitched warehouse scale (10⁵ servers, 10⁶⁺ jobs per
 //! cell) a materialized trace is tens-to-hundreds of megabytes *per cell*,
 //! and the suite-level [`crate::materialize::TraceCache`] pins every one of
-//! them for the whole run. This module gives every trace source an
-//! iterator form instead:
-//!
-//! * [`GeneratorStream`] drives the synthetic generator lazily, emitting
-//!   jobs **byte-identical** to `TraceSpec::materialize()`
-//!   (`generate_n` + rebase) while holding only the small reorder frontier
-//!   in memory — a committed equivalence test in
-//!   `tests/stream_equivalence.rs` pins this.
-//! * [`TraceStream`] adapts an already-materialized [`Trace`] (e.g. one
-//!   parsed from the real Google `task_events` files by
-//!   [`crate::google::parse_task_events`]) behind the same interface, so
-//!   consumers are source-agnostic.
-//! * [`SegmentedTraceSpec::streams`](crate::drift::SegmentedTraceSpec::streams)
-//!   yields one [`GeneratorStream`] per drift segment.
+//! them for the whole run. [`GeneratorStream`] drives the synthetic
+//! generator lazily instead, emitting jobs **byte-identical** to
+//! `TraceSpec::materialize()` (`generate_n` + rebase) while holding only
+//! the small reorder frontier in memory — a committed equivalence test in
+//! `tests/stream_equivalence.rs` pins this. Any `Iterator<Item = Job> + Send`
+//! feeds the simulator through `hierdrl_sim::cluster::ArrivalSource`.
 //!
 //! Materialized traces stay the default for small cells; streaming is the
 //! opt-in raw-scale path.
 
-use crate::drift::SegmentedTraceSpec;
 use crate::generator::TraceGenerator;
 use crate::materialize::TraceSpec;
-use crate::trace::Trace;
 use hierdrl_sim::job::{Job, JobId};
 use hierdrl_sim::resources::ResourceVec;
 use hierdrl_sim::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-
-/// A source of jobs in non-decreasing arrival order.
-///
-/// This is the interface scale-regime consumers program against: any
-/// `Iterator<Item = Job> + Send` qualifies, and `remaining()` lets sinks
-/// size bounded buffers without forcing materialization.
-pub trait JobStream: Iterator<Item = Job> + Send {
-    /// Exact number of jobs still to be emitted, if known.
-    fn remaining(&self) -> Option<usize> {
-        None
-    }
-}
 
 /// One pending task inside [`GeneratorStream`]'s reorder frontier, ordered
 /// by `(arrival, insertion sequence)` — exactly the order the materialized
@@ -205,49 +182,6 @@ impl Iterator for GeneratorStream {
     }
 }
 
-impl JobStream for GeneratorStream {
-    fn remaining(&self) -> Option<usize> {
-        Some(self.count - self.emitted)
-    }
-}
-
-/// An already-materialized trace behind the [`JobStream`] interface. The
-/// trace is shared (`Arc`), so cloning the stream or holding several
-/// cursors costs nothing beyond the cursor itself.
-#[derive(Debug, Clone)]
-pub struct TraceStream {
-    trace: Arc<Trace>,
-    next: usize,
-}
-
-impl TraceStream {
-    /// Streams `trace`'s jobs in arrival order.
-    pub fn new(trace: Arc<Trace>) -> Self {
-        Self { trace, next: 0 }
-    }
-}
-
-impl Iterator for TraceStream {
-    type Item = Job;
-
-    fn next(&mut self) -> Option<Job> {
-        let job = self.trace.jobs().get(self.next)?.clone();
-        self.next += 1;
-        Some(job)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.trace.len() - self.next;
-        (left, Some(left))
-    }
-}
-
-impl JobStream for TraceStream {
-    fn remaining(&self) -> Option<usize> {
-        Some(self.trace.len() - self.next)
-    }
-}
-
 impl TraceSpec {
     /// The streaming twin of [`TraceSpec::materialize`]: emits byte-identical
     /// jobs without building the `Vec<Job>`.
@@ -257,19 +191,6 @@ impl TraceSpec {
     /// Returns an error if the workload config is invalid.
     pub fn stream(&self) -> Result<GeneratorStream, String> {
         GeneratorStream::new(self.workload.clone(), self.jobs)
-    }
-}
-
-impl SegmentedTraceSpec {
-    /// One lazy stream per drift segment, in order — the streaming twin of
-    /// [`SegmentedTraceSpec::materialize`], byte-identical segment by
-    /// segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first segment's config error.
-    pub fn streams(&self) -> Result<Vec<GeneratorStream>, String> {
-        self.segments.iter().map(|spec| spec.stream()).collect()
     }
 }
 
@@ -290,10 +211,10 @@ mod tests {
     fn stream_emits_exactly_count_jobs() {
         let spec = TraceSpec::new(WorkloadConfig::google_like(6, 60_000.0), 137);
         let mut stream = spec.stream().unwrap();
-        assert_eq!(stream.remaining(), Some(137));
+        assert_eq!(stream.size_hint(), (137, Some(137)));
         let jobs: Vec<Job> = stream.by_ref().collect();
         assert_eq!(jobs.len(), 137);
-        assert_eq!(stream.remaining(), Some(0));
+        assert_eq!(stream.size_hint(), (0, Some(0)));
         assert!(stream.next().is_none(), "exhausted stream stays exhausted");
     }
 
@@ -315,13 +236,5 @@ mod tests {
             max_frontier < 2_000,
             "reorder frontier {max_frontier} should stay far below the 20k trace"
         );
-    }
-
-    #[test]
-    fn trace_stream_replays_a_materialized_trace() {
-        let spec = TraceSpec::new(WorkloadConfig::google_like(9, 60_000.0), 500);
-        let trace = Arc::new(spec.materialize().unwrap());
-        let replayed: Vec<Job> = TraceStream::new(Arc::clone(&trace)).collect();
-        assert_eq!(trace.jobs(), replayed.as_slice());
     }
 }

@@ -1,6 +1,6 @@
 //! Committed-fixture tests for the real-trace backends: parser provenance
 //! pinned counter by counter, weekly wall-clock segmentation, and the
-//! `TraceSource` contract that a stream-fed simulation run is
+//! arrival-path contract that a stream-fed simulation run is
 //! byte-identical to a run over the pre-materialized trace.
 //!
 //! The fixtures live in `tests/fixtures/` and are regenerated by
@@ -9,12 +9,11 @@
 
 use hierdrl_sim::cluster::{ArrivalSource, Cluster, RunLimit};
 use hierdrl_sim::config::ClusterConfig;
-use hierdrl_sim::job::Job;
 use hierdrl_sim::policies::{FixedTimeoutPower, RoundRobinAllocator};
 use hierdrl_trace::generator::WorkloadConfig;
 use hierdrl_trace::materialize::TraceSpec;
 use hierdrl_trace::pattern::SECS_PER_WEEK;
-use hierdrl_trace::source::{RealTraceSource, SyntheticSource, TraceFormat, TraceSource};
+use hierdrl_trace::source::{RealTraceSource, TraceFormat};
 use proptest::prelude::*;
 
 fn fixture_path(name: &str) -> String {
@@ -85,15 +84,6 @@ fn fixtures_split_into_four_weekly_segments() {
     assert_eq!(sizes, [39, 30, 40, 21]);
 }
 
-#[test]
-fn fixture_stream_matches_load_for_both_backends() {
-    for source in [google_fixture(), alibaba_fixture()] {
-        let (trace, _) = source.load().unwrap();
-        let streamed: Vec<Job> = source.stream().unwrap().collect();
-        assert_eq!(trace.jobs(), streamed.as_slice(), "{}", source.label());
-    }
-}
-
 /// Runs the cluster simulator over `arrivals` with deterministic static
 /// policies and returns the full serialized outcome plus per-job
 /// completion records — the byte-identity fingerprint.
@@ -113,28 +103,29 @@ fn run_fingerprint(m: usize, arrivals: ArrivalSource) -> String {
 
 #[test]
 fn source_fed_runs_are_byte_identical_to_prematerialized_runs() {
-    let sources: Vec<Box<dyn TraceSource>> = vec![
-        Box::new(google_fixture()),
-        Box::new(alibaba_fixture()),
-        Box::new(SyntheticSource::new(TraceSpec::new(
-            WorkloadConfig::google_like(21, 60_000.0),
-            400,
-        ))),
-    ];
-    for source in &sources {
+    for source in [google_fixture(), alibaba_fixture()] {
         let (trace, _) = source.load().unwrap();
-        let materialized = run_fingerprint(6, ArrivalSource::from_jobs(trace.into_jobs()));
-        let streamed = run_fingerprint(6, ArrivalSource::from_stream(source.stream().unwrap()));
+        let materialized = run_fingerprint(6, ArrivalSource::from_jobs(trace.jobs().to_vec()));
+        let streamed =
+            run_fingerprint(6, ArrivalSource::from_stream(trace.into_jobs().into_iter()));
         assert_eq!(materialized, streamed, "{}", source.label());
     }
+    let spec = TraceSpec::new(WorkloadConfig::google_like(21, 60_000.0), 400);
+    let materialized = run_fingerprint(
+        6,
+        ArrivalSource::from_jobs(spec.materialize().unwrap().into_jobs()),
+    );
+    let streamed = run_fingerprint(6, ArrivalSource::from_stream(spec.stream().unwrap()));
+    assert_eq!(materialized, streamed, "synthetic stream");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property form of the `TraceSource` contract for the synthetic
-    /// backend: across the generator's seed/rate/size space, a stream-fed
-    /// run equals a run over the pre-materialized trace, byte for byte.
+    /// Property form of the arrival-path contract for the synthetic
+    /// generator: across its seed/rate/size space, a run fed by
+    /// `TraceSpec::stream` equals a run over the materialized trace, byte
+    /// for byte.
     #[test]
     fn synthetic_source_fed_runs_match_prematerialized(
         seed in 0u64..200,
@@ -142,14 +133,11 @@ proptest! {
         jobs in 50usize..300,
         m in 2usize..8,
     ) {
-        let source = SyntheticSource::new(TraceSpec::new(
-            WorkloadConfig::google_like(seed, jobs_per_week),
-            jobs,
-        ));
-        let (trace, stats) = source.load().unwrap();
-        prop_assert_eq!(stats.jobs_kept, jobs);
+        let spec = TraceSpec::new(WorkloadConfig::google_like(seed, jobs_per_week), jobs);
+        let trace = spec.materialize().unwrap();
+        prop_assert_eq!(trace.len(), jobs);
         let materialized = run_fingerprint(m, ArrivalSource::from_jobs(trace.into_jobs()));
-        let streamed = run_fingerprint(m, ArrivalSource::from_stream(source.stream().unwrap()));
+        let streamed = run_fingerprint(m, ArrivalSource::from_stream(spec.stream().unwrap()));
         prop_assert_eq!(materialized, streamed);
     }
 }

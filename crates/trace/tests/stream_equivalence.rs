@@ -121,11 +121,10 @@ fn segmented_streams_are_byte_identical_per_segment() {
         SegmentShift::BatchMean(9.0),
     ];
     let spec = SegmentedTraceSpec::from_shifts(&base, &shifts, 2_001, 77);
-    let streams = spec.streams().unwrap();
-    assert_eq!(streams.len(), shifts.len());
-    for (i, (seg_spec, stream)) in spec.segments.iter().zip(streams).enumerate() {
+    assert_eq!(spec.segments.len(), shifts.len());
+    for (i, seg_spec) in spec.segments.iter().enumerate() {
         let materialized = seg_spec.materialize().unwrap();
-        let streamed: Vec<Job> = stream.collect();
+        let streamed: Vec<Job> = seg_spec.stream().unwrap().collect();
         assert_eq!(
             materialized.jobs(),
             streamed.as_slice(),

@@ -25,7 +25,7 @@ fn main() -> Result<(), String> {
         .collect();
 
     let mut allocator = DrlAllocator::new(m, 3, DrlAllocatorConfig::default());
-    let mut dpm = RlPowerManager::new(m, RlPowerConfig::default());
+    let mut dpm = RlPowerManager::for_cluster(&cluster, RlPowerConfig::default());
     pretrain_pair(&mut allocator, &mut dpm, &cluster, &segments)?;
     println!(
         "pre-trained: {} decisions, {} DNN updates, {} local updates",
@@ -47,7 +47,7 @@ fn main() -> Result<(), String> {
     let drl_snapshot: DrlSnapshot = serde_json::from_str(&drl_json).map_err(|e| e.to_string())?;
     let dpm_snapshot: DpmSnapshot = serde_json::from_str(&dpm_json).map_err(|e| e.to_string())?;
     let mut restored_drl = DrlAllocator::from_snapshot(drl_snapshot);
-    let mut restored_dpm = RlPowerManager::from_snapshot(m, dpm_snapshot);
+    let mut restored_dpm = RlPowerManager::from_snapshot_for_cluster(&cluster, dpm_snapshot);
 
     let eval =
         TraceGenerator::new(WorkloadConfig::google_like(999, jobs_per_week))?.generate_n(2_000);

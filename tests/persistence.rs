@@ -80,15 +80,15 @@ fn frozen_restored_policies_act_identically() {
 fn dpm_snapshot_round_trips_through_json() {
     let m = 3;
     let cluster = ClusterConfig::paper(m);
-    let mut dpm = RlPowerManager::new(m, RlPowerConfig::default());
+    let mut dpm = RlPowerManager::for_cluster(&cluster, RlPowerConfig::default());
     let trace = small_trace(3, 300, m);
-    let mut cluster_sim = Cluster::new(cluster, trace.into_jobs()).unwrap();
+    let mut cluster_sim = Cluster::new(cluster.clone(), trace.into_jobs()).unwrap();
     cluster_sim.run(&mut FirstFitAllocator, &mut dpm, RunLimit::unbounded());
     assert!(dpm.stats().updates > 0);
 
     let json = serde_json::to_string(&dpm.snapshot()).unwrap();
     let snapshot: DpmSnapshot = serde_json::from_str(&json).unwrap();
-    let restored = RlPowerManager::from_snapshot(m, snapshot);
+    let restored = RlPowerManager::from_snapshot_for_cluster(&cluster, snapshot);
     assert_eq!(restored.stats().updates, dpm.stats().updates);
 }
 
@@ -99,8 +99,8 @@ fn dpm_snapshot_rejects_wrong_table_count() {
         shared_learning: false,
         ..Default::default()
     };
-    let dpm = RlPowerManager::new(3, config);
+    let dpm = RlPowerManager::for_cluster(&ClusterConfig::paper(3), config);
     let snapshot = dpm.snapshot();
     // Restoring per-server tables onto a different cluster size must fail.
-    let _ = RlPowerManager::from_snapshot(5, snapshot);
+    let _ = RlPowerManager::from_snapshot_for_cluster(&ClusterConfig::paper(5), snapshot);
 }
