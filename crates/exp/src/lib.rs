@@ -299,8 +299,8 @@ pub mod prelude {
     pub use crate::runner::{CellRun, SegmentRun, ShardRun, SuiteRun, SuiteRunner};
     pub use crate::scale::{ScaleCellRun, ScaleSpec};
     pub use crate::scenario::{
-        AutoscalePolicy, DriftSpec, ElasticSchedule, ElasticSpec, FaultShape, FaultSpec,
-        JobsBudget, PolicySpec, Pretrain, Scenario, SeedStream, Topology, WorkloadSpec,
+        AutoscalePolicy, DriftSpec, ElasticSpec, FaultShape, FaultSpec, FleetSchedule, JobsBudget,
+        PolicySpec, Pretrain, Scenario, SeedStream, Topology, WorkloadSpec,
     };
     pub use crate::suite::{Expectation, Suite, SuiteBuilder};
     pub use hierdrl_core::hierarchical::{AllocatorKind, PowerKind};

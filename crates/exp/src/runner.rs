@@ -27,7 +27,7 @@ use crate::report::{
     ExpectationRow, FleetSize, SegmentReport, ShardReport, SuiteReport, TraceProvenance,
 };
 use crate::scenario::{
-    mix_seed, ElasticSchedule, ElasticSpec, PolicySpec, Pretrain, Scenario, SeedStream, Topology,
+    mix_seed, CellFleet, FleetSchedule, PolicySpec, Pretrain, Scenario, SeedStream, Topology,
 };
 use crate::suite::{Expectation, Suite};
 use hierdrl_core::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
@@ -38,7 +38,6 @@ use hierdrl_core::runner::{
 };
 use hierdrl_sim::cluster::{Allocator, PowerManager};
 use hierdrl_sim::config::ClusterConfig;
-use hierdrl_sim::events::FleetOp;
 use hierdrl_sim::policies::{FixedTimeoutPower, SleepImmediatelyPower};
 use hierdrl_sim::router::Router;
 use hierdrl_trace::google::ParseStats;
@@ -733,8 +732,6 @@ fn check_autoscale_economics(
 /// The fully-derived learner inputs of one execution unit.
 struct LearnerSeeds {
     policy_seed: u64,
-    /// Seed of the unit's fault schedule.
-    fault_seed: u64,
     /// The unit's share of the evaluation stream (sizes pre-training).
     eval_jobs: u64,
     drl: Option<DrlAllocatorConfig>,
@@ -754,7 +751,6 @@ impl LearnerSeeds {
         let dpm = scenario.dpm_config_seeded(seed(SeedStream::Dpm));
         Self {
             policy_seed: seed(SeedStream::Policy),
-            fault_seed: seed(SeedStream::Fault),
             eval_jobs: scenario
                 .workload
                 .shard_jobs_for(unit_m, scenario.topology.servers()),
@@ -935,16 +931,17 @@ fn build_policy(
 }
 
 /// Simulates one execution unit of a cell on its routed share of every
-/// evaluation segment, carrying its learners across segment boundaries
-/// with online training continuing — or frozen after pre-training for
-/// ablation cells. Fully self-contained: learner seeds derive from the
-/// unit's own seed, so units can run on any thread in any order.
+/// evaluation segment, under the unit's fleet schedule for each segment,
+/// carrying its learners across segment boundaries with online training
+/// continuing — or frozen after pre-training for ablation cells. Fully
+/// self-contained: learner seeds derive from the unit's own seed, so units
+/// can run on any thread in any order.
 fn run_unit(
     scenario: &Scenario,
     ctx: &RunContext,
     unit: usize,
     segment_traces: &[Arc<Trace>],
-    elastic: &[ElasticSchedule],
+    schedules: &[FleetSchedule],
     name: &str,
 ) -> Result<ShardRun, String> {
     let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
@@ -952,8 +949,10 @@ fn run_unit(
     let seeds = LearnerSeeds::new(scenario, unit);
     // Elastic cells run (and pre-train) against the headroom config, so
     // mid-run joins have slots and learners size their padded width from
-    // the same `effective_max`. Pre-training itself stays membership-free,
-    // like it stays fault-free: schedules apply only at evaluation.
+    // the same `effective_max`. Pre-training itself stays membership- and
+    // fault-free: the paper's learners train on healthy fleets, fleet
+    // schedules apply only at evaluation, and pre-train cache keys stay
+    // stable across both axes.
     let headroom = scenario
         .elastic
         .as_ref()
@@ -964,40 +963,13 @@ fn run_unit(
         allocator.set_learning(false);
         power.set_learning(false);
     }
-    // Lower the chaos axis (if any) per segment against this unit's
-    // cluster size and segment span, from the unit's own fault seed; an
-    // empty segment has no span to schedule against and runs fault-free.
-    // Pre-training above stays fault-free: the paper's learners train on
-    // healthy fleets and meet faults only at evaluation (and pre-train
-    // cache keys stay stable across the fault axis).
-    // The pre-lowered elastic schedules merge in behind the fault events:
-    // a stable sort keeps fault ops ahead of membership ops at equal times.
-    let fleet_events: Vec<Vec<(f64, FleetOp)>> = segment_traces
-        .iter()
-        .enumerate()
-        .map(|(i, trace)| {
-            let mut events = match (&scenario.fault, trace.jobs().last()) {
-                (Some(fault), Some(last)) => fault.lower(
-                    seeds.fault_seed,
-                    cluster.num_servers,
-                    last.arrival.as_secs(),
-                ),
-                _ => Vec::new(),
-            };
-            if let Some(schedule) = elastic.get(i) {
-                events.extend(schedule.events.iter().cloned());
-                events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("event times are finite"));
-            }
-            events
-        })
-        .collect();
     let mut experiment = Experiment::from_segments(
         name,
         cluster,
         segment_traces
             .iter()
-            .zip(&fleet_events)
-            .map(|(trace, events)| Segment::trace(trace).with_fleet_events(events)),
+            .zip(schedules)
+            .map(|(trace, schedule)| Segment::trace(trace).with_fleet_events(&schedule.events)),
     )
     .with_limit(scenario.run_limit());
     let mut segments: Vec<SegmentRun> = Vec::with_capacity(segment_traces.len());
@@ -1128,140 +1100,21 @@ fn resolve_cell_traces(
     Ok((traces, Some(provenance)))
 }
 
-/// Lowers one execution unit's elastic schedule for one segment: against
-/// the segment's arrival span when it has one, degenerating to a fixed
-/// fleet for empty segments (mirroring fault lowering).
-fn lower_elastic(
-    spec: &ElasticSpec,
-    elastic_seed: u64,
-    cluster: &ClusterConfig,
-    jobs: &[hierdrl_sim::job::Job],
-    demand_share: f64,
-) -> ElasticSchedule {
-    match jobs.last() {
-        None => ElasticSchedule::fixed(cluster.num_servers),
-        Some(last) => spec.lower(
-            elastic_seed,
-            cluster.num_servers,
-            cluster.resource_dims,
-            jobs,
-            last.arrival.as_secs(),
-            demand_share,
-        ),
-    }
-}
-
-/// `(min, max, time-weighted mean)` of the summed scheduled live count
-/// across one segment's per-shard schedules (a single-element slice for
-/// single-cluster cells), over `[0, end_s]`.
-fn combined_size_stats(schedules: &[&ElasticSchedule], end_s: f64) -> (usize, usize, f64) {
-    let initial: usize = schedules.iter().map(|s| s.sizes[0].1).sum();
-    if end_s <= 0.0 {
-        return (initial, initial, initial as f64);
-    }
-    let mut times: Vec<f64> = vec![0.0];
-    for s in schedules {
-        times.extend(
-            s.sizes
-                .iter()
-                .skip(1)
-                .map(|&(t, _)| t)
-                .filter(|&t| t < end_s),
-        );
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("schedule times are finite"));
-    times.dedup();
-    let (mut min, mut max, mut weighted) = (usize::MAX, 0usize, 0.0f64);
-    for (i, &t) in times.iter().enumerate() {
-        let next = times.get(i + 1).copied().unwrap_or(end_s);
-        let n: usize = schedules.iter().map(|s| s.size_at(t)).sum();
-        min = min.min(n);
-        max = max.max(n);
-        weighted += n as f64 * (next - t);
-    }
-    (min, max, weighted / end_s)
-}
-
-/// The cell's fleet-size envelope from its lowered schedules: shards sum
-/// on their shared clock within a segment, segments weight by their spans.
-/// Fixed-fleet cells (`per_shard` empty) report the constant topology size.
-fn fleet_size_for(m_total: usize, per_shard: &[Vec<ElasticSchedule>], spans: &[f64]) -> FleetSize {
-    if per_shard.is_empty() {
-        return FleetSize::fixed(m_total);
-    }
-    let (mut min, mut max) = (usize::MAX, 0usize);
-    let (mut weighted, mut total_span) = (0.0f64, 0.0f64);
-    for (i, &span) in spans.iter().enumerate() {
-        let schedules: Vec<&ElasticSchedule> = per_shard.iter().map(|s| &s[i]).collect();
-        let (lo, hi, mean) = combined_size_stats(&schedules, span);
-        min = min.min(lo);
-        max = max.max(hi);
-        weighted += mean * span.max(0.0);
-        total_span += span.max(0.0);
-    }
-    if total_span <= 0.0 {
-        return FleetSize::fixed(m_total);
-    }
-    FleetSize {
-        min,
-        max,
-        mean: weighted / total_span,
-    }
-}
-
-/// Per-segment arrival spans of an execution stream (0 for empty
-/// segments), the weights `fleet_size_for` aggregates over.
-fn segment_spans<'a>(segments: impl IntoIterator<Item = &'a [hierdrl_sim::job::Job]>) -> Vec<f64> {
-    segments
-        .into_iter()
-        .map(|jobs| jobs.last().map_or(0.0, |j| j.arrival.as_secs()))
-        .collect()
-}
-
 /// Routes one segment's cell stream to the execution units: passed
 /// through unchanged to a single cluster (no copy), split by the
-/// front-end router across the clusters of a multi-cluster fleet — by
-/// static capacity weights for fixed fleets, or by a piecewise-constant
-/// weight timeline scaling each cluster's weight with its scheduled live
-/// count for elastic cells.
+/// front-end router across the clusters of a multi-cluster fleet under the
+/// segment's capacity epochs.
 fn route(
     topology: &Topology,
     segment: usize,
     stream: &Arc<Trace>,
-    elastic_per_unit: &[Vec<ElasticSchedule>],
+    fleet: &CellFleet,
 ) -> Result<Vec<Arc<Trace>>, String> {
     let Some(router) = topology.router() else {
         return Ok(vec![Arc::clone(stream)]);
     };
-    let clusters = topology.clusters();
-    // Weigh clusters by aggregate capacity (server count for unit-capacity
-    // fleets), so a cluster of two 2x servers outweighs one of three little
-    // machines.
-    let weights: Vec<f64> = clusters.iter().map(ClusterConfig::routing_weight).collect();
-    let routed = if elastic_per_unit.is_empty() {
-        Router::split(router, &weights, stream.jobs())
-    } else {
-        let mut times: Vec<f64> = vec![0.0];
-        for schedules in elastic_per_unit {
-            times.extend(schedules[segment].sizes.iter().skip(1).map(|&(t, _)| t));
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).expect("schedule times are finite"));
-        times.dedup();
-        let epochs: Vec<(f64, Vec<f64>)> = times
-            .iter()
-            .map(|&t| {
-                let w = (0..clusters.len())
-                    .map(|k| {
-                        elastic_per_unit[k][segment].size_at(t) as f64 * weights[k]
-                            / clusters[k].num_servers as f64
-                    })
-                    .collect();
-                (t, w)
-            })
-            .collect();
-        Router::split_epochs(router, &epochs, stream.jobs())
-    };
-    routed
+    let epochs = fleet.router_epochs(segment, topology.clusters());
+    Router::split(router, &epochs, stream.jobs())
         .into_iter()
         .enumerate()
         .map(|(k, jobs)| {
@@ -1309,61 +1162,31 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
         }
     }
     let name = scenario.policy.name();
-    let clusters = scenario.topology.clusters();
 
-    // Elastic cells lower every unit's membership trajectory *before*
-    // routing, from the cell stream scaled by the unit's initial capacity
-    // share — feed-forward, so the router can re-derive capacity weights
-    // at the scheduled membership boundaries without ever observing live
-    // simulation state.
-    let elastic_per_unit: Vec<Vec<ElasticSchedule>> = match &scenario.elastic {
-        None => Vec::new(),
-        Some(spec) => {
-            let weights: Vec<f64> = clusters.iter().map(ClusterConfig::routing_weight).collect();
-            let total: f64 = weights.iter().sum();
-            (0..clusters.len())
-                .map(|k| {
-                    traces
-                        .iter()
-                        .map(|trace| {
-                            lower_elastic(
-                                spec,
-                                scenario.unit_seed(k, SeedStream::Elastic),
-                                &clusters[k],
-                                trace.jobs(),
-                                weights[k] / total,
-                            )
-                        })
-                        .collect()
-                })
-                .collect()
-        }
-    };
-    let spans = segment_spans(traces.iter().map(|t| t.jobs()));
-    let fleet_size = fleet_size_for(scenario.topology.servers(), &elastic_per_unit, &spans);
-
-    let mut per_unit: Vec<Vec<Arc<Trace>>> = vec![Vec::new(); clusters.len()];
+    // Membership lowers before routing, faults after it (see `CellFleet`).
+    let fleet = CellFleet::lower_membership(scenario, &traces);
+    let fleet_size = fleet.fleet_size(scenario);
+    let mut per_unit: Vec<Vec<Arc<Trace>>> = vec![Vec::new(); scenario.topology.clusters().len()];
     for (i, stream) in traces.iter().enumerate() {
-        for (k, share) in route(&scenario.topology, i, stream, &elastic_per_unit)?
+        for (k, share) in route(&scenario.topology, i, stream, &fleet)?
             .into_iter()
             .enumerate()
         {
             per_unit[k].push(share);
         }
     }
+    let schedules = fleet.merge_faults(scenario, &per_unit)?;
     // Intra-cell unit parallelism: each unit simulates on its own worker
     // thread (running its segments sequentially under carried learners);
     // the rayon shim returns results in input (unit) order, so the merge
     // below is schedule-independent.
     let outcomes: Vec<Result<ShardRun, String>> = per_unit
         .into_iter()
+        .zip(schedules)
         .enumerate()
         .collect::<Vec<_>>()
         .into_par_iter()
-        .map(|(k, segments)| {
-            let elastic = elastic_per_unit.get(k).map_or(&[][..], Vec::as_slice);
-            run_unit(scenario, ctx, k, &segments, elastic, &name)
-        })
+        .map(|(k, (segments, schedules))| run_unit(scenario, ctx, k, &segments, &schedules, &name))
         .collect();
     let units = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
 

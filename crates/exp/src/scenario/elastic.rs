@@ -1,6 +1,6 @@
 //! The elastic axis: an autoscaler tier lowered to membership events.
 
-use super::mix_seed;
+use super::{mix_seed, FleetSchedule};
 use hierdrl_rl::qtable::QTable;
 use hierdrl_rl::smdp::SmdpParams;
 use hierdrl_sim::config::ClusterConfig;
@@ -55,55 +55,6 @@ impl AutoscalePolicy {
                 Ok(())
             }
         }
-    }
-}
-
-/// The scheduled fleet-membership trajectory one [`ElasticSpec`] lowers to
-/// for one evaluation segment: the event-level [`FleetOp`]s plus the
-/// piecewise-constant live-count timeline behind them (consumed by the
-/// front-end router's epoch weights and the `fleet_size` report columns).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ElasticSchedule {
-    /// Scheduled membership changes, sorted by time.
-    pub events: Vec<(f64, FleetOp)>,
-    /// Piecewise-constant scheduled live-server count: `(start_s, live)`,
-    /// first entry at `0.0` with the initial size.
-    pub sizes: Vec<(f64, usize)>,
-}
-
-impl ElasticSchedule {
-    /// A schedule that never changes membership.
-    pub fn fixed(num_servers: usize) -> Self {
-        Self {
-            events: Vec::new(),
-            sizes: vec![(0.0, num_servers)],
-        }
-    }
-
-    /// The scheduled live count at time `t`.
-    pub fn size_at(&self, t: f64) -> usize {
-        self.sizes
-            .iter()
-            .take_while(|(start, _)| *start <= t)
-            .last()
-            .map_or(0, |&(_, n)| n)
-    }
-
-    /// `(min, max, time-weighted mean)` of the scheduled live count over
-    /// `[0, end_s]`. Degenerates to the initial size when `end_s <= 0`.
-    pub fn size_stats(&self, end_s: f64) -> (usize, usize, f64) {
-        let first = self.sizes.first().map_or(0, |&(_, n)| n);
-        if end_s <= 0.0 {
-            return (first, first, first as f64);
-        }
-        let (mut min, mut max, mut weighted) = (usize::MAX, 0usize, 0.0f64);
-        for (i, &(start, n)) in self.sizes.iter().enumerate() {
-            let next = self.sizes.get(i + 1).map_or(end_s, |&(t, _)| t.min(end_s));
-            min = min.min(n);
-            max = max.max(n);
-            weighted += n as f64 * (next - start.min(end_s)).max(0.0);
-        }
-        (min, max, weighted / end_s)
     }
 }
 
@@ -242,9 +193,9 @@ impl ElasticSpec {
         jobs: &[Job],
         span_s: f64,
         demand_share: f64,
-    ) -> ElasticSchedule {
+    ) -> FleetSchedule {
         assert!(num_servers > 0, "elastic lowering needs >= 1 server");
-        let mut schedule = ElasticSchedule::fixed(num_servers);
+        let mut schedule = FleetSchedule::fixed(num_servers);
         if span_s <= 0.0 || span_s.is_nan() || jobs.is_empty() {
             return schedule;
         }

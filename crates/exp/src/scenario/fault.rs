@@ -295,22 +295,32 @@ impl FaultSpec {
     /// seed-drawn choice derives from `fault_seed` via per-shape SplitMix64
     /// sub-streams. [`FaultShape::ArrivalSpike`]s lower to no events.
     ///
+    /// # Errors
+    ///
+    /// Returns the offending shape when an explicit [`FaultShape::Crash`]
+    /// names a server outside `0..num_servers`, or a crash storm targets a
+    /// fleet too small to leave a healthy remainder.
+    ///
     /// # Panics
     ///
-    /// Panics if an explicit [`FaultShape::Crash`] names a server outside
-    /// `0..num_servers`, or a crash storm targets a fleet too small to
-    /// leave a healthy remainder.
-    pub fn lower(&self, fault_seed: u64, num_servers: usize, span_s: f64) -> Vec<(f64, FleetOp)> {
+    /// Panics if `num_servers == 0`.
+    pub fn lower(
+        &self,
+        fault_seed: u64,
+        num_servers: usize,
+        span_s: f64,
+    ) -> Result<Vec<(f64, FleetOp)>, String> {
         assert!(num_servers > 0, "fault lowering needs >= 1 server");
         let mut events: Vec<(f64, FleetOp)> = Vec::new();
         for (i, shape) in self.shapes.iter().enumerate() {
             let shape_seed = mix_seed(fault_seed, i as u64);
             match *shape {
                 FaultShape::Crash { server, at, outage } => {
-                    assert!(
-                        server < num_servers,
-                        "fault shape {i} crashes server {server} out of {num_servers} servers"
-                    );
+                    if server >= num_servers {
+                        return Err(format!(
+                            "fault shape {i} crashes server {server} out of {num_servers} servers"
+                        ));
+                    }
                     events.push((at * span_s, FleetOp::Crash(ServerId(server))));
                     events.push(((at + outage) * span_s, FleetOp::Recover(ServerId(server))));
                 }
@@ -320,10 +330,11 @@ impl FaultSpec {
                     stagger,
                     outage,
                 } => {
-                    assert!(
-                        num_servers > 1,
-                        "fault shape {i}: a crash storm needs >= 2 servers to leave one healthy"
-                    );
+                    if num_servers < 2 {
+                        return Err(format!(
+                            "fault shape {i}: a crash storm needs >= 2 servers to leave one healthy"
+                        ));
+                    }
                     let count = ((fraction * num_servers as f64).round() as usize)
                         .clamp(1, num_servers - 1);
                     for (k, sid) in draw_distinct_servers(shape_seed, count, num_servers)
@@ -370,7 +381,7 @@ impl FaultSpec {
             }
         }
         events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("fault times are finite"));
-        events
+        Ok(events)
     }
 
     /// The extra arrivals [`FaultShape::ArrivalSpike`]s inject into one

@@ -3,18 +3,22 @@
 //!
 //! Each axis of the grid lives in its own module — [`Topology`],
 //! [`WorkloadSpec`], [`DriftSpec`], [`FaultSpec`], [`ElasticSpec`] and
-//! [`PolicySpec`] — and is re-exported here.
+//! [`PolicySpec`] — and is re-exported here. The fault and elastic axes
+//! both lower to one [`FleetSchedule`] per execution unit and segment.
 
 mod drift;
 mod elastic;
 mod fault;
+mod fleet;
 mod policy;
 mod topology;
 mod workload;
 
 pub use drift::DriftSpec;
-pub use elastic::{AutoscalePolicy, ElasticSchedule, ElasticSpec};
+pub use elastic::{AutoscalePolicy, ElasticSpec};
 pub use fault::{FaultShape, FaultSpec};
+pub(crate) use fleet::CellFleet;
+pub use fleet::FleetSchedule;
 pub use policy::{PolicySpec, Pretrain};
 pub use topology::{big_little_config, num_big_servers, Topology};
 pub use workload::{JobsBudget, WorkloadSpec, DEFAULT_DEMAND_GATE, PAPER_WEEKLY_JOBS_PER_SERVER};
@@ -139,7 +143,7 @@ impl Scenario {
     }
 
     /// Attaches a drift axis, rebuilding the id as
-    /// `topology/workload@drift[%fault]/policy/s<seed>`.
+    /// `topology/workload@drift[%fault][~elastic]/policy/s<seed>`.
     ///
     /// # Panics
     ///

@@ -1,7 +1,7 @@
 //! Declarative sweep grids: a [`Suite`] is the cartesian product of
-//! topologies × workloads × drifts × faults × policies × seeds, built with
-//! [`SuiteBuilder`] — plus the declarative [`Expectation`]s the runner
-//! evaluates against the finished grid.
+//! topologies × workloads × drifts × faults × elastics × policies × seeds,
+//! built with [`SuiteBuilder`] — plus the declarative [`Expectation`]s the
+//! runner evaluates against the finished grid.
 
 use crate::scenario::{
     DriftSpec, ElasticSpec, FaultSpec, PolicySpec, Scenario, Topology, WorkloadSpec,
@@ -471,7 +471,7 @@ mod tests {
         assert_eq!(suite.expectations.len(), 2);
         assert_eq!(suite.expectations[0].name(), "conserved");
         assert_eq!(suite.expectations[1].name(), "graceful");
-        // Legacy suites without the field still deserialize.
+        // The expectations survive a serde round trip with the grid.
         let json = serde_json::to_string(&suite).unwrap();
         let back: Suite = serde_json::from_str(&json).unwrap();
         assert_eq!(back, suite);

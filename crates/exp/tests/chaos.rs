@@ -254,3 +254,45 @@ fn graceful_degradation_acceptance_via_expectation_layer() {
     assert_eq!(report.expectations, run.expectations);
     assert_eq!(run.bench_report().expectations, run.expectations);
 }
+
+/// Runs a one-cell round-robin suite under `fault` and returns its error.
+fn fault_error(topology: Topology, fault: FaultSpec) -> String {
+    let suite = Suite::builder("misfit")
+        .topologies([topology])
+        .workloads([WorkloadSpec::paper().with_total_jobs(200)])
+        .faults([fault])
+        .policies([PolicySpec::round_robin()])
+        .seeds([1])
+        .build();
+    SuiteRunner::serial()
+        .run(&suite)
+        .expect_err("a fault spec that does not fit its unit fails the cell")
+}
+
+#[test]
+fn fault_specs_that_do_not_fit_a_unit_fail_the_cell_by_name() {
+    // A crash storm must leave one healthy server, so a one-server fleet
+    // cannot take it.
+    assert_eq!(
+        fault_error(Topology::paper(1), FaultSpec::crash_storm()),
+        "scenario paper-m1/paper%crash-storm/round-robin/s1: unit 0 segment 0: \
+         fault shape 0: a crash storm needs >= 2 servers to leave one healthy"
+    );
+    // Server 4 exists in the six-server fleet, not in its 3-server units.
+    let crash = FaultSpec::new(
+        "crash-4",
+        vec![FaultShape::Crash {
+            server: 4,
+            at: 0.5,
+            outage: 0.2,
+        }],
+    );
+    assert_eq!(
+        fault_error(
+            Topology::sharded_paper(2, 6, RouterPolicy::RoundRobin),
+            crash
+        ),
+        "scenario paper-c2m6-rr/paper%crash-4/round-robin/s1: unit 0 segment 0: \
+         fault shape 0 crashes server 4 out of 3 servers"
+    );
+}

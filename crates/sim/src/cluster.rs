@@ -619,16 +619,6 @@ impl Cluster {
         self.fleet = FleetAgg::compute(&self.servers, self.config.resource_dims);
     }
 
-    /// Public snapshot of current cluster totals.
-    pub fn current_totals(&mut self) -> ClusterTotals {
-        let now = self.now;
-        if self.config.lazy_accounting {
-            self.agg.advance(now);
-        }
-        self.account_all(now);
-        self.totals()
-    }
-
     /// Starts whatever fits on `sid` and schedules the finish events,
     /// through the reusable `started_buf` (no per-event allocation).
     fn start_and_schedule(&mut self, sid: ServerId) {

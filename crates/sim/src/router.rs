@@ -64,8 +64,8 @@ impl fmt::Display for RouterPolicy {
 /// A deterministic front-end router over `N` clusters.
 ///
 /// Feed each job exactly once, in arrival order, through
-/// [`Router::route`]; or split a whole stream at once with
-/// [`Router::split`].
+/// [`Router::route`]; or split a whole stream at once, under a
+/// piecewise-constant capacity timeline, with [`Router::split`].
 ///
 /// # Examples
 ///
@@ -85,7 +85,9 @@ impl fmt::Display for RouterPolicy {
 /// // every three jobs to the bigger cluster. For unit-capacity fleets the
 /// // weights are simply the server counts
 /// // ([`ClusterConfig::routing_weight`](crate::config::ClusterConfig::routing_weight)).
-/// let shards = Router::split(RouterPolicy::WeightedByCapacity, &[4.0, 2.0], &jobs);
+/// // One epoch from t = 0 holds the weights for the whole stream.
+/// let epochs = [(0.0, vec![4.0, 2.0])];
+/// let shards = Router::split(RouterPolicy::WeightedByCapacity, &epochs, &jobs);
 /// assert_eq!(shards[0].len(), 4);
 /// assert_eq!(shards[1].len(), 2);
 /// ```
@@ -124,15 +126,7 @@ impl Router {
     /// Panics if `capacities` is empty, contains a negative or non-finite
     /// weight, or sums to zero — all bugs in the caller.
     pub fn new(policy: RouterPolicy, capacities: &[f64]) -> Self {
-        assert!(!capacities.is_empty(), "router needs >= 1 cluster");
-        assert!(
-            capacities.iter().all(|&w| w.is_finite() && w >= 0.0),
-            "every cluster needs non-negative finite capacity, got {capacities:?}"
-        );
-        assert!(
-            capacities.iter().any(|&w| w > 0.0),
-            "at least one cluster needs positive capacity, got {capacities:?}"
-        );
+        Self::validate(capacities);
         Self {
             policy,
             weights: capacities.to_vec(),
@@ -144,31 +138,18 @@ impl Router {
         }
     }
 
-    /// A router over homogeneous clusters of the given server counts (the
-    /// unit-capacity fallback: each cluster's weight is its server count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster_sizes` is empty or contains a zero-server
-    /// cluster.
-    pub fn from_server_counts(policy: RouterPolicy, cluster_sizes: &[usize]) -> Self {
-        let weights: Vec<f64> = cluster_sizes.iter().map(|&m| m as f64).collect();
-        Self::new(policy, &weights)
-    }
-
-    /// The routing policy.
-    pub fn policy(&self) -> RouterPolicy {
-        self.policy
-    }
-
-    /// Number of clusters behind the router.
-    pub fn num_clusters(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Per-cluster capacity weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
+    /// The capacity checks [`Router::new`] documents, shared with every
+    /// re-weighting.
+    fn validate(capacities: &[f64]) {
+        assert!(!capacities.is_empty(), "router needs >= 1 cluster");
+        assert!(
+            capacities.iter().all(|&w| w.is_finite() && w >= 0.0),
+            "every cluster needs non-negative finite capacity, got {capacities:?}"
+        );
+        assert!(
+            capacities.iter().any(|&w| w > 0.0),
+            "at least one cluster needs positive capacity, got {capacities:?}"
+        );
     }
 
     /// Jobs routed to each cluster so far.
@@ -253,7 +234,7 @@ impl Router {
     ///
     /// Panics if `capacities` fails the [`Router::new`] validation or its
     /// length differs from the current cluster count.
-    pub fn set_weights(&mut self, capacities: &[f64]) {
+    fn set_weights(&mut self, capacities: &[f64]) {
         assert_eq!(
             capacities.len(),
             self.weights.len(),
@@ -261,48 +242,28 @@ impl Router {
             self.weights.len(),
             capacities.len()
         );
-        assert!(
-            capacities.iter().all(|&w| w.is_finite() && w >= 0.0),
-            "every cluster needs non-negative finite capacity, got {capacities:?}"
-        );
-        assert!(
-            capacities.iter().any(|&w| w > 0.0),
-            "at least one cluster needs positive capacity, got {capacities:?}"
-        );
+        Self::validate(capacities);
         self.weights = capacities.to_vec();
     }
 
     /// Splits a whole arrival stream into per-cluster sub-streams, in
-    /// arrival order. Every input job lands in exactly one sub-stream.
-    /// `capacities` are per-cluster aggregate capacities, as for
-    /// [`Router::new`].
-    pub fn split(policy: RouterPolicy, capacities: &[f64], jobs: &[Job]) -> Vec<Vec<Job>> {
-        let mut router = Router::new(policy, capacities);
-        let mut shards: Vec<Vec<Job>> = vec![Vec::new(); capacities.len()];
-        for job in jobs {
-            shards[router.route(job)].push(job.clone());
-        }
-        shards
-    }
-
-    /// Like [`Router::split`], but with a piecewise-constant capacity
-    /// timeline: `epochs` is a non-empty list of `(start_s, weights)`
-    /// entries in non-decreasing start order, and each job is routed under
-    /// the weights of the last epoch whose start is `<= arrival`
-    /// (arrivals before the first epoch use the first entry). Derive the
-    /// timeline from *scheduled* membership (never live cluster state) so
-    /// the split stays feed-forward.
+    /// arrival order, under a piecewise-constant capacity timeline:
+    /// `epochs` is a non-empty list of `(start_s, weights)` entries in
+    /// non-decreasing start order, and each job is routed under the
+    /// weights of the last epoch whose start is `<= arrival` (arrivals
+    /// before the first epoch use the first entry). Weights are
+    /// per-cluster aggregate capacities, as for [`Router::new`]; a single
+    /// epoch holds them for the whole stream. Derive the timeline from
+    /// *scheduled* membership (never live cluster state) so the split
+    /// stays feed-forward. Every input job lands in exactly one
+    /// sub-stream.
     ///
     /// # Panics
     ///
     /// Panics if `epochs` is empty, unsorted, of inconsistent width, or
     /// any weight vector fails the [`Router::new`] validation.
-    pub fn split_epochs(
-        policy: RouterPolicy,
-        epochs: &[(f64, Vec<f64>)],
-        jobs: &[Job],
-    ) -> Vec<Vec<Job>> {
-        assert!(!epochs.is_empty(), "split_epochs needs >= 1 epoch");
+    pub fn split(policy: RouterPolicy, epochs: &[(f64, Vec<f64>)], jobs: &[Job]) -> Vec<Vec<Job>> {
+        assert!(!epochs.is_empty(), "split needs >= 1 epoch");
         assert!(
             epochs.windows(2).all(|w| w[0].0 <= w[1].0),
             "epoch starts must be non-decreasing"
@@ -341,9 +302,14 @@ mod tests {
         (0..n).map(|i| job(i, i as f64 * 10.0, 300.0)).collect()
     }
 
+    /// Splits `jobs` under one epoch of fixed weights.
+    fn split(policy: RouterPolicy, weights: &[f64], jobs: &[Job]) -> Vec<Vec<Job>> {
+        Router::split(policy, &[(0.0, weights.to_vec())], jobs)
+    }
+
     #[test]
     fn round_robin_cycles_regardless_of_size() {
-        let shards = Router::split(RouterPolicy::RoundRobin, &[8.0, 1.0, 1.0], &stream(9));
+        let shards = split(RouterPolicy::RoundRobin, &[8.0, 1.0, 1.0], &stream(9));
         assert_eq!(
             shards.iter().map(Vec::len).collect::<Vec<_>>(),
             vec![3, 3, 3]
@@ -357,7 +323,7 @@ mod tests {
     fn weighted_tracks_capacity_within_one_job() {
         let weights = [4.0f64, 2.0, 2.0];
         let jobs = stream(80);
-        let shards = Router::split(RouterPolicy::WeightedByCapacity, &weights, &jobs);
+        let shards = split(RouterPolicy::WeightedByCapacity, &weights, &jobs);
         let total: f64 = weights.iter().sum();
         for (k, shard) in shards.iter().enumerate() {
             for n in 1..=jobs.len() {
@@ -376,7 +342,7 @@ mod tests {
         // A cluster of two 2x servers (weight 4.0) must receive twice the
         // jobs of a two-unit-server cluster (weight 2.0), even though the
         // big cluster has the same server count: the weight is capacity.
-        let shards = Router::split(RouterPolicy::WeightedByCapacity, &[4.0, 2.0], &stream(60));
+        let shards = split(RouterPolicy::WeightedByCapacity, &[4.0, 2.0], &stream(60));
         assert_eq!(shards[0].len(), 40);
         assert_eq!(shards[1].len(), 20);
     }
@@ -391,7 +357,7 @@ mod tests {
             job(1, 0.0, 300.0), // -> cluster 1 (cluster 0 now loaded)
             job(2, 50.0, 10.0), // 0 drained 150s of 300, load 50; 1 drained 50, load 250
         ];
-        let shards = Router::split(RouterPolicy::LeastLoaded, &[3.0, 1.0], &jobs);
+        let shards = split(RouterPolicy::LeastLoaded, &[3.0, 1.0], &jobs);
         assert_eq!(shards[0].len(), 2, "big cluster absorbs the follow-up");
         assert_eq!(shards[1].len(), 1);
     }
@@ -404,7 +370,7 @@ mod tests {
             job(1, 1.0, 100.0),
             job(2, 2.0, 100.0),
         ];
-        let shards = Router::split(RouterPolicy::LeastLoaded, &[1.0, 1.0], &jobs);
+        let shards = split(RouterPolicy::LeastLoaded, &[1.0, 1.0], &jobs);
         assert_eq!(shards[0].len(), 1);
         assert_eq!(shards[1].len(), 2);
     }
@@ -414,7 +380,7 @@ mod tests {
         // After a long quiet period the first cluster's backlog has drained,
         // so ties break back to it.
         let jobs = vec![job(0, 0.0, 50.0), job(1, 1_000.0, 50.0)];
-        let shards = Router::split(RouterPolicy::LeastLoaded, &[1.0, 1.0], &jobs);
+        let shards = split(RouterPolicy::LeastLoaded, &[1.0, 1.0], &jobs);
         assert_eq!(shards[0].len(), 2);
         assert!(shards[1].is_empty());
     }
@@ -422,7 +388,7 @@ mod tests {
     #[test]
     fn sub_streams_stay_sorted_by_arrival() {
         for policy in RouterPolicy::ALL {
-            let shards = Router::split(policy, &[3.0, 2.0, 1.0], &stream(50));
+            let shards = split(policy, &[3.0, 2.0, 1.0], &stream(50));
             for shard in shards {
                 for w in shard.windows(2) {
                     assert!(w[0].arrival <= w[1].arrival);
@@ -432,22 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn server_counts_are_the_unit_capacity_fallback() {
-        let from_counts = Router::from_server_counts(RouterPolicy::WeightedByCapacity, &[3, 2]);
-        assert_eq!(from_counts.weights(), &[3.0, 2.0]);
-        let mut a = from_counts;
-        let mut b = Router::new(RouterPolicy::WeightedByCapacity, &[3.0, 2.0]);
-        for j in stream(20) {
-            assert_eq!(a.route(&j), b.route(&j));
-        }
-    }
-
-    #[test]
     fn zero_capacity_cluster_gets_no_jobs_under_any_policy() {
         // A cluster whose healthy capacity collapsed to zero (all servers
         // crashed) stays addressable but receives nothing.
         for policy in RouterPolicy::ALL {
-            let shards = Router::split(policy, &[2.0, 0.0, 1.0], &stream(30));
+            let shards = split(policy, &[2.0, 0.0, 1.0], &stream(30));
             assert_eq!(shards[1].len(), 0, "{policy} routed to a dead cluster");
             assert_eq!(shards[0].len() + shards[2].len(), 30, "{policy} lost jobs");
         }
@@ -464,22 +419,12 @@ mod tests {
     }
 
     #[test]
-    fn split_epochs_with_one_epoch_matches_split() {
-        let jobs = stream(40);
-        for policy in RouterPolicy::ALL {
-            let plain = Router::split(policy, &[3.0, 2.0], &jobs);
-            let epoch = Router::split_epochs(policy, &[(0.0, vec![3.0, 2.0])], &jobs);
-            assert_eq!(plain, epoch, "{policy}");
-        }
-    }
-
-    #[test]
     fn split_epochs_reweights_at_boundaries() {
         // Cluster 1's capacity collapses at t = 100: every later arrival
         // must land on cluster 0, while bookkeeping carries across.
         let jobs = stream(30); // arrivals at 0, 10, ..., 290
         let epochs = vec![(0.0, vec![1.0, 1.0]), (100.0, vec![1.0, 0.0])];
-        let shards = Router::split_epochs(RouterPolicy::WeightedByCapacity, &epochs, &jobs);
+        let shards = Router::split(RouterPolicy::WeightedByCapacity, &epochs, &jobs);
         assert_eq!(shards[0].len() + shards[1].len(), 30);
         assert!(shards[1].iter().all(|j| j.arrival.as_secs() < 100.0));
         assert!(shards[1].len() >= 4, "early arrivals split both ways");

@@ -1,8 +1,7 @@
 //! Property-based tests of the front-end router: for *any* arrival stream,
-//! *any* routing policy, and *any* cluster-capacity vector — uniform
-//! (server counts) or heterogeneous (fractional capacity weights) —
-//! routing is a lossless, duplication-free, deterministic partition of the
-//! stream.
+//! *any* routing policy, and *any* cluster-capacity vector — uniform or
+//! heterogeneous (fractional capacity weights) — routing is a lossless,
+//! duplication-free, deterministic partition of the stream.
 
 use hierdrl_sim::job::{Job, JobId};
 use hierdrl_sim::resources::ResourceVec;
@@ -31,6 +30,11 @@ fn policy_from(index: usize) -> RouterPolicy {
     RouterPolicy::ALL[index % RouterPolicy::ALL.len()]
 }
 
+/// Splits `jobs` under one epoch of fixed capacity weights.
+fn split(policy: RouterPolicy, weights: &[f64], jobs: &[Job]) -> Vec<Vec<Job>> {
+    Router::split(policy, &[(0.0, weights.to_vec())], jobs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -45,7 +49,7 @@ proptest! {
     ) {
         let jobs = stream_from(raw);
         let policy = policy_from(policy_index);
-        let shards = Router::split(policy, &weights, &jobs);
+        let shards = split(policy, &weights, &jobs);
         prop_assert_eq!(shards.len(), weights.len());
 
         let mut recovered: Vec<Job> = shards.iter().flatten().cloned().collect();
@@ -62,7 +66,7 @@ proptest! {
         policy_index in 0usize..3,
     ) {
         let jobs = stream_from(raw);
-        let shards = Router::split(policy_from(policy_index), &weights, &jobs);
+        let shards = split(policy_from(policy_index), &weights, &jobs);
         for shard in &shards {
             for w in shard.windows(2) {
                 prop_assert!(w[0].arrival <= w[1].arrival);
@@ -82,8 +86,8 @@ proptest! {
     ) {
         let jobs = stream_from(raw);
         let policy = policy_from(policy_index);
-        let a = Router::split(policy, &weights, &jobs);
-        let b = Router::split(policy, &weights, &jobs);
+        let a = split(policy, &weights, &jobs);
+        let b = split(policy, &weights, &jobs);
         prop_assert_eq!(&a, &b);
 
         let mut router = Router::new(policy, &weights);
@@ -96,25 +100,6 @@ proptest! {
         let lens: Vec<usize> = a.iter().map(Vec::len).collect();
         let assigned: Vec<usize> = router.assigned().iter().map(|&n| n as usize).collect();
         prop_assert_eq!(lens, assigned);
-    }
-
-    /// Integer server counts route exactly like the equivalent capacity
-    /// weights: counts are the unit-capacity special case, not a separate
-    /// code path.
-    #[test]
-    fn server_counts_equal_unit_capacity_weights(
-        raw in prop::collection::vec((0.0f64..15.0, 60.0f64..3600.0, 0.05f64..0.9), 1usize..120),
-        sizes in prop::collection::vec(1usize..9, 1usize..6),
-        policy_index in 0usize..3,
-    ) {
-        let jobs = stream_from(raw);
-        let policy = policy_from(policy_index);
-        let weights: Vec<f64> = sizes.iter().map(|&m| m as f64).collect();
-        let mut by_counts = Router::from_server_counts(policy, &sizes);
-        let mut by_weights = Router::new(policy, &weights);
-        for job in &jobs {
-            prop_assert_eq!(by_counts.route(job), by_weights.route(job));
-        }
     }
 
     /// Zeroing out any one cluster's weight — its healthy capacity vanished
@@ -134,7 +119,7 @@ proptest! {
         let mut weights = weights;
         weights[dead] = 0.0;
 
-        let shards = Router::split(policy, &weights, &jobs);
+        let shards = split(policy, &weights, &jobs);
         prop_assert!(shards[dead].is_empty(), "{policy} routed to the dead cluster");
 
         let mut recovered: Vec<Job> = shards.iter().flatten().cloned().collect();

@@ -23,8 +23,8 @@
 //!   [`ParseStats::incomplete_dropped`];
 //! * arrival = create timestamp, duration = end − create (seconds);
 //!   non-positive durations count in
-//!   [`ParseStats::nonpositive_duration_dropped`], and the
-//!   `[min_duration_s, max_duration_s]` window drops into
+//!   [`ParseStats::nonpositive_duration_dropped`], and the paper's
+//!   [1 minute, 2 hours] window drops into
 //!   [`ParseStats::duration_filtered`] exactly like the Google parser;
 //! * plan CPU is divided by 100 (percent-of-core → fraction) and both
 //!   demand components are clamped to `[1e-4, 1.0]`; a missing/empty plan
@@ -42,23 +42,17 @@ use hierdrl_sim::resources::ResourceVec;
 use hierdrl_sim::time::SimTime;
 use std::io::BufRead;
 
-use crate::google::{ParseError, ParseStats, PAPER_MAX_DURATION_S, PAPER_MIN_DURATION_S};
+use crate::google::{
+    parse_field_f64, ParseError, ParseStats, PAPER_MAX_DURATION_S, PAPER_MIN_DURATION_S,
+};
 use crate::trace::Trace;
 
 /// Status string marking a completed task in `batch_task.csv`.
 pub const STATUS_TERMINATED: &str = "Terminated";
 
-fn parse_field_f64(s: &str) -> Option<f64> {
-    if s.is_empty() {
-        None
-    } else {
-        s.parse::<f64>().ok()
-    }
-}
-
 /// Parses Alibaba v2017 `batch_task` CSV rows into a [`Trace`], keeping
-/// only `Terminated` tasks whose duration falls within
-/// `[min_duration_s, max_duration_s]`.
+/// only `Terminated` tasks whose duration falls within the paper's window
+/// of [1 minute, 2 hours].
 ///
 /// Malformed rows (too few columns, unparsable timestamps) error out with
 /// their line number; rows that parse but carry incomplete *data* are
@@ -69,11 +63,7 @@ fn parse_field_f64(s: &str) -> Option<f64> {
 ///
 /// Returns [`ParseError`] for rows with fewer than 6 columns or unparsable
 /// numeric fields.
-pub fn parse_batch_tasks_with_stats<R: BufRead>(
-    reader: R,
-    min_duration_s: f64,
-    max_duration_s: f64,
-) -> Result<(Trace, ParseStats), ParseError> {
+pub fn parse_batch_tasks<R: BufRead>(reader: R) -> Result<(Trace, ParseStats), ParseError> {
     let mut stats = ParseStats::default();
     let mut jobs: Vec<Job> = Vec::new();
 
@@ -115,7 +105,7 @@ pub fn parse_batch_tasks_with_stats<R: BufRead>(
             continue;
         }
         let duration_s = end_s - create_s;
-        if !(min_duration_s..=max_duration_s).contains(&duration_s) {
+        if !(PAPER_MIN_DURATION_S..=PAPER_MAX_DURATION_S).contains(&duration_s) {
             stats.duration_filtered += 1;
             continue;
         }
@@ -150,28 +140,6 @@ pub fn parse_batch_tasks_with_stats<R: BufRead>(
     Ok((Trace::new(jobs).expect("sorted, validated jobs"), stats))
 }
 
-/// [`parse_batch_tasks_with_stats`] without the bookkeeping.
-///
-/// # Errors
-///
-/// See [`parse_batch_tasks_with_stats`].
-pub fn parse_batch_tasks<R: BufRead>(
-    reader: R,
-    min_duration_s: f64,
-    max_duration_s: f64,
-) -> Result<Trace, ParseError> {
-    parse_batch_tasks_with_stats(reader, min_duration_s, max_duration_s).map(|(trace, _)| trace)
-}
-
-/// Parses with the paper's duration filter of [1 minute, 2 hours].
-///
-/// # Errors
-///
-/// See [`parse_batch_tasks`].
-pub fn parse_batch_tasks_paper<R: BufRead>(reader: R) -> Result<Trace, ParseError> {
-    parse_batch_tasks(reader, PAPER_MIN_DURATION_S, PAPER_MAX_DURATION_S)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,12 +161,7 @@ mod tests {
     #[test]
     fn parses_terminated_task() {
         let csv = row(100, "400", 1, 1, "Terminated", "50", "0.25");
-        let (trace, stats) = parse_batch_tasks_with_stats(
-            Cursor::new(csv),
-            PAPER_MIN_DURATION_S,
-            PAPER_MAX_DURATION_S,
-        )
-        .unwrap();
+        let (trace, stats) = parse_batch_tasks(Cursor::new(csv)).unwrap();
         assert_eq!(trace.len(), 1);
         let j = &trace.jobs()[0];
         assert_eq!(j.arrival, SimTime::from_secs(100.0));
@@ -221,12 +184,7 @@ mod tests {
             row(0, "400", 4, 1, "Terminated", "50", "0.25"),
         ]
         .join("\n");
-        let (trace, stats) = parse_batch_tasks_with_stats(
-            Cursor::new(csv),
-            PAPER_MIN_DURATION_S,
-            PAPER_MAX_DURATION_S,
-        )
-        .unwrap();
+        let (trace, stats) = parse_batch_tasks(Cursor::new(csv)).unwrap();
         assert_eq!(trace.len(), 1);
         assert_eq!(stats.tasks_seen, 4);
         assert_eq!(stats.incomplete_dropped, 3);
@@ -243,12 +201,7 @@ mod tests {
             row(100, "700", 5, 1, "Terminated", "50", "0.25"), // kept
         ]
         .join("\n");
-        let (trace, stats) = parse_batch_tasks_with_stats(
-            Cursor::new(csv),
-            PAPER_MIN_DURATION_S,
-            PAPER_MAX_DURATION_S,
-        )
-        .unwrap();
+        let (trace, stats) = parse_batch_tasks(Cursor::new(csv)).unwrap();
         assert_eq!(trace.len(), 1);
         assert_eq!(stats.nonpositive_duration_dropped, 1);
         assert_eq!(stats.duration_filtered, 2);
@@ -265,12 +218,7 @@ mod tests {
             row(0, "400", 3, 1, "Terminated", "50", "0.25"),
         ]
         .join("\n");
-        let (trace, stats) = parse_batch_tasks_with_stats(
-            Cursor::new(csv),
-            PAPER_MIN_DURATION_S,
-            PAPER_MAX_DURATION_S,
-        )
-        .unwrap();
+        let (trace, stats) = parse_batch_tasks(Cursor::new(csv)).unwrap();
         assert_eq!(trace.len(), 3);
         assert_eq!(stats.demand_defaulted, 2);
         let floored = trace
@@ -285,7 +233,7 @@ mod tests {
     fn oversubscribed_plan_cpu_is_clamped_to_one_server() {
         // plan_cpu 400 = 4 cores: more than one normalized server.
         let csv = row(0, "400", 1, 1, "Terminated", "400", "1.5");
-        let trace = parse_batch_tasks_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_batch_tasks(Cursor::new(csv)).unwrap().0;
         assert!((trace.jobs()[0].demand.get(0) - 1.0).abs() < 1e-9);
         assert!((trace.jobs()[0].demand.get(1) - 1.0).abs() < 1e-9);
     }
@@ -297,7 +245,7 @@ mod tests {
             row(100, "500", 8, 1, "Terminated", "30", "0.3"),
         ]
         .join("\n");
-        let trace = parse_batch_tasks_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_batch_tasks(Cursor::new(csv)).unwrap().0;
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.jobs()[0].id, JobId(0));
         assert_eq!(trace.jobs()[0].arrival, SimTime::from_secs(100.0));
@@ -306,14 +254,14 @@ mod tests {
 
     #[test]
     fn malformed_rows_error_with_line_number() {
-        let err = parse_batch_tasks_paper(Cursor::new("not,enough")).unwrap_err();
+        let err = parse_batch_tasks(Cursor::new("not,enough")).unwrap_err();
         assert_eq!(err.line, 1);
 
         let csv = format!(
             "{}\nabc,400,1,1,1,Terminated,50,0.25",
             row(0, "400", 9, 1, "Terminated", "50", "0.25")
         );
-        let err = parse_batch_tasks_paper(Cursor::new(csv)).unwrap_err();
+        let err = parse_batch_tasks(Cursor::new(csv)).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.reason.contains("bad create timestamp"));
     }
@@ -321,12 +269,7 @@ mod tests {
     #[test]
     fn empty_lines_are_skipped() {
         let csv = format!("\n{}\n\n", row(0, "400", 1, 1, "Terminated", "50", "0.25"));
-        let (trace, stats) = parse_batch_tasks_with_stats(
-            Cursor::new(csv),
-            PAPER_MIN_DURATION_S,
-            PAPER_MAX_DURATION_S,
-        )
-        .unwrap();
+        let (trace, stats) = parse_batch_tasks(Cursor::new(csv)).unwrap();
         assert_eq!(trace.len(), 1);
         assert_eq!(stats.rows, 1);
     }

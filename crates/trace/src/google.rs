@@ -5,7 +5,7 @@
 //! reproduction (the real month-long trace is ~40 GB and not redistributable
 //! here), but users who have downloaded it can extract the same
 //! `(arrival, duration, demand)` tuples the paper uses:
-//! [`parse_task_events_with_stats`] reconstructs each task from its event
+//! [`parse_task_events`] reconstructs each task from its event
 //! rows — SUBMIT gives the arrival and resource request, FINISH − SCHEDULE
 //! gives the duration — and reports [`ParseStats`] provenance (how many
 //! tasks were dropped at each filter and how many kept jobs had missing
@@ -119,7 +119,8 @@ struct TaskRecord {
     disk: Option<f64>,
 }
 
-fn parse_field_f64(s: &str) -> Option<f64> {
+/// An optional numeric CSV field: `None` when empty or unparsable.
+pub(crate) fn parse_field_f64(s: &str) -> Option<f64> {
     if s.is_empty() {
         None
     } else {
@@ -130,7 +131,7 @@ fn parse_field_f64(s: &str) -> Option<f64> {
 /// Parses `task_events` CSV rows into a [`Trace`], reconstructing each
 /// task's arrival (SUBMIT), duration (FINISH − SCHEDULE) and normalized
 /// resource request, and keeping only tasks whose duration falls within
-/// `[min_duration_s, max_duration_s]`.
+/// the paper's window of [1 minute, 2 hours].
 ///
 /// Malformed rows produce an error rather than being skipped silently;
 /// rows that parse but carry incomplete *data* (missing lifecycle events,
@@ -143,11 +144,7 @@ fn parse_field_f64(s: &str) -> Option<f64> {
 ///
 /// Returns [`ParseError`] for rows with too few columns or unparsable
 /// numeric fields.
-pub fn parse_task_events_with_stats<R: BufRead>(
-    reader: R,
-    min_duration_s: f64,
-    max_duration_s: f64,
-) -> Result<(Trace, ParseStats), ParseError> {
+pub fn parse_task_events<R: BufRead>(reader: R) -> Result<(Trace, ParseStats), ParseError> {
     // Keyed by `(job_id, task_index)` in a BTreeMap so the emission loop
     // below walks tasks in key order. The final sort is by arrival only, and
     // `sort_by_key` is stable — with a hash map, equal-arrival tasks would
@@ -231,7 +228,7 @@ pub fn parse_task_events_with_stats<R: BufRead>(
             continue;
         }
         let duration_s = (finish - schedule) as f64 / 1e6;
-        if !(min_duration_s..=max_duration_s).contains(&duration_s) {
+        if !(PAPER_MIN_DURATION_S..=PAPER_MAX_DURATION_S).contains(&duration_s) {
             stats.duration_filtered += 1;
             continue;
         }
@@ -260,29 +257,6 @@ pub fn parse_task_events_with_stats<R: BufRead>(
     Ok((Trace::new(jobs).expect("sorted, validated jobs"), stats))
 }
 
-/// [`parse_task_events_with_stats`] without the bookkeeping — kept for
-/// callers that only need the trace.
-///
-/// # Errors
-///
-/// See [`parse_task_events_with_stats`].
-pub fn parse_task_events<R: BufRead>(
-    reader: R,
-    min_duration_s: f64,
-    max_duration_s: f64,
-) -> Result<Trace, ParseError> {
-    parse_task_events_with_stats(reader, min_duration_s, max_duration_s).map(|(trace, _)| trace)
-}
-
-/// Parses with the paper's duration filter of [1 minute, 2 hours].
-///
-/// # Errors
-///
-/// See [`parse_task_events`].
-pub fn parse_task_events_paper<R: BufRead>(reader: R) -> Result<Trace, ParseError> {
-    parse_task_events(reader, PAPER_MIN_DURATION_S, PAPER_MAX_DURATION_S)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,7 +275,7 @@ mod tests {
             row(302_000_000, 10, 0, 4, "", "", ""),            // finish at 302 s
         ]
         .join("\n");
-        let trace = parse_task_events_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_task_events(Cursor::new(csv)).unwrap().0;
         assert_eq!(trace.len(), 1);
         let j = &trace.jobs()[0];
         assert_eq!(j.arrival, SimTime::from_secs(1.0));
@@ -327,7 +301,7 @@ mod tests {
             row(601_000_000, 3, 0, 4, "", "", ""),
         ]
         .join("\n");
-        let trace = parse_task_events_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_task_events(Cursor::new(csv)).unwrap().0;
         assert_eq!(trace.len(), 1);
         assert!((trace.jobs()[0].duration - 600.0).abs() < 1e-9);
     }
@@ -339,7 +313,7 @@ mod tests {
             row(0, 2, 0, 1, "", "", ""),          // schedule only
         ]
         .join("\n");
-        let trace = parse_task_events_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_task_events(Cursor::new(csv)).unwrap().0;
         assert!(trace.is_empty());
     }
 
@@ -355,7 +329,7 @@ mod tests {
             row(150_000_000, 8, 0, 4, "", "", ""),
         ]
         .join("\n");
-        let trace = parse_task_events_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_task_events(Cursor::new(csv)).unwrap().0;
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.jobs()[0].id, JobId(0));
         assert!(trace.jobs()[0].arrival < trace.jobs()[1].arrival);
@@ -365,11 +339,11 @@ mod tests {
     #[test]
     fn malformed_rows_error_with_line_number() {
         let csv = "not,enough";
-        let err = parse_task_events_paper(Cursor::new(csv)).unwrap_err();
+        let err = parse_task_events(Cursor::new(csv)).unwrap_err();
         assert_eq!(err.line, 1);
 
         let csv = "abc,,1,0,42,0,u,2,5,0.1,0.1,0.1,0";
-        let err = parse_task_events_paper(Cursor::new(csv)).unwrap_err();
+        let err = parse_task_events(Cursor::new(csv)).unwrap_err();
         assert!(err.reason.contains("bad timestamp"));
     }
 
@@ -381,7 +355,7 @@ mod tests {
             row(1_000_000, 1, 0, 1, "", "", ""),
             row(301_000_000, 1, 0, 4, "", "", "")
         );
-        let trace = parse_task_events_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_task_events(Cursor::new(csv)).unwrap().0;
         assert_eq!(trace.len(), 1);
     }
 
@@ -402,12 +376,7 @@ mod tests {
             row(301_000_000, 3, 0, 4, "", "", ""),
         ]
         .join("\n");
-        let (trace, stats) = parse_task_events_with_stats(
-            Cursor::new(csv),
-            PAPER_MIN_DURATION_S,
-            PAPER_MAX_DURATION_S,
-        )
-        .unwrap();
+        let (trace, stats) = parse_task_events(Cursor::new(csv)).unwrap();
         assert_eq!(trace.len(), 3);
         assert_eq!(stats.jobs_kept, 3);
         assert_eq!(stats.tasks_seen, 3);
@@ -444,12 +413,7 @@ mod tests {
             row(301_000_000, 4, 0, 4, "", "", ""),
         ]
         .join("\n");
-        let (trace, stats) = parse_task_events_with_stats(
-            Cursor::new(csv),
-            PAPER_MIN_DURATION_S,
-            PAPER_MAX_DURATION_S,
-        )
-        .unwrap();
+        let (trace, stats) = parse_task_events(Cursor::new(csv)).unwrap();
         assert_eq!(trace.len(), 1);
         assert_eq!(stats.tasks_seen, 4);
         assert_eq!(stats.incomplete_dropped, 1);
@@ -472,7 +436,7 @@ mod tests {
             rows.push(row(301_000_000, job, 0, 4, "", "", ""));
         }
         let csv = rows.join("\n");
-        let trace = parse_task_events_paper(Cursor::new(csv.clone())).unwrap();
+        let trace = parse_task_events(Cursor::new(csv.clone())).unwrap().0;
         assert_eq!(trace.len(), 16);
         for (i, j) in trace.jobs().iter().enumerate() {
             assert_eq!(j.id, JobId(i as u64));
@@ -485,7 +449,7 @@ mod tests {
             );
         }
         // And a reparse of the same bytes is identical, job for job.
-        let again = parse_task_events_paper(Cursor::new(csv)).unwrap();
+        let again = parse_task_events(Cursor::new(csv)).unwrap().0;
         assert_eq!(trace.jobs(), again.jobs());
     }
 
@@ -500,7 +464,7 @@ mod tests {
             row(601_000_000, 1, 1, 4, "", "", ""),
         ]
         .join("\n");
-        let trace = parse_task_events_paper(Cursor::new(csv)).unwrap();
+        let trace = parse_task_events(Cursor::new(csv)).unwrap().0;
         assert_eq!(trace.len(), 2);
     }
 }

@@ -14,10 +14,11 @@
 //! law, demand law) and realistic non-stationarity (diurnal + weekend
 //! cycles) — and stays the default workload source. Users who have real
 //! trace files feed them in through [`source::RealTraceSource`]:
-//! [`google::parse_task_events_with_stats`] reads the Google ClusterData
-//! `task_events` tables and [`alibaba::parse_batch_tasks_with_stats`] reads
-//! the Alibaba cluster-trace-v2017 `batch_task` table, both reporting
-//! [`google::ParseStats`] provenance so consumers can gate on data quality.
+//! [`google::parse_task_events`] reads the Google ClusterData `task_events`
+//! tables and [`alibaba::parse_batch_tasks`] reads the Alibaba
+//! cluster-trace-v2017 `batch_task` table, both keeping the paper's
+//! duration window and reporting [`google::ParseStats`] provenance so
+//! consumers can gate on data quality.
 //!
 //! # Examples
 //!
@@ -71,16 +72,11 @@ pub mod trace;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::alibaba::{
-        parse_batch_tasks, parse_batch_tasks_paper, parse_batch_tasks_with_stats,
-    };
+    pub use crate::alibaba::parse_batch_tasks;
     pub use crate::distributions::Dist;
     pub use crate::drift::{mix_seed, SegmentShift, SegmentedTraceSpec};
     pub use crate::generator::{TraceGenerator, WorkloadConfig};
-    pub use crate::google::{
-        parse_task_events, parse_task_events_paper, parse_task_events_with_stats, ParseError,
-        ParseStats,
-    };
+    pub use crate::google::{parse_task_events, ParseError, ParseStats};
     pub use crate::materialize::{TraceCache, TraceSpec};
     pub use crate::pattern::{ArrivalPattern, SECS_PER_DAY, SECS_PER_WEEK};
     pub use crate::source::{with_synthetic_demands, RealTraceSource, TraceFormat};

@@ -34,7 +34,7 @@ use std::io::{BufReader, Cursor};
 use std::path::{Path, PathBuf};
 
 use crate::drift::mix_seed;
-use crate::google::{ParseStats, PAPER_MAX_DURATION_S, PAPER_MIN_DURATION_S};
+use crate::google::ParseStats;
 use crate::trace::Trace;
 use crate::{alibaba, google};
 use hierdrl_sim::job::Job;
@@ -134,14 +134,9 @@ impl RealTraceSource {
     }
 
     fn parse<R: std::io::BufRead>(&self, reader: R) -> Result<(Trace, ParseStats), String> {
-        let (min_s, max_s) = (PAPER_MIN_DURATION_S, PAPER_MAX_DURATION_S);
         let parsed = match self.format {
-            TraceFormat::GoogleTaskEvents => {
-                google::parse_task_events_with_stats(reader, min_s, max_s)
-            }
-            TraceFormat::AlibabaBatchTask => {
-                alibaba::parse_batch_tasks_with_stats(reader, min_s, max_s)
-            }
+            TraceFormat::GoogleTaskEvents => google::parse_task_events(reader),
+            TraceFormat::AlibabaBatchTask => alibaba::parse_batch_tasks(reader),
         };
         parsed.map_err(|e| format!("{}: {e}", self.label()))
     }
