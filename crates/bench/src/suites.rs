@@ -540,7 +540,7 @@ pub fn scale(args: &SweepArgs) -> Result<BenchReport, String> {
     spec.m = args.m.unwrap_or(spec.m);
     spec.jobs = args.jobs.unwrap_or(spec.jobs);
     eprintln!(
-        "scale: M = {}, jobs = {} (streamed arrivals, lazy accounting, no retention)",
+        "scale: M = {}, jobs = {} (streamed arrivals, no retention)",
         spec.m, spec.jobs
     );
 

@@ -63,6 +63,24 @@ fn unknown_fault_name_exits_2_and_writes_nothing() {
 }
 
 #[test]
+fn drl_cells_on_too_few_servers_exit_2_and_write_nothing() {
+    // One server cannot fill the DRL state's two groups: the learned cells
+    // fail by name instead of panicking inside the state encoder.
+    let dir = scratch("too-few-servers");
+    let args: Vec<&str> = "chaos --quick --m 1 --jobs 200 --threads 1 --out c.json"
+        .split(' ')
+        .collect();
+    let out = bench(&dir, &args);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("unit 0: more groups (2) than servers (1)"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(is_empty(&dir), "a failed run must write nothing");
+}
+
+#[test]
 fn unknown_or_missing_subcommand_exits_2_and_lists_subcommands() {
     let dir = scratch("unknown-subcommand");
     let cases: [&[&str]; 2] = [&["frobnicate"], &[]];

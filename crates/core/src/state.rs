@@ -45,6 +45,25 @@ pub struct StateEncoderConfig {
     pub duration_scale: f64,
 }
 
+impl StateEncoderConfig {
+    /// Checks that a cluster of `num_servers` slots can fill every group:
+    /// an encoder needs at least one server per group.
+    ///
+    /// # Errors
+    ///
+    /// Returns `more groups (K) than servers (M)` when `num_groups`
+    /// exceeds `num_servers`.
+    pub fn check_servers(&self, num_servers: usize) -> Result<(), String> {
+        if self.num_groups > num_servers {
+            return Err(format!(
+                "more groups ({}) than servers ({num_servers})",
+                self.num_groups
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl Default for StateEncoderConfig {
     fn default() -> Self {
         Self {
@@ -135,12 +154,9 @@ impl StateEncoder {
         assert!(num_servers > 0, "need at least one server");
         assert!(resource_dims > 0, "need at least one resource dimension");
         assert!(config.num_groups > 0, "need at least one group");
-        assert!(
-            config.num_groups <= num_servers,
-            "more groups ({}) than servers ({})",
-            config.num_groups,
-            num_servers
-        );
+        if let Err(e) = config.check_servers(num_servers) {
+            panic!("{e}");
+        }
         assert!(
             config.duration_scale > 0.0,
             "duration_scale must be positive"

@@ -273,10 +273,9 @@
 //! The [`scale`] module is the regime the suite layer deliberately does
 //! not cover: single cells at the paper's pitched warehouse scale
 //! (10⁵ servers, 10⁶ streamed jobs) with memory bounded by the fleet, not
-//! the trace — streamed arrivals, lazy `O(1)` fleet accounting, no
-//! per-job retention, and a per-cell peak-RSS reading
-//! ([`report::peak_rss_bytes`]) that the CI perf gate guards alongside
-//! throughput.
+//! the trace — streamed arrivals, no per-job retention, and a per-cell
+//! peak-RSS reading ([`report::peak_rss_bytes`]) that the CI perf gate
+//! guards alongside throughput.
 
 #![forbid(unsafe_code)]
 

@@ -865,9 +865,17 @@ impl BuiltPower {
 fn build_policy(
     scenario: &Scenario,
     ctx: &RunContext,
+    unit: usize,
     cluster: &ClusterConfig,
     seeds: &LearnerSeeds,
 ) -> Result<(BuiltAllocator, BuiltPower), String> {
+    if let Some(drl) = &seeds.drl {
+        // The learners are sized at the slot ceiling (see `pretrain`); a
+        // unit too small for the state's groups fails here by name.
+        drl.state
+            .check_servers(cluster.effective_max())
+            .map_err(|e| format!("unit {unit}: {e}"))?;
+    }
     let segments = |budget: &Pretrain| {
         budget.segment_specs(
             cluster.num_servers,
@@ -958,7 +966,7 @@ fn run_unit(
         .as_ref()
         .map(|spec| spec.cluster_with_headroom(member));
     let cluster = headroom.as_ref().unwrap_or(member);
-    let (mut allocator, mut power) = build_policy(scenario, ctx, cluster, &seeds)?;
+    let (mut allocator, mut power) = build_policy(scenario, ctx, unit, cluster, &seeds)?;
     if !scenario.online_learning() {
         allocator.set_learning(false);
         power.set_learning(false);

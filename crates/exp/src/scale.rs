@@ -10,9 +10,6 @@
 //!
 //! * arrivals are **streamed** ([`hierdrl_trace::stream::GeneratorStream`]
 //!   behind [`ArrivalSource`]), so no `Vec<Job>` of the trace ever exists;
-//! * the cluster runs with `lazy_accounting` (O(1) incremental fleet
-//!   totals instead of the eager `O(M)` per-event sweep — the difference
-//!   between ~2M and ~10¹¹ server-account calls at M = 100,000);
 //! * `retain_completed_jobs` is off, so completion records are counted,
 //!   not stored;
 //! * only **O(1)-per-decision** policies run (round-robin paired with
@@ -74,8 +71,7 @@ impl ScaleSpec {
     }
 
     /// A CI-sized smoke point exercising the identical code path (streamed
-    /// arrivals, lazy accounting, no retention) at a fleet two orders of
-    /// magnitude smaller.
+    /// arrivals, no retention) at a fleet two orders of magnitude smaller.
     pub fn quick() -> Self {
         Self {
             m: 2_000,
@@ -84,11 +80,10 @@ impl ScaleSpec {
         }
     }
 
-    /// The memory-bounded cluster configuration: paper parameters plus
-    /// lazy accounting and no per-job retention.
+    /// The memory-bounded cluster configuration: paper parameters with no
+    /// per-job retention.
     pub fn cluster(&self) -> ClusterConfig {
         let mut config = ClusterConfig::paper(self.m);
-        config.lazy_accounting = true;
         config.retain_completed_jobs = false;
         config
     }
@@ -239,7 +234,6 @@ mod tests {
         assert!(spec.m >= 100_000);
         assert!(spec.jobs >= 1_000_000);
         let config = spec.cluster();
-        assert!(config.lazy_accounting);
         assert!(!config.retain_completed_jobs);
         assert_eq!(
             spec.cell_id("round-robin"),

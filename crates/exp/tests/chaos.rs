@@ -296,3 +296,29 @@ fn fault_specs_that_do_not_fit_a_unit_fail_the_cell_by_name() {
          fault shape 0 crashes server 4 out of 3 servers"
     );
 }
+
+#[test]
+fn drl_cells_on_units_smaller_than_the_state_groups_fail_by_name() {
+    // The DRL state splits a unit into two groups, so a one-server unit
+    // cannot be encoded: the cell fails by name before pre-training.
+    let drl_error = |topology: Topology| {
+        let suite = Suite::builder("too-few-servers")
+            .topologies([topology])
+            .workloads([WorkloadSpec::paper().with_total_jobs(200)])
+            .policies([quick_drl()])
+            .seeds([1])
+            .build();
+        SuiteRunner::serial()
+            .run(&suite)
+            .expect_err("a unit with fewer servers than groups fails the cell")
+    };
+    assert_eq!(
+        drl_error(Topology::paper(1)),
+        "scenario paper-m1/paper/drl-quick/s1: unit 0: more groups (2) than servers (1)"
+    );
+    // Three servers over two units: unit 1 gets one server.
+    assert_eq!(
+        drl_error(Topology::sharded_paper(2, 3, RouterPolicy::RoundRobin)),
+        "scenario paper-c2m3-rr/paper/drl-quick/s1: unit 1: more groups (2) than servers (1)"
+    );
+}

@@ -53,7 +53,10 @@ impl FleetAgg {
 }
 
 /// Read-only view of the cluster handed to allocators and power managers at
-/// decision epochs. All time integrals are up to date as of [`ClusterView::now`].
+/// decision epochs. The fleet [`ClusterView::totals`] are current at
+/// [`ClusterView::now`]. A server's own [`Server::stats`] are current only
+/// if that server changed at `now`, which always holds for the idling
+/// server passed to [`PowerManager::on_idle`].
 #[derive(Debug)]
 pub struct ClusterView<'a> {
     /// Current simulation time.
@@ -214,13 +217,12 @@ pub trait PowerManager {
     }
 }
 
-/// Bounds on a simulation run.
+/// How long a simulation run lasts: until every event drains, or until a
+/// number of jobs has completed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunLimit {
     /// Stop once this many jobs have completed.
     pub max_completed: Option<u64>,
-    /// Stop once simulation time passes this point.
-    pub max_time: Option<SimTime>,
 }
 
 impl RunLimit {
@@ -233,7 +235,6 @@ impl RunLimit {
     pub fn jobs(n: u64) -> Self {
         Self {
             max_completed: Some(n),
-            max_time: None,
         }
     }
 }
@@ -273,12 +274,11 @@ impl std::fmt::Debug for ArrivalSource {
     }
 }
 
-/// Incremental cluster-wide accounting for the `lazy_accounting` mode:
-/// accumulated fleet integrals plus the instantaneous fleet rates that
-/// advance them, updated in O(1) when a single server changes instead of
-/// re-summing all `M` servers per event. Job counts are kept as integers,
-/// so only the power and overload rates carry floating-point drift (bounded
-/// by one rounding per server touch).
+/// Incremental cluster-wide accounting: accumulated fleet integrals plus
+/// the instantaneous fleet rates that advance them, updated in O(1) when a
+/// single server changes, so no event re-sums all `M` servers. Job counts
+/// are kept as integers, so only the power and overload rates carry
+/// floating-point drift (bounded by one rounding per server touch).
 #[derive(Debug)]
 struct LazyAgg {
     last: SimTime,
@@ -535,14 +535,10 @@ impl Cluster {
         }
     }
 
-    /// Brackets a single-server mutation in lazy mode: advance the fleet
-    /// integrals to `now`, bring the server's own integrals up to date, and
-    /// subtract its (pre-mutation) rates from the fleet rates. A no-op in
-    /// eager mode, where `account_all` already ran this event.
+    /// Brackets a single-server mutation: advance the fleet integrals to
+    /// `now`, bring the server's own integrals up to date, and subtract its
+    /// (pre-mutation) rates from the fleet rates.
     fn touch_begin(&mut self, sid: ServerId) {
-        if !self.config.lazy_accounting {
-            return;
-        }
         self.agg.advance(self.now);
         let server = &mut self.servers[sid.0];
         server.account(self.now, &self.config.power);
@@ -552,46 +548,30 @@ impl Cluster {
     /// Closes a [`Cluster::touch_begin`] bracket: adds the server's
     /// post-mutation rates back into the fleet rates.
     fn touch_end(&mut self, sid: ServerId) {
-        if !self.config.lazy_accounting {
-            return;
-        }
         self.agg
             .add_server(&self.servers[sid.0], &self.config.power);
     }
 
+    /// The fleet totals at `now`: the running integrals, extrapolated from
+    /// the last fleet advance at the current (constant) rates.
     fn totals(&self) -> ClusterTotals {
-        let mut t = ClusterTotals {
+        let agg = &self.agg;
+        let dt = self.now.since(agg.last);
+        ClusterTotals {
             time_s: self.now.as_secs(),
+            energy_joules: agg.energy_joules + agg.power_watts * dt,
+            vm_time_integral: agg.vm_time_integral + agg.jobs_in_system as f64 * dt,
+            queue_time_integral: agg.queue_time_integral + agg.queued as f64 * dt,
+            overload_integral: agg.overload_integral + agg.overload * dt,
+            power_watts: agg.power_watts,
             jobs_arrived: self.jobs_arrived,
-            jobs_requeued: self.jobs_requeued,
             jobs_completed: self.jobs_done,
             total_latency_s: self.total_latency,
-            ..Default::default()
-        };
-        if self.config.lazy_accounting {
-            // O(1): the running integrals, extrapolated from the last fleet
-            // advance to `now` at the current (constant) rates.
-            let dt = self.now.since(self.agg.last);
-            t.energy_joules = self.agg.energy_joules + self.agg.power_watts * dt;
-            t.vm_time_integral = self.agg.vm_time_integral + self.agg.jobs_in_system as f64 * dt;
-            t.queue_time_integral = self.agg.queue_time_integral + self.agg.queued as f64 * dt;
-            t.overload_integral = self.agg.overload_integral + self.agg.overload * dt;
-            t.power_watts = self.agg.power_watts;
-            return t;
+            jobs_requeued: self.jobs_requeued,
         }
-        for s in &self.servers {
-            let st = s.stats();
-            t.energy_joules += st.energy_joules;
-            t.vm_time_integral += st.jobs_in_system_integral;
-            t.queue_time_integral += st.queue_integral;
-            t.overload_integral += st.overload_integral;
-            t.power_watts += s.power_watts(&self.config.power);
-        }
-        t
     }
 
-    /// A fresh view with up-to-date totals (accounting must already have
-    /// advanced to `self.now`).
+    /// A fresh view with the fleet totals at `self.now`.
     fn view(&self) -> ClusterView<'_> {
         ClusterView {
             now: self.now,
@@ -980,10 +960,8 @@ impl Cluster {
                 // integrals first, then start its clock at `now` so it
                 // never retroactively integrates the pre-join interval.
                 server.reset_account_clock(self.now);
-                if self.config.lazy_accounting {
-                    self.agg.advance(self.now);
-                    self.agg.add_server(&server, &self.config.power);
-                }
+                self.agg.advance(self.now);
+                self.agg.add_server(&server, &self.config.power);
                 self.servers.push(server);
                 sid
             }
@@ -1045,22 +1023,8 @@ impl Cluster {
             } else {
                 self.events.pop().expect("peeked above")
             };
-            if let Some(max_t) = limit.max_time {
-                if time > max_t {
-                    // Account up to the boundary and stop.
-                    self.now = max_t;
-                    if self.config.lazy_accounting {
-                        self.agg.advance(max_t);
-                    }
-                    self.account_all(max_t);
-                    break;
-                }
-            }
             debug_assert!(time >= self.now, "event time went backwards");
             self.now = time;
-            if !self.config.lazy_accounting {
-                self.account_all(time);
-            }
             match event {
                 Event::JobArrival(job) => self.handle_arrival(job, allocator, power),
                 Event::FleetChange { op } => self.apply_fleet_op(op, allocator, power),
@@ -1075,13 +1039,11 @@ impl Cluster {
                 }
             }
         }
-        if self.config.lazy_accounting {
-            // Bring fleet integrals and every server's own statistics up to
-            // the end of the run, so per-server stats are exact for
-            // downstream consumers.
-            self.agg.advance(self.now);
-            self.account_all(self.now);
-        }
+        // Bring fleet integrals and every server's own statistics up to the
+        // end of the run, so per-server stats are exact for downstream
+        // consumers.
+        self.agg.advance(self.now);
+        self.account_all(self.now);
         let view = self.view();
         allocator.on_run_end(&view);
         power.on_run_end(&view);
@@ -1272,22 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn max_time_limit_accounts_to_boundary() {
-        let jobs = vec![job(0, 0.0, 1000.0, 0.0)];
-        let mut c = cluster(1, jobs);
-        let out = c.run(
-            &mut RoundRobinAllocator::new(),
-            &mut AlwaysOnPower,
-            RunLimit {
-                max_completed: None,
-                max_time: Some(SimTime::from_secs(500.0)),
-            },
-        );
-        assert_eq!(out.totals.jobs_completed, 0);
-        assert!((out.totals.energy_joules - 87.0 * 500.0).abs() < 1.0);
-    }
-
-    #[test]
     fn energy_equals_sum_of_server_energies() {
         let jobs: Vec<Job> = (0..20).map(|i| job(i, i as f64 * 3.0, 40.0, 0.4)).collect();
         let mut c = cluster(3, jobs);
@@ -1318,7 +1264,6 @@ mod tests {
         );
         assert!((out.totals.energy_joules - 3.0 * 87.0 * 100.0).abs() < 1.0);
         let view_capacity = {
-            c.account_all(SimTime::from_secs(100.0));
             let view = c.view();
             assert!((view.fleet_peak_watts() - 3.0 * 145.0).abs() < 1e-9);
             view.total_capacity()
@@ -1408,60 +1353,149 @@ mod tests {
         assert_eq!(a.completed_jobs(), b.completed_jobs());
     }
 
-    #[test]
-    fn lazy_accounting_matches_eager_within_float_tolerance() {
-        let jobs = churn_jobs(80);
-        let mut eager_cfg = ClusterConfig::paper(4);
-        eager_cfg.sample_every = 13;
-        let mut lazy_cfg = eager_cfg.clone();
-        lazy_cfg.lazy_accounting = true;
-
-        let run = |config: ClusterConfig, jobs: Vec<Job>| {
-            let mut c = Cluster::new(config, jobs).unwrap();
-            let out = c.run(
-                &mut RoundRobinAllocator::new(),
-                &mut FixedTimeoutPower::new(30.0),
-                RunLimit::unbounded(),
-            );
-            (out, c)
-        };
-        let (eager_out, eager_c) = run(eager_cfg, jobs.clone());
-        let (lazy_out, lazy_c) = run(lazy_cfg, jobs);
-
-        let close = |a: f64, b: f64, what: &str| {
+    /// Asserts that the view's O(1) fleet totals equal a from-scratch sum:
+    /// every server cloned, accounted to `view.now`, and summed in index
+    /// order.
+    fn assert_totals_match_fresh_sum(view: &ClusterView<'_>) {
+        let model = &view.config().power;
+        let mut fresh = [0.0; 5];
+        for s in view.servers() {
+            let mut s = s.clone();
+            s.account(view.now, model);
+            let st = s.stats();
+            fresh[0] += st.energy_joules;
+            fresh[1] += st.jobs_in_system_integral;
+            fresh[2] += st.queue_integral;
+            fresh[3] += st.overload_integral;
+            fresh[4] += s.power_watts(model);
+        }
+        let t = view.totals();
+        let kept = [
+            t.energy_joules,
+            t.vm_time_integral,
+            t.queue_time_integral,
+            t.overload_integral,
+            t.power_watts,
+        ];
+        let names = ["energy", "vm time", "queue time", "overload", "power"];
+        for ((name, a), b) in names.iter().zip(kept).zip(fresh) {
             let scale = a.abs().max(b.abs()).max(1.0);
             assert!(
                 (a - b).abs() <= 1e-9 * scale,
-                "{what}: eager {a} vs lazy {b}"
+                "{name} at {:?}: running {a} vs from scratch {b}",
+                view.now
             );
+        }
+    }
+
+    /// Asserts that `server`'s own integrals are current at `now`:
+    /// accounting a clone of it again changes nothing.
+    fn assert_accounted(server: &Server, now: SimTime, model: &PowerModel) {
+        let mut clone = server.clone();
+        clone.account(now, model);
+        assert_eq!(clone.stats(), server.stats(), "not accounted to {now:?}");
+    }
+
+    #[test]
+    fn lazy_accounting_matches_eager_within_float_tolerance() {
+        /// Round-robin that checks the fleet totals at every placement and
+        /// fleet change.
+        struct CheckedRr {
+            inner: RoundRobinAllocator,
+            checks: usize,
+        }
+        impl Allocator for CheckedRr {
+            fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
+                assert_totals_match_fresh_sum(view);
+                self.checks += 1;
+                self.inner.select(job, view)
+            }
+            fn on_fleet_change(&mut self, view: &ClusterView<'_>) {
+                assert_totals_match_fresh_sum(view);
+                self.checks += 1;
+            }
+        }
+        /// Cycles the three timeout decisions, so every idle-side touch
+        /// site runs, and checks the totals and the idling server's stats.
+        struct CyclingPower {
+            idles: usize,
+            fleet_changes: usize,
+        }
+        impl PowerManager for CyclingPower {
+            fn on_idle(
+                &mut self,
+                server: ServerId,
+                view: &ClusterView<'_>,
+                now: SimTime,
+            ) -> TimeoutDecision {
+                assert_totals_match_fresh_sum(view);
+                // The idling server changed at `now`, so its own integrals
+                // are current.
+                assert_accounted(view.server(server), now, &view.config().power);
+                self.idles += 1;
+                match self.idles % 3 {
+                    0 => TimeoutDecision::SleepNow,
+                    1 => TimeoutDecision::After(30.0),
+                    _ => TimeoutDecision::StayAwake,
+                }
+            }
+            fn on_fleet_change(&mut self, view: &ClusterView<'_>) {
+                assert_totals_match_fresh_sum(view);
+                self.fleet_changes += 1;
+            }
+        }
+
+        let mut config = ClusterConfig::paper(4);
+        config.max_servers = Some(6);
+        config.sample_every = 13;
+        let mut c = Cluster::new(config, churn_jobs(80)).unwrap();
+        let unit = crate::events::ServerSpec::unit(3, true);
+        let set_scale = |scale| FleetOp::SetScale {
+            server: ServerId(1),
+            scale,
         };
-        let (e, l) = (&eager_out.totals, &lazy_out.totals);
-        assert_eq!(e.jobs_arrived, l.jobs_arrived);
-        assert_eq!(e.jobs_completed, l.jobs_completed);
-        assert_eq!(e.time_s, l.time_s);
-        assert_eq!(e.total_latency_s, l.total_latency_s, "latency is exact");
-        close(e.energy_joules, l.energy_joules, "energy");
-        close(e.vm_time_integral, l.vm_time_integral, "vm time");
-        close(e.queue_time_integral, l.queue_time_integral, "queue time");
-        close(e.overload_integral, l.overload_integral, "overload");
-        close(e.power_watts, l.power_watts, "power");
-        // The completion stream itself (which jobs ran where, when) is
-        // identical: accounting never influences dynamics.
-        assert_eq!(eager_c.completed_jobs(), lazy_c.completed_jobs());
-        assert_eq!(eager_out.samples.len(), lazy_out.samples.len());
-        for (a, b) in eager_out.samples.iter().zip(&lazy_out.samples) {
-            assert_eq!(a.jobs_completed, b.jobs_completed);
-            close(a.energy_joules, b.energy_joules, "sample energy");
+        let ops = [
+            (35.0, set_scale(0.5)),
+            (75.0, set_scale(1.0)),
+            (105.0, FleetOp::Crash(ServerId(2))),
+            (155.0, FleetOp::Recover(ServerId(2))),
+            (185.0, FleetOp::Join(unit.clone())),
+            (225.0, FleetOp::Leave(ServerId(0))),
+            (265.0, FleetOp::Join(unit)),
+        ];
+        for (t, op) in ops {
+            c.schedule_fleet_op(SimTime::from_secs(t), op);
         }
-        // After the run, lazy per-server integrals are fully accounted too.
-        for (a, b) in eager_c.servers().iter().zip(lazy_c.servers()) {
-            close(
-                a.stats().energy_joules,
-                b.stats().energy_joules,
-                "server energy",
-            );
-            assert_eq!(a.stats().jobs_completed, b.stats().jobs_completed);
+        let mut allocator = CheckedRr {
+            inner: RoundRobinAllocator::new(),
+            checks: 0,
+        };
+        let mut power = CyclingPower {
+            idles: 0,
+            fleet_changes: 0,
+        };
+        let out = c.run(&mut allocator, &mut power, RunLimit::unbounded());
+
+        // Every op applied: the append-join took slot 4, and the second
+        // join re-used the departed slot 0.
+        assert_eq!(c.fleet_ops_ignored(), 0);
+        assert_eq!(c.servers().len(), 5);
+        assert_eq!(c.num_live(), 5);
+        assert_eq!(power.fleet_changes, 7);
+        assert!(out.totals.jobs_requeued > 0, "the crash drained no jobs");
+        assert_eq!(out.totals.jobs_completed, 80);
+        assert_eq!(
+            allocator.checks as u64,
+            80 + out.totals.jobs_requeued + 7,
+            "one check per placement and per fleet change"
+        );
+        // Each of the three timeout decisions ran at least three times.
+        assert!(power.idles >= 9, "only {} idle epochs", power.idles);
+        // At run end every server is accounted to the end time.
+        for s in c.servers() {
+            assert_accounted(s, c.now(), &c.config().power);
         }
+        assert_totals_match_fresh_sum(&c.view());
     }
 
     #[test]

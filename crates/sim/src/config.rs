@@ -105,16 +105,6 @@ pub struct ClusterConfig {
     pub max_servers: Option<usize>,
     /// Record a time-series sample every this many job completions.
     pub sample_every: usize,
-    /// Use O(1) incremental fleet accounting instead of the eager
-    /// `O(num_servers)` per-event sweep. Cluster-wide totals are then
-    /// maintained as running integrals updated only when a server is
-    /// touched, so they differ from the eager path only in floating-point
-    /// association (summation order), never in the underlying quantities.
-    /// Per-server statistics stay exact either way; they are simply not
-    /// advanced to the current instant between touches until the run ends.
-    /// Off by default — the eager path remains bitwise stable.
-    #[serde(default)]
-    pub lazy_accounting: bool,
     /// Keep a [`CompletedJob`](crate::job::CompletedJob) record per
     /// completion (the default). Raw-scale runs (millions of jobs) turn
     /// this off to bound memory: aggregate totals, latency sums, and
@@ -143,7 +133,6 @@ impl ClusterConfig {
             server_capacities: None,
             max_servers: None,
             sample_every: 1000,
-            lazy_accounting: false,
             retain_completed_jobs: true,
         }
     }

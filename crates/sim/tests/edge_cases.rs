@@ -102,22 +102,6 @@ fn timeout_longer_than_remaining_workload_still_drains() {
 }
 
 #[test]
-fn max_time_limit_cuts_mid_execution() {
-    let jobs = vec![job(0, 0.0, 1_000.0, 0.2)];
-    let mut cluster = Cluster::new(ClusterConfig::paper(1), jobs).unwrap();
-    let out = cluster.run(
-        &mut RoundRobinAllocator::new(),
-        &mut AlwaysOnPower,
-        RunLimit {
-            max_completed: None,
-            max_time: Some(SimTime::from_secs(500.0)),
-        },
-    );
-    assert_eq!(out.totals.jobs_completed, 0);
-    assert_eq!(out.end_time.as_secs(), 500.0);
-}
-
-#[test]
 fn heavy_burst_to_one_server_preserves_all_jobs() {
     // 100 simultaneous jobs, one server: everything must still complete.
     struct ToZero;

@@ -18,17 +18,18 @@
 //! Mapping and filters:
 //!
 //! * only rows whose status is `Terminated` become jobs — any other status
-//!   (`Waiting`, `Running`, `Failed`, …) or a missing/zero end timestamp is
-//!   an incomplete lifecycle and counts in
-//!   [`ParseStats::incomplete_dropped`];
+//!   (`Waiting`, `Running`, `Failed`, …) or a missing, unparsable or
+//!   non-finite end timestamp is an incomplete lifecycle and counts in
+//!   [`ParseStats::incomplete_dropped`]; a negative, non-finite or
+//!   unparsable create timestamp is a [`ParseError`];
 //! * arrival = create timestamp, duration = end − create (seconds);
 //!   non-positive durations count in
 //!   [`ParseStats::nonpositive_duration_dropped`], and the paper's
 //!   [1 minute, 2 hours] window drops into
 //!   [`ParseStats::duration_filtered`] exactly like the Google parser;
 //! * plan CPU is divided by 100 (percent-of-core → fraction) and both
-//!   demand components are clamped to `[1e-4, 1.0]`; a missing/empty plan
-//!   CPU or memory column counts the job in
+//!   demand components are clamped to `[1e-4, 1.0]`; a missing, empty,
+//!   unparsable or non-finite plan CPU or memory column counts the job in
 //!   [`ParseStats::demand_defaulted`]. The format has **no disk column**,
 //!   so disk demand is always the floor value and is *not* counted as
 //!   defaulted — it is absent by design, not by data loss.
@@ -61,8 +62,8 @@ pub const STATUS_TERMINATED: &str = "Terminated";
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] for rows with fewer than 6 columns or unparsable
-/// numeric fields.
+/// Returns [`ParseError`] for rows with fewer than 6 columns or a create
+/// timestamp that is unparsable, negative or not finite.
 pub fn parse_batch_tasks<R: BufRead>(reader: R) -> Result<(Trace, ParseStats), ParseError> {
     let mut stats = ParseStats::default();
     let mut jobs: Vec<Job> = Vec::new();
@@ -85,10 +86,12 @@ pub fn parse_batch_tasks<R: BufRead>(reader: R) -> Result<(Trace, ParseStats), P
             });
         }
         stats.tasks_seen += 1;
-        let create_s: f64 = fields[0].parse().map_err(|_| ParseError {
-            line: line_no,
-            reason: format!("bad create timestamp {:?}", fields[0]),
-        })?;
+        let create_s = parse_field_f64(fields[0])
+            .filter(|&t| t >= 0.0)
+            .ok_or_else(|| ParseError {
+                line: line_no,
+                reason: format!("bad create timestamp {:?}", fields[0]),
+            })?;
         let status = fields[5].trim();
         let end_s = parse_field_f64(fields[1]);
         // Anything not terminated — or terminated without an end timestamp —
@@ -264,6 +267,42 @@ mod tests {
         let err = parse_batch_tasks(Cursor::new(csv)).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.reason.contains("bad create timestamp"));
+    }
+
+    #[test]
+    fn negative_or_non_finite_create_timestamps_are_parse_errors() {
+        for create in ["-100", "NaN", "inf", "-inf", "1e400"] {
+            let csv = format!(
+                "{}\n{create},200,2021,1,1,Terminated,25.3,0.3",
+                row(0, "400", 1, 1, "Terminated", "50", "0.25")
+            );
+            let err = parse_batch_tasks(Cursor::new(csv)).unwrap_err();
+            assert_eq!(err.line, 2, "{create}");
+            assert!(err.reason.contains("bad create timestamp"), "{create}");
+        }
+    }
+
+    #[test]
+    fn non_finite_demands_and_end_timestamps_are_counted() {
+        let csv = [
+            row(0, "400", 1, 1, "Terminated", "NaN", "0.25"),
+            row(0, "400", 2, 1, "Terminated", "50", "inf"),
+            row(0, "400", 3, 1, "Terminated", "1e400", "0.25"),
+            row(0, "inf", 4, 1, "Terminated", "50", "0.25"),
+            row(0, "NaN", 5, 1, "Terminated", "50", "0.25"),
+            row(0, "400", 6, 1, "Terminated", "50", "0.25"),
+        ]
+        .join("\n");
+        let (trace, stats) = parse_batch_tasks(Cursor::new(csv)).unwrap();
+        assert_eq!(stats.incomplete_dropped, 2);
+        assert_eq!(stats.duration_filtered, 0);
+        assert_eq!(stats.jobs_kept, 4);
+        assert_eq!(stats.demand_defaulted, 3);
+        // Defaulted components sit at the floor; none was clamped to 1.0.
+        let jobs = trace.jobs();
+        assert_eq!(jobs[0].demand.get(0), 1e-4);
+        assert_eq!(jobs[1].demand.get(1), 1e-4);
+        assert_eq!(jobs[2].demand.get(0), 1e-4);
     }
 
     #[test]

@@ -103,7 +103,8 @@ pub struct ParseStats {
     /// Tasks dropped by the duration window filter.
     pub duration_filtered: usize,
     /// Kept jobs whose SUBMIT row was missing at least one resource
-    /// column, so that component was defaulted to the floor demand.
+    /// column (empty, unparsable, or non-finite), so that component was
+    /// defaulted to the floor demand.
     pub demand_defaulted: usize,
     /// Jobs that made it into the returned trace.
     pub jobs_kept: usize,
@@ -119,13 +120,11 @@ struct TaskRecord {
     disk: Option<f64>,
 }
 
-/// An optional numeric CSV field: `None` when empty or unparsable.
+/// An optional numeric CSV field: `None` when empty, unparsable, or not
+/// finite (`NaN`, `inf`, or an overflowing literal such as `1e400`), so a
+/// non-finite value is counted like a missing one instead of being clamped.
 pub(crate) fn parse_field_f64(s: &str) -> Option<f64> {
-    if s.is_empty() {
-        None
-    } else {
-        s.parse::<f64>().ok()
-    }
+    s.parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
 /// Parses `task_events` CSV rows into a [`Trace`], reconstructing each
@@ -392,6 +391,31 @@ mod tests {
             .find(|j| j.demand.get(1) < 1e-3)
             .unwrap();
         assert!((all_missing.demand.get(0) - 1e-4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_resource_columns_are_counted_as_defaulted() {
+        // One non-finite component per task: NaN, an infinity, and a
+        // literal that overflows to infinity. None may be clamped into a
+        // plausible demand; each defaults to the floor and is counted.
+        let demands = [
+            ("NaN", "0.2", "0.2"),
+            ("0.2", "inf", "0.2"),
+            ("0.2", "0.2", "1e400"),
+            ("0.2", "0.2", "0.2"),
+        ];
+        let mut rows = Vec::new();
+        for (job, (cpu, mem, disk)) in (1u64..).zip(demands) {
+            rows.push(row(0, job, 0, 0, cpu, mem, disk));
+            rows.push(row(1_000_000, job, 0, 1, "", "", ""));
+            rows.push(row(301_000_000, job, 0, 4, "", "", ""));
+        }
+        let (trace, stats) = parse_task_events(Cursor::new(rows.join("\n"))).unwrap();
+        assert_eq!(stats.jobs_kept, 4);
+        assert_eq!(stats.demand_defaulted, 3);
+        for (j, k) in trace.jobs().iter().zip([0, 1, 2]) {
+            assert_eq!(j.demand.get(k), 1e-4, "job {} component {k}", j.id);
+        }
     }
 
     #[test]

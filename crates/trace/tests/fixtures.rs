@@ -1,5 +1,6 @@
 //! Committed-fixture tests for the real-trace backends: parser provenance
-//! pinned counter by counter, weekly wall-clock segmentation, and the
+//! pinned counter by counter, parser robustness on truncated and garbage
+//! rows derived from the fixtures, weekly wall-clock segmentation, and the
 //! arrival-path contract that a stream-fed simulation run is
 //! byte-identical to a run over the pre-materialized trace.
 //!
@@ -10,11 +11,15 @@
 use hierdrl_sim::cluster::{ArrivalSource, Cluster, RunLimit};
 use hierdrl_sim::config::ClusterConfig;
 use hierdrl_sim::policies::{FixedTimeoutPower, RoundRobinAllocator};
+use hierdrl_trace::alibaba::parse_batch_tasks;
 use hierdrl_trace::generator::WorkloadConfig;
+use hierdrl_trace::google::{parse_task_events, ParseError, ParseStats};
 use hierdrl_trace::materialize::TraceSpec;
 use hierdrl_trace::pattern::SECS_PER_WEEK;
 use hierdrl_trace::source::{RealTraceSource, TraceFormat};
+use hierdrl_trace::trace::Trace;
 use proptest::prelude::*;
+use std::io::Cursor;
 
 fn fixture_path(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -82,6 +87,100 @@ fn fixtures_split_into_four_weekly_segments() {
         .map(|s| s.len())
         .collect();
     assert_eq!(sizes, [39, 30, 40, 21]);
+}
+
+type Parser = fn(Cursor<String>) -> Result<(Trace, ParseStats), ParseError>;
+
+/// Parses `rows` as one file, failing the test with the offending row if
+/// the parser panics instead of returning `Ok` or a `ParseError`.
+fn parse_rows(parse: Parser, rows: &[String], what: &str) -> Option<(Trace, ParseStats)> {
+    let text = rows.join("\n");
+    std::panic::catch_unwind(|| parse(Cursor::new(text)).ok())
+        .unwrap_or_else(|_| panic!("parser panicked on {what}"))
+}
+
+/// Every kept job is simulable: a finite arrival at or after zero, a
+/// finite positive duration, and demands inside `[1e-4, 1]`.
+fn assert_kept_jobs_are_sane(trace: &Trace, what: &str) {
+    for job in trace.jobs() {
+        let arrival = job.arrival.as_secs();
+        assert!(arrival.is_finite() && arrival >= 0.0, "{what}: {job:?}");
+        assert!(
+            job.duration.is_finite() && job.duration > 0.0,
+            "{what}: {job:?}"
+        );
+        for &d in job.demand.as_slice() {
+            assert!((1e-4..=1.0).contains(&d), "{what}: {job:?}");
+        }
+    }
+}
+
+#[test]
+fn malformed_fixture_rows_never_panic_or_clamp_silently() {
+    const SUBSTITUTES: [&str; 7] = ["", "NaN", "inf", "-inf", "-1", "1e400", "x"];
+    // Per format: the parser, its demand columns, and whether only SUBMIT
+    // rows (event type 0) carry them.
+    let formats: [(&str, Parser, &[usize], bool); 2] = [
+        (
+            "google_task_events.csv",
+            parse_task_events,
+            &[9, 10, 11],
+            true,
+        ),
+        ("alibaba_batch_task.csv", parse_batch_tasks, &[6, 7], false),
+    ];
+    for (name, parse, demand_columns, submit_only) in formats {
+        let text = std::fs::read_to_string(fixture_path(name)).unwrap();
+        let base: Vec<String> = text.lines().take(30).map(str::to_string).collect();
+        let (trace, base_stats) = parse_rows(parse, &base, name).expect("fixture parses");
+        assert_kept_jobs_are_sane(&trace, name);
+        let mut defaulted_checks = 0;
+        for (i, row) in base.iter().enumerate() {
+            let mut rows = base.clone();
+            // Truncations at every byte.
+            for cut in 0..row.len() {
+                rows[i] = row[..cut].to_string();
+                let what = format!("{name} row {i} cut to {:?}", rows[i]);
+                if let Some((trace, _)) = parse_rows(parse, &rows, &what) {
+                    assert_kept_jobs_are_sane(&trace, &what);
+                }
+            }
+            // Whether this row's job is kept: dropping the row loses it.
+            rows.remove(i);
+            let row_kept = parse_rows(parse, &rows, name)
+                .is_some_and(|(_, stats)| stats.jobs_kept < base_stats.jobs_kept);
+            rows.insert(i, row.clone());
+            // Field substitutions.
+            let fields: Vec<&str> = row.split(',').collect();
+            let carries_demands = !submit_only || fields.get(5) == Some(&"0");
+            let demands = if carries_demands { demand_columns } else { &[] };
+            let all_demands_present = demands.iter().all(|&c| !fields[c].is_empty());
+            for (c, sub) in (0..fields.len()).flat_map(|c| SUBSTITUTES.map(|sub| (c, sub))) {
+                let mut mutated = fields.clone();
+                mutated[c] = sub;
+                rows[i] = mutated.join(",");
+                let what = format!("{name} row {i} field {c} = {sub:?}");
+                let Some((trace, stats)) = parse_rows(parse, &rows, &what) else {
+                    continue;
+                };
+                assert_kept_jobs_are_sane(&trace, &what);
+                let non_finite = sub.parse::<f64>().is_ok_and(|v| !v.is_finite());
+                if row_kept && all_demands_present && demands.contains(&c) && non_finite {
+                    assert_eq!(stats.jobs_kept, base_stats.jobs_kept, "{what}");
+                    assert_eq!(
+                        stats.demand_defaulted,
+                        base_stats.demand_defaulted + 1,
+                        "{what}: a non-finite demand must count as defaulted"
+                    );
+                    defaulted_checks += 1;
+                }
+            }
+        }
+        assert!(
+            defaulted_checks > 0,
+            "{name}: no kept job with full demands"
+        );
+    }
 }
 
 /// Runs the cluster simulator over `arrivals` with deterministic static
