@@ -1,6 +1,10 @@
 //! Criterion micro-benchmarks for the performance-critical paths:
 //!
-//! - `lstm_predict` / `lstm_train_step`: the local tier's predictor;
+//! - `lstm_predict_lookback35` / `lstm_observe_and_train`: the local
+//!   tier's predictor on a varying inter-arrival stream;
+//! - `lstm_observe_periodic`: the same observe-and-train step on a
+//!   perfectly periodic stream (every inter-arrival time 60 s), warmed
+//!   past the ~2,000 observations after which that step slows down;
 //! - `simulator_throughput`: event-loop speed with non-learning policies;
 //! - `matmul`: the neural substrate's kernel.
 //!
@@ -38,6 +42,14 @@ fn bench_lstm(c: &mut Criterion) {
             x = x.wrapping_add(1);
             trainer.observe(30.0 + (x % 7) as f64 * 40.0);
         })
+    });
+
+    let mut periodic = LstmIatPredictor::new(PredictorConfig::default(), &mut rng);
+    for _ in 0..2_100 {
+        periodic.observe(60.0);
+    }
+    c.bench_function("lstm_observe_periodic", |b| {
+        b.iter(|| periodic.observe(black_box(60.0)))
     });
 }
 

@@ -226,10 +226,14 @@ pub fn heterogeneous(args: &SweepArgs) -> Result<BenchReport, String> {
 /// per-server load, with per-cluster rows under each cell.
 pub fn multicluster(args: &SweepArgs) -> Result<BenchReport, String> {
     let counts = args.cluster_counts(&[2, 4]);
-    let run = run_suite(
-        args,
-        &presets::multicluster(args.scale(Scale::paper(30)), &counts),
-    )?;
+    let scale = args.scale(Scale::paper(30));
+    if let Some(c) = counts.iter().find(|&&c| c > scale.m) {
+        return Err(format!(
+            "--clusters {c} exceeds --m {}: every cluster needs at least one server",
+            scale.m
+        ));
+    }
+    let run = run_suite(args, &presets::multicluster(scale, &counts))?;
     let report = run.report();
 
     println!(

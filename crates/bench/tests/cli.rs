@@ -81,6 +81,34 @@ fn drl_cells_on_too_few_servers_exit_2_and_write_nothing() {
 }
 
 #[test]
+fn zero_servers_or_too_many_clusters_exit_2_and_write_nothing() {
+    // Neither fleet shape can exist (no servers; a cluster without a
+    // server): each must fail by name before a `Topology` constructor's
+    // assertion can fire.
+    let dir = scratch("bad-fleet-shape");
+    let cases: [(&str, &str); 2] = [
+        (
+            "table1 --quick --m 0 --threads 1 --out t.json",
+            "--m must be at least 1",
+        ),
+        (
+            "multicluster --quick --clusters 20 --m 10 --out m.json",
+            "--clusters 20 exceeds --m 10",
+        ),
+    ];
+    for (command, needle) in cases {
+        let args: Vec<&str> = command.split(' ').collect();
+        let out = bench(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{command}: {}", stderr(&out));
+        assert!(stderr(&out).contains(needle), "{command}: {}", stderr(&out));
+        assert!(
+            is_empty(&dir),
+            "{command}: a rejected run must write nothing"
+        );
+    }
+}
+
+#[test]
 fn unknown_or_missing_subcommand_exits_2_and_lists_subcommands() {
     let dir = scratch("unknown-subcommand");
     let cases: [&[&str]; 2] = [&["frobnicate"], &[]];

@@ -25,7 +25,9 @@
 //!   from `TraceFormat::from_name`; default `google`).
 //!
 //! [`SweepArgs::parse`] rejects malformed input with a one-line message
-//! naming the flag, before any suite is built.
+//! naming the flag, before any suite is built: an unparsable value, a zero
+//! `--m`, `--jobs`, `--clusters` or `--ms` item, and a `--rates` item that
+//! is not finite and positive.
 
 use crate::presets::{Scale, DRIFT_NAMES, ELASTIC_NAMES, FAULT_NAMES};
 use crate::runner::SuiteRunner;
@@ -77,9 +79,10 @@ impl SweepArgs {
     /// # Errors
     ///
     /// Returns a one-line message naming the flag for a missing or
-    /// unparsable value, an unknown flag, a drift/fault/autoscaler name
-    /// outside its preset axis, an unknown `--format`, and `--out` together
-    /// with `--merge`.
+    /// unparsable value, a zero server count, job count, cluster count or
+    /// cluster size, a rate factor that is not finite and positive, an
+    /// unknown flag, a drift/fault/autoscaler name outside its preset axis,
+    /// an unknown `--format`, and `--out` together with `--merge`.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = SweepArgs::default();
         let mut iter = args.into_iter();
@@ -87,14 +90,14 @@ impl SweepArgs {
             let mut value = || iter.next().ok_or_else(|| format!("{flag} expects a value"));
             match flag.as_str() {
                 "--quick" => out.quick = true,
-                "--m" => out.m = Some(parse_value(&flag, &value()?)?),
-                "--jobs" => out.jobs = Some(parse_value(&flag, &value()?)?),
+                "--m" => out.m = Some(parse_count(&flag, &value()?)?),
+                "--jobs" => out.jobs = Some(parse_count(&flag, &value()?)?),
                 "--threads" => out.threads = Some(parse_value(&flag, &value()?)?),
                 "--out" => out.out = Some(value()?),
                 "--merge" => out.merge = Some(value()?),
-                "--clusters" => out.clusters = Some(parse_list(&flag, &value()?)?),
-                "--ms" => out.ms = Some(parse_list(&flag, &value()?)?),
-                "--rates" => out.rates = Some(parse_list(&flag, &value()?)?),
+                "--clusters" => out.clusters = Some(parse_list(&flag, &value()?, parse_count)?),
+                "--ms" => out.ms = Some(parse_list(&flag, &value()?, parse_count)?),
+                "--rates" => out.rates = Some(parse_list(&flag, &value()?, parse_rate)?),
                 "--drifts" => out.drifts = Some(parse_names(&flag, &value()?, &DRIFT_NAMES)?),
                 "--faults" => out.faults = Some(parse_names(&flag, &value()?, &FAULT_NAMES)?),
                 "--elastics" => {
@@ -190,19 +193,38 @@ fn parse_value<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
-/// Parses a comma-separated flag value item by item: the one parser of
-/// every list flag.
-fn parse_list<T: FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String> {
-    value
-        .split(',')
-        .map(|item| parse_value(flag, item))
-        .collect()
+/// Parses a count (servers, jobs, clusters), which must be at least 1.
+fn parse_count<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result<T, String> {
+    let count = parse_value(flag, value)?;
+    if count == T::default() {
+        return Err(format!("{flag} must be at least 1, got {value:?}"));
+    }
+    Ok(count)
+}
+
+/// Parses an arrival-rate factor, which must be finite and positive.
+fn parse_rate(flag: &str, value: &str) -> Result<f64, String> {
+    let rate: f64 = parse_value(flag, value)?;
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!("{flag} must be finite and positive, got {value:?}"));
+    }
+    Ok(rate)
+}
+
+/// Parses a comma-separated flag value item by item with `item`: the one
+/// parser of every list flag.
+fn parse_list<T>(
+    flag: &str,
+    value: &str,
+    item: impl Fn(&str, &str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    value.split(',').map(|v| item(flag, v)).collect()
 }
 
 /// Parses a comma-separated list of names, each of which must be on the
 /// preset axis `known`.
 fn parse_names(flag: &str, value: &str, known: &[&str]) -> Result<Vec<String>, String> {
-    let names: Vec<String> = parse_list(flag, value)?;
+    let names: Vec<String> = parse_list(flag, value, parse_value)?;
     match names.iter().find(|n| !known.contains(&n.as_str())) {
         Some(bad) => Err(format!(
             "{flag}: unknown name {bad:?}; expected one of {}",
@@ -246,10 +268,21 @@ mod tests {
 
     #[test]
     fn malformed_values_are_named_errors() {
-        let cases: [(&[&str], &str); 8] = [
+        let cases: [(&[&str], &str); 16] = [
             (&["--jobs"], "--jobs expects a value"),
             (&["--m", "ten"], "--m"),
+            (&["--m", "0"], "--m must be at least 1"),
+            (&["--jobs", "0"], "--jobs must be at least 1"),
+            (&["--clusters", "2,0"], "--clusters must be at least 1"),
+            (&["--ms", "0"], "--ms must be at least 1"),
             (&["--rates", "0.5,fast"], "--rates"),
+            (&["--rates", "0"], "--rates must be finite and positive"),
+            (
+                &["--rates", "1.0,-1"],
+                "--rates must be finite and positive",
+            ),
+            (&["--rates", "nan"], "--rates must be finite and positive"),
+            (&["--rates", "inf"], "--rates must be finite and positive"),
             (&["--faults", "meteor-strike"], "meteor-strike"),
             (&["--drifts", "rate-step,tidal"], "tidal"),
             (&["--elastics", "magic"], "magic"),

@@ -10,10 +10,6 @@ use serde::{Deserialize, Serialize};
 pub enum Activation {
     /// Identity.
     Linear,
-    /// Rectified linear unit: `max(0, x)`.
-    Relu,
-    /// Leaky ReLU with the given negative-side slope.
-    LeakyRelu(f32),
     /// Exponential linear unit with the given `alpha`:
     /// `x` for `x > 0`, `alpha * (e^x - 1)` otherwise.
     Elu(f32),
@@ -32,14 +28,6 @@ impl Activation {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Linear => x,
-            Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu(slope) => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    slope * x
-                }
-            }
             Activation::Elu(alpha) => {
                 if x >= 0.0 {
                     x
@@ -65,11 +53,6 @@ impl Activation {
             Activation::Elu(alpha) => crate::simd::elu_inplace(xs, alpha),
             Activation::Tanh => crate::simd::tanh_inplace(xs),
             Activation::Sigmoid => crate::simd::sigmoid_inplace(xs),
-            Activation::Relu | Activation::LeakyRelu(_) => {
-                for x in xs {
-                    *x = self.apply(*x);
-                }
-            }
         }
     }
 
@@ -83,20 +66,6 @@ impl Activation {
     pub fn derivative(self, x: f32, y: f32) -> f32 {
         match self {
             Activation::Linear => 1.0,
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::LeakyRelu(slope) => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    slope
-                }
-            }
             Activation::Elu(alpha) => {
                 if x > 0.0 {
                     1.0
@@ -129,8 +98,6 @@ mod tests {
         let points = [-2.0, -0.5, -0.1, 0.1, 0.5, 2.0];
         for act in [
             Activation::Linear,
-            Activation::Relu,
-            Activation::LeakyRelu(0.01),
             Activation::ELU,
             Activation::Elu(0.5),
             Activation::Tanh,
@@ -154,12 +121,6 @@ mod tests {
         assert!((s.apply(0.0) - 0.5).abs() < 1e-7);
         assert!(s.apply(30.0) <= 1.0);
         assert!(s.apply(-30.0) >= 0.0);
-    }
-
-    #[test]
-    fn relu_clamps_negative() {
-        assert_eq!(Activation::Relu.apply(-3.0), 0.0);
-        assert_eq!(Activation::Relu.apply(3.0), 3.0);
     }
 
     #[test]

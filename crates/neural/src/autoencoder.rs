@@ -47,12 +47,6 @@ impl Autoencoder {
         }
     }
 
-    /// The paper's configuration for a group-state of width `input`:
-    /// encoder `input -> 30 -> 15` with ELU units.
-    pub fn paper_encoder(input: usize, rng: &mut impl Rng) -> Self {
-        Self::new(&[input, 30, 15], Activation::ELU, rng)
-    }
-
     /// Width of the input vectors.
     pub fn input_size(&self) -> usize {
         self.encoder.input_size()
@@ -74,20 +68,10 @@ impl Autoencoder {
         self.encoder.infer_into(x, out, scratch);
     }
 
-    /// The encoder half (read-only).
-    pub fn encoder(&self) -> &Mlp {
-        &self.encoder
-    }
-
     /// Mutable access to the encoder half, for callers that back-propagate
     /// task losses through the code (e.g. end-to-end Q fine-tuning).
     pub fn encoder_mut(&mut self) -> &mut Mlp {
         &mut self.encoder
-    }
-
-    /// The decoder half (read-only).
-    pub fn decoder(&self) -> &Mlp {
-        &self.decoder
     }
 
     /// Decodes a batch of codes back to input space.
@@ -207,7 +191,7 @@ mod tests {
     #[test]
     fn shapes_are_consistent() {
         let mut rng = StdRng::seed_from_u64(1);
-        let ae = Autoencoder::paper_encoder(45, &mut rng);
+        let ae = Autoencoder::new(&[45, 30, 15], Activation::ELU, &mut rng);
         assert_eq!(ae.input_size(), 45);
         assert_eq!(ae.code_size(), 15);
         let x = Matrix::zeros(4, 45);

@@ -103,21 +103,6 @@ impl Dense {
         self.w.cols()
     }
 
-    /// The layer's activation function.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
-    /// Immutable view of the weights (`in x out`).
-    pub fn weights(&self) -> &Matrix {
-        &self.w
-    }
-
-    /// Immutable view of the bias (`1 x out`).
-    pub fn bias(&self) -> &Matrix {
-        &self.b
-    }
-
     /// Inference pass without caching; usable through `&self`.
     ///
     /// # Panics
@@ -189,7 +174,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if no forward call is pending.
-    pub fn last_output(&self) -> &Matrix {
+    fn last_output(&self) -> &Matrix {
         &self
             .cache
             .last()
@@ -217,7 +202,7 @@ impl Dense {
     ///
     /// The returned reference aliases an internal buffer overwritten by the
     /// *next* workspace backward call on this layer; read or copy it before
-    /// then (see [`Dense::grad_input`]).
+    /// then.
     ///
     /// # Panics
     ///
@@ -233,7 +218,7 @@ impl Dense {
     }
 
     /// Input gradient left by the most recent [`Dense::backward_ws`] call.
-    pub fn grad_input(&self) -> &Matrix {
+    fn grad_input(&self) -> &Matrix {
         &self.ws.dx
     }
 
@@ -398,23 +383,6 @@ impl Mlp {
         Self { layers }
     }
 
-    /// Builds an MLP from pre-constructed layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` is empty or consecutive widths do not match.
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
-        assert!(!layers.is_empty(), "an MLP needs at least one layer");
-        for pair in layers.windows(2) {
-            assert_eq!(
-                pair[0].output_size(),
-                pair[1].input_size(),
-                "consecutive layer widths must match"
-            );
-        }
-        Self { layers }
-    }
-
     /// Input width.
     pub fn input_size(&self) -> usize {
         self.layers[0].input_size()
@@ -423,11 +391,6 @@ impl Mlp {
     /// Output width.
     pub fn output_size(&self) -> usize {
         self.layers[self.layers.len() - 1].output_size()
-    }
-
-    /// The layers, in order.
-    pub fn layers(&self) -> &[Dense] {
-        &self.layers
     }
 
     /// Inference pass without caching.
@@ -571,14 +534,6 @@ impl Mlp {
                 cur.backward_ws(g);
             }
         }
-    }
-
-    /// Total number of learnable scalars.
-    pub fn num_parameters(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.weights().len() + l.bias().len())
-            .sum()
     }
 
     /// Drops cached forward state in every layer.
@@ -890,14 +845,14 @@ mod tests {
     #[test]
     fn num_parameters_counts_weights_and_biases() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mlp = Mlp::new(
+        let mut mlp = Mlp::new(
             &[3, 4, 2],
             Activation::ELU,
             Activation::Linear,
             Init::HeNormal,
             &mut rng,
         );
-        assert_eq!(mlp.num_parameters(), 3 * 4 + 4 + 4 * 2 + 2);
+        assert_eq!(mlp.parameter_count(), 3 * 4 + 4 + 4 * 2 + 2);
     }
 
     #[test]

@@ -6,8 +6,6 @@ use rand::Rng;
 /// Initialization scheme for layer weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Init {
-    /// All zeros (used for biases).
-    Zeros,
     /// Constant value.
     Constant(f32),
     /// Gaussian with the given mean and standard deviation.
@@ -27,7 +25,6 @@ impl Init {
         let fan_in = rows.max(1) as f32;
         let fan_out = cols.max(1) as f32;
         match self {
-            Init::Zeros => Matrix::zeros(rows, cols),
             Init::Constant(c) => Matrix::filled(rows, cols, c),
             Init::Normal { mean, std } => {
                 let mut m = Matrix::zeros(rows, cols);
@@ -73,13 +70,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn zeros_init_is_all_zero() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = Init::Zeros.sample(4, 5, &mut rng);
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
     fn constant_init_fills_value() {
         let mut rng = StdRng::seed_from_u64(1);
         let m = Init::Constant(0.1).sample(2, 2, &mut rng);
@@ -101,7 +91,7 @@ mod tests {
     fn he_normal_has_plausible_spread() {
         let mut rng = StdRng::seed_from_u64(42);
         let m = Init::HeNormal.sample(100, 100, &mut rng);
-        let mean = m.mean();
+        let mean = m.as_slice().iter().sum::<f32>() / m.len() as f32;
         let var = m
             .as_slice()
             .iter()

@@ -10,8 +10,7 @@
 //! - an [`lstm::LstmNetwork`] with truncated BPTT for the workload
 //!   predictor,
 //! - an [`autoencoder::Autoencoder`] for state-space compression,
-//! - [`optim::Sgd`] / [`optim::Adam`] optimizers with global-norm gradient
-//!   clipping.
+//! - the [`optim::Adam`] optimizer with global-norm gradient clipping.
 //!
 //! Weight sharing — central to the paper's DNN design — is supported
 //! natively: every layer keeps a *stack* of forward caches, so the same
@@ -61,5 +60,5 @@ pub mod prelude {
     pub use crate::loss::Loss;
     pub use crate::lstm::{LstmCell, LstmNetwork, LstmState};
     pub use crate::matrix::Matrix;
-    pub use crate::optim::{clip_grad_norm, global_grad_norm, Adam, Optimizer, Sgd, Trainable};
+    pub use crate::optim::{clip_grad_norm, global_grad_norm, Adam, Optimizer, Trainable};
 }

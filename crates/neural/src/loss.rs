@@ -5,15 +5,12 @@ use serde::{Deserialize, Serialize};
 
 /// A scalar loss over batched predictions.
 ///
-/// Both variants average over every element of the batch, so gradient
+/// The loss averages over every element of the batch, so gradient
 /// magnitudes are independent of batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Loss {
     /// Mean squared error.
     Mse,
-    /// Huber loss with the given `delta`; quadratic inside `|e| <= delta`,
-    /// linear outside. Commonly used to stabilize Q-learning targets.
-    Huber(f32),
 }
 
 impl Loss {
@@ -23,109 +20,56 @@ impl Loss {
     ///
     /// Panics if shapes differ.
     pub fn value(&self, pred: &Matrix, target: &Matrix) -> f32 {
-        assert_eq!(
-            pred.shape(),
-            target.shape(),
-            "loss shape mismatch: {:?} vs {:?}",
-            pred.shape(),
-            target.shape()
-        );
+        assert_same_shape(pred, target);
         let n = pred.len().max(1) as f32;
-        match *self {
-            Loss::Mse => {
-                pred.as_slice()
-                    .iter()
-                    .zip(target.as_slice())
-                    .map(|(&p, &t)| (p - t) * (p - t))
-                    .sum::<f32>()
-                    / n
-            }
-            Loss::Huber(delta) => {
-                pred.as_slice()
-                    .iter()
-                    .zip(target.as_slice())
-                    .map(|(&p, &t)| {
-                        let e = (p - t).abs();
-                        if e <= delta {
-                            0.5 * e * e
-                        } else {
-                            delta * (e - 0.5 * delta)
-                        }
-                    })
-                    .sum::<f32>()
-                    / n
-            }
-        }
+        pred.as_slice()
+            .iter()
+            .zip(target.as_slice())
+            .map(|(&p, &t)| (p - t) * (p - t))
+            .sum::<f32>()
+            / n
     }
 
-    /// Gradient of [`Loss::value`] written into `out` (resized in place,
-    /// reusing its allocation). Bitwise identical to [`Loss::gradient`].
+    /// Gradient of [`Loss::value`] with respect to `pred`, written into
+    /// `out` (resized in place, reusing its allocation): `2(p - t) / n`.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
     pub fn gradient_into(&self, pred: &Matrix, target: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            pred.shape(),
-            target.shape(),
-            "loss shape mismatch: {:?} vs {:?}",
-            pred.shape(),
-            target.shape()
-        );
+        assert_same_shape(pred, target);
         let n = pred.len().max(1) as f32;
         out.resize_to(pred.rows(), pred.cols());
-        let dst = out.as_mut_slice();
-        match *self {
-            Loss::Mse => {
-                for (d, (&p, &t)) in dst
-                    .iter_mut()
-                    .zip(pred.as_slice().iter().zip(target.as_slice()))
-                {
-                    *d = 2.0 * (p - t) / n;
-                }
-            }
-            Loss::Huber(delta) => {
-                for (d, (&p, &t)) in dst
-                    .iter_mut()
-                    .zip(pred.as_slice().iter().zip(target.as_slice()))
-                {
-                    let e = p - t;
-                    *d = if e.abs() <= delta {
-                        e / n
-                    } else {
-                        delta * e.signum() / n
-                    };
-                }
-            }
+        for (d, (&p, &t)) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(pred.as_slice().iter().zip(target.as_slice()))
+        {
+            *d = 2.0 * (p - t) / n;
         }
     }
 
-    /// Gradient of [`Loss::value`] with respect to `pred`.
+    /// [`Loss::gradient_into`], returning a fresh matrix.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
     pub fn gradient(&self, pred: &Matrix, target: &Matrix) -> Matrix {
-        assert_eq!(
-            pred.shape(),
-            target.shape(),
-            "loss shape mismatch: {:?} vs {:?}",
-            pred.shape(),
-            target.shape()
-        );
-        let n = pred.len().max(1) as f32;
-        match *self {
-            Loss::Mse => pred.zip_with(target, |p, t| 2.0 * (p - t) / n),
-            Loss::Huber(delta) => pred.zip_with(target, |p, t| {
-                let e = p - t;
-                if e.abs() <= delta {
-                    e / n
-                } else {
-                    delta * e.signum() / n
-                }
-            }),
-        }
+        let mut out = Matrix::default();
+        self.gradient_into(pred, target, &mut out);
+        out
     }
+}
+
+/// Panics unless `pred` and `target` have the same shape.
+fn assert_same_shape(pred: &Matrix, target: &Matrix) {
+    assert_eq!(
+        pred.shape(),
+        target.shape(),
+        "loss shape mismatch: {:?} vs {:?}",
+        pred.shape(),
+        target.shape()
+    );
 }
 
 #[cfg(test)]
@@ -143,23 +87,6 @@ mod tests {
         let p = Matrix::row_vector(&[1.0, 2.0]);
         let t = Matrix::row_vector(&[0.0, 0.0]);
         assert!((Loss::Mse.value(&p, &t) - 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn huber_equals_half_mse_inside_delta() {
-        let p = Matrix::row_vector(&[0.5, -0.5]);
-        let t = Matrix::row_vector(&[0.0, 0.0]);
-        let huber = Loss::Huber(1.0).value(&p, &t);
-        let mse = Loss::Mse.value(&p, &t);
-        assert!((huber - 0.5 * mse).abs() < 1e-6);
-    }
-
-    #[test]
-    fn huber_is_linear_outside_delta() {
-        let t = Matrix::row_vector(&[0.0]);
-        let v10 = Loss::Huber(1.0).value(&Matrix::row_vector(&[10.0]), &t);
-        let v11 = Loss::Huber(1.0).value(&Matrix::row_vector(&[11.0]), &t);
-        assert!((v11 - v10 - 1.0).abs() < 1e-4);
     }
 
     fn grad_check(loss: Loss, p: &[f32], t: &[f32]) {
@@ -184,7 +111,6 @@ mod tests {
     #[test]
     fn gradients_match_finite_differences() {
         grad_check(Loss::Mse, &[0.3, -1.2, 2.0], &[0.0, 0.0, 1.0]);
-        grad_check(Loss::Huber(1.0), &[0.3, -3.0, 2.0], &[0.0, 0.0, 1.0]);
     }
 
     #[test]

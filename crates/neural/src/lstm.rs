@@ -189,24 +189,12 @@ impl LstmCell {
         (c, tanh_c, h)
     }
 
-    /// One forward time step without caching (inference).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `n x input_size` or `state` does not match.
-    pub fn infer_step(&self, x: &Matrix, state: &LstmState) -> LstmState {
-        let z = Matrix::hcat(&[x, &state.h]);
-        let gates = self.gates(&z);
-        let (c, _tanh_c, h) = self.step_outputs(&gates, &state.c);
-        LstmState { h, c }
-    }
-
     /// Runs a whole batch-1 sequence (rows of `proj` = time steps) through
     /// the cell without caching, reusing one set of step buffers across
     /// the loop — zero allocations per step. Produces exactly the state
-    /// [`LstmCell::infer_step`] iteration would (same kernels, same
-    /// elementwise expressions; the in-place `c` update reads each element
-    /// before writing it).
+    /// iterating [`LstmCell::forward_step`] from a zero state would (same
+    /// kernels, same elementwise expressions; the in-place `c` update reads
+    /// each element before writing it).
     ///
     /// # Panics
     ///
@@ -376,22 +364,12 @@ impl LstmCell {
         LstmState { h, c }
     }
 
-    /// Back-propagates one time step (most recent cached step first).
-    ///
-    /// `dh` and `dc` are gradients w.r.t. this step's output hidden/cell
-    /// state; returns `(dx, dh_prev, dc_prev)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cached step is pending.
-    pub fn backward_step(&mut self, dh: &Matrix, dc: &Matrix) -> (Matrix, Matrix, Matrix) {
-        let w_t = self.w.transpose();
-        self.backward_step_with(dh, dc, &w_t)
-    }
-
-    /// [`LstmCell::backward_step`] with a caller-provided transpose of the
-    /// gate weights, so one BPTT sweep transposes `W` once instead of once
-    /// per time step (the weights do not change mid-sweep).
+    /// Back-propagates one time step cached by [`LstmCell::forward_step`]
+    /// (most recent cached step first). `dh` and `dc` are gradients w.r.t.
+    /// this step's output hidden/cell state, and `w_t` is the transpose of
+    /// the gate weights, so one BPTT sweep transposes `W` once instead of
+    /// once per time step (the weights do not change mid-sweep). Returns
+    /// `(dx, dh_prev, dc_prev)`.
     ///
     /// # Panics
     ///
@@ -406,7 +384,7 @@ impl LstmCell {
         let s = self
             .cache
             .pop()
-            .expect("LstmCell::backward_step without a matching forward_step");
+            .expect("LstmCell::backward_step_with without a matching forward_step");
         assert_eq!(
             w_t.shape(),
             (self.w.cols(), self.w.rows()),
@@ -545,41 +523,12 @@ impl LstmNetwork {
         self.cell.hidden_size()
     }
 
-    /// Predicts from a sequence without caching. `steps` holds one
-    /// `n x input_size` matrix per time step; returns `n x output_size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is empty.
-    pub fn infer(&self, steps: &[Matrix]) -> Matrix {
-        assert!(!steps.is_empty(), "LSTM needs at least one time step");
-        let n = steps[0].rows();
-        let mut state = LstmState::zeros(n, self.cell.hidden_size());
-        for x in steps {
-            let proj = self.input_layer.infer(x);
-            state = self.cell.infer_step(&proj, &state);
-        }
-        self.output_layer.infer(&state.h)
-    }
-
-    /// Convenience wrapper for scalar sequences: predicts the next value
-    /// from a window of previous values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network is not scalar-in/scalar-out or `window` is empty.
-    pub fn predict_next(&self, window: &[f32]) -> f32 {
-        assert_eq!(self.input_size(), 1, "predict_next requires scalar input");
-        assert_eq!(self.output_size(), 1, "predict_next requires scalar output");
-        let seq = Matrix::from_vec(window.len(), 1, window.to_vec());
-        self.infer_seq(&seq).as_slice()[0]
-    }
-
     /// Inference over a single (batch-1) sequence whose time steps are the
     /// rows of `seq`. The non-recurrent input projection runs as **one**
     /// GEMM over all steps (it is applied independently per step, and the
-    /// kernels are row-independent, so results match the step-by-step
-    /// path bitwise); only the recurrent cell iterates.
+    /// kernels are row-independent); only the recurrent cell iterates, in
+    /// the fused [`LstmCell::infer_sequence`] sweep. Bitwise identical to
+    /// [`LstmNetwork::forward_seq`]'s output.
     ///
     /// # Panics
     ///
@@ -591,13 +540,13 @@ impl LstmNetwork {
         self.output_layer.infer(&state.h)
     }
 
-    /// Training forward pass over a single (batch-1) sequence, the
-    /// sequence-batched counterpart of [`LstmNetwork::forward`]: the input
-    /// projection is one forward call (one cache entry) over all rows, the
-    /// cell runs the fused [`LstmCell::forward_sequence`] sweep, and every
-    /// per-step temporary lives in recycled workspace buffers. Bitwise
-    /// identical to [`LstmNetwork::forward_seq_reference`], the retained
-    /// allocating path. Must be paired with [`LstmNetwork::backward_seq`].
+    /// Training forward pass over a single (batch-1) sequence whose time
+    /// steps are the rows of `seq`: the input projection is one forward
+    /// call (one cache entry) over all rows, the cell runs the fused
+    /// [`LstmCell::forward_sequence`] sweep, and every per-step temporary
+    /// lives in recycled workspace buffers. Bitwise identical to
+    /// [`LstmNetwork::forward_seq_reference`], the retained allocating
+    /// path. Must be paired with [`LstmNetwork::backward_seq`].
     ///
     /// # Panics
     ///
@@ -636,7 +585,10 @@ impl LstmNetwork {
     /// Panics if no forward pass is pending.
     pub fn backward_seq(&mut self, grad_out: &Matrix) {
         let steps = self.cell.pending_steps();
-        assert!(steps > 0, "LstmNetwork::backward without a forward pass");
+        assert!(
+            steps > 0,
+            "LstmNetwork::backward_seq without a forward pass"
+        );
         let dh = self.output_layer.backward_ws(grad_out);
         self.cell.backward_sequence(dh, &mut self.dproj);
         self.input_layer.backward_params_only_ws(&self.dproj);
@@ -649,7 +601,10 @@ impl LstmNetwork {
     pub fn backward_seq_reference(&mut self, grad_out: &Matrix) {
         let mut dh = self.output_layer.backward(grad_out);
         let steps = self.cell.pending_steps();
-        assert!(steps > 0, "LstmNetwork::backward without a forward pass");
+        assert!(
+            steps > 0,
+            "LstmNetwork::backward_seq without a forward pass"
+        );
         let mut dc = Matrix::zeros(1, self.cell.hidden_size());
         let w_t = self.cell.w.transpose();
         let mut dproj = Matrix::zeros(steps, self.cell.input_size());
@@ -662,52 +617,11 @@ impl LstmNetwork {
         self.input_layer.backward_params_only(&dproj);
     }
 
-    /// Training forward pass; caches every step for [`LstmNetwork::backward`].
-    pub fn forward(&mut self, steps: &[Matrix]) -> Matrix {
-        assert!(!steps.is_empty(), "LSTM needs at least one time step");
-        let n = steps[0].rows();
-        let mut state = LstmState::zeros(n, self.cell.hidden_size());
-        for x in steps {
-            let proj = self.input_layer.forward(x);
-            state = self.cell.forward_step(&proj, &state);
-        }
-        self.output_layer.forward(&state.h)
-    }
-
-    /// Back-propagates through time for the most recent forward pass,
-    /// accumulating gradients in all three layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward pass is pending.
-    pub fn backward(&mut self, grad_out: &Matrix) {
-        let mut dh = self.output_layer.backward(grad_out);
-        let steps = self.cell.pending_steps();
-        assert!(steps > 0, "LstmNetwork::backward without a forward pass");
-        let n = dh.rows();
-        let mut dc = Matrix::zeros(n, self.cell.hidden_size());
-        // The gate weights are constant across the sweep: transpose once.
-        let w_t = self.cell.w.transpose();
-        for _ in 0..steps {
-            let (dx, dh_prev, dc_prev) = self.cell.backward_step_with(&dh, &dc, &w_t);
-            // Gradient w.r.t. the shared input layer at this time step;
-            // nothing upstream consumes the input gradient.
-            self.input_layer.backward_params_only(&dx);
-            dh = dh_prev;
-            dc = dc_prev;
-        }
-    }
-
     /// Drops cached forward state in all layers.
     pub fn clear_cache(&mut self) {
         self.input_layer.clear_cache();
         self.cell.clear_cache();
         self.output_layer.clear_cache();
-    }
-
-    /// Total number of learnable scalars.
-    pub fn num_parameters(&mut self) -> usize {
-        self.parameter_count()
     }
 }
 
@@ -733,19 +647,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn scalar_steps(values: &[f32]) -> Vec<Matrix> {
-        values.iter().map(|&v| Matrix::row_vector(&[v])).collect()
-    }
-
-    #[test]
-    fn infer_matches_forward() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut net = LstmNetwork::new(1, 2, 4, 1, &mut rng);
-        let steps = scalar_steps(&[0.1, 0.5, -0.2, 0.8]);
-        let a = net.infer(&steps);
-        let b = net.forward(&steps);
-        assert!((a.as_slice()[0] - b.as_slice()[0]).abs() < 1e-6);
-        net.clear_cache();
+    /// A batch-1 scalar sequence: one row per time step.
+    fn scalar_seq(values: &[f32]) -> Matrix {
+        Matrix::from_vec(values.len(), 1, values.to_vec())
     }
 
     #[test]
@@ -755,17 +659,15 @@ mod tests {
         let values: Vec<f32> = (0..20)
             .map(|i| ((i * 7) % 13) as f32 / 13.0 - 0.4)
             .collect();
-        let steps = scalar_steps(&values);
-        let seq = Matrix::from_vec(values.len(), 1, values.clone());
-        // Inference: the fused zero-allocation sequence path must equal the
-        // per-step path bitwise.
-        assert_eq!(net.infer(&steps), net.infer_seq(&seq));
-        // Training forward: batched input projection equals per-step.
-        let a = net.forward(&steps);
+        let seq = scalar_seq(&values);
+        // The allocating reference iterates `LstmCell::forward_step`; the
+        // fused inference and training sweeps must both equal it bitwise.
+        let reference = net.forward_seq_reference(&seq);
         net.clear_cache();
-        let b = net.forward_seq(&seq);
+        assert_eq!(net.infer_seq(&seq), reference);
+        let trained = net.forward_seq(&seq);
         net.clear_cache();
-        assert_eq!(a, b);
+        assert_eq!(trained, reference);
     }
 
     #[test]
@@ -811,24 +713,16 @@ mod tests {
     }
 
     #[test]
-    fn forward_shapes_are_batch_by_output() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let net = LstmNetwork::new(3, 3, 5, 2, &mut rng);
-        let steps = vec![Matrix::zeros(4, 3), Matrix::zeros(4, 3)];
-        assert_eq!(net.infer(&steps).shape(), (4, 2));
-    }
-
-    #[test]
     fn bptt_gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut net = LstmNetwork::new(1, 1, 3, 1, &mut rng);
-        let steps = scalar_steps(&[0.3, -0.1, 0.7]);
+        let seq = scalar_seq(&[0.3, -0.1, 0.7]);
         let target = Matrix::row_vector(&[0.5]);
 
         net.zero_grad();
-        let pred = net.forward(&steps);
+        let pred = net.forward_seq(&seq);
         let dy = Loss::Mse.gradient(&pred, &target);
-        net.backward(&dy);
+        net.backward_seq(&dy);
 
         let mut analytic: Vec<f32> = Vec::new();
         net.visit_params(&mut |_, g| analytic.extend_from_slice(g.as_slice()));
@@ -851,9 +745,9 @@ mod tests {
                     });
                 };
                 nudge(&mut net, eps);
-                let up = Loss::Mse.value(&net.infer(&steps), &target);
+                let up = Loss::Mse.value(&net.infer_seq(&seq), &target);
                 nudge(&mut net, -2.0 * eps);
-                let down = Loss::Mse.value(&net.infer(&steps), &target);
+                let down = Loss::Mse.value(&net.infer_seq(&seq), &target);
                 nudge(&mut net, eps);
                 let numeric = (up - down) / (2.0 * eps);
                 max_err = max_err.max((numeric - analytic[idx]).abs());
@@ -880,14 +774,14 @@ mod tests {
             let mut total = 0.0;
             let mut count = 0;
             for start in (0..series.len() - window - 1).step_by(7) {
-                let steps = scalar_steps(&series[start..start + window]);
+                let seq = scalar_seq(&series[start..start + window]);
                 let target = Matrix::row_vector(&[series[start + window]]);
                 net.zero_grad();
-                let pred = net.forward(&steps);
+                let pred = net.forward_seq(&seq);
                 total += Loss::Mse.value(&pred, &target);
                 count += 1;
                 let dy = Loss::Mse.gradient(&pred, &target);
-                net.backward(&dy);
+                net.backward_seq(&dy);
                 adam.step(&mut net);
             }
             final_loss = total / count as f32;
@@ -919,7 +813,7 @@ mod tests {
     fn empty_sequence_panics() {
         let mut rng = StdRng::seed_from_u64(6);
         let net = LstmNetwork::new(1, 1, 2, 1, &mut rng);
-        let _ = net.infer(&[]);
+        let _ = net.infer_seq(&Matrix::zeros(0, 1));
     }
 
     #[test]
@@ -928,7 +822,7 @@ mod tests {
         let net = LstmNetwork::new(1, 1, 4, 1, &mut rng);
         let json = serde_json::to_string(&net).unwrap();
         let restored: LstmNetwork = serde_json::from_str(&json).unwrap();
-        let w = [0.2, 0.4, 0.1];
-        assert_eq!(net.predict_next(&w), restored.predict_next(&w));
+        let seq = scalar_seq(&[0.2, 0.4, 0.1]);
+        assert_eq!(net.infer_seq(&seq), restored.infer_seq(&seq));
     }
 }

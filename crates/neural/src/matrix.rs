@@ -19,9 +19,9 @@ use std::ops::{Index, IndexMut};
 /// use hierdrl_neural::matrix::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
 /// let c = a.matmul(&b);
-/// assert_eq!(c, a);
+/// assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
 /// ```
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -51,15 +51,6 @@ impl Matrix {
     pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
         let mut m = Self::zeros(rows, cols);
         m.data.fill(value);
-        m
-    }
-
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
         m
     }
 
@@ -306,73 +297,6 @@ impl Matrix {
         }
     }
 
-    /// Computes `self^T * rhs` without materializing the transpose.
-    ///
-    /// Shapes: `self` is `n x a`, `rhs` is `n x b`, result is `a x b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_tn_into(rhs, &mut out);
-        out
-    }
-
-    /// Computes `self^T * rhs` into `out` (resized in place, reusing its
-    /// allocation). Bitwise identical to [`Matrix::matmul_tn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows,
-            rhs.rows,
-            "matmul_tn shape mismatch: {:?} x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        // Narrow outputs: same transposed-formulation trick as `matmul`
-        // (e.g. the output layer's weight gradient, `out` columns = action
-        // slots), bitwise identical per the in-order accumulation argument.
-        if rhs.cols < 8 && self.cols >= 8 && self.rows >= 8 {
-            let t = rhs.transpose().matmul(self);
-            t.transpose_into(out);
-            return;
-        }
-        out.resize_to(self.cols, rhs.cols);
-        // Output row `i` accumulates column `i` of `self` against the rows
-        // of `rhs`, in ascending row order — the same per-element order as
-        // the naive n-outer loop, but with registers held across the
-        // reduction (see `simd::gemm_row`), four columns per sweep (see
-        // `simd::gemm_row4`).
-        let mut i = 0;
-        while i + 4 <= self.cols {
-            crate::simd::gemm_row4(
-                &self.data[i..],
-                1,
-                self.cols,
-                self.rows,
-                &rhs.data,
-                rhs.cols,
-                &mut out.data[i * rhs.cols..(i + 4) * rhs.cols],
-            );
-            i += 4;
-        }
-        for i in i..self.cols {
-            let o_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            crate::simd::gemm_row(
-                &self.data[i..],
-                self.cols,
-                self.rows,
-                &rhs.data,
-                rhs.cols,
-                o_row,
-            );
-        }
-    }
-
     /// Computes `self * rhs^T`.
     ///
     /// Shapes: `self` is `n x a`, `rhs` is `m x a`, result is `n x m`.
@@ -400,9 +324,8 @@ impl Matrix {
 
     /// Accumulates `a^T * b` into `self` without materializing the product
     /// (`self[i][j] += Σ_n a[n][i]·b[n][j]`, terms added in ascending `n`
-    /// per element). For one-row `a`/`b` — the LSTM's per-step weight
-    /// gradient — each element receives a single product, so this is
-    /// bitwise identical to `axpy(1.0, &a.matmul_tn(b))` with no temporary.
+    /// per element). This is the crate's one `a^T b` kernel: every weight
+    /// gradient accumulates through it.
     ///
     /// # Panics
     ///
@@ -443,74 +366,6 @@ impl Matrix {
                 b.cols,
                 &mut self.data[i * b.cols..(i + 1) * b.cols],
             );
-        }
-    }
-
-    /// Element-wise sum `self + rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a + b)
-    }
-
-    /// Element-wise difference `self - rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a * b)
-    }
-
-    /// Applies `f` element-wise, returning a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` element-wise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// Combines two same-shaped matrices element-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn zip_with(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
-        assert_eq!(
-            self.shape(),
-            rhs.shape(),
-            "element-wise op shape mismatch: {:?} vs {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
         }
     }
 
@@ -577,28 +432,9 @@ impl Matrix {
         }
     }
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements; `0.0` for an empty matrix.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Squared Frobenius norm (sum of squared elements).
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.norm_sq().sqrt()
     }
 
     /// Horizontally concatenates matrices with identical row counts.
@@ -622,23 +458,6 @@ impl Matrix {
         out
     }
 
-    /// Vertically stacks matrices with identical column counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or column counts differ.
-    pub fn vcat(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "vcat requires at least one matrix");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in parts {
-            assert_eq!(m.cols, cols, "vcat column count mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// Extracts columns `[start, start + width)` into a new matrix.
     ///
     /// # Panics
@@ -658,20 +477,6 @@ impl Matrix {
                 .copy_from_slice(&self.row(r)[start..start + width]);
         }
         out
-    }
-
-    /// Index of the maximum element in row `r`, breaking ties toward the
-    /// lowest index. Returns `None` for a zero-width matrix.
-    pub fn argmax_row(&self, r: usize) -> Option<usize> {
-        let row = self.row(r);
-        let mut best: Option<(usize, f32)> = None;
-        for (i, &x) in row.iter().enumerate() {
-            match best {
-                Some((_, b)) if x <= b => {}
-                _ => best = Some((i, x)),
-            }
-        }
-        best.map(|(i, _)| i)
     }
 
     /// `true` if every element is finite.
@@ -747,12 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_matmul_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
-    }
-
-    #[test]
     fn matmul_known_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
@@ -767,15 +566,8 @@ mod tests {
         let mut acc = Matrix::filled(2, 3, 1.0);
         acc.add_matmul_tn(&a, &b);
         let mut expected = Matrix::filled(2, 3, 1.0);
-        expected.axpy(1.0, &a.matmul_tn(&b));
+        expected.axpy(1.0, &a.transpose().matmul(&b));
         assert_eq!(acc, expected);
-    }
-
-    #[test]
-    fn matmul_tn_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.5, 2.0], &[0.0, 1.0, -1.0], &[2.0, 2.0, 2.0]]);
-        assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
     }
 
     #[test]
@@ -815,16 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn vcat_stacks_rows() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(
-            Matrix::vcat(&[&a, &b]),
-            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
-        );
-    }
-
-    #[test]
     fn slice_cols_extracts_block() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(
@@ -834,22 +616,10 @@ mod tests {
     }
 
     #[test]
-    fn argmax_row_breaks_ties_low() {
-        let a = Matrix::from_rows(&[&[1.0, 3.0, 3.0, 2.0]]);
-        assert_eq!(a.argmax_row(0), Some(1));
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut a = Matrix::filled(2, 2, 1.0);
         a.axpy(2.0, &Matrix::filled(2, 2, 3.0));
         assert_eq!(a, Matrix::filled(2, 2, 7.0));
-    }
-
-    #[test]
-    fn norm_of_unit_vector() {
-        let a = Matrix::row_vector(&[3.0, 4.0]);
-        assert!((a.norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Parameters are exposed through the [`Trainable`] trait: a network visits
 //! its `(parameter, gradient)` matrix pairs in a deterministic order, and
-//! stateful optimizers (momentum, Adam) keep per-parameter state indexed by
-//! that order.
+//! the stateful Adam optimizer keeps per-parameter state indexed by that
+//! order.
 
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -32,62 +32,6 @@ pub trait Optimizer {
     /// Applies one update step using the gradients currently stored in `net`.
     /// Does not zero the gradients; callers decide when to do that.
     fn step(&mut self, net: &mut dyn Trainable);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient in `[0, 1)`; `0` disables momentum.
-    pub momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Creates an SGD optimizer with momentum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut dyn Trainable) {
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        let mut idx = 0;
-        net.visit_params(&mut |p, g| {
-            if momentum == 0.0 {
-                p.axpy(-lr, g);
-            } else {
-                if velocity.len() <= idx {
-                    velocity.push(Matrix::zeros(p.rows(), p.cols()));
-                }
-                let v = &mut velocity[idx];
-                assert_eq!(v.shape(), p.shape(), "parameter order changed mid-training");
-                v.scale(momentum);
-                v.axpy(1.0, g);
-                p.axpy(-lr, v);
-            }
-            idx += 1;
-        });
-    }
 }
 
 /// Adam optimizer (Kingma & Ba, 2014), the paper's choice for both the DNN
@@ -227,25 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_moves_against_gradient() {
-        let mut s = Scalar::new(1.0);
-        s.set_grad(2.0);
-        let mut opt = Sgd::new(0.1);
-        opt.step(&mut s);
-        assert!((s.value() - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates() {
-        let mut s = Scalar::new(0.0);
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        s.set_grad(1.0);
-        opt.step(&mut s); // v = 1,   p = -0.1
-        opt.step(&mut s); // v = 1.9, p = -0.29
-        assert!((s.value() + 0.29).abs() < 1e-6, "got {}", s.value());
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         // Minimize f(p) = (p - 3)^2 from p = 0.
         let mut s = Scalar::new(0.0);
@@ -286,12 +211,6 @@ mod tests {
     fn parameter_count_via_visit() {
         let mut s = Scalar::new(0.0);
         assert_eq!(s.parameter_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate must be positive")]
-    fn sgd_rejects_zero_lr() {
-        let _ = Sgd::new(0.0);
     }
 
     #[test]

@@ -34,21 +34,6 @@ impl Discretizer {
         Self { edges }
     }
 
-    /// Uniformly spaced edges over `[lo, hi]` producing `bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins < 2` or `lo >= hi`.
-    pub fn uniform(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins >= 2, "need at least two bins");
-        assert!(lo < hi, "lo must be below hi");
-        let k = bins - 1;
-        let edges = (1..=k)
-            .map(|i| lo + (hi - lo) * i as f64 / bins as f64)
-            .collect();
-        Self::new(edges)
-    }
-
     /// Geometrically spaced edges over `[lo, hi]` producing `bins` bins —
     /// suited to inter-arrival times spanning orders of magnitude.
     ///
@@ -116,13 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_edges_cover_interval() {
-        let d = Discretizer::uniform(0.0, 100.0, 4);
-        assert_eq!(d.edges(), &[25.0, 50.0, 75.0]);
-        assert_eq!(d.num_bins(), 4);
-    }
-
-    #[test]
     fn log_spaced_edges_grow_geometrically() {
         let d = Discretizer::log_spaced(1.0, 1000.0, 4);
         let e = d.edges();
@@ -144,7 +122,7 @@ mod tests {
 
     #[test]
     fn negative_values_fall_in_first_bin() {
-        let d = Discretizer::uniform(0.0, 10.0, 5);
+        let d = Discretizer::new(vec![2.0, 4.0, 6.0, 8.0]);
         assert_eq!(d.bin(-3.0), 0);
     }
 
@@ -157,7 +135,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bin 9 out of range")]
     fn representative_out_of_range_panics() {
-        let d = Discretizer::uniform(0.0, 1.0, 2);
+        let d = Discretizer::new(vec![0.5]);
         let _ = d.representative(9);
     }
 

@@ -8,7 +8,8 @@
 //!   (with a DNN Q-function) and the local power manager (with a table);
 //! - [`qtable`] — tabular `Q(s, a)` over ordered states (key-ordered
 //!   storage, so snapshots are insertion-order independent);
-//! - [`policy`] — epsilon-greedy exploration with decay schedules;
+//! - [`policy`] — epsilon-greedy exploration with a constant or
+//!   exponentially decaying epsilon;
 //! - [`replay`] — bounded experience memory with uniform sampling
 //!   (Algorithm 1's memory `D`);
 //! - [`discretize`] — binning of continuous observations (e.g. predicted

@@ -9,16 +9,6 @@ use serde::{Deserialize, Serialize};
 pub enum EpsilonSchedule {
     /// Constant epsilon.
     Constant(f64),
-    /// Linear interpolation from `start` to `end` over `steps` decisions,
-    /// then constant at `end`.
-    Linear {
-        /// Initial epsilon.
-        start: f64,
-        /// Final epsilon.
-        end: f64,
-        /// Steps over which to anneal.
-        steps: u64,
-    },
     /// Exponential decay `end + (start - end) * exp(-step / tau)`.
     Exponential {
         /// Initial epsilon.
@@ -35,13 +25,6 @@ impl EpsilonSchedule {
     pub fn value(&self, step: u64) -> f64 {
         match *self {
             EpsilonSchedule::Constant(e) => e,
-            EpsilonSchedule::Linear { start, end, steps } => {
-                if steps == 0 || step >= steps {
-                    end
-                } else {
-                    start + (end - start) * (step as f64 / steps as f64)
-                }
-            }
             EpsilonSchedule::Exponential { start, end, tau } => {
                 end + (start - end) * (-(step as f64) / tau).exp()
             }
@@ -63,10 +46,6 @@ impl EpsilonSchedule {
         };
         match *self {
             EpsilonSchedule::Constant(e) => check(e, "constant"),
-            EpsilonSchedule::Linear { start, end, .. } => {
-                check(start, "start")?;
-                check(end, "end")
-            }
             EpsilonSchedule::Exponential { start, end, tau } => {
                 check(start, "start")?;
                 check(end, "end")?;
@@ -152,19 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_schedule_anneals_then_holds() {
-        let s = EpsilonSchedule::Linear {
-            start: 1.0,
-            end: 0.0,
-            steps: 100,
-        };
-        assert_eq!(s.value(0), 1.0);
-        assert!((s.value(50) - 0.5).abs() < 1e-12);
-        assert_eq!(s.value(100), 0.0);
-        assert_eq!(s.value(500), 0.0);
-    }
-
-    #[test]
     fn exponential_schedule_approaches_end() {
         let s = EpsilonSchedule::Exponential {
             start: 1.0,
@@ -200,10 +166,11 @@ mod tests {
     #[test]
     fn step_counter_advances_schedule() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut pol = EpsilonGreedy::new(EpsilonSchedule::Linear {
+        // tau = 0.01 decays epsilon from 1 to exactly 0 after one step.
+        let mut pol = EpsilonGreedy::new(EpsilonSchedule::Exponential {
             start: 1.0,
             end: 0.0,
-            steps: 10,
+            tau: 0.01,
         });
         for _ in 0..10 {
             let _ = pol.select(&[0.0, 1.0], &mut rng);

@@ -22,7 +22,6 @@ where
     num_actions: usize,
     initial_value: f64,
     values: BTreeMap<S, Vec<f64>>,
-    visits: BTreeMap<S, Vec<u64>>,
 }
 
 impl<S> QTable<S>
@@ -42,7 +41,6 @@ where
             num_actions,
             initial_value,
             values: BTreeMap::new(),
-            visits: BTreeMap::new(),
         }
     }
 
@@ -95,11 +93,6 @@ where
         best
     }
 
-    /// Times `(s, a)` has been updated.
-    pub fn visit_count(&self, state: &S, action: usize) -> u64 {
-        self.visits.get(state).map_or(0, |v| v[action])
-    }
-
     /// Applies one SMDP Q-learning update (Eqn. 2) for an observed
     /// transition `(state, action) -> next_state` with time-average
     /// `reward_rate` over a sojourn of `sojourn` seconds. Returns the new
@@ -126,11 +119,7 @@ where
             .entry(state.clone())
             .or_insert_with(|| vec![init; n]);
         row[action] = smdp_update(params, row[action], reward_rate, sojourn, max_next);
-        let updated = row[action];
-        self.visits
-            .entry(state.clone())
-            .or_insert_with(|| vec![0; n])[action] += 1;
-        updated
+        row[action]
     }
 
     /// Directly sets `Q(s, a)` (useful for testing and initialization).
@@ -171,8 +160,8 @@ mod tests {
         // Negative reward rate drives Q below zero.
         let q = t.update_smdp(&p, &0, 0, -10.0, 1.0, &0);
         assert!(q < 0.0);
-        assert_eq!(t.visit_count(&0, 0), 1);
-        assert_eq!(t.visit_count(&0, 1), 0);
+        assert_eq!(t.q(&0, 0), q);
+        assert_eq!(t.q(&0, 1), 0.0);
     }
 
     #[test]

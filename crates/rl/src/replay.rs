@@ -44,12 +44,6 @@ impl<T> ReplayMemory<T> {
         self.items.is_empty()
     }
 
-    /// Whether the memory has reached capacity (new pushes evict the
-    /// oldest entries).
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
     /// Inserts a transition, evicting the oldest if full. Returns the
     /// evicted transition, so a caller that keeps per-transition resources
     /// elsewhere (the DRL allocator's state arena) can release them.
@@ -99,7 +93,7 @@ mod tests {
         for i in 0..3 {
             m.push(i);
         }
-        assert!(m.is_full());
+        assert_eq!(m.len(), m.capacity());
         assert_eq!(m.push(3), Some(0)); // evicts 0
         let mut items: Vec<i32> = m.iter().cloned().collect();
         items.sort_unstable();

@@ -41,11 +41,6 @@ impl SmdpParams {
         );
         Self { alpha, beta }
     }
-
-    /// The paper's global-tier discount with a typical learning rate.
-    pub fn paper() -> Self {
-        Self::new(0.1, 0.5)
-    }
 }
 
 /// Discount factor `e^{-beta * tau}` for a sojourn of `tau` seconds.
