@@ -1,10 +1,17 @@
 //! Criterion micro-benchmarks for the performance-critical paths:
 //!
-//! - `lstm_predict_lookback35` / `lstm_observe_and_train`: the local
-//!   tier's predictor on a varying inter-arrival stream;
-//! - `lstm_observe_periodic`: the same observe-and-train step on a
-//!   perfectly periodic stream (every inter-arrival time 60 s), warmed
-//!   past the ~2,000 observations after which that step slows down;
+//! - `lstm_predict_lookback35`: one prediction of the local tier's
+//!   predictor, the full 35-step inference sweep. `predict` memoizes until
+//!   the next observation, so each iteration first makes one observation
+//!   with training frozen (a window shift, no weight change);
+//! - `lstm_observe_and_train`: one observe-and-train step on a varying
+//!   inter-arrival stream;
+//! - `lstm_observe_periodic`: the same step on a perfectly periodic stream
+//!   (every inter-arrival time 60 s), warmed for 2,100 observations. Once
+//!   the LSTM fits such a stream every gradient is exactly zero, which used
+//!   to sink Adam's first moments into subnormals after ~800 observations
+//!   and slow every later step; the moments now flush to zero, so this
+//!   reads like `lstm_observe_and_train`;
 //! - `simulator_throughput`: event-loop speed with non-learning policies;
 //! - `matmul`: the neural substrate's kernel.
 //!
@@ -28,8 +35,14 @@ fn bench_lstm(c: &mut Criterion) {
     for i in 0..120 {
         predictor.observe(30.0 + (i % 7) as f64 * 40.0);
     }
+    predictor.set_online_training(false);
+    let mut y = 0u64;
     c.bench_function("lstm_predict_lookback35", |b| {
-        b.iter(|| black_box(predictor.predict()))
+        b.iter(|| {
+            y = y.wrapping_add(1);
+            predictor.observe(30.0 + (y % 7) as f64 * 40.0);
+            black_box(predictor.predict())
+        })
     });
 
     let mut trainer = LstmIatPredictor::new(PredictorConfig::default(), &mut rng);

@@ -67,7 +67,15 @@ pub struct LstmIatPredictor {
     config: PredictorConfig,
     lstm: LstmNetwork,
     adam: Adam,
-    window: VecDeque<f32>,
+    /// The look-back window of normalized inter-arrival times as one
+    /// `lookback x 1` sequence (rows = steps, oldest first), of which the
+    /// first `filled` rows are valid until it fills.
+    window: Matrix,
+    filled: usize,
+    /// Training target and loss gradient, `1 x 1`, reused by every
+    /// observation.
+    target: Matrix,
+    grad: Matrix,
     observations: u64,
     rejected: u64,
     training_steps: u64,
@@ -97,7 +105,10 @@ impl LstmIatPredictor {
         Self {
             adam: Adam::new(config.learning_rate),
             lstm,
-            window: VecDeque::with_capacity(config.lookback + 1),
+            window: Matrix::zeros(config.lookback, 1),
+            filled: 0,
+            target: Matrix::zeros(1, 1),
+            grad: Matrix::zeros(1, 1),
             observations: 0,
             rejected: 0,
             training_steps: 0,
@@ -160,11 +171,6 @@ impl LstmIatPredictor {
         let z = f64::from(z).clamp(0.0, 1.0);
         (c.min_iat.ln() + z * (c.max_iat.ln() - c.min_iat.ln())).exp()
     }
-
-    /// The look-back window as one `T x 1` sequence matrix (rows = steps).
-    fn window_seq(&self) -> Matrix {
-        Matrix::from_vec(self.window.len(), 1, self.window.iter().copied().collect())
-    }
 }
 
 impl IatPredictor for LstmIatPredictor {
@@ -183,34 +189,37 @@ impl IatPredictor for LstmIatPredictor {
         self.observations += 1;
         let z = self.normalize(iat);
         // The current window predicts this observation: train on it.
-        if self.window.len() == self.config.lookback && self.config.online_training {
-            let seq = self.window_seq();
-            let target = Matrix::row_vector(&[z]);
+        if self.filled == self.config.lookback && self.config.online_training {
+            self.target.as_mut_slice()[0] = z;
             self.lstm.zero_grad();
-            let pred = self.lstm.forward_seq(&seq);
+            let pred = self.lstm.forward_seq(&self.window);
             let err = f64::from(pred.as_slice()[0] - z);
             self.sq_err_sum += err * err;
             self.err_count += 1;
-            let dy = Loss::Mse.gradient(&pred, &target);
-            self.lstm.backward_seq(&dy);
+            Loss::Mse.gradient_into(pred, &self.target, &mut self.grad);
+            self.lstm.backward_seq(&self.grad);
             self.adam.step(&mut self.lstm);
             self.training_steps += 1;
         }
-        self.window.push_back(z);
-        if self.window.len() > self.config.lookback {
-            self.window.pop_front();
+        let window = self.window.as_mut_slice();
+        if self.filled < window.len() {
+            window[self.filled] = z;
+            self.filled += 1;
+        } else {
+            window.copy_within(1.., 0);
+            window[self.filled - 1] = z;
         }
         self.cached_prediction.set(None);
     }
 
     fn predict(&self) -> Option<f64> {
-        if self.window.len() < self.config.lookback {
+        if self.filled < self.config.lookback {
             return None;
         }
         if let Some(cached) = self.cached_prediction.get() {
             return Some(cached);
         }
-        let z = self.lstm.infer_seq(&self.window_seq()).as_slice()[0];
+        let z = self.lstm.infer_seq(&self.window).as_slice()[0];
         let prediction = self.denormalize(z);
         self.cached_prediction.set(Some(prediction));
         Some(prediction)

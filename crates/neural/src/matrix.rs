@@ -172,14 +172,20 @@ impl Matrix {
         out
     }
 
-    /// Writes the transpose into `out` (resized in place, reusing its
+    /// Writes the transpose into `out` (reshaped in place, reusing its
     /// allocation). Bitwise identical to [`Matrix::transpose`].
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.resize_to(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
+        let (rows, cols) = self.shape();
+        out.shape_for_overwrite(cols, rows);
+        crate::simd::transpose(&self.data, rows, cols, &mut out.data);
+    }
+
+    /// Gives the matrix the shape `rows x cols` for a pass that overwrites
+    /// every element: it reallocates (zeroed) only when the shape changes,
+    /// and otherwise keeps the stale contents instead of zeroing them.
+    pub(crate) fn shape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        if self.shape() != (rows, cols) {
+            self.resize_to(rows, cols);
         }
     }
 

@@ -194,6 +194,23 @@ mod tests {
     }
 
     #[test]
+    fn adam_moments_never_go_subnormal() {
+        // Nonzero gradients, then exact zeros (a fitted stream): the first
+        // moment decays x0.9 per step and would sink into the subnormals and
+        // stick there, slowing every later step; the flush stores zero.
+        let mut s = Scalar::new(0.5);
+        let mut opt = Adam::new(2e-3);
+        for step in 0..1_100 {
+            s.set_grad(if step < 100 { 0.3 } else { 0.0 });
+            opt.step(&mut s);
+            for x in opt.m.iter().chain(&opt.v).flat_map(|t| t.as_slice()) {
+                assert!(!x.is_subnormal(), "step {step}: subnormal moment {x:e}");
+            }
+        }
+        assert_eq!(opt.m[0].as_slice()[0], 0.0, "first moment not flushed");
+    }
+
+    #[test]
     fn clip_reduces_large_gradients_only() {
         let mut s = Scalar::new(0.0);
         s.set_grad(100.0);

@@ -18,11 +18,11 @@
 //! suite, because the reference and hot paths share these kernels and so
 //! remain mutually bitwise identical.
 //!
-//! Ragged widths never change that order either. `gemm_row` fuses the
-//! columns after its 32-wide tiles into one k loop of 8-wide, 4-wide and
-//! scalar accumulators; `gemm_row4` runs them as a single masked tile,
-//! 16 lanes wide or 8 when at most 8 columns remain (`maskload`/
-//! `maskstore`, whose dead lanes neither read nor write memory), so each
+//! Ragged widths never change that order either. `gemm_row` runs the
+//! columns after its 64-wide tiles as one tile of ⌈rest/8⌉ eight-lane
+//! accumulators, the last one masked; `gemm_row4` runs them as a single
+//! masked tile, 16 lanes wide or 8 when at most 8 columns remain. Masked
+//! lanes (`maskload`/`maskstore`) neither read nor write memory, so each
 //! live lane is exactly a full-tile lane.
 //!
 //! On non-x86_64 targets (or CPUs without AVX and FMA) everything falls
@@ -179,6 +179,34 @@ pub(crate) fn gemm_row4(
     }
 }
 
+/// Writes the transpose of the row-major `rows x cols` matrix `src` into
+/// `dst` (`cols x rows`, row-major). The AVX path moves 8 x 8 blocks
+/// through registers with the ragged edge blocks masked, where the scalar
+/// loop strides the whole output once per element.
+///
+/// # Panics
+///
+/// Panics unless both slices hold `rows · cols` values.
+pub(crate) fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert!(
+        src.len() == rows * cols && dst.len() == rows * cols,
+        "transpose shape mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx_available() {
+            // SAFETY: AVX verified at runtime; lengths asserted above.
+            unsafe { transpose_avx(src, rows, cols, dst) };
+            return;
+        }
+    }
+    for (i, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            dst[j * rows + i] = x;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 fn avx_available() -> bool {
     use std::sync::OnceLock;
@@ -252,6 +280,234 @@ pub(crate) fn tanh_inplace(xs: &mut [f32]) {
     }
     for x in xs {
         *x = crate::fastmath::tanh(*x);
+    }
+}
+
+/// One fused batch-1 LSTM cell step: `gates = act(z·W + b)` in
+/// `[i | f | o | g]` order (sigmoid on the first `3h` lanes, tanh on the
+/// last `h`), then `c ← f∘c + i∘g`, `tanh_c = tanh(c)` and `h = o∘tanh_c`.
+/// `c` holds the previous cell state on entry; `w` is the row-major
+/// `z.len() x 4h` gate-weight matrix.
+///
+/// Bitwise identical to `LstmCell`'s scalar helper chain: the product runs
+/// [`gemm_row`]'s tiles from `+0.0` accumulators, the bias is one add after
+/// it, the activations are the [`sigmoid_inplace`]/[`tanh_inplace`]
+/// eight-lane bodies (a vector straddling lane `3h` computes both and
+/// blends), and the cell update is mul, mul, add with no FMA contraction.
+///
+/// Returns `false`, writing nothing, when the CPU lacks AVX2 or FMA; the
+/// caller then runs that helper chain.
+///
+/// # Panics
+///
+/// Panics unless `b` and `gates` hold `4h` values, `tanh_c` and `h` hold
+/// `h = c.len()`, and `w` holds `z.len() · 4h`.
+pub(crate) fn lstm_cell_step(
+    z: &[f32],
+    w: &[f32],
+    b: &[f32],
+    gates: &mut [f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) -> bool {
+    let hw = c.len();
+    assert!(
+        b.len() == 4 * hw && gates.len() == 4 * hw && tanh_c.len() == hw && h.len() == hw,
+        "lstm_cell_step width mismatch"
+    );
+    assert_eq!(w.len(), z.len() * 4 * hw, "lstm_cell_step weight shape");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() && fma_available() {
+            // SAFETY: AVX2 and FMA verified at runtime; lengths asserted above.
+            unsafe { lstm_cell_step_avx2(z, w, b, gates, c, tanh_c, h) };
+            return true;
+        }
+    }
+    false
+}
+
+/// The elementwise half of one batch-1 BPTT step: from one step's
+/// post-activation `gates` (`[i | f | o | g]`), `c_prev`, `tanh_c` and the
+/// gradients `dh`, `dc` w.r.t. its outputs, writes the pre-activation gate
+/// gradients `da = [da_i | da_f | da_o | da_g]` and `dc_prev`, eight hidden
+/// units per vector with the per-element expression order of `LstmCell`'s
+/// scalar loop:
+///
+/// ```text
+/// dc_total = dh·o·(1 - tanh_c²) + dc
+/// da_i = dc_total·g·i·(1 - i)     da_f = dc_total·c_prev·f·(1 - f)
+/// da_o = dh·tanh_c·o·(1 - o)      da_g = dc_total·i·(1 - g²)
+/// dc_prev = dc_total·f
+/// ```
+///
+/// Returns `false`, writing nothing, when the CPU lacks AVX; the caller then
+/// runs the scalar loop.
+///
+/// # Panics
+///
+/// Panics unless `gates` and `da` hold `4h` values and the other slices
+/// `h = dh.len()`.
+pub(crate) fn lstm_gate_grads(
+    gates: &[f32],
+    c_prev: &[f32],
+    tanh_c: &[f32],
+    dh: &[f32],
+    dc: &[f32],
+    da: &mut [f32],
+    dc_prev: &mut [f32],
+) -> bool {
+    let hw = dh.len();
+    assert!(
+        gates.len() == 4 * hw
+            && da.len() == 4 * hw
+            && c_prev.len() == hw
+            && tanh_c.len() == hw
+            && dc.len() == hw
+            && dc_prev.len() == hw,
+        "lstm_gate_grads width mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx_available() {
+            // SAFETY: AVX verified at runtime; lengths asserted above.
+            unsafe { lstm_gate_grads_avx(gates, c_prev, tanh_c, dh, dc, da, dc_prev) };
+            return true;
+        }
+    }
+    false
+}
+
+/// # Safety
+///
+/// The caller must ensure AVX2 and FMA support and the slice lengths
+/// asserted by [`lstm_cell_step`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn lstm_cell_step_avx2(
+    z: &[f32],
+    w: &[f32],
+    b: &[f32],
+    gates: &mut [f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let hw = c.len();
+    let (gw, sig) = (4 * hw, 3 * hw);
+    let (gp, bp) = (gates.as_mut_ptr(), b.as_ptr());
+    gates.fill(0.0);
+    // Each span's bias and activations come right after its product, so
+    // their latency chains overlap the next span's FMA chains.
+    for j0 in (0..gw).step_by(64) {
+        let end = (j0 + 64).min(gw);
+        gemm_row_span(
+            z.as_ptr(),
+            1,
+            z.len(),
+            w.as_ptr().add(j0),
+            gw,
+            gp.add(j0),
+            end - j0,
+        );
+        for j in (j0..end).step_by(8) {
+            let m = lane_mask((end - j).min(8));
+            let x = _mm256_add_ps(
+                _mm256_maskload_ps(gp.add(j), m),
+                _mm256_maskload_ps(bp.add(j), m),
+            );
+            let y = if j + 8 <= sig {
+                sigmoid256(x)
+            } else if j >= sig {
+                tanh256(x)
+            } else {
+                let sig_lanes = _mm256_castsi256_ps(lane_mask(sig - j));
+                _mm256_blendv_ps(tanh256(x), sigmoid256(x), sig_lanes)
+            };
+            _mm256_maskstore_ps(gp.add(j), m, y);
+        }
+    }
+    let (cp, tp, hp) = (c.as_mut_ptr(), tanh_c.as_mut_ptr(), h.as_mut_ptr());
+    let mut j = 0;
+    while j < hw {
+        let m = lane_mask((hw - j).min(8));
+        let gate = |block: usize| _mm256_maskload_ps(gp.add(block * hw + j), m);
+        let (i, f, o, g) = (gate(0), gate(1), gate(2), gate(3));
+        let cn = _mm256_add_ps(
+            _mm256_mul_ps(f, _mm256_maskload_ps(cp.add(j), m)),
+            _mm256_mul_ps(i, g),
+        );
+        let tc = tanh256(cn);
+        _mm256_maskstore_ps(cp.add(j), m, cn);
+        _mm256_maskstore_ps(tp.add(j), m, tc);
+        _mm256_maskstore_ps(hp.add(j), m, _mm256_mul_ps(o, tc));
+        j += 8;
+    }
+}
+
+/// # Safety
+///
+/// The caller must ensure AVX support and the slice lengths asserted by
+/// [`lstm_gate_grads`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn lstm_gate_grads_avx(
+    gates: &[f32],
+    c_prev: &[f32],
+    tanh_c: &[f32],
+    dh: &[f32],
+    dc: &[f32],
+    da: &mut [f32],
+    dc_prev: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let hw = dh.len();
+    let one = _mm256_set1_ps(1.0);
+    let (gp, dap) = (gates.as_ptr(), da.as_mut_ptr());
+    let mut j = 0;
+    while j < hw {
+        let m = lane_mask((hw - j).min(8));
+        let load = |p: *const f32| _mm256_maskload_ps(p.add(j), m);
+        let (i, f, o, g) = (
+            load(gp),
+            load(gp.add(hw)),
+            load(gp.add(2 * hw)),
+            load(gp.add(3 * hw)),
+        );
+        let (tc, cp) = (load(tanh_c.as_ptr()), load(c_prev.as_ptr()));
+        let (dhv, dcv) = (load(dh.as_ptr()), load(dc.as_ptr()));
+        // `1.0 · dc` in the scalar loop is exact, so adding `dc` is too.
+        let dc_total = _mm256_add_ps(
+            _mm256_mul_ps(
+                _mm256_mul_ps(dhv, o),
+                _mm256_sub_ps(one, _mm256_mul_ps(tc, tc)),
+            ),
+            dcv,
+        );
+        let da_i = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(dc_total, g), i),
+            _mm256_sub_ps(one, i),
+        );
+        let da_f = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(dc_total, cp), f),
+            _mm256_sub_ps(one, f),
+        );
+        let da_o = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(dhv, tc), o),
+            _mm256_sub_ps(one, o),
+        );
+        let da_g = _mm256_mul_ps(
+            _mm256_mul_ps(dc_total, i),
+            _mm256_sub_ps(one, _mm256_mul_ps(g, g)),
+        );
+        _mm256_maskstore_ps(dap.add(j), m, da_i);
+        _mm256_maskstore_ps(dap.add(hw + j), m, da_f);
+        _mm256_maskstore_ps(dap.add(2 * hw + j), m, da_o);
+        _mm256_maskstore_ps(dap.add(3 * hw + j), m, da_g);
+        _mm256_maskstore_ps(dc_prev.as_mut_ptr().add(j), m, _mm256_mul_ps(dc_total, f));
+        j += 8;
     }
 }
 
@@ -329,6 +585,61 @@ unsafe fn elu_inplace_avx2(xs: &mut [f32], alpha: f32) {
     }
 }
 
+/// Eight-lane mirror of [`crate::fastmath::sigmoid`], `1 / (1 + exp(-x))`
+/// with [`exp256`]: each lane is bitwise identical to the scalar kernel.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn sigmoid256(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let one = _mm256_set1_ps(1.0);
+    let e = exp256(_mm256_xor_ps(x, _mm256_set1_ps(-0.0)));
+    _mm256_div_ps(one, _mm256_add_ps(one, e))
+}
+
+/// Eight-lane mirror of [`crate::fastmath::tanh`]: every lane computes all
+/// three branches and keeps the one the scalar kernel takes, so each lane
+/// is bitwise identical to it.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn tanh256(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let sign = _mm256_set1_ps(-0.0);
+    let one = _mm256_set1_ps(1.0);
+    let two = _mm256_set1_ps(2.0);
+    let ax = _mm256_andnot_ps(sign, x);
+    let sx = _mm256_and_ps(sign, x);
+    // Polynomial branch (|x| < 0.625): x + x·z·P(z), z = x².
+    let z = _mm256_mul_ps(x, x);
+    let mut p = _mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(-5.704_988_7e-3), z),
+        _mm256_set1_ps(2.063_908_8e-2),
+    );
+    p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(-5.373_971_5e-2));
+    p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(1.333_144_2e-1));
+    p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(-3.333_328e-1));
+    p = _mm256_mul_ps(p, z);
+    let poly = _mm256_add_ps(_mm256_mul_ps(x, p), x);
+    // Exp branch: sign(x) · (1 - 2/(exp(2|x|) + 1)).
+    let t = exp256(_mm256_mul_ps(two, ax));
+    let ye = _mm256_sub_ps(one, _mm256_div_ps(two, _mm256_add_ps(t, one)));
+    let ye = _mm256_or_ps(ye, sx);
+    // Saturation branch (|x| > 9): ±1.
+    let ys = _mm256_or_ps(one, sx);
+    let big = _mm256_cmp_ps::<_CMP_GT_OQ>(ax, _mm256_set1_ps(9.0));
+    let small = _mm256_cmp_ps::<_CMP_LT_OQ>(ax, _mm256_set1_ps(0.625));
+    _mm256_blendv_ps(_mm256_blendv_ps(ye, ys, big), poly, small)
+}
+
 /// # Safety
 ///
 /// Caller must ensure AVX2 support.
@@ -337,15 +648,10 @@ unsafe fn elu_inplace_avx2(xs: &mut [f32], alpha: f32) {
 unsafe fn sigmoid_inplace_avx2(xs: &mut [f32]) {
     use std::arch::x86_64::*;
     let n = xs.len();
-    let one = _mm256_set1_ps(1.0);
-    let sign = _mm256_set1_ps(-0.0);
     let mut j = 0;
     while j + 8 <= n {
         let x = _mm256_loadu_ps(xs.as_ptr().add(j));
-        // 1 / (1 + exp(-x))
-        let e = exp256(_mm256_xor_ps(x, sign));
-        let y = _mm256_div_ps(one, _mm256_add_ps(one, e));
-        _mm256_storeu_ps(xs.as_mut_ptr().add(j), y);
+        _mm256_storeu_ps(xs.as_mut_ptr().add(j), sigmoid256(x));
         j += 8;
     }
     for x in &mut xs[j..] {
@@ -361,35 +667,10 @@ unsafe fn sigmoid_inplace_avx2(xs: &mut [f32]) {
 unsafe fn tanh_inplace_avx2(xs: &mut [f32]) {
     use std::arch::x86_64::*;
     let n = xs.len();
-    let sign = _mm256_set1_ps(-0.0);
-    let one = _mm256_set1_ps(1.0);
-    let two = _mm256_set1_ps(2.0);
     let mut j = 0;
     while j + 8 <= n {
         let x = _mm256_loadu_ps(xs.as_ptr().add(j));
-        let ax = _mm256_andnot_ps(sign, x);
-        let sx = _mm256_and_ps(sign, x);
-        // Polynomial branch (|x| < 0.625): x + x·z·P(z), z = x².
-        let z = _mm256_mul_ps(x, x);
-        let mut p = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_set1_ps(-5.704_988_7e-3), z),
-            _mm256_set1_ps(2.063_908_8e-2),
-        );
-        p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(-5.373_971_5e-2));
-        p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(1.333_144_2e-1));
-        p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(-3.333_328e-1));
-        p = _mm256_mul_ps(p, z);
-        let poly = _mm256_add_ps(_mm256_mul_ps(x, p), x);
-        // Exp branch: sign(x) · (1 - 2/(exp(2|x|) + 1)).
-        let t = exp256(_mm256_mul_ps(two, ax));
-        let ye = _mm256_sub_ps(one, _mm256_div_ps(two, _mm256_add_ps(t, one)));
-        let ye = _mm256_or_ps(ye, sx);
-        // Saturation branch (|x| > 9): ±1.
-        let ys = _mm256_or_ps(one, sx);
-        let big = _mm256_cmp_ps::<_CMP_GT_OQ>(ax, _mm256_set1_ps(9.0));
-        let small = _mm256_cmp_ps::<_CMP_LT_OQ>(ax, _mm256_set1_ps(0.625));
-        let y = _mm256_blendv_ps(_mm256_blendv_ps(ye, ys, big), poly, small);
-        _mm256_storeu_ps(xs.as_mut_ptr().add(j), y);
+        _mm256_storeu_ps(xs.as_mut_ptr().add(j), tanh256(x));
         j += 8;
     }
     for x in &mut xs[j..] {
@@ -411,153 +692,111 @@ unsafe fn gemm_row_avx(
     ldb: usize,
     o_row: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
     let n = o_row.len();
-    let op = o_row.as_mut_ptr();
-    let bp0 = b.as_ptr();
-    let mut j = 0;
-    // 64-wide then 32-wide j-tiles: the YMM accumulators live in registers
-    // across the entire k loop, so the output row is loaded and stored
-    // exactly once, and eight independent add chains hide the FP-add
-    // latency of the in-order per-element accumulation.
-    while j + 64 <= n {
-        let mut acc0 = _mm256_loadu_ps(op.add(j));
-        let mut acc1 = _mm256_loadu_ps(op.add(j + 8));
-        let mut acc2 = _mm256_loadu_ps(op.add(j + 16));
-        let mut acc3 = _mm256_loadu_ps(op.add(j + 24));
-        let mut acc4 = _mm256_loadu_ps(op.add(j + 32));
-        let mut acc5 = _mm256_loadu_ps(op.add(j + 40));
-        let mut acc6 = _mm256_loadu_ps(op.add(j + 48));
-        let mut acc7 = _mm256_loadu_ps(op.add(j + 56));
-        for k in 0..k_count {
-            let aik = *a.get_unchecked(k * a_stride);
-            if aik == 0.0 {
-                continue;
-            }
-            let av = _mm256_set1_ps(aik);
-            let bp = bp0.add(k * ldb + j);
-            acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp), acc0);
-            acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(8)), acc1);
-            acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(16)), acc2);
-            acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(24)), acc3);
-            acc4 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(32)), acc4);
-            acc5 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(40)), acc5);
-            acc6 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(48)), acc6);
-            acc7 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(56)), acc7);
-        }
-        _mm256_storeu_ps(op.add(j), acc0);
-        _mm256_storeu_ps(op.add(j + 8), acc1);
-        _mm256_storeu_ps(op.add(j + 16), acc2);
-        _mm256_storeu_ps(op.add(j + 24), acc3);
-        _mm256_storeu_ps(op.add(j + 32), acc4);
-        _mm256_storeu_ps(op.add(j + 40), acc5);
-        _mm256_storeu_ps(op.add(j + 48), acc6);
-        _mm256_storeu_ps(op.add(j + 56), acc7);
-        j += 64;
+    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), o_row.as_mut_ptr());
+    for j in (0..n).step_by(64) {
+        gemm_row_span(
+            ap,
+            a_stride,
+            k_count,
+            bp.add(j),
+            ldb,
+            op.add(j),
+            (n - j).min(64),
+        );
     }
-    while j + 32 <= n {
-        let mut acc0 = _mm256_loadu_ps(op.add(j));
-        let mut acc1 = _mm256_loadu_ps(op.add(j + 8));
-        let mut acc2 = _mm256_loadu_ps(op.add(j + 16));
-        let mut acc3 = _mm256_loadu_ps(op.add(j + 24));
-        for k in 0..k_count {
-            let aik = *a.get_unchecked(k * a_stride);
-            if aik == 0.0 {
-                continue;
-            }
-            let av = _mm256_set1_ps(aik);
-            let bp = bp0.add(k * ldb + j);
-            acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp), acc0);
-            acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(8)), acc1);
-            acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(16)), acc2);
-            acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(24)), acc3);
-        }
-        _mm256_storeu_ps(op.add(j), acc0);
-        _mm256_storeu_ps(op.add(j + 8), acc1);
-        _mm256_storeu_ps(op.add(j + 16), acc2);
-        _mm256_storeu_ps(op.add(j + 24), acc3);
-        j += 32;
+}
+
+/// `width` (1-64) columns of [`gemm_row_avx`] from `op`/`bp` on, as one
+/// tile of ⌈width/8⌉ accumulators, the last one masked. A per-width tile
+/// count keeps every accumulator in a register (a runtime count spills
+/// them), and all chains stay in flight together: a narrow row such as the
+/// LSTM's 1 x 120 by 120 x 31 input gradient would otherwise run its deep
+/// reduction at FP-add latency one chain at a time.
+///
+/// # Safety
+///
+/// The caller must ensure AVX and FMA support, `width` in `1..=64`, that
+/// `ap` holds `k_count` coefficients at stride `a_stride`, and that the
+/// output row and the `k_count` rows of `b` hold `width` columns from
+/// `op`/`bp` on.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx,fma")]
+unsafe fn gemm_row_span(
+    ap: *const f32,
+    a_stride: usize,
+    k_count: usize,
+    bp: *const f32,
+    ldb: usize,
+    op: *mut f32,
+    width: usize,
+) {
+    let tiles = width.div_ceil(8);
+    let live = width + 8 - 8 * tiles;
+    match tiles {
+        1 => gemm_row_tile::<1>(ap, a_stride, k_count, bp, ldb, op, live),
+        2 => gemm_row_tile::<2>(ap, a_stride, k_count, bp, ldb, op, live),
+        3 => gemm_row_tile::<3>(ap, a_stride, k_count, bp, ldb, op, live),
+        4 => gemm_row_tile::<4>(ap, a_stride, k_count, bp, ldb, op, live),
+        5 => gemm_row_tile::<5>(ap, a_stride, k_count, bp, ldb, op, live),
+        6 => gemm_row_tile::<6>(ap, a_stride, k_count, bp, ldb, op, live),
+        7 => gemm_row_tile::<7>(ap, a_stride, k_count, bp, ldb, op, live),
+        8 => gemm_row_tile::<8>(ap, a_stride, k_count, bp, ldb, op, live),
+        _ => unreachable!("span width {width} not in 1..=64"),
     }
-    let rem = n - j;
-    if rem == 0 {
-        return;
+}
+
+/// One register tile of [`gemm_row_avx`]: the `8(T-1) + live` output
+/// columns from `op` (`live` in `1..=8` lanes of the last accumulator),
+/// against `b` columns from `bp` (row stride `ldb`), with coefficients
+/// `ap[k · a_stride]`. The `T` accumulators stay in registers for the whole
+/// `k` loop; the last one's dead lanes are masked off, so every live lane
+/// performs exactly the per-element FMA sequence of the scalar kernel
+/// (ascending `k`, zero coefficients skipped).
+///
+/// # Safety
+///
+/// The caller must ensure AVX and FMA support, `T` in `1..=8`, `live` in
+/// `1..=8`, that `ap` holds `k_count` coefficients at stride `a_stride`,
+/// and that the output row and the `k_count` rows of `b` hold the tile's
+/// columns from `op`/`bp` on.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx,fma")]
+unsafe fn gemm_row_tile<const T: usize>(
+    ap: *const f32,
+    a_stride: usize,
+    k_count: usize,
+    bp: *const f32,
+    ldb: usize,
+    op: *mut f32,
+    live: usize,
+) {
+    use std::arch::x86_64::*;
+    let mask = lane_mask(live);
+    let last = 8 * (T - 1);
+    let mut acc = [_mm256_setzero_ps(); T];
+    for (t, v) in acc.iter_mut().enumerate().take(T - 1) {
+        *v = _mm256_loadu_ps(op.add(8 * t));
     }
-    // Fused remainder: everything narrower than one 32-tile shares a
-    // SINGLE k loop — up to three 8-wide, one 4-wide, and three scalar
-    // accumulators all stay live together. Walking these as separate
-    // k loops (the obvious tiling) leaves a narrow row with one add
-    // chain at a time, so deep reductions (e.g. the LSTM's 1 x 120 by
-    // 120 x 31 input-gradient row) run at FP-add *latency*; fusing keeps
-    // every remaining chain in flight. Per-element accumulation order —
-    // ascending `k`, zero coefficients skipped, multiply-then-add — is
-    // exactly that of the loops above, so results are bitwise unchanged.
-    let n8 = rem / 8; // 0..=3 eight-wide tiles
-    let has4 = rem % 8 >= 4;
-    let ns = rem % 4; // 0..=3 scalar lanes
-    let j4 = j + n8 * 8;
-    let js = j4 + if has4 { 4 } else { 0 };
-    let mut y0 = if n8 > 0 {
-        _mm256_loadu_ps(op.add(j))
-    } else {
-        _mm256_setzero_ps()
-    };
-    let mut y1 = if n8 > 1 {
-        _mm256_loadu_ps(op.add(j + 8))
-    } else {
-        _mm256_setzero_ps()
-    };
-    let mut y2 = if n8 > 2 {
-        _mm256_loadu_ps(op.add(j + 16))
-    } else {
-        _mm256_setzero_ps()
-    };
-    let mut x0 = if has4 {
-        _mm_loadu_ps(op.add(j4))
-    } else {
-        _mm_setzero_ps()
-    };
-    let mut s = [0.0f32; 3];
-    for (i, si) in s.iter_mut().enumerate().take(ns) {
-        *si = *op.add(js + i);
-    }
+    acc[T - 1] = _mm256_maskload_ps(op.add(last), mask);
     for k in 0..k_count {
-        let aik = *a.get_unchecked(k * a_stride);
+        let aik = *ap.add(k * a_stride);
         if aik == 0.0 {
             continue;
         }
-        let bp = bp0.add(k * ldb);
-        if n8 > 0 {
-            let av = _mm256_set1_ps(aik);
-            y0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(j)), y0);
-            if n8 > 1 {
-                y1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(j + 8)), y1);
-            }
-            if n8 > 2 {
-                y2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(j + 16)), y2);
-            }
+        let av = _mm256_set1_ps(aik);
+        let bk = bp.add(k * ldb);
+        for (t, v) in acc.iter_mut().enumerate().take(T - 1) {
+            *v = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk.add(8 * t)), *v);
         }
-        if has4 {
-            x0 = _mm_fmadd_ps(_mm_set1_ps(aik), _mm_loadu_ps(bp.add(j4)), x0);
-        }
-        for (i, si) in s.iter_mut().enumerate().take(ns) {
-            *si = aik.mul_add(*bp.add(js + i), *si);
-        }
+        acc[T - 1] = _mm256_fmadd_ps(av, _mm256_maskload_ps(bk.add(last), mask), acc[T - 1]);
     }
-    if n8 > 0 {
-        _mm256_storeu_ps(op.add(j), y0);
-        if n8 > 1 {
-            _mm256_storeu_ps(op.add(j + 8), y1);
-        }
-        if n8 > 2 {
-            _mm256_storeu_ps(op.add(j + 16), y2);
-        }
+    for (t, v) in acc.iter().enumerate().take(T - 1) {
+        _mm256_storeu_ps(op.add(8 * t), *v);
     }
-    if has4 {
-        _mm_storeu_ps(op.add(j4), x0);
-    }
-    for (i, si) in s.iter().enumerate().take(ns) {
-        *op.add(js + i) = *si;
-    }
+    _mm256_maskstore_ps(op.add(last), mask, acc[T - 1]);
 }
 
 /// # Safety
@@ -675,7 +914,8 @@ unsafe fn gemm_row4_masked<const WIDE: bool>(
     rem: usize,
 ) {
     use std::arch::x86_64::*;
-    let (m0, m1) = remainder_masks(rem);
+    let m0 = lane_mask(rem.min(8));
+    let m1 = lane_mask(rem.saturating_sub(8));
     let rows = [op, op.add(n), op.add(2 * n), op.add(3 * n)];
     let mut lo = [_mm256_setzero_ps(); 4];
     let mut hi = [_mm256_setzero_ps(); 4];
@@ -713,33 +953,101 @@ unsafe fn gemm_row4_masked<const WIDE: bool>(
     }
 }
 
-/// Lane masks for a tile of which only the first `rem` lanes (`1..=15`)
-/// are live: the low and high eight-lane halves, all-ones on live lanes.
-/// Loaded from a sliding window over a constant table, so building them
+/// # Safety
+///
+/// The caller must ensure AVX support and that `src` and `dst` hold
+/// `rows · cols` values (asserted by [`transpose`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn transpose_avx(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    for i0 in (0..rows).step_by(8) {
+        let live_rows = (rows - i0).min(8);
+        for j0 in (0..cols).step_by(8) {
+            let live_cols = (cols - j0).min(8);
+            // Rows past the matrix stay zero and are never stored.
+            let mut r = [_mm256_setzero_ps(); 8];
+            let src_at = |k: usize| sp.add((i0 + k) * cols + j0);
+            let dst_at = |k: usize| dp.add((j0 + k) * rows + i0);
+            if live_rows == 8 && live_cols == 8 {
+                for (k, v) in r.iter_mut().enumerate() {
+                    *v = _mm256_loadu_ps(src_at(k));
+                }
+                transpose8(&mut r);
+                for (k, v) in r.iter().enumerate() {
+                    _mm256_storeu_ps(dst_at(k), *v);
+                }
+            } else {
+                let col_mask = lane_mask(live_cols);
+                for (k, v) in r.iter_mut().enumerate().take(live_rows) {
+                    *v = _mm256_maskload_ps(src_at(k), col_mask);
+                }
+                transpose8(&mut r);
+                let row_mask = lane_mask(live_rows);
+                for (k, v) in r.iter().enumerate().take(live_cols) {
+                    _mm256_maskstore_ps(dst_at(k), row_mask, *v);
+                }
+            }
+        }
+    }
+}
+
+/// Transposes the 8 x 8 block held one row per vector in `r`, in place:
+/// unpack pairs of rows, shuffle pairs of pairs, then swap 128-bit halves.
+///
+/// # Safety
+///
+/// The caller must ensure AVX support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn transpose8(r: &mut [std::arch::x86_64::__m256; 8]) {
+    use std::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    r[0] = _mm256_permute2f128_ps::<0x20>(u0, u4);
+    r[1] = _mm256_permute2f128_ps::<0x20>(u1, u5);
+    r[2] = _mm256_permute2f128_ps::<0x20>(u2, u6);
+    r[3] = _mm256_permute2f128_ps::<0x20>(u3, u7);
+    r[4] = _mm256_permute2f128_ps::<0x31>(u0, u4);
+    r[5] = _mm256_permute2f128_ps::<0x31>(u1, u5);
+    r[6] = _mm256_permute2f128_ps::<0x31>(u2, u6);
+    r[7] = _mm256_permute2f128_ps::<0x31>(u3, u7);
+}
+
+/// The lane mask of an eight-lane vector of which only the first `live`
+/// lanes (`0..=8`) are live: all-ones on live lanes, zero on dead ones.
+/// Loaded from a sliding window over a constant table, so building it
 /// needs only AVX (no AVX2 integer compares).
 ///
 /// # Safety
 ///
 /// The caller must ensure AVX support.
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "avx")]
-unsafe fn remainder_masks(rem: usize) -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
+unsafe fn lane_mask(live: usize) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
-    /// Sixteen live lanes then sixteen dead ones: the window starting at
-    /// `16 - live` holds `live` ones first.
-    static TABLE: [i32; 32] = [
-        -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    ];
-    assert!(
-        (1..16).contains(&rem),
-        "remainder tile width {rem} not in 1..16"
-    );
-    let tp = TABLE.as_ptr();
-    (
-        _mm256_loadu_si256(tp.add(16 - rem).cast()),
-        _mm256_loadu_si256(tp.add(24 - rem).cast()),
-    )
+    /// Eight live lanes then eight dead ones: the window starting at
+    /// `8 - live` holds `live` ones first.
+    static TABLE: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    assert!(live <= 8, "lane count {live} exceeds 8");
+    _mm256_loadu_si256(TABLE.as_ptr().add(8 - live).cast())
 }
 
 /// # Safety
@@ -769,9 +1077,17 @@ unsafe fn add_scaled_avx(dst: &mut [f32], src: &[f32], alpha: f32) {
 /// `m ← β₁m + (1-β₁)g`, `v ← β₂v + (1-β₂)g·g`,
 /// `p ← p - lr·(m/bias₁) / (√(v/bias₂) + ε)`.
 ///
+/// A new moment of magnitude below `f32::MIN_POSITIVE` is stored as a zero
+/// of its sign. Without the flush, a first moment fed exact-zero gradients
+/// decays ×β₁ into the subnormals and sticks there (`β₁·m` rounds back to
+/// `m`), and every later step runs on subnormal operands, an order of
+/// magnitude slower on x86-64. Such a moment's update `lr·m̂` is already
+/// below the smallest subnormal, so the flush leaves the parameters alone.
+///
 /// The SIMD path is bitwise identical to the scalar loop: every operation
-/// involved (mul, add, sub, div, sqrt) is correctly rounded in both scalar
-/// and vector form, and lanes are independent elements.
+/// involved (mul, add, sub, div, sqrt, the flush) is exact or correctly
+/// rounded in both scalar and vector form, and lanes are independent
+/// elements.
 ///
 /// # Panics
 ///
@@ -820,12 +1136,39 @@ fn adam_update_scalar(
     bias2: f32,
 ) {
     for ((pk, &gk), (mk, vk)) in p.iter_mut().zip(g).zip(m.iter_mut().zip(v.iter_mut())) {
-        *mk = b1 * *mk + (1.0 - b1) * gk;
-        *vk = b2 * *vk + (1.0 - b2) * gk * gk;
+        *mk = flush_subnormal(b1 * *mk + (1.0 - b1) * gk);
+        *vk = flush_subnormal(b2 * *vk + (1.0 - b2) * gk * gk);
         let m_hat = *mk / bias1;
         let v_hat = *vk / bias2;
         *pk -= lr * m_hat / (v_hat.sqrt() + eps);
     }
+}
+
+/// `x`, or a zero of its sign when `|x|` is below `f32::MIN_POSITIVE`.
+#[inline]
+fn flush_subnormal(x: f32) -> f32 {
+    if x.abs() < f32::MIN_POSITIVE {
+        0.0_f32.copysign(x)
+    } else {
+        x
+    }
+}
+
+/// Eight-lane [`flush_subnormal`]: clears every bit but the sign on lanes
+/// whose magnitude is below `f32::MIN_POSITIVE`.
+///
+/// # Safety
+///
+/// Caller must ensure AVX support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn flush_subnormal256(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let sign = _mm256_set1_ps(-0.0);
+    let tiny =
+        _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_andnot_ps(sign, x), _mm256_set1_ps(f32::MIN_POSITIVE));
+    _mm256_andnot_ps(_mm256_andnot_ps(sign, tiny), x)
 }
 
 /// # Safety
@@ -860,15 +1203,15 @@ unsafe fn adam_update_avx(
     let mut j = 0;
     while j + 8 <= n {
         let gk = _mm256_loadu_ps(g.as_ptr().add(j));
-        let mk = _mm256_add_ps(
+        let mk = flush_subnormal256(_mm256_add_ps(
             _mm256_mul_ps(b1v, _mm256_loadu_ps(m.as_ptr().add(j))),
             _mm256_mul_ps(one_m_b1, gk),
-        );
+        ));
         // (1-b2)*gk*gk evaluated as ((1-b2)*gk)*gk, matching the scalar.
-        let vk = _mm256_add_ps(
+        let vk = flush_subnormal256(_mm256_add_ps(
             _mm256_mul_ps(b2v, _mm256_loadu_ps(v.as_ptr().add(j))),
             _mm256_mul_ps(_mm256_mul_ps(one_m_b2, gk), gk),
-        );
+        ));
         _mm256_storeu_ps(m.as_mut_ptr().add(j), mk);
         _mm256_storeu_ps(v.as_mut_ptr().add(j), vk);
         let m_hat = _mm256_div_ps(mk, bias1v);
@@ -914,9 +1257,10 @@ mod tests {
 
     #[test]
     fn gemm_row_matches_scalar_across_widths_strides_and_zeros() {
-        // Widths cover the 32-tile, 8-tile, and scalar-tail paths; strides
-        // cover the matmul (1) and matmul_tn (column) access patterns.
-        for &w in &[1usize, 5, 8, 15, 32, 39, 64, 71] {
+        // Every width 1..=96: each tile count and masked last vector alone,
+        // and after one full 64-wide span; strides cover the matmul (1) and
+        // matmul_tn (column) access patterns.
+        for w in 1usize..=96 {
             for &stride in &[1usize, 3] {
                 for k_count in [1usize, 2, 7] {
                     let a: Vec<f32> = (0..(k_count - 1) * stride + 1)
@@ -983,6 +1327,27 @@ mod tests {
     }
 
     #[test]
+    fn transpose_matches_scalar_for_every_edge_shape() {
+        // Shapes up to 19 x 19 give every combination of full 8 x 8 blocks
+        // and masked edge blocks; 31 x 120 is the LSTM gate-weight shape.
+        let shapes = (1..=19).flat_map(|r| (1..=19).map(move |c| (r, c)));
+        for (rows, cols) in shapes.chain([(31, 120)]) {
+            let src: Vec<f32> = (0..rows * cols).map(|i| i as f32 * 0.5 - 3.0).collect();
+            let mut fast = vec![f32::NAN; rows * cols];
+            transpose(&src, rows, cols, &mut fast);
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(
+                        fast[j * rows + i].to_bits(),
+                        src[i * cols + j].to_bits(),
+                        "{rows}x{cols} at ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "add_scaled length mismatch")]
     fn mismatched_lengths_rejected() {
         add_scaled(&mut [0.0], &[1.0, 2.0], 1.0);
@@ -1026,11 +1391,47 @@ mod tests {
 
     #[test]
     fn adam_update_matches_scalar_bitwise() {
+        // Moments near and below `f32::MIN_POSITIVE` (some fed zero
+        // gradients) exercise the subnormal flush of both paths.
+        let tiny = [
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE * 1.2,
+            f32::MIN_POSITIVE * 0.9,
+            -6e-45,
+            1e-40,
+            0.0,
+            -0.0,
+        ];
         for n in [1usize, 7, 8, 9, 31, 64] {
-            let g: Vec<f32> = (0..n).map(|i| (i as f32 - 3.0) * 0.21).collect();
+            let g: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        (i as f32 - 3.0) * 0.21
+                    }
+                })
+                .collect();
             let mut p1: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
-            let mut m1: Vec<f32> = (0..n).map(|i| i as f32 * -0.03).collect();
-            let mut v1: Vec<f32> = (0..n).map(|i| i as f32 * 0.02).collect();
+            let mut m1: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        tiny[i / 2 % 8]
+                    } else {
+                        i as f32 * -0.03
+                    }
+                })
+                .collect();
+            let mut v1: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 2 == 1 {
+                        tiny[i / 2 % 8].abs()
+                    } else {
+                        i as f32 * 0.02
+                    }
+                })
+                .collect();
             let (mut p2, mut m2, mut v2) = (p1.clone(), m1.clone(), v1.clone());
             adam_update(
                 &mut p1, &g, &mut m1, &mut v1, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.002,

@@ -195,7 +195,7 @@ fn lstm_long_sequence_gradients_stay_finite() {
     let values: Vec<f32> = (0..200).map(|i| ((i % 13) as f32 / 13.0) - 0.5).collect();
     let seq = Matrix::from_vec(values.len(), 1, values);
     let pred = net.forward_seq(&seq);
-    let dy = Loss::Mse.gradient(&pred, &Matrix::row_vector(&[0.3]));
+    let dy = Loss::Mse.gradient(pred, &Matrix::row_vector(&[0.3]));
     net.backward_seq(&dy);
     let mut ok = true;
     net.visit_params(&mut |_, g| ok &= g.is_finite());
