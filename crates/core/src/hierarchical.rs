@@ -1,18 +1,19 @@
-//! Policy taxonomy and the hierarchical framework bundle.
+//! The tier taxonomy of the hierarchical framework.
 //!
 //! The paper compares three systems: the round-robin baseline, DRL-based
 //! resource allocation *only* (global tier with ad-hoc local power
 //! behaviour), and the full hierarchical framework (DRL global tier + RL
-//! local tier). [`AllocatorKind`] and [`PowerKind`] name every policy in
-//! this reproduction, and [`PolicyPair`] gives the paper's three systems
-//! plus the Fig. 10 fixed-timeout variants by name.
+//! local tier). Each system is one global tier and one local tier:
+//! [`AllocatorKind`] names every global-tier policy in this reproduction
+//! and [`PowerKind`] every local-tier policy. The experiment layer
+//! (`hierdrl_exp::scenario::PolicySpec`) names the systems themselves.
 
 use crate::allocator::{DrlAllocator, DrlAllocatorConfig};
 use crate::dpm::{RlPowerConfig, RlPowerManager};
 use hierdrl_sim::cluster::{Allocator, PowerManager};
 use hierdrl_sim::policies::{
-    AlwaysOnPower, FirstFitAllocator, FixedTimeoutPower, LeastLoadedAllocator, RandomAllocator,
-    RoundRobinAllocator, SleepImmediatelyPower,
+    AlwaysOnPower, FirstFitAllocator, FixedTimeoutPower, LeastLoadedAllocator, RoundRobinAllocator,
+    SleepImmediatelyPower,
 };
 use serde::{Deserialize, Serialize};
 
@@ -21,11 +22,6 @@ use serde::{Deserialize, Serialize};
 pub enum AllocatorKind {
     /// Cyclic dispatch (the paper's baseline).
     RoundRobin,
-    /// Uniform random dispatch.
-    Random {
-        /// RNG seed.
-        seed: u64,
-    },
     /// Join-the-shortest-queue heuristic.
     LeastLoaded,
     /// Greedy first-fit consolidation.
@@ -40,7 +36,6 @@ impl AllocatorKind {
     pub fn build(&self, num_servers: usize, resource_dims: usize) -> Box<dyn Allocator> {
         match self {
             AllocatorKind::RoundRobin => Box::new(RoundRobinAllocator::new()),
-            AllocatorKind::Random { seed } => Box::new(RandomAllocator::new(*seed)),
             AllocatorKind::LeastLoaded => Box::new(LeastLoadedAllocator),
             AllocatorKind::FirstFit => Box::new(FirstFitAllocator),
             AllocatorKind::Drl(config) => Box::new(DrlAllocator::new(
@@ -48,17 +43,6 @@ impl AllocatorKind {
                 resource_dims,
                 (**config).clone(),
             )),
-        }
-    }
-
-    /// Short human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AllocatorKind::RoundRobin => "round-robin",
-            AllocatorKind::Random { .. } => "random",
-            AllocatorKind::LeastLoaded => "least-loaded",
-            AllocatorKind::FirstFit => "first-fit",
-            AllocatorKind::Drl(_) => "drl",
         }
     }
 }
@@ -87,68 +71,6 @@ impl PowerKind {
             PowerKind::Rl(config) => Box::new(RlPowerManager::for_cluster(cluster, config.clone())),
         }
     }
-
-    /// Short human-readable name.
-    pub fn name(&self) -> String {
-        match self {
-            PowerKind::AlwaysOn => "always-on".into(),
-            PowerKind::SleepImmediately => "sleep-immediately".into(),
-            PowerKind::FixedTimeout(t) => format!("timeout-{t}s"),
-            PowerKind::Rl(_) => "rl-dpm".into(),
-        }
-    }
-}
-
-/// A named (allocator, power manager) pair — one "system" in the paper's
-/// comparisons.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolicyPair {
-    /// Display name.
-    pub name: String,
-    /// The global tier.
-    pub allocator: AllocatorKind,
-    /// The local tier.
-    pub power: PowerKind,
-}
-
-impl PolicyPair {
-    /// The round-robin baseline of Figs. 8/9: even dispatch keeps all
-    /// servers busy, so they effectively never sleep.
-    pub fn round_robin_baseline() -> Self {
-        Self {
-            name: "round-robin".into(),
-            allocator: AllocatorKind::RoundRobin,
-            power: PowerKind::AlwaysOn,
-        }
-    }
-
-    /// "DRL-based resource allocation ONLY": the global tier with the
-    /// ad-hoc local behaviour of Fig. 4(a).
-    pub fn drl_only(drl: DrlAllocatorConfig) -> Self {
-        Self {
-            name: "drl-only".into(),
-            allocator: AllocatorKind::Drl(Box::new(drl)),
-            power: PowerKind::SleepImmediately,
-        }
-    }
-
-    /// The full hierarchical framework: DRL global tier + RL local tier.
-    pub fn hierarchical(drl: DrlAllocatorConfig, dpm: RlPowerConfig) -> Self {
-        Self {
-            name: "hierarchical".into(),
-            allocator: AllocatorKind::Drl(Box::new(drl)),
-            power: PowerKind::Rl(dpm),
-        }
-    }
-
-    /// A Fig. 10 baseline: DRL global tier + fixed local timeout.
-    pub fn drl_fixed_timeout(drl: DrlAllocatorConfig, timeout_s: f64) -> Self {
-        Self {
-            name: format!("drl+timeout-{timeout_s}s"),
-            allocator: AllocatorKind::Drl(Box::new(drl)),
-            power: PowerKind::FixedTimeout(timeout_s),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +81,6 @@ mod tests {
     fn builders_produce_working_policies() {
         for kind in [
             AllocatorKind::RoundRobin,
-            AllocatorKind::Random { seed: 1 },
             AllocatorKind::LeastLoaded,
             AllocatorKind::FirstFit,
         ] {
@@ -176,31 +97,19 @@ mod tests {
     }
 
     #[test]
-    fn names_are_stable() {
-        assert_eq!(AllocatorKind::RoundRobin.name(), "round-robin");
-        assert_eq!(PowerKind::FixedTimeout(60.0).name(), "timeout-60s");
-        assert_eq!(PolicyPair::round_robin_baseline().name, "round-robin");
-    }
-
-    #[test]
-    fn paper_systems_have_expected_tiers() {
-        let rr = PolicyPair::round_robin_baseline();
-        assert_eq!(rr.power, PowerKind::AlwaysOn);
-
-        let drl_only = PolicyPair::drl_only(DrlAllocatorConfig::default());
-        assert_eq!(drl_only.power, PowerKind::SleepImmediately);
-        assert!(matches!(drl_only.allocator, AllocatorKind::Drl(_)));
-
-        let hier =
-            PolicyPair::hierarchical(DrlAllocatorConfig::default(), RlPowerConfig::default());
-        assert!(matches!(hier.power, PowerKind::Rl(_)));
-    }
-
-    #[test]
     fn serde_round_trip() {
-        let p = PolicyPair::drl_fixed_timeout(DrlAllocatorConfig::default(), 60.0);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: PolicyPair = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
+        let allocator = AllocatorKind::Drl(Box::default());
+        let json = serde_json::to_string(&allocator).unwrap();
+        assert_eq!(
+            serde_json::from_str::<AllocatorKind>(&json).unwrap(),
+            allocator
+        );
+        for power in [
+            PowerKind::FixedTimeout(60.0),
+            PowerKind::Rl(RlPowerConfig::default()),
+        ] {
+            let json = serde_json::to_string(&power).unwrap();
+            assert_eq!(serde_json::from_str::<PowerKind>(&json).unwrap(), power);
+        }
     }
 }

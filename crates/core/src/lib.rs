@@ -13,12 +13,15 @@
 //!   combines an LSTM workload predictor
 //!   ([`predictor::LstmIatPredictor`]) with a model-free SMDP Q-learning
 //!   power manager choosing sleep timeouts.
-//! - **Baselines** ([`hierarchical`]): round-robin / random / least-loaded /
-//!   first-fit allocation; always-on / sleep-immediately / fixed-timeout
-//!   power management — every system the paper compares against.
-//! - **Runner** ([`runner`]): one [`runner::Experiment`] type runs policy
-//!   pairs over an ordered list of workload segments (a plain run is one
-//!   segment) and extracts the metrics of Table I and Figs. 8–10.
+//! - **Tier taxonomy** ([`hierarchical`]): [`hierarchical::AllocatorKind`]
+//!   names every global tier (round-robin, least-loaded, first-fit, DRL)
+//!   and [`hierarchical::PowerKind`] every local tier (always-on,
+//!   sleep-immediately, fixed-timeout, RL); a system the paper compares is
+//!   one kind of each.
+//! - **Runner** ([`runner`]): one [`runner::Experiment`] type runs a global
+//!   and a local tier over an ordered list of workload segments (a plain
+//!   run is one segment) and extracts the metrics of Table I and
+//!   Figs. 8–10.
 //!
 //! # Examples
 //!
@@ -32,9 +35,9 @@
 //! let trace = TraceGenerator::new(WorkloadConfig::google_like(1, 95_000.0))?
 //!     .generate_n(200);
 //!
-//! // Run the round-robin baseline.
+//! // Run the round-robin baseline: round-robin dispatch, servers always on.
 //! let result = Experiment::new("baseline", &cluster, &trace)
-//!     .run_pair(&PolicyPair::round_robin_baseline())?;
+//!     .run(&mut RoundRobinAllocator::new(), &mut AlwaysOnPower)?;
 //! assert_eq!(result.outcome.totals.jobs_completed, 200);
 //! # Ok::<(), String>(())
 //! ```
@@ -55,15 +58,15 @@ pub mod prelude {
     pub use crate::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
     pub use crate::dpm::{DpmSnapshot, DpmStats, RlPowerConfig, RlPowerManager};
     pub use crate::dqn::{GroupedQNetwork, QNetworkConfig, QSample, StateRow};
-    pub use crate::hierarchical::{AllocatorKind, PolicyPair, PowerKind};
+    pub use crate::hierarchical::{AllocatorKind, PowerKind};
     pub use crate::predictor::{
         EwmaPredictor, IatPredictor, LastValuePredictor, LstmIatPredictor, MovingAveragePredictor,
         PredictorConfig,
     };
     pub use crate::reward::{reward_rate_between, RewardWeights};
     pub use crate::runner::{
-        aggregate_shards, concat_segments, pretrain_drl, pretrain_pair, Experiment,
-        ExperimentResult, FleetStats, Segment, ShardResult,
+        aggregate_shards, concat_segments, pretrain_pair, Experiment, ExperimentResult, FleetStats,
+        Segment, ShardResult,
     };
     pub use crate::state::{GlobalState, StateEncoder, StateEncoderConfig};
 }

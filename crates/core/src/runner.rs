@@ -1,14 +1,11 @@
-//! Experiment runner: executes policy pairs on traces and collects the
-//! metrics the paper reports (accumulated energy/latency curves, Table I
-//! summaries, trade-off points).
+//! Experiment runner: runs a global tier and a local tier on traces and
+//! collects the metrics the paper reports (accumulated energy/latency
+//! curves, Table I summaries, trade-off points).
 
-use crate::allocator::DrlAllocator;
-use crate::hierarchical::PolicyPair;
 use hierdrl_sim::cluster::{Allocator, ArrivalSource, Cluster, PowerManager, RunLimit};
 use hierdrl_sim::config::ClusterConfig;
 use hierdrl_sim::events::FleetOp;
 use hierdrl_sim::metrics::{LatencyStats, RunOutcome, SamplePoint};
-use hierdrl_sim::policies::SleepImmediatelyPower;
 use hierdrl_sim::time::SimTime;
 use hierdrl_trace::trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -121,13 +118,12 @@ enum Arrivals<'a> {
 ///     })
 ///     .collect();
 ///
-/// let mut allocator = hierdrl_sim::policies::RoundRobinAllocator::new();
-/// let mut power = hierdrl_sim::policies::SleepImmediatelyPower;
-/// let results =
+/// let mut allocator = RoundRobinAllocator::new();
+/// let mut power = SleepImmediatelyPower;
+/// let result =
 ///     Experiment::from_segments("demo", &cluster, segments.iter().map(Segment::trace))
-///         .run_segments(&mut allocator, &mut power)?;
-/// assert_eq!(results.len(), 2);
-/// assert_eq!(results[0].outcome.totals.jobs_completed, 80);
+///         .run(&mut allocator, &mut power)?;
+/// assert_eq!(result.outcome.totals.jobs_completed, 160);
 /// # Ok::<(), String>(())
 /// ```
 #[derive(Debug)]
@@ -193,7 +189,7 @@ impl<'a> Segment<'a> {
 ///     .generate_n(100);
 ///
 /// let result = Experiment::new("demo", &cluster, &trace)
-///     .run_pair(&PolicyPair::round_robin_baseline())?;
+///     .run(&mut RoundRobinAllocator::new(), &mut AlwaysOnPower)?;
 /// assert_eq!(result.outcome.totals.jobs_completed, 100);
 /// # Ok::<(), String>(())
 /// ```
@@ -271,52 +267,23 @@ impl<'a> Experiment<'a> {
     }
 
     /// Runs every remaining segment in order on the carried policy
-    /// objects and returns the per-segment results.
+    /// objects and returns the whole-run result: the time-sequential
+    /// [`concat_segments`] of the segments, which for a one-segment
+    /// experiment is that segment's result itself.
     ///
     /// # Errors
     ///
     /// Returns the first failing segment's error (an invalid cluster
     /// configuration or trace).
-    pub fn run_segments(
+    pub fn run(
         mut self,
         allocator: &mut dyn Allocator,
         power: &mut dyn PowerManager,
-    ) -> Result<Vec<ExperimentResult>, String> {
-        std::iter::from_fn(|| self.run_next(allocator, power)).collect()
-    }
-
-    /// Runs every segment and returns the whole-run result: the
-    /// time-sequential [`concat_segments`] of the segments, which for a
-    /// one-segment experiment is that segment's result itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing segment's error.
-    pub fn run(
-        self,
-        allocator: &mut dyn Allocator,
-        power: &mut dyn PowerManager,
     ) -> Result<ExperimentResult, String> {
-        let name = self.name;
-        let results = self.run_segments(allocator, power)?;
+        let results = std::iter::from_fn(|| self.run_next(allocator, power))
+            .collect::<Result<Vec<_>, _>>()?;
         let refs: Vec<&ExperimentResult> = results.iter().collect();
-        Ok(concat_segments(name, &refs))
-    }
-
-    /// Builds fresh policy objects from a [`PolicyPair`] and runs them,
-    /// naming the result after the pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing segment's error.
-    pub fn run_pair(self, pair: &PolicyPair) -> Result<ExperimentResult, String> {
-        let mut allocator = pair
-            .allocator
-            .build(self.cluster.num_servers, self.cluster.resource_dims);
-        let mut power = pair.power.build(self.cluster);
-        let mut result = self.run(allocator.as_mut(), power.as_mut())?;
-        result.name.clone_from(&pair.name);
-        Ok(result)
+        Ok(concat_segments(self.name, &refs))
     }
 }
 
@@ -547,34 +514,14 @@ pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult 
     }
 }
 
-/// Offline pre-training of a DRL allocator (Section VII-A): epsilon-greedy
-/// rollouts over several workload segments, filling the experience memory,
-/// pre-training the autoencoder, and fitting the DNN. The paper uses
-/// workload traces for five different clusters.
-///
-/// Rollouts pair the allocator with the ad-hoc sleep-immediately local
-/// behaviour so the learned Q function reflects wake penalties.
-///
-/// # Errors
-///
-/// Returns an error if any rollout fails to construct.
-pub fn pretrain_drl(
-    allocator: &mut DrlAllocator,
-    cluster_config: &ClusterConfig,
-    segments: &[Trace],
-) -> Result<(), String> {
-    pretrain_pair(
-        allocator,
-        &mut SleepImmediatelyPower,
-        cluster_config,
-        segments,
-    )
-}
-
-/// Offline pre-training of an (allocator, power manager) pair over several
-/// workload segments. Used to co-train the hierarchical framework's two
-/// tiers before evaluation, so the global tier's learned values reflect the
-/// local tier's timeout behaviour and vice versa.
+/// Offline pre-training (Section VII-A) of an (allocator, power manager)
+/// pair: rollouts over several workload segments fill the DRL tier's
+/// experience memory, pre-train its autoencoder, and fit its DNN (the
+/// paper uses workload traces for five different clusters). A lone DRL
+/// global tier rolls out over the ad-hoc sleep-immediately local tier, so
+/// its learned values reflect wake penalties; the hierarchical framework
+/// co-trains both tiers, so each tier's values reflect the other's
+/// behaviour.
 ///
 /// # Errors
 ///
@@ -595,7 +542,11 @@ pub fn pretrain_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::DrlAllocatorConfig;
+    use crate::allocator::{DrlAllocator, DrlAllocatorConfig};
+    use hierdrl_sim::policies::{
+        AlwaysOnPower, FirstFitAllocator, FixedTimeoutPower, RoundRobinAllocator,
+        SleepImmediatelyPower,
+    };
     use hierdrl_trace::generator::{TraceGenerator, WorkloadConfig};
 
     fn small_trace(seed: u64, n: usize) -> Trace {
@@ -603,20 +554,18 @@ mod tests {
         TraceGenerator::new(config).unwrap().generate_n(n)
     }
 
-    fn run_pair(pair: &PolicyPair, config: &ClusterConfig, trace: &Trace) -> ExperimentResult {
-        Experiment::new(&pair.name, config, trace)
-            .run_pair(pair)
+    /// The round-robin baseline of Figs. 8/9: round-robin dispatch over
+    /// always-on servers.
+    fn run_round_robin(config: &ClusterConfig, trace: &Trace) -> ExperimentResult {
+        Experiment::new("round-robin", config, trace)
+            .run(&mut RoundRobinAllocator::new(), &mut AlwaysOnPower)
             .unwrap()
     }
 
     #[test]
     fn round_robin_experiment_completes() {
         let trace = small_trace(1, 300);
-        let result = run_pair(
-            &PolicyPair::round_robin_baseline(),
-            &ClusterConfig::paper(5),
-            &trace,
-        );
+        let result = run_round_robin(&ClusterConfig::paper(5), &trace);
         assert_eq!(result.outcome.totals.jobs_completed, 300);
         assert!(result.energy_kwh() > 0.0);
         assert!(result.latency.is_some());
@@ -626,8 +575,6 @@ mod tests {
 
     #[test]
     fn streamed_run_matches_materialized_run_bitwise() {
-        use hierdrl_sim::policies::{FixedTimeoutPower, RoundRobinAllocator};
-
         let trace = small_trace(3, 400);
         let config = ClusterConfig::paper(5);
         let reference = Experiment::new("rr", &config, &trace)
@@ -654,8 +601,6 @@ mod tests {
 
     #[test]
     fn streamed_run_without_retention_keeps_aggregates() {
-        use hierdrl_sim::policies::{AlwaysOnPower, RoundRobinAllocator};
-
         let trace = small_trace(4, 300);
         let config = ClusterConfig::paper(4);
         let reference = Experiment::new("rr", &config, &trace)
@@ -683,12 +628,9 @@ mod tests {
     #[test]
     fn fleet_fractions_sum_to_one() {
         let trace = small_trace(2, 200);
-        let pair = PolicyPair {
-            name: "ff+timeout".into(),
-            allocator: crate::hierarchical::AllocatorKind::FirstFit,
-            power: crate::hierarchical::PowerKind::FixedTimeout(60.0),
-        };
-        let result = run_pair(&pair, &ClusterConfig::paper(5), &trace);
+        let result = Experiment::new("ff+timeout", &ClusterConfig::paper(5), &trace)
+            .run(&mut FirstFitAllocator, &mut FixedTimeoutPower::new(60.0))
+            .unwrap();
         let f = result.fleet;
         let sum = f.busy_fraction + f.idle_fraction + f.sleep_fraction + f.transition_fraction;
         assert!((sum - 1.0).abs() < 1e-6, "fractions sum to {sum}");
@@ -707,7 +649,13 @@ mod tests {
         let mut allocator = DrlAllocator::new(4, 3, drl_config);
 
         let segments: Vec<Trace> = (0..2).map(|s| small_trace(10 + s, 150)).collect();
-        pretrain_drl(&mut allocator, &config, &segments).unwrap();
+        pretrain_pair(
+            &mut allocator,
+            &mut SleepImmediatelyPower,
+            &config,
+            &segments,
+        )
+        .unwrap();
         let trained_decisions = allocator.stats().decisions;
         assert_eq!(trained_decisions, 300);
 
@@ -722,11 +670,7 @@ mod tests {
     #[test]
     fn aggregating_one_shard_reproduces_it() {
         let trace = small_trace(5, 150);
-        let result = run_pair(
-            &PolicyPair::round_robin_baseline(),
-            &ClusterConfig::paper(4),
-            &trace,
-        );
+        let result = run_round_robin(&ClusterConfig::paper(4), &trace);
         let agg = aggregate_shards(
             "fleet",
             &[ShardResult {
@@ -752,7 +696,7 @@ mod tests {
                 let mut config = ClusterConfig::paper(3);
                 config.sample_every = 40;
                 let trace = small_trace(20 + k as u64, 120);
-                let result = run_pair(&PolicyPair::round_robin_baseline(), &config, &trace);
+                let result = run_round_robin(&config, &trace);
                 ShardResult {
                     cluster: k,
                     servers: 3,
@@ -801,14 +745,14 @@ mod tests {
         };
         let mut allocator = DrlAllocator::new(4, 3, drl_config);
         let segments: Vec<Trace> = (0..3).map(|s| small_trace(30 + s, 120)).collect();
-        let results =
-            Experiment::from_segments("drift", &config, segments.iter().map(Segment::trace))
-                .run_segments(&mut allocator, &mut SleepImmediatelyPower)
-                .unwrap();
-        assert_eq!(results.len(), 3);
-        for r in &results {
-            assert_eq!(r.outcome.totals.jobs_completed, 120);
+        let mut experiment =
+            Experiment::from_segments("drift", &config, segments.iter().map(Segment::trace));
+        let mut runs = 0;
+        while let Some(result) = experiment.run_next(&mut allocator, &mut SleepImmediatelyPower) {
+            assert_eq!(result.unwrap().outcome.totals.jobs_completed, 120);
+            runs += 1;
         }
+        assert_eq!(runs, 3);
         // Online training continued across every boundary: one decision
         // per job, accumulated over all segments.
         assert_eq!(allocator.stats().decisions, 360);
@@ -820,13 +764,7 @@ mod tests {
         let mut config = ClusterConfig::paper(3);
         config.sample_every = 40;
         let results: Vec<ExperimentResult> = (0..2)
-            .map(|k| {
-                run_pair(
-                    &PolicyPair::round_robin_baseline(),
-                    &config,
-                    &small_trace(40 + k, 100),
-                )
-            })
+            .map(|k| run_round_robin(&config, &small_trace(40 + k, 100)))
             .collect();
         let refs: Vec<&ExperimentResult> = results.iter().collect();
         let whole = concat_segments("drift", &refs);
@@ -867,11 +805,7 @@ mod tests {
     #[test]
     fn table_one_columns_are_consistent() {
         let trace = small_trace(3, 200);
-        let result = run_pair(
-            &PolicyPair::round_robin_baseline(),
-            &ClusterConfig::paper(5),
-            &trace,
-        );
+        let result = run_round_robin(&ClusterConfig::paper(5), &trace);
         // energy (kWh) == avg power (W) * span (h) / 1000
         let hours = result.outcome.end_time.as_hours();
         let expect_kwh = result.average_power_w() * hours / 1000.0;

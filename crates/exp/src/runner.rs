@@ -32,13 +32,14 @@ use crate::scenario::{
 use crate::suite::{Expectation, Suite};
 use hierdrl_core::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
 use hierdrl_core::dpm::{DpmSnapshot, RlPowerConfig, RlPowerManager};
+use hierdrl_core::hierarchical::{AllocatorKind, PowerKind};
 use hierdrl_core::runner::{
     aggregate_shards, concat_segments, pretrain_pair, Experiment, ExperimentResult, Segment,
     ShardResult,
 };
 use hierdrl_sim::cluster::{Allocator, PowerManager};
 use hierdrl_sim::config::ClusterConfig;
-use hierdrl_sim::policies::{FixedTimeoutPower, SleepImmediatelyPower};
+use hierdrl_sim::policies::SleepImmediatelyPower;
 use hierdrl_sim::router::Router;
 use hierdrl_trace::google::ParseStats;
 use hierdrl_trace::materialize::{TraceCache, TraceSpec};
@@ -761,6 +762,22 @@ impl LearnerSeeds {
     }
 }
 
+/// A DRL global tier sized at the slot ceiling (`== num_servers` for fixed
+/// fleets): elastic cells must encode joined slots, and the zero-padded
+/// group encoding keeps narrower views bitwise stable. A unit too small
+/// for the state's groups fails here by name.
+fn drl_allocator(
+    cluster: &ClusterConfig,
+    config: &DrlAllocatorConfig,
+) -> Result<DrlAllocator, String> {
+    config.state.check_servers(cluster.effective_max())?;
+    Ok(DrlAllocator::new(
+        cluster.effective_max(),
+        cluster.resource_dims,
+        config.clone(),
+    ))
+}
+
 /// Memoized pre-training of one (cluster, segments, learner configs)
 /// problem. Identical inputs must produce identical learners, so the JSON
 /// of all inputs is a sound cache key.
@@ -774,49 +791,52 @@ fn pretrain(
     let payload = (cluster, segments, drl_config, dpm_config);
     let key = serde_json::to_string(&payload).expect("pretrain key serializes");
     ctx.pretrained.get_or_train(&key, || {
+        let mut allocator = drl_allocator(cluster, drl_config)?;
         let traces: Vec<Trace> = segments
             .iter()
             .map(|spec| ctx.traces.get(spec).map(|t| (*t).clone()))
             .collect::<Result<_, _>>()?;
-        // Size the allocator at the slot ceiling (`== num_servers` for
-        // fixed fleets): elastic cells must encode joined slots, and the
-        // zero-padded group encoding keeps narrower views bitwise stable.
-        let mut allocator = DrlAllocator::new(
-            cluster.effective_max(),
-            cluster.resource_dims,
-            drl_config.clone(),
-        );
-        match dpm_config {
-            Some(dpm_config) => {
-                let mut dpm = RlPowerManager::for_cluster(cluster, dpm_config.clone());
-                pretrain_pair(&mut allocator, &mut dpm, cluster, &traces)?;
-                Ok(Pretrained {
-                    drl: allocator.snapshot(),
-                    dpm: Some(dpm.snapshot()),
-                })
-            }
-            None => {
-                // The ad-hoc local behaviour, so learned values reflect
-                // wake penalties (Section VII-A).
-                pretrain_pair(&mut allocator, &mut SleepImmediatelyPower, cluster, &traces)?;
-                Ok(Pretrained {
-                    drl: allocator.snapshot(),
-                    dpm: None,
-                })
-            }
-        }
+        // The rollouts' local tier: the co-pre-trained RL tier, else the
+        // ad-hoc behaviour, so learned values reflect wake penalties
+        // (Section VII-A).
+        let mut dpm = dpm_config
+            .as_ref()
+            .map(|config| RlPowerManager::for_cluster(cluster, config.clone()));
+        let mut sleep = SleepImmediatelyPower;
+        let power: &mut dyn PowerManager = match dpm.as_mut() {
+            Some(dpm) => dpm,
+            None => &mut sleep,
+        };
+        pretrain_pair(&mut allocator, power, cluster, &traces)?;
+        Ok(Pretrained {
+            drl: allocator.snapshot(),
+            dpm: dpm.map(|dpm| dpm.snapshot()),
+        })
     })
 }
 
 /// A built global tier: static policies stay behind the trait object,
-/// while learned ones keep their concrete type so statistics capture and
-/// freezing (the no-continued-training drift ablation) stay reachable.
+/// while learned ones keep their concrete type so statistics capture,
+/// freezing (the no-continued-training drift ablation), and slot-ceiling
+/// sizing stay reachable.
 enum BuiltAllocator {
     Static(Box<dyn Allocator>),
     Learned(Box<DrlAllocator>),
 }
 
 impl BuiltAllocator {
+    /// Builds a fresh tier of `kind` for `cluster`.
+    fn new(kind: &AllocatorKind, cluster: &ClusterConfig) -> Result<Self, String> {
+        Ok(match kind {
+            AllocatorKind::Drl(config) => {
+                BuiltAllocator::Learned(Box::new(drl_allocator(cluster, config)?))
+            }
+            static_kind => BuiltAllocator::Static(
+                static_kind.build(cluster.num_servers, cluster.resource_dims),
+            ),
+        })
+    }
+
     fn as_dyn(&mut self) -> &mut dyn Allocator {
         match self {
             BuiltAllocator::Static(a) => a.as_mut(),
@@ -845,6 +865,17 @@ enum BuiltPower {
 }
 
 impl BuiltPower {
+    /// Builds a fresh tier of `kind` for `cluster`.
+    fn new(kind: &PowerKind, cluster: &ClusterConfig) -> Self {
+        match kind {
+            PowerKind::Rl(config) => BuiltPower::Learned(Box::new(RlPowerManager::for_cluster(
+                cluster,
+                config.clone(),
+            ))),
+            static_kind => BuiltPower::Static(static_kind.build(cluster)),
+        }
+    }
+
     fn as_dyn(&mut self) -> &mut dyn PowerManager {
         match self {
             BuiltPower::Static(p) => p.as_mut(),
@@ -865,70 +896,53 @@ impl BuiltPower {
 fn build_policy(
     scenario: &Scenario,
     ctx: &RunContext,
-    unit: usize,
     cluster: &ClusterConfig,
     seeds: &LearnerSeeds,
 ) -> Result<(BuiltAllocator, BuiltPower), String> {
-    if let Some(drl) = &seeds.drl {
-        // The learners are sized at the slot ceiling (see `pretrain`); a
-        // unit too small for the state's groups fails here by name.
-        drl.state
-            .check_servers(cluster.effective_max())
-            .map_err(|e| format!("unit {unit}: {e}"))?;
-    }
-    let segments = |budget: &Pretrain| {
-        budget.segment_specs(
+    let pretrained = |budget: &Pretrain, co_dpm: &Option<RlPowerConfig>| {
+        let segments = budget.segment_specs(
             cluster.num_servers,
             seeds.eval_jobs,
             &scenario.workload,
             seeds.policy_seed,
-        )
+        );
+        let drl = seeds
+            .drl
+            .as_ref()
+            .expect("pre-trained policy has a DRL config");
+        pretrain(ctx, cluster, &segments, drl, co_dpm)
     };
     match &scenario.policy {
         PolicySpec::Static {
             allocator, power, ..
         } => Ok((
-            BuiltAllocator::Static(allocator.build(cluster.num_servers, cluster.resource_dims)),
-            BuiltPower::Static(power.build(cluster)),
+            BuiltAllocator::new(allocator, cluster)?,
+            BuiltPower::new(power, cluster),
         )),
-        PolicySpec::DrlOnly { pretrain: budget }
-        | PolicySpec::DrlVariant {
-            pretrain: budget, ..
-        } => {
-            let drl = seeds.drl.as_ref().expect("learned policy has DRL config");
-            let trained = pretrain(ctx, cluster, &segments(budget), drl, &None)?;
-            Ok((
-                BuiltAllocator::Learned(Box::new(DrlAllocator::from_snapshot(trained.drl))),
-                BuiltPower::Static(Box::new(SleepImmediatelyPower)),
-            ))
-        }
-        PolicySpec::DrlTimeout {
-            timeout_s,
+        PolicySpec::Drl {
+            power,
             pretrain: budget,
+            ..
         } => {
-            let drl = seeds.drl.as_ref().expect("learned policy has DRL config");
-            let trained = pretrain(ctx, cluster, &segments(budget), drl, &None)?;
+            let trained = pretrained(budget, &None)?;
             Ok((
                 BuiltAllocator::Learned(Box::new(DrlAllocator::from_snapshot(trained.drl))),
-                BuiltPower::Static(Box::new(FixedTimeoutPower::new(*timeout_s))),
+                BuiltPower::new(power, cluster),
             ))
         }
         PolicySpec::Hierarchical {
-            pretrain: budget,
-            co_pretrain,
-            ..
+            pretrain: budget, ..
         } => {
-            let drl = seeds.drl.as_ref().expect("learned policy has DRL config");
-            let trained = pretrain(ctx, cluster, &segments(budget), drl, &seeds.co_dpm)?;
-            let dpm_config = seeds.dpm.clone().expect("hierarchical has a DPM config");
+            let trained = pretrained(budget, &seeds.co_dpm)?;
             // Co-pre-trained cells restore the trained local tier; Fig. 10
             // cells start it fresh so every operating point shares the one
             // pre-trained global tier.
             let dpm = match trained.dpm {
-                Some(snapshot) if *co_pretrain => {
-                    RlPowerManager::from_snapshot_for_cluster(cluster, snapshot)
-                }
-                _ => RlPowerManager::for_cluster(cluster, dpm_config),
+                Some(snapshot) => RlPowerManager::from_snapshot_for_cluster(cluster, snapshot),
+                None => RlPowerManager::for_cluster(
+                    cluster,
+                    seeds.dpm.clone().expect("hierarchical has a DPM config"),
+                ),
             };
             Ok((
                 BuiltAllocator::Learned(Box::new(DrlAllocator::from_snapshot(trained.drl))),
@@ -966,7 +980,8 @@ fn run_unit(
         .as_ref()
         .map(|spec| spec.cluster_with_headroom(member));
     let cluster = headroom.as_ref().unwrap_or(member);
-    let (mut allocator, mut power) = build_policy(scenario, ctx, unit, cluster, &seeds)?;
+    let (mut allocator, mut power) =
+        build_policy(scenario, ctx, cluster, &seeds).map_err(|e| format!("unit {unit}: {e}"))?;
     if !scenario.online_learning() {
         allocator.set_learning(false);
         power.set_learning(false);

@@ -302,21 +302,17 @@ impl Scenario {
         }
     }
 
-    /// The global-tier configuration seeded with `policy_seed` (`None`
-    /// for static policies).
+    /// The pre-trained global tier's configuration seeded with
+    /// `policy_seed` (`None` for static pairs, whose learned kinds keep
+    /// their own config seed).
     pub(crate) fn drl_config_seeded(&self, policy_seed: u64) -> Option<DrlAllocatorConfig> {
-        let seeded = |mut config: DrlAllocatorConfig| {
-            config.seed = policy_seed;
-            config
-        };
         match &self.policy {
             PolicySpec::Static { .. } => None,
-            PolicySpec::DrlVariant { config, .. }
-            | PolicySpec::Hierarchical {
-                config: Some(config),
-                ..
-            } => Some(seeded((**config).clone())),
-            _ => Some(seeded(DrlAllocatorConfig::default())),
+            PolicySpec::Drl { config, .. } | PolicySpec::Hierarchical { config, .. } => {
+                let mut config = config.as_deref().cloned().unwrap_or_default();
+                config.seed = policy_seed;
+                Some(config)
+            }
         }
     }
 

@@ -53,11 +53,14 @@ impl Pretrain {
     }
 }
 
-/// A named policy recipe: which control planes run the cell and how the
-/// learners are pre-trained.
+/// A named policy recipe — one *system* of the paper's comparisons: which
+/// control planes run the cell and how the learners are pre-trained. Each
+/// tier is named by its kind ([`AllocatorKind`], [`PowerKind`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PolicySpec {
-    /// A fully-specified static pair (no pre-training).
+    /// A pair of tiers built fresh from their kinds, with no pre-training.
+    /// A learned kind starts from its own config (seed included) and
+    /// trains online like any carried learner.
     Static {
         /// Display name.
         name: String,
@@ -66,16 +69,20 @@ pub enum PolicySpec {
         /// Local tier.
         power: PowerKind,
     },
-    /// "DRL-based resource allocation only": pre-trained DRL global tier +
-    /// ad-hoc sleep-immediately local behaviour.
-    DrlOnly {
-        /// Pre-training budget.
-        pretrain: Pretrain,
-    },
-    /// Fig. 10 baseline: pre-trained DRL global tier + fixed local timeout.
-    DrlTimeout {
-        /// Timeout in seconds.
-        timeout_s: f64,
+    /// A pre-trained DRL global tier over a local tier named by its kind:
+    /// DRL-only (sleep-immediately), the Fig. 10 fixed-timeout baselines,
+    /// and global-tier ablations. Pre-training rolls the global tier out
+    /// over the ad-hoc sleep-immediately local behaviour.
+    Drl {
+        /// Display name.
+        name: String,
+        /// Optional explicit global-tier configuration (ablations and
+        /// quick test builds); `None` runs the paper's default. The
+        /// config's RNG seed is replaced by the scenario's derived policy
+        /// seed either way.
+        config: Option<Box<DrlAllocatorConfig>>,
+        /// Local tier.
+        power: PowerKind,
         /// Pre-training budget.
         pretrain: Pretrain,
     },
@@ -97,17 +104,6 @@ pub enum PolicySpec {
         /// config's RNG seed is replaced by the scenario's derived
         /// policy seed either way.
         config: Option<Box<DrlAllocatorConfig>>,
-    },
-    /// A DRL global-tier ablation with an explicit configuration
-    /// (+ sleep-immediately local behaviour). The config's RNG seed is
-    /// replaced by the scenario's derived policy seed.
-    DrlVariant {
-        /// Display name.
-        name: String,
-        /// Explicit allocator configuration.
-        config: Box<DrlAllocatorConfig>,
-        /// Pre-training budget.
-        pretrain: Pretrain,
     },
 }
 
@@ -134,17 +130,25 @@ impl PolicySpec {
         }
     }
 
-    /// DRL-only with the default pre-training budget.
+    /// "DRL-based resource allocation only": the paper's pre-trained DRL
+    /// global tier + ad-hoc sleep-immediately local behaviour, with the
+    /// default pre-training budget.
     pub fn drl_only() -> Self {
-        PolicySpec::DrlOnly {
+        PolicySpec::Drl {
+            name: "drl-only".into(),
+            config: None,
+            power: PowerKind::SleepImmediately,
             pretrain: Pretrain::default(),
         }
     }
 
-    /// DRL + fixed timeout with the default pre-training budget.
+    /// A Fig. 10 baseline: the paper's pre-trained DRL global tier + a
+    /// fixed local timeout, with the default pre-training budget.
     pub fn drl_timeout(timeout_s: f64) -> Self {
-        PolicySpec::DrlTimeout {
-            timeout_s,
+        PolicySpec::Drl {
+            name: format!("drl+timeout-{timeout_s}s"),
+            config: None,
+            power: PowerKind::FixedTimeout(timeout_s),
             pretrain: Pretrain::default(),
         }
     }
@@ -187,15 +191,17 @@ impl PolicySpec {
         }
     }
 
-    /// A global-tier ablation variant.
+    /// A global-tier ablation variant: a pre-trained DRL global tier with
+    /// an explicit configuration + sleep-immediately local behaviour.
     pub fn drl_variant(
         name: impl Into<String>,
         config: DrlAllocatorConfig,
         pretrain: Pretrain,
     ) -> Self {
-        PolicySpec::DrlVariant {
+        PolicySpec::Drl {
             name: name.into(),
-            config: Box::new(config),
+            config: Some(Box::new(config)),
+            power: PowerKind::SleepImmediately,
             pretrain,
         }
     }
@@ -203,9 +209,7 @@ impl PolicySpec {
     /// Display name (used in scenario ids, reports, and result rows).
     pub fn name(&self) -> String {
         match self {
-            PolicySpec::Static { name, .. } | PolicySpec::DrlVariant { name, .. } => name.clone(),
-            PolicySpec::DrlOnly { .. } => "drl-only".into(),
-            PolicySpec::DrlTimeout { timeout_s, .. } => format!("drl+timeout-{timeout_s}s"),
+            PolicySpec::Static { name, .. } | PolicySpec::Drl { name, .. } => name.clone(),
             PolicySpec::Hierarchical { weight, .. } => {
                 if (*weight - 0.5).abs() < 1e-12 {
                     "hierarchical".into()
@@ -214,11 +218,6 @@ impl PolicySpec {
                 }
             }
         }
-    }
-
-    /// Whether this policy carries a DRL global tier (and hence pre-trains).
-    pub fn is_learned(&self) -> bool {
-        !matches!(self, PolicySpec::Static { .. })
     }
 
     /// Whether pre-training includes the local tier (co-pre-trained

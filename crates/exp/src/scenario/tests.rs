@@ -82,7 +82,19 @@ fn learned_policies_get_cell_derived_rng_seeds() {
     assert_eq!(dpm.seed, s.unit_seed(0, SeedStream::Dpm));
     assert_eq!(s.policy_seed(), s.unit_seed(0, SeedStream::Policy));
     assert!((dpm.weight - 0.3).abs() < 1e-12);
-    assert!(s.policy.is_learned());
+
+    // A static pair pre-trains nothing: its learned kinds keep their own
+    // config seeds, so the cell derives no learner config.
+    let static_rl = Scenario {
+        policy: PolicySpec::static_pair(
+            "rr+rl-dpm",
+            hierdrl_core::hierarchical::AllocatorKind::RoundRobin,
+            hierdrl_core::hierarchical::PowerKind::Rl(RlPowerConfig::default()),
+        ),
+        ..s.clone()
+    };
+    assert!(static_rl.drl_config().is_none());
+    assert!(static_rl.dpm_config().is_none());
 }
 
 #[test]
@@ -90,6 +102,8 @@ fn policy_names_match_paper_conventions() {
     assert_eq!(PolicySpec::round_robin().name(), "round-robin");
     assert_eq!(PolicySpec::drl_only().name(), "drl-only");
     assert_eq!(PolicySpec::drl_timeout(60.0).name(), "drl+timeout-60s");
+    let ablation = PolicySpec::drl_variant("K=3 groups", Default::default(), Pretrain::default());
+    assert_eq!(ablation.name(), "K=3 groups");
     assert_eq!(PolicySpec::hierarchical(0.5).name(), "hierarchical");
     assert_eq!(PolicySpec::hierarchical(0.2).name(), "hierarchical w=0.2");
 }
@@ -105,7 +119,7 @@ fn cold_local_hierarchical_pretrains_without_the_local_tier() {
     );
     // Fig. 10 cells still *run* a local tier at their weight, but keep
     // it out of pre-training so the global tier is shared across the
-    // sweep (its pre-train inputs match a DrlTimeout cell's).
+    // sweep (its pre-train inputs match a `drl_timeout` cell's).
     assert!(cold.co_pretrain_dpm_config().is_none());
     assert!((cold.dpm_config().unwrap().weight - 0.2).abs() < 1e-12);
 

@@ -300,12 +300,13 @@ fn fault_specs_that_do_not_fit_a_unit_fail_the_cell_by_name() {
 #[test]
 fn drl_cells_on_units_smaller_than_the_state_groups_fail_by_name() {
     // The DRL state splits a unit into two groups, so a one-server unit
-    // cannot be encoded: the cell fails by name before pre-training.
-    let drl_error = |topology: Topology| {
+    // cannot be encoded: the cell fails by name before pre-training, and
+    // so does a DRL kind declared through a static pair.
+    let drl_error = |topology: Topology, policy: PolicySpec| {
         let suite = Suite::builder("too-few-servers")
             .topologies([topology])
             .workloads([WorkloadSpec::paper().with_total_jobs(200)])
-            .policies([quick_drl()])
+            .policies([policy])
             .seeds([1])
             .build();
         SuiteRunner::serial()
@@ -313,12 +314,24 @@ fn drl_cells_on_units_smaller_than_the_state_groups_fail_by_name() {
             .expect_err("a unit with fewer servers than groups fails the cell")
     };
     assert_eq!(
-        drl_error(Topology::paper(1)),
+        drl_error(Topology::paper(1), quick_drl()),
         "scenario paper-m1/paper/drl-quick/s1: unit 0: more groups (2) than servers (1)"
     );
     // Three servers over two units: unit 1 gets one server.
     assert_eq!(
-        drl_error(Topology::sharded_paper(2, 3, RouterPolicy::RoundRobin)),
+        drl_error(
+            Topology::sharded_paper(2, 3, RouterPolicy::RoundRobin),
+            quick_drl()
+        ),
         "scenario paper-c2m3-rr/paper/drl-quick/s1: unit 1: more groups (2) than servers (1)"
+    );
+    let static_drl = PolicySpec::static_pair(
+        "drl+sleep",
+        AllocatorKind::Drl(Box::new(quick_config())),
+        PowerKind::SleepImmediately,
+    );
+    assert_eq!(
+        drl_error(Topology::paper(1), static_drl),
+        "scenario paper-m1/paper/drl+sleep/s1: unit 0: more groups (2) than servers (1)"
     );
 }

@@ -5,8 +5,13 @@
 //! the frozen-learner ablation.
 
 use hierdrl_core::allocator::DrlAllocatorConfig;
+use hierdrl_core::dpm::{RlPowerConfig, RlPowerManager};
+use hierdrl_core::runner::{Experiment, ExperimentResult, Segment};
 use hierdrl_exp::prelude::*;
 use hierdrl_exp::scenario::Pretrain;
+use hierdrl_sim::policies::RoundRobinAllocator;
+use hierdrl_trace::materialize::TraceSpec;
+use hierdrl_trace::trace::Trace;
 
 /// A cheap DRL variant so learned-policy cells stay fast in debug builds.
 fn quick_drl() -> PolicySpec {
@@ -253,4 +258,41 @@ fn continued_training_improves_or_holds_post_drift_metrics() {
         "continued training must improve or hold the post-drift segment \
          objective: online {on:.4} vs frozen {off:.4}"
     );
+}
+
+#[test]
+fn frozen_cells_freeze_the_learned_tier_of_a_static_pair() {
+    // A learned kind declared through a static pair is a carried learner
+    // like any other, so the frozen ablation must stop its training too:
+    // the cell equals a run of the same segments under a frozen RL tier.
+    let suite = Suite::builder("drift-frozen-static")
+        .topologies([Topology::paper(5)])
+        .workloads([WorkloadSpec::paper().with_total_jobs(600)])
+        .drifts([DriftSpec::rate_step(2.0).with_frozen_learners()])
+        .policies([PolicySpec::static_pair(
+            "rr+rl-dpm",
+            AllocatorKind::RoundRobin,
+            PowerKind::Rl(RlPowerConfig::default()),
+        )])
+        .seeds([4])
+        .build();
+    let run = SuiteRunner::serial().run(&suite).expect("frozen run");
+    let cell = &run.cells[0];
+
+    let scenario = &cell.scenario;
+    let cluster = &scenario.topology.clusters()[0];
+    let traces: Vec<Trace> = scenario
+        .segment_trace_specs()
+        .iter()
+        .map(TraceSpec::materialize)
+        .collect::<Result<_, _>>()
+        .expect("segments materialize");
+    let mut power = RlPowerManager::for_cluster(cluster, RlPowerConfig::default());
+    power.set_learning(false);
+    let frozen = Experiment::from_segments("rr+rl-dpm", cluster, traces.iter().map(Segment::trace))
+        .run(&mut RoundRobinAllocator::new(), &mut power)
+        .expect("reference run");
+
+    let metrics = |r: &ExperimentResult| serde_json::to_string(&CellMetrics::from_result(r));
+    assert_eq!(metrics(&cell.result).unwrap(), metrics(&frozen).unwrap());
 }

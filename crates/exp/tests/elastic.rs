@@ -181,3 +181,31 @@ fn autoscale_beats_fixed_fleet_or_holds() {
     let bench = run.bench_report();
     assert_eq!(bench.expectations, run.expectations);
 }
+
+#[test]
+fn static_pair_drl_tier_spans_the_slot_ceiling() {
+    // A DRL kind declared through a static pair is sized at the slot
+    // ceiling like a pre-trained global tier, so joins that widen the
+    // fleet past its initial size stay encodable, and the tier stays
+    // concrete, so its statistics reach the report.
+    let suite = Suite::builder("elastic-static-drl")
+        .topologies([Topology::paper(5)])
+        .workloads([WorkloadSpec::paper_scaled(60.0).with_total_jobs(300)])
+        .elastics([ElasticSpec::threshold()])
+        .policies([PolicySpec::static_pair(
+            "drl+sleep",
+            AllocatorKind::Drl(Box::new(quick_config())),
+            PowerKind::SleepImmediately,
+        )])
+        .seeds([21])
+        .build();
+    let run = SuiteRunner::serial().run(&suite).expect("static DRL run");
+    let cell = &run.cells[0];
+    assert_eq!(cell.result.outcome.totals.jobs_completed, 300);
+    assert!(
+        cell.fleet_size.max > 5,
+        "the autoscaler must widen the fleet past its initial 5 servers: {:?}",
+        cell.fleet_size
+    );
+    assert!(cell.drl_stats.is_some(), "a learned kind reports its stats");
+}

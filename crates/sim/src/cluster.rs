@@ -11,41 +11,27 @@ use crate::time::SimTime;
 
 /// Cached fleet-wide aggregates, recomputed by one deterministic
 /// index-order fold on every fleet mutation (crash, recover, scale change,
-/// join, leave) instead of on every view construction. The fold order is
-/// identical to the per-view folds it replaced, so the cached values are
-/// bitwise identical to the old per-call computation.
+/// join, leave) instead of on every view construction.
 #[derive(Debug, Clone)]
 struct FleetAgg {
-    /// Component-wise capacity sum over live (non-departed) slots.
-    total_capacity: crate::resources::ResourceVec,
-    /// Component-wise capacity sum over healthy servers only.
-    healthy_capacity: crate::resources::ResourceVec,
     /// Sum of healthy servers' power-model multipliers.
     healthy_peak_scale: f64,
-    /// Servers in the healthy pool.
-    num_healthy: usize,
     /// Live (non-departed) slots.
     num_live: usize,
 }
 
 impl FleetAgg {
-    fn compute(servers: &[Server], dims: usize) -> Self {
+    fn compute(servers: &[Server]) -> Self {
         let mut agg = Self {
-            total_capacity: crate::resources::ResourceVec::zeros(dims),
-            healthy_capacity: crate::resources::ResourceVec::zeros(dims),
             healthy_peak_scale: 0.0,
-            num_healthy: 0,
             num_live: 0,
         };
         for s in servers {
             if s.is_live() {
-                agg.total_capacity.add_assign(s.capacity());
                 agg.num_live += 1;
             }
             if s.is_healthy() {
-                agg.healthy_capacity.add_assign(s.capacity());
                 agg.healthy_peak_scale += s.peak_scale();
-                agg.num_healthy += 1;
             }
         }
         agg
@@ -99,13 +85,6 @@ impl<'a> ClusterView<'a> {
         self.config
     }
 
-    /// Aggregate cluster capacity: component-wise sum of every live
-    /// (non-departed) server's capacity vector (`M` per dimension for
-    /// fixed homogeneous clusters). Cached; recomputed on fleet mutations.
-    pub fn total_capacity(&self) -> crate::resources::ResourceVec {
-        self.fleet.total_capacity.clone()
-    }
-
     /// Fleet peak power in watts: the per-unit-server peak scaled by every
     /// *healthy* server's [`Server::peak_scale`]. `M * peak_watts` for
     /// homogeneous clusters with no crashes; drops while servers are
@@ -115,23 +94,10 @@ impl<'a> ClusterView<'a> {
         self.config.power.peak_watts * self.fleet.healthy_peak_scale
     }
 
-    /// Number of servers currently in the healthy pool (equals
-    /// [`ClusterView::num_servers`] unless the chaos or elastic axis
-    /// removed some).
-    pub fn num_healthy(&self) -> usize {
-        self.fleet.num_healthy
-    }
-
     /// Number of live (non-departed) slots — the elastic axis's fleet
     /// size. Crashed-but-recoverable servers still count as live.
     pub fn num_live(&self) -> usize {
         self.fleet.num_live
-    }
-
-    /// Aggregate capacity of the healthy pool only — what routing and
-    /// placement can actually use while servers are crashed or degraded.
-    pub fn healthy_capacity(&self) -> crate::resources::ResourceVec {
-        self.fleet.healthy_capacity.clone()
     }
 }
 
@@ -445,7 +411,7 @@ impl Cluster {
         for s in &servers {
             agg.add_server(s, &config.power);
         }
-        let fleet = FleetAgg::compute(&servers, config.resource_dims);
+        let fleet = FleetAgg::compute(&servers);
         let mut cluster = Self {
             config,
             servers,
@@ -596,7 +562,7 @@ impl Cluster {
 
     /// Re-derives the cached fleet aggregates after a fleet mutation.
     fn refresh_fleet_agg(&mut self) {
-        self.fleet = FleetAgg::compute(&self.servers, self.config.resource_dims);
+        self.fleet = FleetAgg::compute(&self.servers);
     }
 
     /// Starts whatever fits on `sid` and schedules the finish events,
@@ -1250,7 +1216,7 @@ mod tests {
     fn heterogeneous_cluster_integrates_capacity_scaled_energy() {
         // One 2x server and one unit server, both on and idle for 100 s:
         // the fleet burns 3x a unit server's idle energy, and the view
-        // reports the aggregate capacity and fleet peak.
+        // reports the capacity-scaled fleet peak.
         let mut config = ClusterConfig::paper(2);
         config.server_capacities = Some(vec![
             ResourceVec::new(&[2.0, 2.0, 2.0]),
@@ -1263,12 +1229,7 @@ mod tests {
             RunLimit::unbounded(),
         );
         assert!((out.totals.energy_joules - 3.0 * 87.0 * 100.0).abs() < 1.0);
-        let view_capacity = {
-            let view = c.view();
-            assert!((view.fleet_peak_watts() - 3.0 * 145.0).abs() < 1e-9);
-            view.total_capacity()
-        };
-        assert_eq!(view_capacity, ResourceVec::new(&[3.0, 3.0, 3.0]));
+        assert!((c.view().fleet_peak_watts() - 3.0 * 145.0).abs() < 1e-9);
     }
 
     #[test]

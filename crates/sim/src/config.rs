@@ -101,7 +101,6 @@ pub struct ClusterConfig {
     /// Control planes size their per-slot state (state-encoder groups,
     /// per-server Q-agents) by [`ClusterConfig::effective_max`], so a
     /// mid-run join never reshapes learned state.
-    #[serde(default)]
     pub max_servers: Option<usize>,
     /// Record a time-series sample every this many job completions.
     pub sample_every: usize,
@@ -110,12 +109,7 @@ pub struct ClusterConfig {
     /// this off to bound memory: aggregate totals, latency sums, and
     /// sample curves are unaffected, but per-job records (and therefore
     /// latency percentiles) are unavailable.
-    #[serde(default = "default_true")]
     pub retain_completed_jobs: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl ClusterConfig {

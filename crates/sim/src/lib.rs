@@ -16,11 +16,11 @@
 //! Control planes plug in through two traits: [`cluster::Allocator`] (the
 //! global tier: one decision per job arrival) and [`cluster::PowerManager`]
 //! (the local tier: timeout decisions at the paper's three decision-epoch
-//! cases). Reference policies — round-robin, random, least-loaded,
-//! first-fit, always-on, sleep-immediately, fixed-timeout — live in
-//! [`policies`]. A deterministic front-end [`router::Router`] splits one
-//! arrival stream across several independent clusters, the multi-cluster
-//! scaling axis the experiment layer grids over.
+//! cases). Reference policies — round-robin, least-loaded, first-fit,
+//! always-on, sleep-immediately, fixed-timeout — live in [`policies`]. A
+//! deterministic front-end [`router::Router`] splits one arrival stream
+//! across several independent clusters, the multi-cluster scaling axis the
+//! experiment layer grids over.
 //!
 //! # Examples
 //!
@@ -73,7 +73,7 @@ pub mod prelude {
         ClusterTotals, LatencyStats, RunOutcome, SamplePoint, JOULES_PER_KWH,
     };
     pub use crate::policies::{
-        AlwaysOnPower, FirstFitAllocator, FixedTimeoutPower, LeastLoadedAllocator, RandomAllocator,
+        AlwaysOnPower, FirstFitAllocator, FixedTimeoutPower, LeastLoadedAllocator,
         RoundRobinAllocator, SleepImmediatelyPower,
     };
     pub use crate::power::{MachineState, PowerModel};

@@ -9,8 +9,6 @@
 use crate::cluster::{Allocator, ClusterView, PowerManager, TimeoutDecision};
 use crate::job::{Job, ServerId};
 use crate::time::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Dispatches jobs to servers in cyclic order, ignoring state.
 #[derive(Debug, Clone, Default)]
@@ -30,27 +28,6 @@ impl Allocator for RoundRobinAllocator {
         let id = ServerId(self.next % view.num_servers());
         self.next = (self.next + 1) % view.num_servers();
         id
-    }
-}
-
-/// Dispatches jobs to uniformly random servers.
-#[derive(Debug)]
-pub struct RandomAllocator {
-    rng: StdRng,
-}
-
-impl RandomAllocator {
-    /// Creates an allocator with the given seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Allocator for RandomAllocator {
-    fn select(&mut self, _job: &Job, view: &ClusterView<'_>) -> ServerId {
-        ServerId(self.rng.gen_range(0..view.num_servers()))
     }
 }
 
@@ -213,24 +190,6 @@ mod tests {
         for s in c.servers() {
             assert_eq!(s.stats().jobs_completed, 2);
         }
-    }
-
-    #[test]
-    fn random_allocator_is_deterministic_per_seed() {
-        let mk = || {
-            let jobs: Vec<Job> = (0..20).map(|i| job(i, i as f64, 10.0, 0.1)).collect();
-            let mut c = Cluster::new(ClusterConfig::paper(5), jobs).unwrap();
-            c.run(
-                &mut RandomAllocator::new(99),
-                &mut AlwaysOnPower,
-                RunLimit::unbounded(),
-            );
-            c.servers()
-                .iter()
-                .map(|s| s.stats().jobs_completed)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(mk(), mk());
     }
 
     #[test]

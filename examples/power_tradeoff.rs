@@ -24,12 +24,9 @@ fn main() -> Result<(), String> {
 
     // Fixed-timeout baselines (paper: 30 / 60 / 90 s).
     for timeout in [30.0, 60.0, 90.0] {
-        let pair = PolicyPair {
-            name: format!("fixed timeout {timeout}s"),
-            allocator: AllocatorKind::FirstFit,
-            power: PowerKind::FixedTimeout(timeout),
-        };
-        let r = Experiment::new(&pair.name, &cluster, &trace).run_pair(&pair)?;
+        let name = format!("fixed timeout {timeout}s");
+        let r = Experiment::new(&name, &cluster, &trace)
+            .run(&mut FirstFitAllocator, &mut FixedTimeoutPower::new(timeout))?;
         println!(
             "{:<24} {:>14.1} {:>14.1}",
             r.name,
@@ -40,15 +37,15 @@ fn main() -> Result<(), String> {
 
     // The RL power manager across the weight sweep.
     for w in [0.1, 0.3, 0.5, 0.7, 0.9] {
-        let pair = PolicyPair {
-            name: format!("rl-dpm w={w}"),
-            allocator: AllocatorKind::FirstFit,
-            power: PowerKind::Rl(RlPowerConfig {
+        let name = format!("rl-dpm w={w}");
+        let mut power = RlPowerManager::for_cluster(
+            &cluster,
+            RlPowerConfig {
                 weight: w,
                 ..Default::default()
-            }),
-        };
-        let r = Experiment::new(&pair.name, &cluster, &trace).run_pair(&pair)?;
+            },
+        );
+        let r = Experiment::new(&name, &cluster, &trace).run(&mut FirstFitAllocator, &mut power)?;
         println!(
             "{:<24} {:>14.1} {:>14.1}",
             r.name,

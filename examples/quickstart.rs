@@ -26,19 +26,35 @@ fn main() -> Result<(), String> {
         stats.offered_cpu_load(8) * 100.0
     );
 
-    // The three systems of the paper's evaluation.
-    let systems = vec![
-        PolicyPair::round_robin_baseline(),
-        PolicyPair::drl_only(DrlAllocatorConfig::default()),
-        PolicyPair::hierarchical(DrlAllocatorConfig::default(), RlPowerConfig::default()),
+    // The three systems of the paper's evaluation, each one global-tier
+    // kind and one local-tier kind.
+    let systems = [
+        (
+            "round-robin",
+            AllocatorKind::RoundRobin,
+            PowerKind::AlwaysOn,
+        ),
+        (
+            "drl-only",
+            AllocatorKind::Drl(Box::default()),
+            PowerKind::SleepImmediately,
+        ),
+        (
+            "hierarchical",
+            AllocatorKind::Drl(Box::default()),
+            PowerKind::Rl(RlPowerConfig::default()),
+        ),
     ];
 
     println!(
         "{:<14} {:>12} {:>12} {:>12} {:>10}",
         "system", "energy kWh", "lat/job s", "avg power W", "sleep %"
     );
-    for pair in &systems {
-        let result = Experiment::new(&pair.name, &cluster, &trace).run_pair(pair)?;
+    for (name, allocator, power) in &systems {
+        let mut allocator = allocator.build(cluster.num_servers, cluster.resource_dims);
+        let mut power = power.build(&cluster);
+        let result =
+            Experiment::new(name, &cluster, &trace).run(allocator.as_mut(), power.as_mut())?;
         println!(
             "{:<14} {:>12.2} {:>12.1} {:>12.1} {:>10.1}",
             result.name,

@@ -7,7 +7,7 @@
 //! - `#[derive(Serialize, Deserialize)]` (re-exported from `serde_derive`)
 //!   for named/tuple/unit structs and for enums with unit, newtype, tuple,
 //!   and struct variants, including generic types with `where` clauses and
-//!   the `#[serde(skip)]` field attribute;
+//!   the `#[serde(skip)]` and `#[serde(default)]` field attributes;
 //! - impls for the primitives, `String`, `Option`, `Box`, `Vec`, tuples,
 //!   `HashMap` and `BTreeMap` (map keys serialized through strings; hash-map
 //!   entries are sorted so output is deterministic, tree-map entries are
@@ -144,18 +144,19 @@ pub fn field<T: Deserialize>(
     }
 }
 
-/// Like [`field`], but a missing entry yields `default()` instead of an
-/// error — the runtime half of the derive shim's `#[serde(default)]` /
-/// `#[serde(default = "path")]` support, so artifacts written before a
-/// field existed keep deserializing.
-pub fn field_or<T: Deserialize>(
+/// Like [`field`], but a missing entry yields `T::default()` instead of an
+/// error — the runtime half of the derive shim's `#[serde(default)]`.
+///
+/// # Errors
+///
+/// Returns an error if a present field fails to deserialize.
+pub fn field_or_default<T: Deserialize + Default>(
     entries: &[(String, Value)],
     name: &str,
-    default: impl FnOnce() -> T,
 ) -> Result<T, Error> {
     match entries.iter().find(|(k, _)| k == name) {
         Some((_, v)) => T::from_value(v),
-        None => Ok(default()),
+        None => Ok(T::default()),
     }
 }
 

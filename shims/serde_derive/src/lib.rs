@@ -10,10 +10,9 @@
 //!   parameter additionally gets a `Serialize`/`Deserialize` bound);
 //! - the `#[serde(skip)]` field attribute (field omitted on serialize,
 //!   `Default::default()` on deserialize);
-//! - the `#[serde(default)]` and `#[serde(default = "path")]` field
-//!   attributes (a missing entry deserializes to `Default::default()` or
-//!   `path()` instead of erroring, so older artifacts without the field
-//!   keep parsing).
+//! - the `#[serde(default)]` field attribute (a missing entry deserializes
+//!   to `Default::default()` instead of erroring, for optional manifest
+//!   entries).
 //!
 //! Serialized form matches serde's externally-tagged defaults: named
 //! structs become maps, newtype structs unwrap to their inner value, tuple
@@ -27,11 +26,10 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 struct Field {
     name: String,
     skip: bool,
-    /// Expression yielding the field's value when the serialized map has
-    /// no entry for it (`#[serde(default)]` / `#[serde(default = "path")]`);
-    /// `None` makes a missing entry an error, like serde without the
-    /// attribute.
-    default: Option<String>,
+    /// `#[serde(default)]`: a missing map entry deserializes to
+    /// `Default::default()`; without it a missing entry is an error, like
+    /// serde without the attribute.
+    default: bool,
 }
 
 enum Shape {
@@ -177,7 +175,7 @@ fn parse_input(input: TokenStream) -> Input {
 struct FieldAttrs {
     skip: bool,
     /// See [`Field::default`].
-    default: Option<String>,
+    default: bool,
 }
 
 /// Consumes attributes at `*i`, returning the recognized `#[serde(...)]`
@@ -190,20 +188,10 @@ fn eat_attrs(tokens: &[TokenTree], i: &mut usize) -> FieldAttrs {
             if matches!(inner.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
                 if let Some(TokenTree::Group(args)) = inner.get(1) {
                     for piece in args.stream().to_string().split(',') {
-                        let piece = piece.trim();
-                        if piece == "skip" {
-                            attrs.skip = true;
-                        } else if piece == "default" {
-                            attrs.default = Some("::std::default::Default::default()".to_string());
-                        } else if let Some(rest) = piece.strip_prefix("default") {
-                            // `default = "path"`: the quoted token is a
-                            // function path, called with no arguments.
-                            let path = rest.trim_start_matches(['=', ' ']).trim_matches('"').trim();
-                            assert!(
-                                !path.is_empty(),
-                                "derive: malformed serde default attribute `{piece}`"
-                            );
-                            attrs.default = Some(format!("{path}()"));
+                        match piece.trim() {
+                            "skip" => attrs.skip = true,
+                            "default" => attrs.default = true,
+                            other => panic!("derive: unsupported serde attribute `{other}`"),
                         }
                     }
                 }
@@ -428,9 +416,9 @@ fn gen_deserialize(input: &Input) -> String {
                     "{n}: ::std::default::Default::default(),\n",
                     n = f.name
                 ));
-            } else if let Some(default) = &f.default {
+            } else if f.default {
                 inits.push_str(&format!(
-                    "{n}: serde::field_or({map_expr}, \"{n}\", || {default})?,\n",
+                    "{n}: serde::field_or_default({map_expr}, \"{n}\")?,\n",
                     n = f.name
                 ));
             } else {

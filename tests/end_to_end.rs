@@ -1,6 +1,7 @@
-//! End-to-end integration tests spanning all crates: every policy pair runs
-//! on realistic synthetic workloads, results are deterministic under fixed
-//! seeds, and cross-policy orderings match the physics of the model.
+//! End-to-end integration tests spanning all crates: every pair of tier
+//! kinds runs on realistic synthetic workloads, results are deterministic
+//! under fixed seeds, and cross-policy orderings match the physics of the
+//! model.
 
 use hierdrl::core::prelude::*;
 use hierdrl::sim::prelude::*;
@@ -11,58 +12,76 @@ fn small_trace(seed: u64, jobs: usize, m: usize) -> Trace {
     TraceGenerator::new(config).unwrap().generate_n(jobs)
 }
 
+/// The round-robin baseline of Figs. 8/9: even dispatch keeps all servers
+/// busy, so they effectively never sleep.
+const ROUND_ROBIN: (AllocatorKind, PowerKind) = (AllocatorKind::RoundRobin, PowerKind::AlwaysOn);
+
+/// A DRL global-tier config with a budget that trains at test-sized traces.
+fn quick_drl() -> DrlAllocatorConfig {
+    DrlAllocatorConfig {
+        warmup_decisions: 20,
+        ae_pretrain_samples: 50,
+        ae_epochs: 2,
+        ..Default::default()
+    }
+}
+
+/// Runs `experiment` on fresh tiers built from their kinds.
+fn run_kinds(
+    experiment: Experiment<'_>,
+    cluster: &ClusterConfig,
+    (allocator, power): &(AllocatorKind, PowerKind),
+) -> Result<ExperimentResult, String> {
+    let mut allocator = allocator.build(cluster.num_servers, cluster.resource_dims);
+    let mut power = power.build(cluster);
+    experiment.run(allocator.as_mut(), power.as_mut())
+}
+
 #[test]
 fn every_policy_pair_completes_all_jobs() {
     let m = 5;
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(1, 200, m);
-    let pairs = vec![
-        PolicyPair::round_robin_baseline(),
-        PolicyPair {
-            name: "random+timeout".into(),
-            allocator: AllocatorKind::Random { seed: 5 },
-            power: PowerKind::FixedTimeout(45.0),
-        },
-        PolicyPair {
-            name: "least-loaded+sleep".into(),
-            allocator: AllocatorKind::LeastLoaded,
-            power: PowerKind::SleepImmediately,
-        },
-        PolicyPair {
-            name: "first-fit+sleep".into(),
-            allocator: AllocatorKind::FirstFit,
-            power: PowerKind::SleepImmediately,
-        },
-        PolicyPair::drl_only(DrlAllocatorConfig {
-            warmup_decisions: 20,
-            ae_pretrain_samples: 50,
-            ae_epochs: 2,
-            ..Default::default()
-        }),
-        PolicyPair::hierarchical(
-            DrlAllocatorConfig {
-                warmup_decisions: 20,
-                ae_pretrain_samples: 50,
-                ae_epochs: 2,
-                ..Default::default()
-            },
-            RlPowerConfig::default(),
+    let pairs = [
+        ("round-robin", ROUND_ROBIN),
+        (
+            "least-loaded+timeout",
+            (AllocatorKind::LeastLoaded, PowerKind::FixedTimeout(45.0)),
+        ),
+        (
+            "least-loaded+sleep",
+            (AllocatorKind::LeastLoaded, PowerKind::SleepImmediately),
+        ),
+        (
+            "first-fit+sleep",
+            (AllocatorKind::FirstFit, PowerKind::SleepImmediately),
+        ),
+        (
+            "drl-only",
+            (
+                AllocatorKind::Drl(Box::new(quick_drl())),
+                PowerKind::SleepImmediately,
+            ),
+        ),
+        (
+            "hierarchical",
+            (
+                AllocatorKind::Drl(Box::new(quick_drl())),
+                PowerKind::Rl(RlPowerConfig::default()),
+            ),
         ),
     ];
-    for pair in pairs {
-        let result = Experiment::new(&pair.name, &cluster, &trace)
-            .run_pair(&pair)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", pair.name));
+    for (name, pair) in &pairs {
+        let result = run_kinds(Experiment::new(name, &cluster, &trace), &cluster, pair)
+            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
         assert_eq!(
             result.outcome.totals.jobs_completed, 200,
-            "{} did not complete all jobs",
-            pair.name
+            "{name} did not complete all jobs"
         );
-        assert!(result.energy_kwh() > 0.0, "{} used no energy", pair.name);
+        assert!(result.energy_kwh() > 0.0, "{name} used no energy");
         assert!(
             result.outcome.totals.total_latency_s > 0.0,
-            "{} reported zero latency",
-            pair.name
+            "{name} reported zero latency"
         );
     }
 }
@@ -73,16 +92,20 @@ fn runs_are_deterministic_under_fixed_seeds() {
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(2, 150, m);
     let run = || {
-        let pair = PolicyPair::drl_only(DrlAllocatorConfig {
-            warmup_decisions: 20,
-            ae_pretrain_samples: 50,
-            ae_epochs: 2,
+        let drl = DrlAllocatorConfig {
             seed: 99,
-            ..Default::default()
-        });
-        let r = Experiment::new(&pair.name, &cluster, &trace)
-            .run_pair(&pair)
-            .unwrap();
+            ..quick_drl()
+        };
+        let pair = (
+            AllocatorKind::Drl(Box::new(drl)),
+            PowerKind::SleepImmediately,
+        );
+        let r = run_kinds(
+            Experiment::new("drl-only", &cluster, &trace),
+            &cluster,
+            &pair,
+        )
+        .unwrap();
         (
             r.outcome.totals.energy_joules,
             r.outcome.totals.total_latency_s,
@@ -100,13 +123,8 @@ fn always_on_beats_sleep_immediately_on_latency_and_loses_on_energy() {
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(3, 400, m);
     let run = |power: PowerKind, name: &str| {
-        Experiment::new(name, &cluster, &trace)
-            .run_pair(&PolicyPair {
-                name: name.into(),
-                allocator: AllocatorKind::FirstFit,
-                power,
-            })
-            .unwrap()
+        let pair = (AllocatorKind::FirstFit, power);
+        run_kinds(Experiment::new(name, &cluster, &trace), &cluster, &pair).unwrap()
     };
     let on = run(PowerKind::AlwaysOn, "on");
     let sleepy = run(PowerKind::SleepImmediately, "sleepy");
@@ -129,16 +147,18 @@ fn first_fit_consolidation_saves_energy_vs_round_robin() {
     let m = 8;
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(4, 600, m);
-    let rr = Experiment::new("rr", &cluster, &trace)
-        .run_pair(&PolicyPair::round_robin_baseline())
-        .unwrap();
-    let ff = Experiment::new("ff", &cluster, &trace)
-        .run_pair(&PolicyPair {
-            name: "first-fit+sleep".into(),
-            allocator: AllocatorKind::FirstFit,
-            power: PowerKind::SleepImmediately,
-        })
-        .unwrap();
+    let rr = run_kinds(
+        Experiment::new("rr", &cluster, &trace),
+        &cluster,
+        &ROUND_ROBIN,
+    )
+    .unwrap();
+    let ff = run_kinds(
+        Experiment::new("ff", &cluster, &trace),
+        &cluster,
+        &(AllocatorKind::FirstFit, PowerKind::SleepImmediately),
+    )
+    .unwrap();
     assert!(
         ff.energy_kwh() < rr.energy_kwh() * 0.8,
         "consolidation should save >20% energy: {} vs {}",
@@ -162,15 +182,18 @@ fn pretrained_allocator_transfers_across_traces() {
         },
     );
     let segments: Vec<Trace> = (0..2).map(|i| small_trace(10 + i, 150, m)).collect();
-    pretrain_drl(&mut allocator, &cluster, &segments).unwrap();
+    pretrain_pair(
+        &mut allocator,
+        &mut SleepImmediatelyPower,
+        &cluster,
+        &segments,
+    )
+    .unwrap();
     assert!(allocator.stats().train_steps > 0);
 
     let eval = small_trace(50, 120, m);
     let result = Experiment::new("transfer", &cluster, &eval)
-        .run(
-            &mut allocator,
-            &mut hierdrl::sim::policies::SleepImmediatelyPower,
-        )
+        .run(&mut allocator, &mut SleepImmediatelyPower)
         .unwrap();
     assert_eq!(result.outcome.totals.jobs_completed, 120);
 }
@@ -180,10 +203,8 @@ fn run_limit_by_jobs_is_respected() {
     let m = 3;
     let cluster = ClusterConfig::paper(m);
     let trace = small_trace(6, 300, m);
-    let result = Experiment::new("rr", &cluster, &trace)
-        .with_limit(RunLimit::jobs(100))
-        .run_pair(&PolicyPair::round_robin_baseline())
-        .unwrap();
+    let experiment = Experiment::new("rr", &cluster, &trace).with_limit(RunLimit::jobs(100));
+    let result = run_kinds(experiment, &cluster, &ROUND_ROBIN).unwrap();
     assert_eq!(result.outcome.totals.jobs_completed, 100);
 }
 
@@ -193,19 +214,16 @@ fn sample_curves_are_monotone_for_all_policies() {
     let mut cluster = ClusterConfig::paper(m);
     cluster.sample_every = 50;
     let trace = small_trace(7, 400, m);
-    for pair in [
-        PolicyPair::round_robin_baseline(),
-        PolicyPair {
-            name: "ff".into(),
-            allocator: AllocatorKind::FirstFit,
-            power: PowerKind::FixedTimeout(30.0),
-        },
+    for (name, pair) in [
+        ("round-robin", ROUND_ROBIN),
+        (
+            "ff",
+            (AllocatorKind::FirstFit, PowerKind::FixedTimeout(30.0)),
+        ),
     ] {
-        let result = Experiment::new(&pair.name, &cluster, &trace)
-            .run_pair(&pair)
-            .unwrap();
+        let result = run_kinds(Experiment::new(name, &cluster, &trace), &cluster, &pair).unwrap();
         let samples = result.samples();
-        assert!(!samples.is_empty(), "{} produced no samples", pair.name);
+        assert!(!samples.is_empty(), "{name} produced no samples");
         for w in samples.windows(2) {
             assert!(w[1].jobs_completed > w[0].jobs_completed);
             assert!(w[1].total_latency_s >= w[0].total_latency_s);

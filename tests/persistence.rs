@@ -25,7 +25,13 @@ fn drl_snapshot_round_trips_through_json() {
     let cluster = ClusterConfig::paper(m);
     let mut allocator = DrlAllocator::new(m, 3, quick_drl_config());
     let segments = vec![small_trace(1, 200, m)];
-    pretrain_drl(&mut allocator, &cluster, &segments).unwrap();
+    pretrain_pair(
+        &mut allocator,
+        &mut SleepImmediatelyPower,
+        &cluster,
+        &segments,
+    )
+    .unwrap();
 
     let snapshot = allocator.snapshot();
     let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
@@ -55,7 +61,13 @@ fn frozen_restored_policies_act_identically() {
     let cluster = ClusterConfig::paper(m);
     let mut allocator = DrlAllocator::new(m, 3, quick_drl_config());
     let segments = vec![small_trace(2, 150, m)];
-    pretrain_drl(&mut allocator, &cluster, &segments).unwrap();
+    pretrain_pair(
+        &mut allocator,
+        &mut SleepImmediatelyPower,
+        &cluster,
+        &segments,
+    )
+    .unwrap();
     let snapshot = allocator.snapshot();
 
     let run = |snap: DrlSnapshot| {
