@@ -31,15 +31,20 @@ pub enum AllocatorKind {
 }
 
 impl AllocatorKind {
-    /// Instantiates the allocator for a cluster of `num_servers` servers
-    /// with `resource_dims` resource dimensions.
-    pub fn build(&self, num_servers: usize, resource_dims: usize) -> Box<dyn Allocator> {
+    /// Instantiates the allocator for a cluster with `resource_dims`
+    /// resource dimensions whose fleet never holds more than `max_servers`
+    /// slots: pass the cluster's
+    /// [`ClusterConfig::effective_max`](hierdrl_sim::config::ClusterConfig::effective_max),
+    /// not its initial `num_servers`. The DRL tier sizes its per-slot state
+    /// by this ceiling, so an elastic fleet that joins servers past it
+    /// would outgrow the state encoder mid-run.
+    pub fn build(&self, max_servers: usize, resource_dims: usize) -> Box<dyn Allocator> {
         match self {
             AllocatorKind::RoundRobin => Box::new(RoundRobinAllocator::new()),
             AllocatorKind::LeastLoaded => Box::new(LeastLoadedAllocator),
             AllocatorKind::FirstFit => Box::new(FirstFitAllocator),
             AllocatorKind::Drl(config) => Box::new(DrlAllocator::new(
-                num_servers,
+                max_servers,
                 resource_dims,
                 (**config).clone(),
             )),
@@ -94,6 +99,50 @@ mod tests {
         ] {
             let _ = kind.build(&cluster);
         }
+    }
+
+    #[test]
+    fn drl_tier_built_at_the_slot_ceiling_survives_appending_joins() {
+        use hierdrl_sim::cluster::{Cluster, RunLimit};
+        use hierdrl_sim::events::{FleetOp, ServerSpec};
+        use hierdrl_sim::job::{Job, JobId};
+        use hierdrl_sim::resources::ResourceVec;
+        use hierdrl_sim::time::SimTime;
+
+        let mut config = hierdrl_sim::config::ClusterConfig::paper(4);
+        config.max_servers = Some(6);
+        let mut allocator =
+            AllocatorKind::Drl(Box::default()).build(config.effective_max(), config.resource_dims);
+        let mut power = PowerKind::FixedTimeout(30.0).build(&config);
+        let jobs = (0..40)
+            .map(|i| {
+                Job::new(
+                    JobId(i),
+                    SimTime::from_secs(i as f64 * 5.0),
+                    60.0,
+                    ResourceVec::cpu_mem_disk(0.3, 0.1, 0.05),
+                )
+            })
+            .collect();
+        let mut cluster = Cluster::new(config, jobs).unwrap();
+        for t in [50.0, 100.0] {
+            cluster.schedule_fleet_op(
+                SimTime::from_secs(t),
+                FleetOp::Join(ServerSpec::unit(3, true)),
+            );
+        }
+        let out = cluster.run(allocator.as_mut(), power.as_mut(), RunLimit::unbounded());
+        // Both joins appended a slot, and the tier kept placing jobs on the
+        // widened fleet.
+        assert_eq!(cluster.fleet_ops_ignored(), 0);
+        assert_eq!(cluster.servers().len(), 6);
+        assert_eq!(out.totals.jobs_completed, 40);
+        assert!(
+            cluster.servers()[4..]
+                .iter()
+                .any(|s| s.stats().jobs_completed > 0),
+            "no job ran on a joined slot"
+        );
     }
 
     #[test]

@@ -832,7 +832,7 @@ impl BuiltAllocator {
                 BuiltAllocator::Learned(Box::new(drl_allocator(cluster, config)?))
             }
             static_kind => BuiltAllocator::Static(
-                static_kind.build(cluster.num_servers, cluster.resource_dims),
+                static_kind.build(cluster.effective_max(), cluster.resource_dims),
             ),
         })
     }

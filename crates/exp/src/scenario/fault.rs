@@ -416,7 +416,7 @@ impl FaultSpec {
                     JobId(next_id),
                     SimTime::from_secs(arrival),
                     source.duration,
-                    source.demand.clone(),
+                    source.demand,
                 ));
                 next_id += 1;
             }

@@ -64,17 +64,11 @@ pub fn big_little_config(m: usize, big_fraction: f64, big_scale: f64) -> Cluster
     let mut cluster = ClusterConfig::paper(m);
     let num_big = num_big_servers(m, big_fraction);
     let dims = cluster.resource_dims;
-    let big = hierdrl_sim::resources::ResourceVec::new(&vec![big_scale; dims]);
     let little = hierdrl_sim::resources::ResourceVec::ones(dims);
+    let big = little.scaled(big_scale);
     cluster.server_capacities = Some(
         (0..m)
-            .map(|i| {
-                if i < num_big {
-                    big.clone()
-                } else {
-                    little.clone()
-                }
-            })
+            .map(|i| if i < num_big { big } else { little })
             .collect(),
     );
     cluster

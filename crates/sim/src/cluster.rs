@@ -5,7 +5,7 @@ use crate::config::ClusterConfig;
 use crate::events::{Event, EventQueue, FleetOp};
 use crate::job::{CompletedJob, Job, JobId, ServerId};
 use crate::metrics::{ClusterTotals, RunOutcome, SamplePoint};
-use crate::power::{MachineState, PowerModel};
+use crate::power::MachineState;
 use crate::server::Server;
 use crate::time::SimTime;
 
@@ -285,15 +285,17 @@ impl LazyAgg {
         self.last = now;
     }
 
-    fn add_server(&mut self, s: &Server, model: &PowerModel) {
-        self.power_watts += s.power_watts(model);
+    /// Adds `s`'s cached rates (see [`Server`]'s "Cached rates").
+    fn add_server(&mut self, s: &Server) {
+        self.power_watts += s.power_watts();
         self.overload += s.overload();
         self.jobs_in_system += s.jobs_in_system() as i64;
         self.queued += s.queue_len() as i64;
     }
 
-    fn remove_server(&mut self, s: &Server, model: &PowerModel) {
-        self.power_watts -= s.power_watts(model);
+    /// Subtracts `s`'s cached rates.
+    fn remove_server(&mut self, s: &Server) {
+        self.power_watts -= s.power_watts();
         self.overload -= s.overload();
         self.jobs_in_system -= s.jobs_in_system() as i64;
         self.queued -= s.queue_len() as i64;
@@ -403,13 +405,13 @@ impl Cluster {
                 Server::new(
                     config.server_capacity(i),
                     config.servers_initially_on,
-                    config.reliability,
+                    &config,
                 )
             })
             .collect();
         let mut agg = LazyAgg::new();
         for s in &servers {
-            agg.add_server(s, &config.power);
+            agg.add_server(s);
         }
         let fleet = FleetAgg::compute(&servers);
         let mut cluster = Self {
@@ -497,25 +499,38 @@ impl Cluster {
 
     fn account_all(&mut self, now: SimTime) {
         for s in &mut self.servers {
-            s.account(now, &self.config.power);
+            s.account(now);
         }
     }
 
     /// Brackets a single-server mutation: advance the fleet integrals to
     /// `now`, bring the server's own integrals up to date, and subtract its
-    /// (pre-mutation) rates from the fleet rates.
+    /// (pre-mutation) rates from the fleet rates. Both read the server's
+    /// cached rates, which the previous bracket's [`Cluster::touch_end`]
+    /// left equal to a fresh evaluation (asserted bit for bit in debug
+    /// builds).
     fn touch_begin(&mut self, sid: ServerId) {
         self.agg.advance(self.now);
         let server = &mut self.servers[sid.0];
-        server.account(self.now, &self.config.power);
-        self.agg.remove_server(server, &self.config.power);
+        debug_assert!(
+            server.power_watts().to_bits()
+                == server.compute_power_watts(&self.config.power).to_bits()
+                && server.overload().to_bits()
+                    == server.compute_overload(&self.config.reliability).to_bits(),
+            "{sid} entered a touch with stale cached rates"
+        );
+        server.account(self.now);
+        self.agg.remove_server(server);
     }
 
-    /// Closes a [`Cluster::touch_begin`] bracket: adds the server's
-    /// post-mutation rates back into the fleet rates.
+    /// Closes a [`Cluster::touch_begin`] bracket: refreshes the server's
+    /// cached power draw and overload from its post-mutation state — the
+    /// one power-curve evaluation of the touch — and adds them back into
+    /// the fleet rates.
     fn touch_end(&mut self, sid: ServerId) {
-        self.agg
-            .add_server(&self.servers[sid.0], &self.config.power);
+        let server = &mut self.servers[sid.0];
+        server.refresh_rates(&self.config);
+        self.agg.add_server(server);
     }
 
     /// The fleet totals at `now`: the running integrals, extrapolated from
@@ -626,15 +641,6 @@ impl Cluster {
             }
         }
         panic!("no healthy servers left in the cluster");
-    }
-
-    fn handle_arrival(
-        &mut self,
-        job: Job,
-        allocator: &mut dyn Allocator,
-        power: &mut dyn PowerManager,
-    ) {
-        self.place_job(job, allocator, power, true);
     }
 
     /// Places one job through the allocator: the body of every arrival and
@@ -920,14 +926,13 @@ impl Cluster {
             }
             None if self.servers.len() < self.config.effective_max() => {
                 let sid = ServerId(self.servers.len());
-                let mut server =
-                    Server::new(spec.capacity, spec.initially_on, self.config.reliability);
+                let mut server = Server::new(spec.capacity, spec.initially_on, &self.config);
                 // The server exists only from `now` on: advance the fleet
                 // integrals first, then start its clock at `now` so it
                 // never retroactively integrates the pre-join interval.
                 server.reset_account_clock(self.now);
                 self.agg.advance(self.now);
-                self.agg.add_server(&server, &self.config.power);
+                self.agg.add_server(&server);
                 self.servers.push(server);
                 sid
             }
@@ -982,22 +987,17 @@ impl Cluster {
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            let (time, event) = if take_arrival {
+            if take_arrival {
                 let job = self.pending_arrival.take().expect("checked above");
                 self.refill_arrival();
-                (job.arrival, Event::JobArrival(job))
+                debug_assert!(job.arrival >= self.now, "event time went backwards");
+                self.now = job.arrival;
+                self.place_job(job, allocator, power, true);
             } else {
-                self.events.pop().expect("peeked above")
-            };
-            debug_assert!(time >= self.now, "event time went backwards");
-            self.now = time;
-            match event {
-                Event::JobArrival(job) => self.handle_arrival(job, allocator, power),
-                Event::FleetChange { op } => self.apply_fleet_op(op, allocator, power),
-                Event::JobFinish { server, job } => self.handle_finish(server, job, power),
-                Event::WakeComplete { server } => self.handle_wake_complete(server, power),
-                Event::SleepComplete { server } => self.handle_sleep_complete(server),
-                Event::TimeoutFired { server, token } => self.handle_timeout(server, token),
+                let (time, event) = self.events.pop().expect("peeked above");
+                debug_assert!(time >= self.now, "event time went backwards");
+                self.now = time;
+                self.dispatch(event, allocator, power);
             }
             if let Some(max_jobs) = limit.max_completed {
                 if self.jobs_done >= max_jobs {
@@ -1017,6 +1017,22 @@ impl Cluster {
             totals: self.totals(),
             end_time: self.now,
             samples: self.samples.clone(),
+        }
+    }
+
+    /// Handles one event popped from the queue.
+    fn dispatch(
+        &mut self,
+        event: Event,
+        allocator: &mut dyn Allocator,
+        power: &mut dyn PowerManager,
+    ) {
+        match event {
+            Event::FleetChange { op } => self.apply_fleet_op(op, allocator, power),
+            Event::JobFinish { server, job } => self.handle_finish(server, job, power),
+            Event::WakeComplete { server } => self.handle_wake_complete(server, power),
+            Event::SleepComplete { server } => self.handle_sleep_complete(server),
+            Event::TimeoutFired { server, token } => self.handle_timeout(server, token),
         }
     }
 }
@@ -1316,19 +1332,22 @@ mod tests {
 
     /// Asserts that the view's O(1) fleet totals equal a from-scratch sum:
     /// every server cloned, accounted to `view.now`, and summed in index
-    /// order.
+    /// order. The rates come from each server's state, never from its
+    /// cache: the clone's rates are recomputed before it is accounted, so
+    /// a touch that leaves a stale cached rate behind shows up here.
     fn assert_totals_match_fresh_sum(view: &ClusterView<'_>) {
-        let model = &view.config().power;
+        let config = view.config();
         let mut fresh = [0.0; 5];
         for s in view.servers() {
             let mut s = s.clone();
-            s.account(view.now, model);
+            s.refresh_rates(config);
+            s.account(view.now);
             let st = s.stats();
             fresh[0] += st.energy_joules;
             fresh[1] += st.jobs_in_system_integral;
             fresh[2] += st.queue_integral;
             fresh[3] += st.overload_integral;
-            fresh[4] += s.power_watts(model);
+            fresh[4] += s.compute_power_watts(&config.power);
         }
         let t = view.totals();
         let kept = [
@@ -1351,9 +1370,9 @@ mod tests {
 
     /// Asserts that `server`'s own integrals are current at `now`:
     /// accounting a clone of it again changes nothing.
-    fn assert_accounted(server: &Server, now: SimTime, model: &PowerModel) {
+    fn assert_accounted(server: &Server, now: SimTime) {
         let mut clone = server.clone();
-        clone.account(now, model);
+        clone.account(now);
         assert_eq!(clone.stats(), server.stats(), "not accounted to {now:?}");
     }
 
@@ -1392,7 +1411,7 @@ mod tests {
                 assert_totals_match_fresh_sum(view);
                 // The idling server changed at `now`, so its own integrals
                 // are current.
-                assert_accounted(view.server(server), now, &view.config().power);
+                assert_accounted(view.server(server), now);
                 self.idles += 1;
                 match self.idles % 3 {
                     0 => TimeoutDecision::SleepNow,
@@ -1454,7 +1473,7 @@ mod tests {
         assert!(power.idles >= 9, "only {} idle epochs", power.idles);
         // At run end every server is accounted to the end time.
         for s in c.servers() {
-            assert_accounted(s, c.now(), &c.config().power);
+            assert_accounted(s, c.now());
         }
         assert_totals_match_fresh_sum(&c.view());
     }

@@ -1,6 +1,7 @@
 //! Cluster configuration.
 
 use crate::power::PowerModel;
+use crate::resources::MAX_RESOURCE_DIMS;
 use serde::{Deserialize, Serialize};
 
 /// Definition of the per-server reliability "hot spot" penalty that feeds
@@ -64,7 +65,8 @@ impl Default for ReliabilityConfig {
 pub struct ClusterConfig {
     /// Number of physical servers `M`.
     pub num_servers: usize,
-    /// Number of resource dimensions `D` (3 for CPU/memory/disk).
+    /// Number of resource dimensions `D` (3 for CPU/memory/disk), at most
+    /// [`MAX_RESOURCE_DIMS`].
     pub resource_dims: usize,
     /// Power model shared by all (homogeneous) servers.
     pub power: PowerModel,
@@ -139,7 +141,7 @@ impl ClusterConfig {
     /// Panics if `i >= num_servers` on a heterogeneous cluster.
     pub fn server_capacity(&self, i: usize) -> crate::resources::ResourceVec {
         match &self.server_capacities {
-            Some(caps) => caps[i].clone(),
+            Some(caps) => caps[i],
             None => crate::resources::ResourceVec::ones(self.resource_dims),
         }
     }
@@ -242,6 +244,12 @@ impl ClusterConfig {
         if self.resource_dims == 0 {
             return Err("cluster needs at least one resource dimension".into());
         }
+        if self.resource_dims > MAX_RESOURCE_DIMS {
+            return Err(format!(
+                "resource_dims ({}) exceeds MAX_RESOURCE_DIMS ({MAX_RESOURCE_DIMS})",
+                self.resource_dims
+            ));
+        }
         self.power.validate()?;
         if !(self.t_on.is_finite() && self.t_on >= 0.0) {
             return Err(format!("t_on must be >= 0, got {}", self.t_on));
@@ -305,6 +313,16 @@ mod tests {
     #[test]
     fn zero_servers_rejected() {
         assert!(ClusterConfig::paper(0).validate().is_err());
+    }
+
+    #[test]
+    fn four_resource_dims_rejected_by_name() {
+        let mut c = ClusterConfig::paper(4);
+        c.resource_dims = 4;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("MAX_RESOURCE_DIMS"), "unnamed error: {err}");
+        c.resource_dims = MAX_RESOURCE_DIMS;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -3,9 +3,22 @@
 //! The paper considers `D` resource types per server (CPU, memory, disk in
 //! the Google traces), with job demands normalized by the capacity of one
 //! server.
+//!
+//! A [`ResourceVec`] is an inline `Copy` value of at most
+//! [`MAX_RESOURCE_DIMS`] components: every job demand and every server's
+//! capacity and usage lives inside its owner, so the simulator kernel
+//! allocates nothing when a job arrives, starts, finishes or is re-placed.
+//! Three components is the paper's `D` (CPU, memory, disk) and what the
+//! trace generator and both real-trace parsers produce; a fourth is
+//! rejected by name in [`ResourceVec::new`], in deserialization and in
+//! [`ClusterConfig::validate`](crate::config::ClusterConfig::validate).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
+
+/// The most components a [`ResourceVec`] can hold: the paper's `D = 3`
+/// (CPU, memory, disk).
+pub const MAX_RESOURCE_DIMS: usize = 3;
 
 /// The resource types used by the Google-trace workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,43 +59,82 @@ impl fmt::Display for ResourceKind {
 
 /// A `D`-dimensional resource quantity (demand, usage, or capacity),
 /// normalized so that one server's capacity is `1.0` per dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResourceVec(Vec<f64>);
+///
+/// Stored inline: `1 <= D <= MAX_RESOURCE_DIMS` components in a fixed
+/// array (unused trailing components stay `0.0`), so the value is `Copy`
+/// and 32 bytes. It serializes as the JSON array of its `D` components,
+/// exactly like the `Vec<f64>` it replaces.
+#[derive(Clone, Copy)]
+pub struct ResourceVec {
+    values: [f64; MAX_RESOURCE_DIMS],
+    dims: usize,
+}
+
+/// Checks a component count against `1..=MAX_RESOURCE_DIMS`.
+fn check_dim_count(dims: usize) -> Result<(), String> {
+    if dims == 0 {
+        Err("resource vector needs at least one dimension".into())
+    } else if dims > MAX_RESOURCE_DIMS {
+        Err(format!(
+            "resource vector has {dims} components, but at most \
+             MAX_RESOURCE_DIMS = {MAX_RESOURCE_DIMS} are supported"
+        ))
+    } else {
+        Ok(())
+    }
+}
 
 impl ResourceVec {
+    /// A vector of `dims` components all equal to `value`.
+    fn filled(dims: usize, value: f64) -> Self {
+        if let Err(e) = check_dim_count(dims) {
+            panic!("{e}");
+        }
+        let mut values = [0.0; MAX_RESOURCE_DIMS];
+        values[..dims].fill(value);
+        ResourceVec { values, dims }
+    }
+
     /// A zero vector with `dims` dimensions.
     ///
     /// # Panics
     ///
-    /// Panics if `dims == 0`.
+    /// Panics if `dims == 0` or `dims > MAX_RESOURCE_DIMS`.
     pub fn zeros(dims: usize) -> Self {
-        assert!(dims > 0, "resource vector needs at least one dimension");
-        ResourceVec(vec![0.0; dims])
+        Self::filled(dims, 0.0)
     }
 
     /// A vector of ones (one full server) with `dims` dimensions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims == 0` or `dims > MAX_RESOURCE_DIMS`.
     pub fn ones(dims: usize) -> Self {
-        assert!(dims > 0, "resource vector needs at least one dimension");
-        ResourceVec(vec![1.0; dims])
+        Self::filled(dims, 1.0)
     }
 
     /// Builds from components.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty or any component is negative or non-finite.
+    /// Panics if `values` is empty, has more than [`MAX_RESOURCE_DIMS`]
+    /// components, or any component is negative or non-finite.
     pub fn new(values: &[f64]) -> Self {
-        assert!(
-            !values.is_empty(),
-            "resource vector needs at least one dimension"
-        );
+        if let Err(e) = check_dim_count(values.len()) {
+            panic!("{e}");
+        }
         for (i, &v) in values.iter().enumerate() {
             assert!(
                 v.is_finite() && v >= 0.0,
                 "resource component {i} must be finite and non-negative, got {v}"
             );
         }
-        ResourceVec(values.to_vec())
+        let mut out = [0.0; MAX_RESOURCE_DIMS];
+        out[..values.len()].copy_from_slice(values);
+        ResourceVec {
+            values: out,
+            dims: values.len(),
+        }
     }
 
     /// CPU/memory/disk convenience constructor.
@@ -93,7 +145,7 @@ impl ResourceVec {
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.0.len()
+        self.dims
     }
 
     /// Component `i`.
@@ -103,19 +155,19 @@ impl ResourceVec {
     /// Panics if `i >= dims()`.
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
-        self.0[i]
+        self.as_slice()[i]
     }
 
     /// The CPU component (dimension 0).
     #[inline]
     pub fn cpu(&self) -> f64 {
-        self.0[0]
+        self.values[0]
     }
 
     /// All components as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        &self.0
+        &self.values[..self.dims]
     }
 
     /// `self + other`, component-wise.
@@ -124,8 +176,9 @@ impl ResourceVec {
     ///
     /// Panics on dimension mismatch.
     pub fn add(&self, other: &ResourceVec) -> ResourceVec {
-        self.check_dims(other);
-        ResourceVec(self.0.iter().zip(&other.0).map(|(a, b)| a + b).collect())
+        let mut sum = *self;
+        sum.add_assign(other);
+        sum
     }
 
     /// In-place `self += other`.
@@ -135,7 +188,8 @@ impl ResourceVec {
     /// Panics on dimension mismatch.
     pub fn add_assign(&mut self, other: &ResourceVec) {
         self.check_dims(other);
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        let dims = self.dims;
+        for (a, b) in self.values[..dims].iter_mut().zip(other.as_slice()) {
             *a += b;
         }
     }
@@ -149,13 +203,31 @@ impl ResourceVec {
     /// significantly negative.
     pub fn sub_assign(&mut self, other: &ResourceVec) {
         self.check_dims(other);
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        let dims = self.dims;
+        for (a, b) in self.values[..dims].iter_mut().zip(other.as_slice()) {
             debug_assert!(
                 *a >= *b - 1e-9,
                 "resource release would go negative: {a} - {b}"
             );
             *a = (*a - b).max(0.0);
         }
+    }
+
+    /// `factor` times every component (a degraded server's capacity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scaled component is negative or non-finite.
+    pub fn scaled(&self, factor: f64) -> ResourceVec {
+        let mut out = *self;
+        for (i, v) in out.values[..self.dims].iter_mut().enumerate() {
+            *v *= factor;
+            assert!(
+                v.is_finite() && *v >= 0.0,
+                "resource component {i} must be finite and non-negative, got {v}"
+            );
+        }
+        out
     }
 
     /// Whether `self + extra` fits within `capacity` in every dimension
@@ -167,10 +239,10 @@ impl ResourceVec {
     pub fn fits_with(&self, extra: &ResourceVec, capacity: &ResourceVec) -> bool {
         self.check_dims(extra);
         self.check_dims(capacity);
-        self.0
+        self.as_slice()
             .iter()
-            .zip(&extra.0)
-            .zip(&capacity.0)
+            .zip(extra.as_slice())
+            .zip(capacity.as_slice())
             .all(|((u, e), c)| u + e <= c + 1e-9)
     }
 
@@ -181,26 +253,22 @@ impl ResourceVec {
     /// Panics on dimension mismatch or zero capacity component.
     pub fn utilization(&self, capacity: &ResourceVec) -> ResourceVec {
         self.check_dims(capacity);
-        ResourceVec(
-            self.0
-                .iter()
-                .zip(&capacity.0)
-                .map(|(u, c)| {
-                    assert!(*c > 0.0, "capacity component must be positive");
-                    (u / c).clamp(0.0, 1.0)
-                })
-                .collect(),
-        )
+        let mut out = *self;
+        for (u, c) in out.values[..self.dims].iter_mut().zip(capacity.as_slice()) {
+            assert!(*c > 0.0, "capacity component must be positive");
+            *u = (*u / c).clamp(0.0, 1.0);
+        }
+        out
     }
 
     /// Largest component.
     pub fn max_component(&self) -> f64 {
-        self.0.iter().cloned().fold(0.0, f64::max)
+        self.as_slice().iter().cloned().fold(0.0, f64::max)
     }
 
     /// Sum of components.
     pub fn sum(&self) -> f64 {
-        self.0.iter().sum()
+        self.as_slice().iter().sum()
     }
 
     fn check_dims(&self, other: &ResourceVec) {
@@ -214,10 +282,47 @@ impl ResourceVec {
     }
 }
 
+impl PartialEq for ResourceVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for ResourceVec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ResourceVec")
+            .field(&self.as_slice())
+            .finish()
+    }
+}
+
+impl Serialize for ResourceVec {
+    fn to_value(&self) -> Value {
+        Value::Seq(self.as_slice().iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl Deserialize for ResourceVec {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let items = v
+            .as_seq()
+            .ok_or_else(|| Error::expected("array", "ResourceVec"))?;
+        check_dim_count(items.len()).map_err(Error::new)?;
+        let mut values = [0.0; MAX_RESOURCE_DIMS];
+        for (slot, item) in values.iter_mut().zip(items) {
+            *slot = f64::from_value(item)?;
+        }
+        Ok(ResourceVec {
+            values,
+            dims: items.len(),
+        })
+    }
+}
+
 impl fmt::Display for ResourceVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.0.iter().enumerate() {
+        for (i, v) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -290,5 +395,47 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_component_rejected() {
         let _ = ResourceVec::new(&[-0.1]);
+    }
+
+    #[test]
+    fn json_wire_format_is_the_component_array() {
+        // The inline representation keeps the JSON of the `Vec<f64>` it
+        // replaced, so every committed artifact and config parses as before.
+        let v = ResourceVec::cpu_mem_disk(0.25, 0.1, 0.05);
+        let json = serde_json::to_string(&v).unwrap();
+        assert_eq!(json, "[0.25,0.1,0.05]");
+        let back: ResourceVec = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(back.dims(), 3);
+        let one: ResourceVec = serde_json::from_str("[0.5]").unwrap();
+        assert_eq!(one, ResourceVec::new(&[0.5]));
+        assert_eq!(serde_json::to_string(&one).unwrap(), "[0.5]");
+    }
+
+    #[test]
+    fn four_component_array_fails_to_deserialize_by_name() {
+        let err = serde_json::from_str::<ResourceVec>("[0.1,0.2,0.3,0.4]").unwrap_err();
+        assert!(
+            err.to_string().contains("4 components")
+                && err.to_string().contains("MAX_RESOURCE_DIMS"),
+            "unnamed error: {err}"
+        );
+        assert!(serde_json::from_str::<ResourceVec>("[]").is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most MAX_RESOURCE_DIMS = 3")]
+    fn new_rejects_a_fourth_component_by_name() {
+        let _ = ResourceVec::new(&[0.1, 0.2, 0.3, 0.4]);
+    }
+
+    #[test]
+    fn equality_and_debug_see_only_the_live_components() {
+        let a = ResourceVec::new(&[0.5, 0.0]);
+        let b = ResourceVec::new(&[0.5]);
+        assert_ne!(a, b, "different dimensionality");
+        assert_eq!(a, ResourceVec::new(&[0.5, 0.0]));
+        assert_eq!(format!("{a:?}"), "ResourceVec([0.5, 0.0])");
+        assert_eq!(a.scaled(2.0), ResourceVec::new(&[1.0, 0.0]));
     }
 }

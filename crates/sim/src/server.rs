@@ -1,7 +1,7 @@
 //! A single physical server: FCFS job queue, resource accounting,
 //! power-state machine, and time-integrated statistics.
 
-use crate::config::ReliabilityConfig;
+use crate::config::{ClusterConfig, ReliabilityConfig};
 use crate::job::{Job, JobId};
 use crate::power::{MachineState, PowerModel};
 use crate::resources::ResourceVec;
@@ -62,6 +62,27 @@ pub struct ServerStats {
 }
 
 /// A physical server.
+///
+/// # Cached rates
+///
+/// A server caches its instantaneous power draw ([`Server::power_watts`])
+/// and hot-spot measure ([`Server::overload`]), the two rates its own
+/// integrals ([`Server::account`]) and the cluster's fleet totals advance
+/// at. The mutating methods leave the cache alone: the cluster brackets
+/// every state change between `touch_begin` (which accounts the interval
+/// that just ended at the cached rates) and `touch_end`, which calls
+/// [`Server::refresh_rates`] — one power-curve evaluation per touch. A
+/// server driven by hand must likewise call `refresh_rates` after each
+/// mutation. [`Server::compute_power_watts`] and
+/// [`Server::compute_overload`] recompute the rates from state, never
+/// from the cache.
+///
+/// The power model and reliability definition are the fleet's
+/// ([`ClusterConfig::power`], [`ClusterConfig::reliability`]), passed in
+/// where a rate is computed rather than copied into every server. That
+/// keeps a server within 320 bytes, so a 100k-server `Vec<Server>` stays
+/// under glibc's 32 MiB mmap threshold and is not mapped (and
+/// page-faulted) afresh on every cluster build.
 #[derive(Debug, Clone)]
 pub struct Server {
     capacity: ResourceVec,
@@ -92,32 +113,33 @@ pub struct Server {
     /// Incremented to invalidate outstanding timeout events.
     timeout_token: u64,
     last_account: SimTime,
+    /// Cached [`Server::compute_power_watts`] as of the last refresh.
+    power_watts: f64,
+    /// Cached [`Server::compute_overload`] as of the last refresh.
+    overload: f64,
     stats: ServerStats,
-    reliability: ReliabilityConfig,
 }
 
 impl Server {
-    /// Creates a powered-on, empty server.
+    /// Creates an empty server, powered on or asleep per `initially_on`,
+    /// with its rates computed under `config`'s power model and
+    /// reliability definition.
     ///
     /// # Panics
     ///
-    /// Panics if the reliability config is invalid or capacity has a
-    /// non-positive component.
-    pub fn new(capacity: ResourceVec, initially_on: bool, reliability: ReliabilityConfig) -> Self {
+    /// Panics if capacity has a non-positive component.
+    pub fn new(capacity: ResourceVec, initially_on: bool, config: &ClusterConfig) -> Self {
         assert!(
             capacity.as_slice().iter().all(|&c| c > 0.0),
             "server capacity must be positive in every dimension"
         );
-        reliability.validate().expect("invalid reliability config");
-        let dims = capacity.dims();
-        let peak_scale = capacity.cpu();
-        Self {
-            capacity: capacity.clone(),
+        let mut server = Self {
+            capacity,
             nominal_capacity: capacity,
-            peak_scale,
+            peak_scale: capacity.cpu(),
             healthy: true,
             departed: false,
-            used: ResourceVec::zeros(dims),
+            used: ResourceVec::zeros(capacity.dims()),
             state: if initially_on {
                 MachineState::On
             } else {
@@ -128,9 +150,12 @@ impl Server {
             running: Vec::new(),
             timeout_token: 0,
             last_account: SimTime::ZERO,
+            power_watts: 0.0,
+            overload: 0.0,
             stats: ServerStats::default(),
-            reliability,
-        }
+        };
+        server.refresh_rates(config);
+        server
     }
 
     /// Current power state.
@@ -155,7 +180,7 @@ impl Server {
 
     /// CPU utilization in `[0, 1]` (drives the power model).
     pub fn cpu_utilization(&self) -> f64 {
-        self.utilization().cpu()
+        (self.used.cpu() / self.capacity.cpu()).clamp(0.0, 1.0)
     }
 
     /// Jobs waiting in the FCFS queue.
@@ -192,35 +217,54 @@ impl Server {
         self.peak_scale
     }
 
-    /// Instantaneous power draw in watts: the (unit-server) model evaluated
-    /// at this server's relative CPU utilization, scaled by
-    /// [`Server::peak_scale`].
-    pub fn power_watts(&self, model: &PowerModel) -> f64 {
+    /// Instantaneous power draw in watts as of the last
+    /// [`Server::refresh_rates`] (see "Cached rates" above).
+    pub fn power_watts(&self) -> f64 {
+        self.power_watts
+    }
+
+    /// Reliability hot-spot measure as of the last
+    /// [`Server::refresh_rates`] (see "Cached rates" above).
+    pub fn overload(&self) -> f64 {
+        self.overload
+    }
+
+    /// Instantaneous power draw in watts, recomputed from state: the
+    /// (unit-server) model evaluated at this server's relative CPU
+    /// utilization, scaled by [`Server::peak_scale`].
+    pub fn compute_power_watts(&self, model: &PowerModel) -> f64 {
         self.peak_scale * self.state.power_watts(model, self.cpu_utilization())
     }
 
-    /// Reliability hot-spot measure: the amount by which the busiest
-    /// resource exceeds the hot-utilization threshold, plus a penalty for
-    /// backlog deeper than the hot queue length. Feeds the reliability
-    /// term of the global reward (Eqn. 4).
-    pub fn overload(&self) -> f64 {
+    /// Reliability hot-spot measure, recomputed from state: the amount by
+    /// which the busiest resource exceeds the hot-utilization threshold,
+    /// plus a penalty for backlog deeper than the hot queue length. Feeds
+    /// the reliability term of the global reward (Eqn. 4).
+    pub fn compute_overload(&self, reliability: &ReliabilityConfig) -> f64 {
         let util_excess =
-            (self.utilization().max_component() - self.reliability.hot_utilization).max(0.0);
+            (self.utilization().max_component() - reliability.hot_utilization).max(0.0);
         let backlog = self
             .jobs_in_system()
-            .saturating_sub(self.reliability.hot_queue_len) as f64;
-        util_excess + self.reliability.queue_overload_per_job * backlog
+            .saturating_sub(reliability.hot_queue_len) as f64;
+        util_excess + reliability.queue_overload_per_job * backlog
     }
 
-    /// Advances all time integrals to `now`. Must be called before any
-    /// mutation that changes power draw or job counts.
-    pub fn account(&mut self, now: SimTime, model: &PowerModel) {
+    /// Recomputes the cached [`Server::power_watts`] and
+    /// [`Server::overload`] from the current state.
+    pub fn refresh_rates(&mut self, config: &ClusterConfig) {
+        self.power_watts = self.compute_power_watts(&config.power);
+        self.overload = self.compute_overload(&config.reliability);
+    }
+
+    /// Advances all time integrals to `now` at the cached rates. Must be
+    /// called before any mutation that changes power draw or job counts.
+    pub fn account(&mut self, now: SimTime) {
         let dt = now.since(self.last_account);
         if dt > 0.0 {
-            self.stats.energy_joules += self.power_watts(model) * dt;
+            self.stats.energy_joules += self.power_watts * dt;
             self.stats.jobs_in_system_integral += self.jobs_in_system() as f64 * dt;
             self.stats.queue_integral += self.queue.len() as f64 * dt;
-            self.stats.overload_integral += self.overload() * dt;
+            self.stats.overload_integral += self.overload * dt;
             match self.state {
                 MachineState::On => {
                     if self.running.is_empty() {
@@ -248,19 +292,9 @@ impl Server {
     }
 
     /// Starts queued jobs in strict FCFS order while the head job fits,
-    /// returning the newly started jobs (the caller schedules their finish
-    /// events). Does nothing unless the server is `On`.
-    pub fn start_fitting_jobs(&mut self, now: SimTime) -> Vec<RunningJob> {
-        let first = self.running.len();
-        let mut pairs = Vec::new();
-        self.start_fitting_jobs_into(now, &mut pairs);
-        self.running[first..].to_vec()
-    }
-
-    /// Allocation-free twin of [`Server::start_fitting_jobs`] for the
-    /// simulator hot loop: appends `(job id, finish time)` pairs — all a
-    /// caller needs to schedule finish events — to a reusable buffer
-    /// instead of cloning full [`RunningJob`] records into a fresh `Vec`.
+    /// appending a `(job id, finish time)` pair per started job — all a
+    /// caller needs to schedule finish events — to a reusable buffer. Does
+    /// nothing unless the server is `On`.
     pub fn start_fitting_jobs_into(&mut self, now: SimTime, out: &mut Vec<(JobId, SimTime)>) {
         if !self.state.is_on() {
             return;
@@ -284,20 +318,11 @@ impl Server {
         }
     }
 
-    /// Completes a running job, releasing its resources. Returns the record
-    /// of the job, or `None` if it was not running (e.g. a stale event).
-    pub fn complete_job(&mut self, id: JobId) -> Option<RunningJob> {
-        let idx = self.running.iter().position(|r| r.id == id)?;
-        let run = self.running.swap_remove(idx);
-        self.used.sub_assign(&run.demand);
-        self.stats.jobs_completed += 1;
-        Some(run)
-    }
-
-    /// Like [`Server::complete_job`], but only completes the job if its
-    /// scheduled finish time is exactly `now`. A job requeued by a crash
-    /// can be running *again* under the same id with a later finish time;
-    /// the original finish event must then be recognized as stale.
+    /// Completes the running job `id` whose scheduled finish time is
+    /// exactly `now`, releasing its resources. Returns the record of the
+    /// job, or `None` if no such job is running: a stale event, including
+    /// the original finish event of a job that a crash requeued and that
+    /// now runs *again* under the same id with a later finish time.
     pub fn complete_job_at(&mut self, id: JobId, now: SimTime) -> Option<RunningJob> {
         let idx = self
             .running
@@ -415,7 +440,7 @@ impl Server {
         );
         debug_assert_eq!(self.jobs_in_system(), 0, "departed slot held jobs");
         self.peak_scale = capacity.cpu();
-        self.capacity = capacity.clone();
+        self.capacity = capacity;
         self.nominal_capacity = capacity;
         self.healthy = true;
         self.departed = false;
@@ -449,13 +474,7 @@ impl Server {
             scale.is_finite() && scale > 0.0 && scale <= 1.0,
             "degraded scale must be in (0, 1], got {scale}"
         );
-        let scaled: Vec<f64> = self
-            .nominal_capacity
-            .as_slice()
-            .iter()
-            .map(|&c| c * scale)
-            .collect();
-        self.capacity = ResourceVec::new(&scaled);
+        self.capacity = self.nominal_capacity.scaled(scale);
         self.peak_scale = self.nominal_capacity.cpu() * scale;
     }
 
@@ -557,8 +576,12 @@ impl Server {
 mod tests {
     use super::*;
 
+    fn config() -> ClusterConfig {
+        ClusterConfig::paper(1)
+    }
+
     fn server_on() -> Server {
-        Server::new(ResourceVec::ones(3), true, ReliabilityConfig::paper())
+        Server::new(ResourceVec::ones(3), true, &config())
     }
 
     fn job(id: u64, t: f64, dur: f64, cpu: f64) -> Job {
@@ -570,17 +593,25 @@ mod tests {
         )
     }
 
+    /// Starts whatever fits at `now`, returning the started job ids.
+    fn start(s: &mut Server, now: f64) -> Vec<JobId> {
+        let mut started = Vec::new();
+        s.start_fitting_jobs_into(SimTime::from_secs(now), &mut started);
+        started.into_iter().map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn fcfs_starts_jobs_in_order_while_fitting() {
         let mut s = server_on();
         s.enqueue(job(1, 0.0, 100.0, 0.5));
         s.enqueue(job(2, 0.0, 100.0, 0.4));
         s.enqueue(job(3, 0.0, 100.0, 0.4)); // does not fit after 1 and 2
-        let started = s.start_fitting_jobs(SimTime::ZERO);
-        assert_eq!(started.len(), 2);
-        assert_eq!(started[0].id, JobId(1));
-        assert_eq!(started[1].id, JobId(2));
+        let mut started = Vec::new();
+        s.start_fitting_jobs_into(SimTime::ZERO, &mut started);
+        let finish = SimTime::from_secs(100.0);
+        assert_eq!(started, vec![(JobId(1), finish), (JobId(2), finish)]);
         assert_eq!(s.queue_len(), 1);
+        assert_eq!(s.running_len(), 2);
         assert!((s.cpu_utilization() - 0.9).abs() < 1e-9);
     }
 
@@ -589,11 +620,10 @@ mod tests {
         // Job 2 would fit but job 1 (head) does not: FCFS blocks it.
         let mut s = server_on();
         s.enqueue(job(10, 0.0, 50.0, 0.9));
-        let _ = s.start_fitting_jobs(SimTime::ZERO);
+        assert_eq!(start(&mut s, 0.0), vec![JobId(10)]);
         s.enqueue(job(11, 0.0, 50.0, 0.2)); // head, does not fit (0.9+0.2)
         s.enqueue(job(12, 0.0, 50.0, 0.05)); // would fit, must wait
-        let started = s.start_fitting_jobs(SimTime::ZERO);
-        assert!(started.is_empty());
+        assert!(start(&mut s, 0.0).is_empty());
         assert_eq!(s.queue_len(), 2);
     }
 
@@ -602,34 +632,44 @@ mod tests {
         let mut s = server_on();
         s.enqueue(job(1, 0.0, 10.0, 0.8));
         s.enqueue(job(2, 0.0, 10.0, 0.5));
-        let _ = s.start_fitting_jobs(SimTime::ZERO);
+        assert_eq!(start(&mut s, 0.0), vec![JobId(1)]);
         assert_eq!(s.running_len(), 1);
-        let done = s.complete_job(JobId(1)).unwrap();
+        let done = s
+            .complete_job_at(JobId(1), SimTime::from_secs(10.0))
+            .unwrap();
         assert_eq!(done.id, JobId(1));
-        let started = s.start_fitting_jobs(SimTime::from_secs(10.0));
-        assert_eq!(started.len(), 1);
-        assert_eq!(started[0].id, JobId(2));
+        assert_eq!(s.stats().jobs_completed, 1);
+        assert_eq!(s.used(), &ResourceVec::zeros(3));
+        assert_eq!(start(&mut s, 10.0), vec![JobId(2)]);
     }
 
     #[test]
     fn complete_unknown_job_returns_none() {
         let mut s = server_on();
-        assert!(s.complete_job(JobId(42)).is_none());
+        assert!(s.complete_job_at(JobId(42), SimTime::ZERO).is_none());
+        // A running id completes only at its own finish time: any other
+        // time is a stale event and changes nothing.
+        s.enqueue(job(1, 0.0, 10.0, 0.5));
+        assert_eq!(start(&mut s, 0.0), vec![JobId(1)]);
+        assert!(s
+            .complete_job_at(JobId(1), SimTime::from_secs(5.0))
+            .is_none());
+        assert_eq!(s.running_len(), 1);
+        assert_eq!(s.stats().jobs_completed, 0);
     }
 
     #[test]
     fn sleeping_server_starts_nothing() {
-        let mut s = Server::new(ResourceVec::ones(3), false, ReliabilityConfig::paper());
+        let mut s = Server::new(ResourceVec::ones(3), false, &config());
         s.enqueue(job(1, 0.0, 10.0, 0.2));
-        assert!(s.start_fitting_jobs(SimTime::ZERO).is_empty());
+        assert!(start(&mut s, 0.0).is_empty());
         assert_eq!(s.queue_len(), 1);
     }
 
     #[test]
     fn energy_integrates_idle_power() {
-        let model = PowerModel::paper();
         let mut s = server_on();
-        s.account(SimTime::from_secs(100.0), &model);
+        s.account(SimTime::from_secs(100.0));
         assert!((s.stats().energy_joules - 8700.0).abs() < 1e-6);
         assert_eq!(s.stats().idle_seconds, 100.0);
     }
@@ -639,41 +679,58 @@ mod tests {
         // A 2x-capacity server draws 2x idle power, 2x transition power,
         // and integrates 2x the energy of a unit server at the same
         // relative utilization.
-        let model = PowerModel::paper();
-        let mut big = Server::new(
-            ResourceVec::new(&[2.0, 2.0, 2.0]),
-            true,
-            ReliabilityConfig::paper(),
-        );
+        let config = config();
+        let model = config.power;
+        let mut big = Server::new(ResourceVec::new(&[2.0, 2.0, 2.0]), true, &config);
         assert_eq!(big.peak_scale(), 2.0);
-        assert!((big.power_watts(&model) - 2.0 * 87.0).abs() < 1e-9);
-        big.account(SimTime::from_secs(100.0), &model);
+        assert!((big.power_watts() - 2.0 * 87.0).abs() < 1e-9);
+        big.account(SimTime::from_secs(100.0));
         assert!((big.stats().energy_joules - 2.0 * 8700.0).abs() < 1e-6);
 
         // Half a big server's CPU is the same *relative* utilization as
         // half a little server's, so the curve shape is shared.
         big.enqueue(job(1, 100.0, 50.0, 1.0)); // 1.0 of capacity 2.0 = 50%
-        let _ = big.start_fitting_jobs(SimTime::from_secs(100.0));
+        let _ = start(&mut big, 100.0);
         assert!((big.cpu_utilization() - 0.5).abs() < 1e-9);
-        assert!((big.power_watts(&model) - 2.0 * model.active_power(0.5)).abs() < 1e-9);
+        let half = 2.0 * model.active_power(0.5);
+        assert!((big.compute_power_watts(&model) - half).abs() < 1e-9);
+        big.refresh_rates(&config);
+        assert_eq!(big.power_watts(), big.compute_power_watts(&model));
+    }
+
+    #[test]
+    fn cached_rates_change_only_on_refresh() {
+        let config = config();
+        let mut s = server_on();
+        assert_eq!(s.power_watts(), 87.0);
+        s.enqueue(job(1, 0.0, 10.0, 0.95));
+        let _ = start(&mut s, 0.0);
+        // The mutation leaves the cache at its pre-mutation rates, so an
+        // account right after integrates the interval that just ended.
+        assert_eq!(s.power_watts(), 87.0);
+        assert_eq!(s.overload(), 0.0);
+        s.refresh_rates(&config);
+        assert_eq!(s.power_watts(), config.power.active_power(0.95));
+        assert_eq!(s.overload(), s.compute_overload(&config.reliability));
+        assert!(s.overload() > 0.0);
     }
 
     #[test]
     fn energy_is_zero_while_sleeping() {
-        let model = PowerModel::paper();
-        let mut s = Server::new(ResourceVec::ones(3), false, ReliabilityConfig::paper());
-        s.account(SimTime::from_secs(50.0), &model);
+        let mut s = Server::new(ResourceVec::ones(3), false, &config());
+        s.account(SimTime::from_secs(50.0));
         assert_eq!(s.stats().energy_joules, 0.0);
         assert_eq!(s.stats().sleep_seconds, 50.0);
     }
 
     #[test]
     fn transition_draws_transition_power() {
-        let model = PowerModel::paper();
-        let mut s = Server::new(ResourceVec::ones(3), false, ReliabilityConfig::paper());
+        let config = config();
+        let mut s = Server::new(ResourceVec::ones(3), false, &config);
         let until = s.begin_wake(SimTime::ZERO, 30.0);
         assert_eq!(until, SimTime::from_secs(30.0));
-        s.account(SimTime::from_secs(30.0), &model);
+        s.refresh_rates(&config);
+        s.account(SimTime::from_secs(30.0));
         assert!((s.stats().energy_joules - 145.0 * 30.0).abs() < 1e-6);
         s.finish_wake();
         assert!(s.state().is_on());
@@ -709,18 +766,17 @@ mod tests {
     fn overload_kicks_in_above_threshold() {
         let mut s = server_on();
         s.enqueue(job(1, 0.0, 10.0, 0.95));
-        let _ = s.start_fitting_jobs(SimTime::ZERO);
-        assert!((s.overload() - 0.05).abs() < 1e-9);
+        let _ = start(&mut s, 0.0);
+        assert!((s.compute_overload(&ReliabilityConfig::paper()) - 0.05).abs() < 1e-9);
     }
 
     #[test]
     fn jobs_in_system_integral_tracks_queue_and_running() {
-        let model = PowerModel::paper();
         let mut s = server_on();
         s.enqueue(job(1, 0.0, 100.0, 0.5));
         s.enqueue(job(2, 0.0, 100.0, 0.9)); // waits behind job 1
-        let _ = s.start_fitting_jobs(SimTime::ZERO);
-        s.account(SimTime::from_secs(10.0), &model);
+        let _ = start(&mut s, 0.0);
+        s.account(SimTime::from_secs(10.0));
         // 2 jobs in system for 10 s.
         assert!((s.stats().jobs_in_system_integral - 20.0).abs() < 1e-9);
     }

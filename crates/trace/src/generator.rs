@@ -199,7 +199,7 @@ impl TraceGenerator {
                 t += self.config.batch_jitter.sample(&mut self.rng).max(0.0);
             }
             let duration = self.config.duration.sample(&mut self.rng);
-            out.push((t, duration, demand.clone()));
+            out.push((t, duration, demand));
         }
     }
 

@@ -250,7 +250,7 @@ impl Trace {
                     j.id,
                     SimTime::from_secs(j.arrival.since(base)),
                     j.duration,
-                    j.demand.clone(),
+                    j.demand,
                 )
             })
             .collect();

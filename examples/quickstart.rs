@@ -51,7 +51,7 @@ fn main() -> Result<(), String> {
         "system", "energy kWh", "lat/job s", "avg power W", "sleep %"
     );
     for (name, allocator, power) in &systems {
-        let mut allocator = allocator.build(cluster.num_servers, cluster.resource_dims);
+        let mut allocator = allocator.build(cluster.effective_max(), cluster.resource_dims);
         let mut power = power.build(&cluster);
         let result =
             Experiment::new(name, &cluster, &trace).run(allocator.as_mut(), power.as_mut())?;

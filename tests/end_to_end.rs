@@ -32,7 +32,7 @@ fn run_kinds(
     cluster: &ClusterConfig,
     (allocator, power): &(AllocatorKind, PowerKind),
 ) -> Result<ExperimentResult, String> {
-    let mut allocator = allocator.build(cluster.num_servers, cluster.resource_dims);
+    let mut allocator = allocator.build(cluster.effective_max(), cluster.resource_dims);
     let mut power = power.build(cluster);
     experiment.run(allocator.as_mut(), power.as_mut())
 }
