@@ -8,6 +8,7 @@
 use hierdrl_sim::cluster::ClusterView;
 use hierdrl_sim::job::Job;
 use hierdrl_sim::power::MachineState;
+use hierdrl_sim::resources::{ResourceVec, MAX_RESOURCE_DIMS};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the state encoder.
@@ -236,34 +237,28 @@ impl StateEncoder {
         }
     }
 
-    /// Per-server capacity features, normalized by the fleet's largest
-    /// server so the biggest machine reads `1.0` (all servers on a
-    /// homogeneous cluster). The feature is the mean over resource
-    /// dimensions of `capacity_d / max_capacity_d`. Returns `None` on
-    /// homogeneous clusters — every real slot is `1.0` — so the per-epoch
-    /// hot path (encode runs once per dispatch decision) skips the fleet
-    /// scan and its allocations unless capacities actually vary.
-    fn capacity_features(view: &ClusterView<'_>) -> Option<Vec<f32>> {
+    /// The per-dimension maximum capacity over live servers, which
+    /// normalizes the capacity feature so the biggest live machine reads
+    /// `1.0`. Returns `None` on homogeneous clusters — every real slot is
+    /// `1.0` — so the per-epoch hot path (encode runs once per dispatch
+    /// decision) skips the fleet scan unless capacities actually vary.
+    fn max_live_capacity(view: &ClusterView<'_>) -> Option<[f64; MAX_RESOURCE_DIMS]> {
         view.config().server_capacities.as_ref()?;
-        let dims = view.servers()[0].capacity().dims();
-        let mut max_cap = vec![0.0f64; dims];
+        let mut max_cap = [0.0f64; MAX_RESOURCE_DIMS];
         for s in view.servers().iter().filter(|s| s.is_live()) {
-            for (d, m) in max_cap.iter_mut().enumerate() {
-                *m = m.max(s.capacity().get(d));
+            for (m, &c) in max_cap.iter_mut().zip(s.capacity().as_slice()) {
+                *m = m.max(c);
             }
         }
-        Some(
-            view.servers()
-                .iter()
-                .map(|s| {
-                    let mean: f64 = (0..dims)
-                        .map(|d| s.capacity().get(d) / max_cap[d])
-                        .sum::<f64>()
-                        / dims as f64;
-                    mean as f32
-                })
-                .collect(),
-        )
+        Some(max_cap)
+    }
+
+    /// A server's capacity feature: the mean over resource dimensions of
+    /// `capacity_d / max_capacity_d` (see [`StateEncoder::max_live_capacity`]).
+    fn capacity_feature(capacity: &ResourceVec, max_cap: &[f64; MAX_RESOURCE_DIMS]) -> f32 {
+        let dims = capacity.dims();
+        let mean: f64 = (0..dims).map(|d| capacity.get(d) / max_cap[d]).sum::<f64>() / dims as f64;
+        mean as f32
     }
 
     /// Width of the flat state row: `K` group blocks plus the job block.
@@ -316,8 +311,8 @@ impl StateEncoder {
         );
         assert_eq!(out.len(), self.state_width(), "state row width mismatch");
         let f = self.features_per_server();
-        let capacities = if self.config.include_capacity {
-            Self::capacity_features(view)
+        let max_cap = if self.config.include_capacity {
+            Self::max_live_capacity(view)
         } else {
             None
         };
@@ -351,7 +346,9 @@ impl StateEncoder {
                     }
                     if self.config.include_capacity {
                         // `None` = homogeneous fleet: every real slot is 1.
-                        g[base + extra] = capacities.as_ref().map_or(1.0, |c| c[m]);
+                        g[base + extra] = max_cap
+                            .as_ref()
+                            .map_or(1.0, |mc| Self::capacity_feature(server.capacity(), mc));
                     }
                 }
             }
@@ -368,9 +365,9 @@ mod tests {
     use super::*;
     use hierdrl_sim::cluster::{Allocator, Cluster, RunLimit};
     use hierdrl_sim::config::ClusterConfig;
+    use hierdrl_sim::events::FleetOp;
     use hierdrl_sim::job::{JobId, ServerId};
     use hierdrl_sim::policies::AlwaysOnPower;
-    use hierdrl_sim::resources::ResourceVec;
     use hierdrl_sim::time::SimTime;
 
     fn encoder(m: usize, k: usize) -> StateEncoder {
@@ -551,6 +548,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn capacity_feature_normalizes_over_live_servers_only() {
+        // Server 0, the only 2x machine, leaves between two arrivals. The
+        // maximum runs over live servers, so the little ones read 0.5
+        // before it leaves and 1.0 after, and its slot is then masked.
+        struct Recorder(StateEncoder, Vec<GlobalState>);
+        impl Allocator for Recorder {
+            fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
+                self.1.push(self.0.encode(job, view));
+                ServerId(2)
+            }
+        }
+        let mut config = ClusterConfig::paper(3);
+        config.server_capacities = Some(vec![
+            ResourceVec::new(&[2.0, 2.0, 2.0]),
+            ResourceVec::ones(3),
+            ResourceVec::ones(3),
+        ]);
+        let jobs = [1.0, 3.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                Job::new(
+                    JobId(i as u64),
+                    SimTime::from_secs(t),
+                    60.0,
+                    ResourceVec::cpu_mem_disk(0.2, 0.1, 0.05),
+                )
+            })
+            .collect();
+        let mut cluster = Cluster::new(config, jobs).unwrap();
+        cluster.schedule_fleet_op(SimTime::from_secs(2.0), FleetOp::Leave(ServerId(0)));
+        let e = encoder(3, 1);
+        let f = e.features_per_server();
+        let mut recorder = Recorder(e, Vec::new());
+        cluster.run(&mut recorder, &mut AlwaysOnPower, RunLimit::unbounded());
+        let [before, after] = &recorder.1[..] else {
+            panic!("expected two arrivals, saw {}", recorder.1.len());
+        };
+        let capacity = |s: &GlobalState, m: usize| s.group(0)[m * f + f - 1];
+        assert_eq!(capacity(before, 0), 1.0);
+        for m in 1..3 {
+            assert_eq!(capacity(before, m), 0.5, "server {m} before the departure");
+            assert_eq!(capacity(after, m), 1.0, "server {m} after the departure");
+        }
+        assert!(
+            after.group(0)[..f].iter().all(|&x| x == 0.0),
+            "the departed slot must be masked"
+        );
     }
 
     #[test]

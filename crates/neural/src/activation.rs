@@ -77,6 +77,34 @@ impl Activation {
             Activation::Sigmoid => y * (1.0 - y),
         }
     }
+
+    /// Multiplies every gradient in `grads` by [`Activation::derivative`]
+    /// at the matching pre-activation in `pre` and output in `post`.
+    ///
+    /// Bitwise equal to the per-element loop: ELU runs an eight-lane sweep
+    /// of the same IEEE operations (see `crate::simd`), and `Linear` skips
+    /// its multiply by 1, which returns every finite, infinite or quiet-NaN
+    /// gradient unchanged (gradients come from arithmetic, which never
+    /// yields a signaling NaN).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the three slices have equal length.
+    pub(crate) fn mul_derivative_slice(self, grads: &mut [f32], pre: &[f32], post: &[f32]) {
+        assert!(
+            grads.len() == pre.len() && grads.len() == post.len(),
+            "mul_derivative_slice length mismatch"
+        );
+        match self {
+            Activation::Linear => {}
+            Activation::Elu(alpha) => crate::simd::mul_elu_derivative(grads, pre, post, alpha),
+            Activation::Tanh | Activation::Sigmoid => {
+                for ((g, &x), &y) in grads.iter_mut().zip(pre).zip(post) {
+                    *g *= self.derivative(x, y);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

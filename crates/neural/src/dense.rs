@@ -292,16 +292,15 @@ impl Dense {
             grad_out.shape(),
             cache.post.shape()
         );
-        // dz = dy * act'(pre, post)
+        // dz = dy * act'(pre, post), one lane-wise sweep over the whole
+        // batch (the allocating twin keeps the per-element loop, so the
+        // bitwise pins compare the two).
         self.ws.dz.copy_from(grad_out);
-        for i in 0..self.ws.dz.rows() {
-            let pre = cache.pre.row(i);
-            let post = cache.post.row(i);
-            let row = self.ws.dz.row_mut(i);
-            for ((g, &p), &q) in row.iter_mut().zip(pre).zip(post) {
-                *g *= self.activation.derivative(p, q);
-            }
-        }
+        self.activation.mul_derivative_slice(
+            self.ws.dz.as_mut_slice(),
+            cache.pre.as_slice(),
+            cache.post.as_slice(),
+        );
         self.grad_w.add_matmul_tn(&cache.input, &self.ws.dz);
         self.ws.dz.sum_rows_into(&mut self.ws.rowsum);
         self.grad_b.axpy(1.0, &self.ws.rowsum);

@@ -248,8 +248,10 @@ impl Matrix {
         // product instead makes the wide `self.rows` dimension the
         // vectorized one. Every output element still accumulates its
         // products in ascending-`k` order, so the result is bitwise
-        // identical (a zero operand skips a `±0.0` addition either way,
-        // which cannot change a finite accumulation).
+        // identical: whether a zero operand's `±0.0` term is skipped
+        // (`gemm_row`) or added (`gemm_row4`), it cannot change a finite
+        // accumulation that does not hold `−0.0` (see the `simd` module
+        // doc).
         if rhs.cols < 8 && self.rows >= 8 && self.cols >= 8 {
             let at = self.transpose();
             let mut out_t = Matrix::zeros(rhs.cols, self.rows);
@@ -278,11 +280,11 @@ impl Matrix {
             return;
         }
         // Register-blocked GEMM rows: each output element accumulates its
-        // products in ascending-`k` order (zero coefficients skipped), so
-        // the vectorized kernel is bitwise identical to the naive i-k-j
-        // loop this replaces. Rows go four at a time so narrow outputs
-        // still keep several independent add chains in flight (see
-        // `simd::gemm_row4`).
+        // products in ascending-`k` order, so the vectorized kernel is
+        // bitwise identical to the naive i-k-j loop this replaces. Rows go
+        // four at a time so narrow outputs still keep several independent
+        // add chains in flight; the four-row blocks feed every coefficient
+        // and the leftover rows skip zero ones (see `simd::gemm_row4`).
         let mut i = 0;
         while i + 4 <= self.rows {
             crate::simd::gemm_row4(
@@ -346,10 +348,12 @@ impl Matrix {
         );
         // The gemm kernels accumulate into the output row, so they serve
         // the += contract directly: output row `i` is column `i` of `a`
-        // against the rows of `b`, terms in ascending `n` with zero
-        // coefficients skipped — the same per-element order and skip rule
-        // as the rank-1 axpy sweep this replaces, but with `b`'s rows
-        // loaded once per four output rows instead of once per output row.
+        // against the rows of `b`, terms in ascending `n` — the same
+        // per-element order as the rank-1 axpy sweep this replaces, but
+        // with `b`'s rows loaded once per four output rows instead of once
+        // per output row. Four-row blocks feed zero coefficients, leftover
+        // rows skip them (see the `simd` module doc on why both rules
+        // agree).
         let mut i = 0;
         while i + 4 <= a.cols {
             crate::simd::gemm_row4(

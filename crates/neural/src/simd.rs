@@ -25,6 +25,19 @@
 //! lanes (`maskload`/`maskstore`) neither read nor write memory, so each
 //! live lane is exactly a full-tile lane.
 //!
+//! Zero coefficients: the single-row `gemm_row` skips them, and the
+//! four-row `gemm_row4` feeds every coefficient to its FMA. Each kernel's
+//! scalar twin follows the same rule, so each dispatch pair agrees bit for
+//! bit on every input, non-finite ones included. Both rules compute the
+//! same bits wherever `b` is finite and no accumulator holds `−0.0`,
+//! because `fma(±0, b, acc)` then returns `acc` exactly. Accumulators
+//! start at `+0.0`, and `x + (−x)` rounds to `+0.0`, so one reaches `−0.0`
+//! only when a step's exact result is a negative number below 2⁻¹⁵⁰ in
+//! magnitude. The skip pays on a decision's few sparse rows, which run
+//! through `gemm_row`. In the batched products (training forward, target
+//! sweep, weight gradients) a per-coefficient test costs a compare and a
+//! mispredicted branch for every two FMAs, so `gemm_row4` does without it.
+//!
 //! On non-x86_64 targets (or CPUs without AVX and FMA) everything falls
 //! back to scalar `mul_add` loops with the identical accumulation order.
 
@@ -56,7 +69,13 @@ fn add_scaled_scalar(dst: &mut [f32], src: &[f32], alpha: f32) {
 
 /// One output row of a GEMM: `o_row[j] += Σ_k coeff(k) · b[k·ldb + j]`,
 /// where `coeff(k) = a[k · a_stride]` and the sum runs `k = 0..k_count` in
-/// ascending order (zero coefficients skipped, as in the scalar kernels).
+/// ascending order, zero coefficients skipped (in the scalar twin too).
+/// The skip stays because this kernel serves the sparse rows: a
+/// global-tier decision runs its encoder and Sub-Q products over its K
+/// group rows (two at the paper's M = 30, too few for [`gemm_row4`]'s
+/// blocks), and about a third of a state row's features are zero. Without
+/// the skip, the benchmark's `hier-m30-frozen` workload, which only
+/// decides, ran about 15% slower.
 ///
 /// `matmul` uses `a_stride == 1` (a row of the left operand); `matmul_tn`
 /// uses `a_stride == cols` (a column). The SIMD path tiles `j` and keeps
@@ -121,15 +140,20 @@ fn gemm_row_scalar(
 
 /// Four output rows of a GEMM in one sweep: row `r` of the block computes
 /// `o[r·n + j] += Σ_k a[r·a_row_step + k·a_k_stride] · b[k·ldb + j]` where
-/// `n = o.len() / 4`, each sum in ascending-`k` order with zero
-/// coefficients skipped — every output element performs exactly the
-/// multiply-then-add sequence of [`gemm_row`], so results are bitwise
-/// identical to four separate calls; the blocking only interleaves
-/// *independent* accumulator chains. That interleaving is the point: a
-/// narrow output row (n < 32) gives [`gemm_row`] a single FP-add chain per
-/// tile, so the k loop runs at add *latency*, not throughput. Four rows
-/// share each `b` load and keep four chains in flight, which is worth
-/// ~2-3x at this codebase's layer widths (15/30-wide autoencoder rows).
+/// `n = o.len() / 4`, each sum in ascending-`k` order with one FMA per
+/// coefficient, zero or not. The blocking only interleaves *independent*
+/// accumulator chains. That interleaving is the point: a narrow output row
+/// (n < 32) gives [`gemm_row`] a single FP-add chain per tile, so the k
+/// loop runs at add *latency*, not throughput. Four rows share each `b`
+/// load and keep four chains in flight, which is worth ~2-3x at this
+/// codebase's layer widths (15/30-wide autoencoder rows).
+///
+/// No zero test: state rows are about a third zeros, so a per-coefficient
+/// branch mispredicts and, with the broadcast it guards, costs more than
+/// the two FMAs it saves. The result equals four [`gemm_row`] calls bit for
+/// bit wherever `b` is finite and no accumulator holds `−0.0` (see the
+/// module doc); the scalar twin feeds every coefficient too, so the AVX and
+/// scalar paths agree on every input.
 ///
 /// The SIMD path walks `j` in 16-wide tiles (two YMM halves × four rows =
 /// eight register accumulators) and finishes the 1-15 columns left over
@@ -174,8 +198,27 @@ pub(crate) fn gemm_row4(
             return;
         }
     }
+    gemm_row4_scalar(a, a_row_step, a_k_stride, k_count, b, ldb, o);
+}
+
+/// Scalar twin of [`gemm_row4`]: the same per-element `mul_add` chain,
+/// every coefficient fed, zero or not.
+#[inline]
+fn gemm_row4_scalar(
+    a: &[f32],
+    a_row_step: usize,
+    a_k_stride: usize,
+    k_count: usize,
+    b: &[f32],
+    ldb: usize,
+    o: &mut [f32],
+) {
+    let n = o.len() / 4;
     for (r, o_row) in o.chunks_exact_mut(n).enumerate() {
-        gemm_row_scalar(&a[r * a_row_step..], a_k_stride, k_count, b, ldb, o_row);
+        for k in 0..k_count {
+            let b_row = &b[k * ldb..k * ldb + n];
+            add_scaled_scalar(o_row, b_row, a[r * a_row_step + k * a_k_stride]);
+        }
     }
 }
 
@@ -247,6 +290,69 @@ pub(crate) fn elu_inplace(xs: &mut [f32], alpha: f32) {
             *x = alpha * (crate::fastmath::exp(*x) - 1.0);
         }
     }
+}
+
+/// `g[j] *= elu'(x[j])`: each gradient times the ELU derivative in the
+/// form `Activation::derivative` takes from the pre-activation `x` and the
+/// output `y`, `1` where `x > 0` and `y + alpha` otherwise (a NaN `x`
+/// included, as the scalar `if` does). The AVX path runs an ordered
+/// greater-than compare, a blend and a multiply eight lanes at a time: the
+/// same IEEE operations per element as the scalar loop, so the two agree
+/// bit for bit.
+///
+/// # Panics
+///
+/// Panics unless the three slices have equal length.
+#[inline]
+pub(crate) fn mul_elu_derivative(g: &mut [f32], x: &[f32], y: &[f32], alpha: f32) {
+    assert!(
+        g.len() == x.len() && g.len() == y.len(),
+        "mul_elu_derivative length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx_available() {
+            // SAFETY: AVX support was just verified at runtime; lengths
+            // asserted above.
+            unsafe { mul_elu_derivative_avx(g, x, y, alpha) };
+            return;
+        }
+    }
+    mul_elu_derivative_scalar(g, x, y, alpha);
+}
+
+#[inline]
+fn mul_elu_derivative_scalar(g: &mut [f32], x: &[f32], y: &[f32], alpha: f32) {
+    for ((g, &x), &y) in g.iter_mut().zip(x).zip(y) {
+        *g *= if x > 0.0 { 1.0 } else { y + alpha };
+    }
+}
+
+/// # Safety
+///
+/// The caller must ensure AVX support and equal slice lengths (asserted by
+/// [`mul_elu_derivative`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn mul_elu_derivative_avx(g: &mut [f32], x: &[f32], y: &[f32], alpha: f32) {
+    use std::arch::x86_64::*;
+    let n = g.len();
+    let (zero, one, al) = (
+        _mm256_setzero_ps(),
+        _mm256_set1_ps(1.0),
+        _mm256_set1_ps(alpha),
+    );
+    let mut j = 0;
+    while j + 8 <= n {
+        // `_CMP_GT_OQ` is false on NaN, so a NaN `x` takes `y + alpha`.
+        let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_loadu_ps(x.as_ptr().add(j)), zero);
+        let neg = _mm256_add_ps(_mm256_loadu_ps(y.as_ptr().add(j)), al);
+        let d = _mm256_blendv_ps(neg, one, pos);
+        let gp = g.as_mut_ptr().add(j);
+        _mm256_storeu_ps(gp, _mm256_mul_ps(_mm256_loadu_ps(gp), d));
+        j += 8;
+    }
+    mul_elu_derivative_scalar(&mut g[j..], &x[j..], &y[j..], alpha);
 }
 
 /// In-place logistic sigmoid over a slice (see [`elu_inplace`] on the
@@ -822,7 +928,8 @@ unsafe fn gemm_row4_avx(
     let mut j = 0;
     // 16-wide j-tiles, four rows each: eight accumulators stay in
     // registers across the whole k loop, every `b` vector feeds four
-    // independent add chains. `c<row><half>` naming.
+    // independent add chains, and each coefficient is one broadcast load
+    // feeding two FMAs, with no branch. `c<row><half>` naming.
     while j + 16 <= n {
         let mut c00 = _mm256_loadu_ps(op.add(j));
         let mut c01 = _mm256_loadu_ps(op.add(j + 8));
@@ -837,30 +944,18 @@ unsafe fn gemm_row4_avx(
             let b0 = _mm256_loadu_ps(bp);
             let b1 = _mm256_loadu_ps(bp.add(8));
             let ak = ap.add(k * a_k_stride);
-            let a0 = *ak;
-            if a0 != 0.0 {
-                let av = _mm256_set1_ps(a0);
-                c00 = _mm256_fmadd_ps(av, b0, c00);
-                c01 = _mm256_fmadd_ps(av, b1, c01);
-            }
-            let a1 = *ak.add(a_row_step);
-            if a1 != 0.0 {
-                let av = _mm256_set1_ps(a1);
-                c10 = _mm256_fmadd_ps(av, b0, c10);
-                c11 = _mm256_fmadd_ps(av, b1, c11);
-            }
-            let a2 = *ak.add(2 * a_row_step);
-            if a2 != 0.0 {
-                let av = _mm256_set1_ps(a2);
-                c20 = _mm256_fmadd_ps(av, b0, c20);
-                c21 = _mm256_fmadd_ps(av, b1, c21);
-            }
-            let a3 = *ak.add(3 * a_row_step);
-            if a3 != 0.0 {
-                let av = _mm256_set1_ps(a3);
-                c30 = _mm256_fmadd_ps(av, b0, c30);
-                c31 = _mm256_fmadd_ps(av, b1, c31);
-            }
+            let a0 = _mm256_broadcast_ss(&*ak);
+            c00 = _mm256_fmadd_ps(a0, b0, c00);
+            c01 = _mm256_fmadd_ps(a0, b1, c01);
+            let a1 = _mm256_broadcast_ss(&*ak.add(a_row_step));
+            c10 = _mm256_fmadd_ps(a1, b0, c10);
+            c11 = _mm256_fmadd_ps(a1, b1, c11);
+            let a2 = _mm256_broadcast_ss(&*ak.add(2 * a_row_step));
+            c20 = _mm256_fmadd_ps(a2, b0, c20);
+            c21 = _mm256_fmadd_ps(a2, b1, c21);
+            let a3 = _mm256_broadcast_ss(&*ak.add(3 * a_row_step));
+            c30 = _mm256_fmadd_ps(a3, b0, c30);
+            c31 = _mm256_fmadd_ps(a3, b1, c31);
         }
         _mm256_storeu_ps(op.add(j), c00);
         _mm256_storeu_ps(op.add(j + 8), c01);
@@ -891,8 +986,8 @@ unsafe fn gemm_row4_avx(
 /// for a dead one. Lanes past `rem` are masked off: masked loads read them
 /// as zero without touching memory and masked stores leave them alone, so
 /// every live lane performs exactly the per-element FMA sequence of the
-/// full tiles (ascending `k`, zero coefficients skipped), with the
-/// accumulators in registers for the whole `k` loop.
+/// full tiles (ascending `k`, every coefficient fed, zero or not), with
+/// the accumulators in registers for the whole `k` loop.
 ///
 /// # Safety
 ///
@@ -935,13 +1030,10 @@ unsafe fn gemm_row4_masked<const WIDE: bool>(
         };
         let ak = ap.add(k * a_k_stride);
         for r in 0..4 {
-            let a = *ak.add(r * a_row_step);
-            if a != 0.0 {
-                let av = _mm256_set1_ps(a);
-                lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
-                if WIDE {
-                    hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
-                }
+            let av = _mm256_broadcast_ss(&*ak.add(r * a_row_step));
+            lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
+            if WIDE {
+                hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
             }
         }
     }
@@ -1320,6 +1412,125 @@ mod tests {
                             y.to_bits(),
                             "w={w} row_step={row_step} k_stride={k_stride} k={k_count} i={i}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_row4_paths_feed_zero_coefficients_alike() {
+        // Zero coefficients meet ±inf and NaN in `b`, and some outputs
+        // start at −0.0: the two inputs on which feeding a zero and
+        // skipping it differ. Widths 1..=40 cover the 16-wide tiles and
+        // both masked remainders, and the (row_step, k_stride) pairs the
+        // matmul and matmul_tn access patterns. The NaN in `b` has the bits
+        // of x86's default NaN (what `0 · inf` yields), so every NaN here
+        // is the same whichever FMA operand the hardware propagates.
+        let special = [f32::INFINITY, f32::NEG_INFINITY, -f32::NAN, 0.75, -1.25];
+        for w in 1usize..=40 {
+            for &(row_step, k_stride) in &[(7usize, 1usize), (1, 4)] {
+                for k_count in [1usize, 2, 7] {
+                    let a_len = 3 * row_step + (k_count - 1) * k_stride + 1;
+                    let a: Vec<f32> = (0..a_len)
+                        .map(|i| match i % 3 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => (i as f32) * 0.19 - 1.3,
+                        })
+                        .collect();
+                    let b: Vec<f32> = (0..(k_count - 1) * w + w)
+                        .map(|i| {
+                            if i % 4 == 1 {
+                                special[i / 4 % special.len()]
+                            } else {
+                                (i as f32) * 0.05 - 1.7
+                            }
+                        })
+                        .collect();
+                    let mut fast: Vec<f32> = (0..4 * w)
+                        .map(|i| if i % 2 == 0 { -0.0 } else { i as f32 * 0.02 })
+                        .collect();
+                    let mut slow = fast.clone();
+                    gemm_row4(&a, row_step, k_stride, k_count, &b, w, &mut fast);
+                    gemm_row4_scalar(&a, row_step, k_stride, k_count, &b, w, &mut slow);
+                    for (i, (x, y)) in fast.iter().zip(&slow).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "w={w} row_step={row_step} k_stride={k_stride} k={k_count} i={i}"
+                        );
+                    }
+                }
+            }
+        }
+        // The rule itself, on both paths: an all-zero coefficient column
+        // turns a −0.0 start into +0.0 and meets an infinity as NaN, where
+        // the skipping `gemm_row` leaves both outputs alone.
+        let b = [2.0, f32::INFINITY];
+        for dispatched in [true, false] {
+            let mut o = [-0.0_f32; 8];
+            if dispatched {
+                gemm_row4(&[0.0; 4], 1, 1, 1, &b, 2, &mut o);
+            } else {
+                gemm_row4_scalar(&[0.0; 4], 1, 1, 1, &b, 2, &mut o);
+            }
+            for row in o.chunks_exact(2) {
+                assert_eq!(row[0].to_bits(), 0.0_f32.to_bits(), "{dispatched}");
+                assert!(row[1].is_nan(), "{dispatched}");
+            }
+        }
+        let mut skipped = [-0.0_f32; 2];
+        gemm_row(&[0.0], 1, 1, &b, 2, &mut skipped);
+        assert!(skipped.iter().all(|x| x.to_bits() == (-0.0_f32).to_bits()));
+    }
+
+    #[test]
+    fn mul_elu_derivative_matches_the_per_element_derivative_bitwise() {
+        // Every length 0..=17 runs the eight-lane body, the scalar tail or
+        // both; the pre-activations cycle through ±0, subnormals, ±inf,
+        // NaN and ordinary values, so each lands in every lane position.
+        let pre_values = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            0.3,
+            -2.5,
+            f32::MIN_POSITIVE,
+        ];
+        for alpha in [1.0_f32, 0.5] {
+            for n in 0..=17usize {
+                let pre: Vec<f32> = (0..n)
+                    .map(|i| pre_values[(i + n) % pre_values.len()])
+                    .collect();
+                let post: Vec<f32> = pre
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| {
+                        if x.is_nan() {
+                            0.5
+                        } else {
+                            crate::activation::Activation::Elu(alpha).apply(x) + i as f32 * 1e-3
+                        }
+                    })
+                    .collect();
+                let grads: Vec<f32> = (0..n).map(|i| (i as f32 - 6.5) * 0.37).collect();
+                let mut fast = grads.clone();
+                mul_elu_derivative(&mut fast, &pre, &post, alpha);
+                let mut slow = grads.clone();
+                for ((g, &x), &y) in slow.iter_mut().zip(&pre).zip(&post) {
+                    *g *= crate::activation::Activation::Elu(alpha).derivative(x, y);
+                }
+                for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "alpha={alpha} n={n} i={i}");
+                    if pre[i].is_nan() {
+                        // NaN takes the `y + alpha` side, as the scalar `if`.
+                        assert_eq!(*a, grads[i] * (0.5 + alpha), "alpha={alpha} n={n} i={i}");
                     }
                 }
             }
