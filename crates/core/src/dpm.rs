@@ -14,8 +14,34 @@
 //! the next, integrating the reward over the whole (possibly busy) sojourn
 //! — equivalent to the per-case update under forced transitions, with fewer
 //! bookkeeping states.
+//!
+//! # Who trains the predictors, and when
+//!
+//! An arrival's inter-arrival time is checked, counted and normalized on
+//! the simulation thread (the accept step). Its learn step (one forward,
+//! BPTT and Adam step on the look-back window, then a window shift) is
+//! queued per server and run by one background worker thread owned by the
+//! manager, in arrival order. A server's predictor is read only at that
+//! server's decision epoch, so `on_idle` waits for that one server's queue
+//! before it reads the prediction, and learns the queue itself if the
+//! worker has not taken it yet (an arrival that finds its server's bounded
+//! queue full does the same); `on_run_begin`, `on_run_end`,
+//! [`RlPowerManager::set_learning`] and
+//! [`RlPowerManager::mean_predictor_mse`] wait for every queue. Each
+//! predictor sees the same observations in the same order as it would
+//! inline, so every decision is bit for bit the same.
+//!
+//! The worker exists only where the thread budget allows a second thread:
+//! the manager reads `rayon::current_num_threads()` at the first
+//! observation a predictor trains on, so a suite run with one thread
+//! (`SuiteRunner::serial()`, `--threads 1`), or a cell whose share of the
+//! suite's threads is one, trains inline and starts no thread. The worker
+//! starts at that observation and is joined on drop; the buffers it trains
+//! in are allocated on the simulation thread. Frozen predictors (learning
+//! off, or `online_training: false`) never wake it: their learn step is a
+//! window shift, run inline.
 
-use crate::predictor::{IatPredictor, LstmIatPredictor, PredictorConfig};
+use crate::predictor::{IatGate, LstmIatPredictor, PredictorConfig};
 use hierdrl_rl::discretize::Discretizer;
 use hierdrl_rl::policy::{EpsilonGreedy, EpsilonSchedule};
 use hierdrl_rl::qtable::QTable;
@@ -26,6 +52,17 @@ use hierdrl_sim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use trainer::Trainer;
+
+mod trainer;
+
+/// How many predictor training workers the RL power managers of this
+/// process have started so far; each is joined when its manager drops. A
+/// manager built under a one-thread budget, or whose predictors never
+/// train, starts none.
+pub fn training_workers_started() -> usize {
+    trainer::workers_started()
+}
 
 /// Configuration of the RL power manager.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,7 +149,9 @@ impl RlPowerConfig {
             ));
         }
         self.epsilon.validate()?;
-        Ok(())
+        self.predictor
+            .validate()
+            .map_err(|e| format!("predictor: {e}"))
     }
 }
 
@@ -155,10 +194,12 @@ struct PendingDpm {
     queue_integral: f64,
 }
 
-/// One server's power-management agent.
+/// One server's power-management agent. Its predictor's model lives in
+/// the manager's [`Trainer`].
 #[derive(Debug)]
 struct ServerAgent {
-    predictor: LstmIatPredictor,
+    /// The accept step of this server's predictor.
+    gate: IatGate,
     /// Index into the manager's table pool (the server's capacity class
     /// when learning is shared; the server index otherwise).
     table: usize,
@@ -208,11 +249,19 @@ fn capacity_classes(cluster: &hierdrl_sim::config::ClusterConfig) -> (Vec<usize>
 /// tables. [`RlPowerManager::for_cluster`] reads the capacity classes off
 /// the cluster, so on heterogeneous fleets big and little servers learn in
 /// separate pools.
+///
+/// The predictors train on one background worker thread when the thread
+/// budget where they first train (`rayon::current_num_threads()`) is at
+/// least two, and inline otherwise; a decision epoch waits only for its
+/// own server's backlog (see the [module docs](self)). Decisions are the
+/// same bits either way.
 #[derive(Debug)]
 pub struct RlPowerManager {
     config: RlPowerConfig,
     discretizer: Discretizer,
     agents: Vec<ServerAgent>,
+    /// The agents' predictor models, trained inline or on the worker.
+    trainer: Trainer,
     tables: Vec<QTable<u16>>,
     /// Representative capacity per class, in class order.
     class_capacities: Vec<Vec<f64>>,
@@ -244,23 +293,26 @@ impl RlPowerManager {
         let num_servers = cluster.effective_max();
         let discretizer =
             Discretizer::log_spaced(config.iat_range.0, config.iat_range.1, config.iat_bins);
-        let agents: Vec<ServerAgent> = (0..num_servers)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64 * 7919));
-                ServerAgent {
-                    predictor: LstmIatPredictor::new(config.predictor, &mut rng),
-                    table: if config.shared_learning {
-                        classes[i]
-                    } else {
-                        i
-                    },
-                    policy: EpsilonGreedy::new(config.epsilon),
-                    rng,
-                    pending: None,
-                    last_arrival: None,
-                }
-            })
-            .collect();
+        // One pass builds each server's agent and moves its model straight
+        // into the trainer.
+        let mut agents = Vec::with_capacity(num_servers);
+        let trainer = Trainer::new((0..num_servers).map(|i| {
+            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64 * 7919));
+            let (gate, model) = LstmIatPredictor::new(config.predictor, &mut rng).into_parts();
+            agents.push(ServerAgent {
+                gate,
+                table: if config.shared_learning {
+                    classes[i]
+                } else {
+                    i
+                },
+                policy: EpsilonGreedy::new(config.epsilon),
+                rng,
+                pending: None,
+                last_arrival: None,
+            });
+            model
+        }));
         let table_count = if config.shared_learning {
             class_capacities.len()
         } else {
@@ -273,6 +325,7 @@ impl RlPowerManager {
             config,
             discretizer,
             agents,
+            trainer,
             tables,
             class_capacities,
             learning: true,
@@ -356,10 +409,10 @@ impl RlPowerManager {
     /// concept-drift sweeps compare against.
     pub fn set_learning(&mut self, on: bool) {
         self.learning = on;
-        let predictor_training = on && self.config.predictor.online_training;
-        for agent in &mut self.agents {
-            agent.predictor.set_online_training(predictor_training);
-            if !on {
+        self.trainer
+            .set_online_training(on && self.config.predictor.online_training);
+        if !on {
+            for agent in &mut self.agents {
                 agent.pending = None;
             }
         }
@@ -368,34 +421,33 @@ impl RlPowerManager {
     /// Total observations the per-server predictors rejected as carrying
     /// no inter-arrival information (NaN/non-positive). Non-zero means a
     /// driver fabricated an interval — e.g. a last-arrival mark surviving
-    /// a segment boundary.
+    /// a segment boundary. Counted at arrival, so exact at every moment.
     pub fn rejected_observations(&self) -> u64 {
-        self.agents
-            .iter()
-            .map(|a| a.predictor.rejected_observations())
-            .sum()
+        self.agents.iter().map(|a| a.gate.rejected()).sum()
     }
 
     /// Total (accepted) observations consumed by the per-server
-    /// predictors.
+    /// predictors. Counted at arrival, so exact at every moment.
     pub fn predictor_observations(&self) -> u64 {
-        self.agents.iter().map(|a| a.predictor.observations()).sum()
+        self.agents.iter().map(|a| a.gate.observations()).sum()
     }
 
     /// Mean one-step prediction MSE (normalized space) across servers whose
-    /// predictors have scored at least one prediction.
+    /// predictors have scored at least one prediction. Waits for every
+    /// queued observation to be learned first.
     pub fn mean_predictor_mse(&self) -> Option<f64> {
-        let scores: Vec<f64> = self
-            .agents
-            .iter()
-            .filter_map(|a| a.predictor.normalized_mse())
+        let scores: Vec<f64> = (0..self.agents.len())
+            .filter_map(|s| self.trainer.wait_for(s).normalized_mse())
             .collect();
         (!scores.is_empty()).then(|| scores.iter().sum::<f64>() / scores.len() as f64)
     }
 
-    fn state_for(&self, agent: &ServerAgent) -> u16 {
-        let predicted = agent.predictor.predict().unwrap_or(self.config.iat_range.1);
-        self.discretizer.bin(predicted) as u16
+    /// The RL state of `server`: its predicted next inter-arrival time,
+    /// binned, once every observation queued for it is learned.
+    fn state_for(&self, server: ServerId) -> u16 {
+        let predicted = self.trainer.wait_for(server.0).predict();
+        self.discretizer
+            .bin(predicted.unwrap_or(self.config.iat_range.1)) as u16
     }
 }
 
@@ -436,7 +488,7 @@ impl PowerManager for RlPowerManager {
         let weight = self.config.weight;
         let smdp = self.config.smdp;
 
-        let state = self.state_for(&self.agents[server.0]);
+        let state = self.state_for(server);
         let table = self.agents[server.0].table;
         if !self.learning {
             // Frozen (the no-continued-training ablation): pure greedy
@@ -488,10 +540,13 @@ impl PowerManager for RlPowerManager {
     fn on_job_arrival(&mut self, server: ServerId, _view: &ClusterView<'_>, now: SimTime) {
         self.stats.arrivals_observed += 1;
         let agent = &mut self.agents[server.0];
-        if let Some(last) = agent.last_arrival {
-            agent.predictor.observe(now.since(last));
-        }
+        let accepted = agent
+            .last_arrival
+            .and_then(|last| agent.gate.accept(now.since(last)));
         agent.last_arrival = Some(now);
+        if let Some(z) = accepted {
+            self.trainer.learn(server.0, z);
+        }
     }
 
     fn on_run_begin(&mut self) {
@@ -504,7 +559,9 @@ impl PowerManager for RlPowerManager {
         // and a stale pending transition would integrate a reward over a
         // nonsensical sojourn. `on_run_end` clears the same state, but the
         // *start* hook is the guarantee: it holds even if the previous run
-        // was driven by a harness that never finished it.
+        // was driven by a harness that never finished it. The predictors
+        // settle first, so that no learn step spans two runs either.
+        self.trainer.drain();
         for agent in &mut self.agents {
             agent.pending = None;
             agent.last_arrival = None;
@@ -514,7 +571,9 @@ impl PowerManager for RlPowerManager {
     fn on_run_end(&mut self, _view: &ClusterView<'_>) {
         // A later run (e.g. the next pre-training segment) restarts the
         // clock at zero: the final pending transition has no successor
-        // epoch, and an inter-arrival gap must never span two runs.
+        // epoch, and an inter-arrival gap must never span two runs. The
+        // run ends when its last observation is learned.
+        self.trainer.drain();
         for agent in &mut self.agents {
             agent.pending = None;
             agent.last_arrival = None;
@@ -655,9 +714,11 @@ mod tests {
         }
         let mut cluster = Cluster::new(ClusterConfig::paper(3), bursty_jobs(60)).unwrap();
         cluster.run(&mut ToZero, &mut mgr, RunLimit::unbounded());
-        assert!(mgr.agents[0].predictor.observations() > 0);
-        assert_eq!(mgr.agents[1].predictor.observations(), 0);
-        assert_eq!(mgr.agents[2].predictor.observations(), 0);
+        assert!(mgr.agents[0].gate.observations() > 0);
+        assert_eq!(mgr.agents[1].gate.observations(), 0);
+        assert_eq!(mgr.agents[2].gate.observations(), 0);
+        assert!(mgr.trainer.wait_for(0).training_steps() > 0);
+        assert_eq!(mgr.trainer.wait_for(1).training_steps(), 0);
     }
 
     #[test]
@@ -847,11 +908,12 @@ mod tests {
         );
         let (updates, decisions) = (mgr.stats().updates, mgr.stats().decisions);
         assert!(updates > 0);
-        let trained_steps: u64 = mgr
-            .agents
-            .iter()
-            .map(|a| a.predictor.training_steps())
-            .sum();
+        let training_steps = |mgr: &RlPowerManager| {
+            (0..2)
+                .map(|s| mgr.trainer.wait_for(s).training_steps())
+                .sum()
+        };
+        let trained_steps: u64 = training_steps(&mgr);
 
         mgr.set_learning(false);
         let mut cluster = Cluster::new(ClusterConfig::paper(2), jobs).unwrap();
@@ -864,10 +926,7 @@ mod tests {
         assert_eq!(mgr.stats().updates, updates, "no Q updates while frozen");
         assert!(mgr.stats().decisions > decisions, "decisions keep flowing");
         assert_eq!(
-            mgr.agents
-                .iter()
-                .map(|a| a.predictor.training_steps())
-                .sum::<u64>(),
+            training_steps(&mgr),
             trained_steps,
             "predictor weights frozen too"
         );
@@ -886,5 +945,190 @@ mod tests {
         let mut c = fast_config();
         c.iat_bins = 1;
         assert!(c.validate().is_err());
+
+        // Every predictor setting that `LstmIatPredictor::new` or
+        // `Adam::new` would assert on fails validation by name instead.
+        let predictor_error = |edit: fn(&mut PredictorConfig)| {
+            let mut c = fast_config();
+            edit(&mut c.predictor);
+            c.validate().expect_err("invalid predictor config")
+        };
+        assert_eq!(
+            predictor_error(|p| p.lookback = 1),
+            "predictor: lookback must be at least 2, got 1"
+        );
+        assert!(predictor_error(|p| p.hidden = 0).contains("hidden unit"));
+        for lr in [0.0, -1e-3, f32::NAN] {
+            let mut c = fast_config();
+            c.predictor.learning_rate = lr;
+            assert!(c.validate().unwrap_err().contains("learning rate"));
+        }
+        assert!(predictor_error(|p| p.min_iat = p.max_iat).contains("min_iat"));
+    }
+
+    /// Arrivals over three servers (job `i` on server `i % 3`): 200 long
+    /// jobs a second apart keep every server busy (no epoch, so backlogs
+    /// build up), then bursts with quiet gaps (epochs). Four jobs share
+    /// one instant, so server 0 sees a zero gap, which its predictor
+    /// rejects.
+    fn three_server_schedule() -> Vec<Job> {
+        let mut jobs = Vec::new();
+        let mut t = 0.0;
+        for i in 0..400u64 {
+            t += match i {
+                0..=199 => 1.0,
+                201..=203 => 0.0,
+                _ if i % 9 == 0 => 700.0,
+                _ => 15.0,
+            };
+            let duration = if i < 200 { 300.0 } else { 40.0 };
+            jobs.push(Job::new(
+                JobId(i),
+                SimTime::from_secs(t),
+                duration,
+                ResourceVec::cpu_mem_disk(0.05, 0.05, 0.05),
+            ));
+        }
+        jobs
+    }
+
+    /// Places job `i` on server `i % 3`.
+    struct ByJobId;
+    impl hierdrl_sim::cluster::Allocator for ByJobId {
+        fn select(&mut self, job: &Job, _view: &ClusterView<'_>) -> ServerId {
+            ServerId(job.id.0 as usize % 3)
+        }
+    }
+
+    /// Forwards to the manager and records every timeout decision.
+    struct Recorder<'a>(&'a mut RlPowerManager, Vec<TimeoutDecision>);
+    impl PowerManager for Recorder<'_> {
+        fn on_idle(
+            &mut self,
+            server: ServerId,
+            view: &ClusterView<'_>,
+            now: SimTime,
+        ) -> TimeoutDecision {
+            let decision = self.0.on_idle(server, view, now);
+            self.1.push(decision);
+            decision
+        }
+        fn on_job_arrival(&mut self, server: ServerId, view: &ClusterView<'_>, now: SimTime) {
+            self.0.on_job_arrival(server, view, now);
+        }
+        fn on_run_begin(&mut self) {
+            self.0.on_run_begin();
+        }
+        fn on_run_end(&mut self, view: &ClusterView<'_>) {
+            self.0.on_run_end(view);
+        }
+    }
+
+    /// Drives `three_server_schedule` three times through a manager built
+    /// under a `threads`-thread budget: learning, frozen, learning again.
+    /// Returns everything observable: the decisions, Q-tables, accessors
+    /// and each server's next prediction, plus whether a worker started.
+    fn drive(threads: usize) -> (String, bool) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(drive_here)
+    }
+
+    /// [`drive`] under this thread's budget.
+    fn drive_here() -> (String, bool) {
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(3), fast_config());
+        let mut decisions = Vec::new();
+        for learning in [true, false, true] {
+            mgr.set_learning(learning);
+            let mut cluster =
+                Cluster::new(ClusterConfig::paper(3), three_server_schedule()).unwrap();
+            let mut recorder = Recorder(&mut mgr, Vec::new());
+            cluster.run(&mut ByJobId, &mut recorder, RunLimit::unbounded());
+            decisions.push(recorder.1);
+        }
+        let predictions: Vec<Option<u64>> = (0..3)
+            .map(|s| mgr.trainer.wait_for(s).predict().map(f64::to_bits))
+            .collect();
+        let observed = format!(
+            "{decisions:?}\n{:?}\n{} {} {:?}\n{predictions:?}\n{:?}",
+            mgr.tables,
+            mgr.predictor_observations(),
+            mgr.rejected_observations(),
+            mgr.mean_predictor_mse().map(f64::to_bits),
+            mgr.stats(),
+        );
+        (observed, mgr.trainer.has_worker())
+    }
+
+    #[test]
+    fn background_training_matches_inline_training_bit_for_bit() {
+        let (threaded, worker) = drive(2);
+        let (inline, no_worker) = drive(1);
+        assert!(worker, "a 2-thread budget trains on a worker");
+        assert!(!no_worker, "a 1-thread budget trains inline");
+        assert_eq!(threaded, inline);
+        // The schedule exercised what it is meant to.
+        assert!(threaded.contains("SleepNow") || threaded.contains("After"));
+        let mgr_counts = threaded.lines().nth(2).unwrap().to_owned();
+        assert!(mgr_counts.starts_with("1188 3 Some("), "{mgr_counts}");
+    }
+
+    #[test]
+    fn the_worker_starts_at_the_first_training_observation() {
+        // `n` jobs, all on server 0: `n - 1` observations.
+        let run = |mgr: &mut RlPowerManager, n: u64| {
+            let jobs = (0..n)
+                .map(|i| {
+                    let at = SimTime::from_secs(100.0 * i as f64);
+                    let demand = ResourceVec::cpu_mem_disk(0.1, 0.1, 0.1);
+                    Job::new(JobId(3 * i), at, 10.0, demand)
+                })
+                .collect();
+            let mut cluster = Cluster::new(ClusterConfig::paper(3), jobs).unwrap();
+            cluster.run(&mut ByJobId, mgr, RunLimit::unbounded());
+        };
+        let pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+        };
+        let build = || RlPowerManager::for_cluster(&ClusterConfig::paper(3), fast_config());
+        let lookback = fast_config().predictor.lookback as u64;
+        pool(2).install(|| {
+            let mut mgr = build();
+            assert!(!mgr.trainer.has_worker(), "not when the manager is built");
+            run(&mut mgr, lookback + 1);
+            assert_eq!(mgr.predictor_observations(), lookback);
+            assert!(!mgr.trainer.has_worker(), "not while the window fills");
+            run(&mut mgr, 2);
+            assert!(
+                mgr.trainer.has_worker(),
+                "at the first training observation"
+            );
+            assert_eq!(mgr.trainer.wait_for(0).training_steps(), 1);
+
+            // Frozen predictors never start one.
+            let mut frozen = build();
+            frozen.set_learning(false);
+            run(&mut frozen, 100);
+            assert!(!frozen.trainer.has_worker());
+            assert_eq!(frozen.trainer.wait_for(0).training_steps(), 0);
+        });
+        // Nor does a one-thread budget.
+        pool(1).install(|| {
+            let mut inline = build();
+            run(&mut inline, 100);
+            assert!(!inline.trainer.has_worker());
+            assert_eq!(inline.trainer.wait_for(0).training_steps(), 99 - lookback);
+        });
+    }
+
+    #[test]
+    fn manager_is_send() {
+        fn send<T: Send>() {}
+        send::<RlPowerManager>();
     }
 }

@@ -58,12 +58,67 @@ impl Default for PredictorConfig {
     }
 }
 
+impl PredictorConfig {
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.lookback < 2 {
+            return Err(format!(
+                "lookback must be at least 2, got {}",
+                self.lookback
+            ));
+        }
+        if self.hidden == 0 {
+            return Err("need at least one hidden unit".into());
+        }
+        if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
+            return Err(format!(
+                "learning rate must be finite and positive, got {}",
+                self.learning_rate
+            ));
+        }
+        if !(self.min_iat > 0.0 && self.min_iat < self.max_iat && self.max_iat.is_finite()) {
+            return Err(format!(
+                "need 0 < min_iat < max_iat < inf, got ({}, {})",
+                self.min_iat, self.max_iat
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Online LSTM predictor of inter-arrival times.
 ///
 /// Inter-arrival times are log-normalized to `[0, 1]` (they span orders of
-/// magnitude), predicted in that space, and mapped back.
+/// magnitude), predicted in that space, and mapped back. An observation is
+/// two steps: an accept step checks, counts and normalizes it, and a learn
+/// step trains on the window and shifts it. The RL power manager runs the
+/// two on different threads; [`IatPredictor::observe`] runs them in
+/// sequence.
 #[derive(Debug)]
 pub struct LstmIatPredictor {
+    gate: IatGate,
+    model: IatModel,
+}
+
+/// The accept step of an observation: the validity check, the counters,
+/// and normalization to `f32`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IatGate {
+    /// The normalization's clamp range, seconds.
+    min_iat: f64,
+    max_iat: f64,
+    observations: u64,
+    rejected: u64,
+}
+
+/// The learn step of an observation and everything it touches: the LSTM,
+/// its optimizer, the look-back window, and the prediction-error score.
+#[derive(Debug)]
+pub(crate) struct IatModel {
     config: PredictorConfig,
     lstm: LstmNetwork,
     adam: Adam,
@@ -76,15 +131,13 @@ pub struct LstmIatPredictor {
     /// observation.
     target: Matrix,
     grad: Matrix,
-    observations: u64,
-    rejected: u64,
     training_steps: u64,
     sq_err_sum: f64,
     err_count: u64,
-    /// Memoized [`IatPredictor::predict`] output: the prediction is a pure
+    /// Memoized [`IatModel::predict`] output: the prediction is a pure
     /// function of the window and weights, both of which only change in
-    /// `observe`, so repeated reads between observations (every power
-    /// decision epoch asks) skip the 35-step LSTM sweep.
+    /// `learn`, so repeated reads between observations (every power
+    /// decision epoch asks) skip the look-back sweep.
     cached_prediction: std::cell::Cell<Option<f64>>,
 }
 
@@ -93,29 +146,33 @@ impl LstmIatPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid (see
+    /// [`PredictorConfig::validate`]).
     pub fn new(config: PredictorConfig, rng: &mut impl Rng) -> Self {
-        assert!(config.lookback >= 2, "lookback must be at least 2");
-        assert!(config.hidden >= 1, "need at least one hidden unit");
-        assert!(
-            config.min_iat > 0.0 && config.min_iat < config.max_iat,
-            "need 0 < min_iat < max_iat"
-        );
-        let lstm = LstmNetwork::new(1, 1, config.hidden, 1, rng);
+        if let Err(e) = config.validate() {
+            panic!("invalid predictor config: {e}");
+        }
+        let c = &config;
         Self {
-            adam: Adam::new(config.learning_rate),
-            lstm,
-            window: Matrix::zeros(config.lookback, 1),
-            filled: 0,
-            target: Matrix::zeros(1, 1),
-            grad: Matrix::zeros(1, 1),
-            observations: 0,
-            rejected: 0,
-            training_steps: 0,
-            sq_err_sum: 0.0,
-            err_count: 0,
-            cached_prediction: std::cell::Cell::new(None),
-            config,
+            gate: IatGate {
+                min_iat: c.min_iat,
+                max_iat: c.max_iat,
+                observations: 0,
+                rejected: 0,
+            },
+            model: IatModel {
+                lstm: LstmNetwork::new(1, 1, c.hidden, 1, rng),
+                adam: Adam::new(c.learning_rate),
+                window: Matrix::zeros(c.lookback, 1),
+                filled: 0,
+                target: Matrix::zeros(1, 1),
+                grad: Matrix::zeros(1, 1),
+                training_steps: 0,
+                sq_err_sum: 0.0,
+                err_count: 0,
+                cached_prediction: std::cell::Cell::new(None),
+                config,
+            },
         }
     }
 
@@ -124,14 +181,20 @@ impl LstmIatPredictor {
         Self::new(PredictorConfig::default(), rng)
     }
 
+    /// The accept and learn halves, for a caller that runs them on
+    /// different threads.
+    pub(crate) fn into_parts(self) -> (IatGate, IatModel) {
+        (self.gate, self.model)
+    }
+
     /// The configuration.
     pub fn config(&self) -> &PredictorConfig {
-        &self.config
+        &self.model.config
     }
 
     /// Observations consumed so far.
     pub fn observations(&self) -> u64 {
-        self.observations
+        self.gate.observations
     }
 
     /// Observations rejected as carrying no inter-arrival information
@@ -139,42 +202,32 @@ impl LstmIatPredictor {
     /// simulator driver indicates a time-bookkeeping bug upstream — e.g.
     /// a last-arrival mark leaking across a segment boundary.
     pub fn rejected_observations(&self) -> u64 {
-        self.rejected
+        self.gate.rejected
     }
 
     /// Online training steps performed.
     pub fn training_steps(&self) -> u64 {
-        self.training_steps
+        self.model.training_steps()
     }
 
     /// Enables or disables online training (weights freeze while off; the
     /// look-back window keeps tracking observations so predictions stay
     /// current).
     pub fn set_online_training(&mut self, on: bool) {
-        self.config.online_training = on;
+        self.model.set_online_training(on);
     }
 
     /// Running mean squared one-step prediction error in *normalized*
     /// space, or `None` if no prediction has been scored yet.
     pub fn normalized_mse(&self) -> Option<f64> {
-        (self.err_count > 0).then(|| self.sq_err_sum / self.err_count as f64)
-    }
-
-    fn normalize(&self, iat: f64) -> f32 {
-        let c = &self.config;
-        let clamped = iat.clamp(c.min_iat, c.max_iat);
-        ((clamped.ln() - c.min_iat.ln()) / (c.max_iat.ln() - c.min_iat.ln())) as f32
-    }
-
-    fn denormalize(&self, z: f32) -> f64 {
-        let c = &self.config;
-        let z = f64::from(z).clamp(0.0, 1.0);
-        (c.min_iat.ln() + z * (c.max_iat.ln() - c.min_iat.ln())).exp()
+        self.model.normalized_mse()
     }
 }
 
-impl IatPredictor for LstmIatPredictor {
-    fn observe(&mut self, iat: f64) {
+impl IatGate {
+    /// Checks and counts `iat`, returning its normalized value to learn
+    /// from, or `None` if it is rejected.
+    pub(crate) fn accept(&mut self, iat: f64) -> Option<f32> {
         // A NaN here would sail through `clamp` (which returns NaN for NaN
         // input) into the window and then the weights, silently poisoning
         // every later prediction; a non-positive gap is physically
@@ -184,12 +237,39 @@ impl IatPredictor for LstmIatPredictor {
         // `queue_scale > 0` guard.
         if !(iat.is_finite() && iat > 0.0) {
             self.rejected += 1;
-            return;
+            return None;
         }
         self.observations += 1;
-        let z = self.normalize(iat);
-        // The current window predicts this observation: train on it.
-        if self.filled == self.config.lookback && self.config.online_training {
+        let (min, max) = (self.min_iat, self.max_iat);
+        let clamped = iat.clamp(min, max);
+        Some(((clamped.ln() - min.ln()) / (max.ln() - min.ln())) as f32)
+    }
+
+    /// Observations accepted so far.
+    pub(crate) fn observations(&self) -> u64 {
+        self.observations
+    }
+
+    /// Observations rejected so far.
+    pub(crate) fn rejected(&self) -> u64 {
+        self.rejected
+    }
+}
+
+impl IatModel {
+    /// The learn step of an accepted observation `z` (normalized, in
+    /// `[0, 1]`): the current window predicts it, so train on it when
+    /// online training is on and the window is full; then shift it in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` is not a normalized observation.
+    pub(crate) fn learn(&mut self, z: f32) {
+        assert!(
+            (0.0..=1.0).contains(&z),
+            "learn step needs a normalized observation, got {z}"
+        );
+        if self.trains_next() {
             self.target.as_mut_slice()[0] = z;
             self.lstm.zero_grad();
             let pred = self.lstm.forward_seq(&self.window);
@@ -212,7 +292,36 @@ impl IatPredictor for LstmIatPredictor {
         self.cached_prediction.set(None);
     }
 
-    fn predict(&self) -> Option<f64> {
+    /// Whether the next learn step trains, rather than only shifting the
+    /// window in: online training is on and the window is full.
+    pub(crate) fn trains_next(&self) -> bool {
+        self.config.online_training && self.filled == self.config.lookback
+    }
+
+    /// Allocates every buffer a training learn step uses, so that later
+    /// learn steps allocate nothing. Shape-only: no result changes.
+    pub(crate) fn reserve_training(&mut self) {
+        self.lstm.reserve_training(self.config.lookback);
+        self.adam.reserve(&mut self.lstm);
+    }
+
+    /// See [`LstmIatPredictor::set_online_training`].
+    pub(crate) fn set_online_training(&mut self, on: bool) {
+        self.config.online_training = on;
+    }
+
+    /// Online training steps performed.
+    pub(crate) fn training_steps(&self) -> u64 {
+        self.training_steps
+    }
+
+    /// See [`LstmIatPredictor::normalized_mse`].
+    pub(crate) fn normalized_mse(&self) -> Option<f64> {
+        (self.err_count > 0).then(|| self.sq_err_sum / self.err_count as f64)
+    }
+
+    /// See [`IatPredictor::predict`].
+    pub(crate) fn predict(&self) -> Option<f64> {
         if self.filled < self.config.lookback {
             return None;
         }
@@ -220,9 +329,23 @@ impl IatPredictor for LstmIatPredictor {
             return Some(cached);
         }
         let z = self.lstm.infer_seq(&self.window).as_slice()[0];
-        let prediction = self.denormalize(z);
+        let c = &self.config;
+        let z = f64::from(z).clamp(0.0, 1.0);
+        let prediction = (c.min_iat.ln() + z * (c.max_iat.ln() - c.min_iat.ln())).exp();
         self.cached_prediction.set(Some(prediction));
         Some(prediction)
+    }
+}
+
+impl IatPredictor for LstmIatPredictor {
+    fn observe(&mut self, iat: f64) {
+        if let Some(z) = self.gate.accept(iat) {
+            self.model.learn(z);
+        }
+    }
+
+    fn predict(&self) -> Option<f64> {
+        self.model.predict()
     }
 }
 
@@ -442,7 +565,7 @@ mod tests {
         for _ in 0..20 {
             p.observe(120.0);
         }
-        let weights_before = format!("{:?}", p.lstm);
+        let weights_before = format!("{:?}", p.model.lstm);
         let (obs, steps) = (p.observations(), p.training_steps());
 
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -42.0] {
@@ -452,7 +575,7 @@ mod tests {
         assert_eq!(p.observations(), obs, "rejected values must not count");
         assert_eq!(p.training_steps(), steps, "rejected values must not train");
         assert_eq!(
-            format!("{:?}", p.lstm),
+            format!("{:?}", p.model.lstm),
             weights_before,
             "rejected values must not touch the weights"
         );

@@ -890,6 +890,29 @@ impl BuiltPower {
     }
 }
 
+/// Checks every RL local-tier configuration a unit's policy carries (a
+/// declared `PowerKind::Rl`, or the hierarchical local tier), so that an
+/// invalid one fails its cell by name before anything is built or
+/// pre-trained, instead of panicking in `RlPowerManager::for_cluster`.
+fn validate_rl_configs(scenario: &Scenario, seeds: &LearnerSeeds) -> Result<(), String> {
+    let declared = match &scenario.policy {
+        PolicySpec::Static {
+            power: PowerKind::Rl(config),
+            ..
+        }
+        | PolicySpec::Drl {
+            power: PowerKind::Rl(config),
+            ..
+        } => Some(config),
+        _ => None,
+    };
+    declared
+        .into_iter()
+        .chain(&seeds.dpm)
+        .try_for_each(RlPowerConfig::validate)
+        .map_err(|e| format!("invalid RL power config: {e}"))
+}
+
 /// Builds one execution unit's control planes, pre-training learned tiers
 /// first (memoized). Shared by the single-cluster path and every shard of
 /// a multi-cluster cell.
@@ -899,6 +922,7 @@ fn build_policy(
     cluster: &ClusterConfig,
     seeds: &LearnerSeeds,
 ) -> Result<(BuiltAllocator, BuiltPower), String> {
+    validate_rl_configs(scenario, seeds)?;
     let pretrained = |budget: &Pretrain, co_dpm: &Option<RlPowerConfig>| {
         let segments = budget.segment_specs(
             cluster.num_servers,

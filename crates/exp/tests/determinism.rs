@@ -2,26 +2,34 @@
 //! execution byte-for-byte, and per-cell seeds must be independent.
 
 use hierdrl_core::allocator::DrlAllocatorConfig;
+use hierdrl_core::dpm::{training_workers_started, RlPowerConfig};
 use hierdrl_exp::prelude::*;
 use hierdrl_exp::scenario::Pretrain;
 
+/// A cheap global-tier configuration so learned-policy cells stay fast in
+/// debug builds.
+fn quick_config() -> DrlAllocatorConfig {
+    DrlAllocatorConfig {
+        warmup_decisions: 20,
+        ae_pretrain_samples: 50,
+        ae_epochs: 2,
+        minibatch: 8,
+        train_interval: 8,
+        ..Default::default()
+    }
+}
+
+/// A cheap pre-training budget.
+fn quick_pretrain() -> Pretrain {
+    Pretrain {
+        segments: 1,
+        fraction: 0.5,
+    }
+}
+
 /// A cheap DRL variant so learned-policy cells stay fast in debug builds.
 fn quick_drl() -> PolicySpec {
-    PolicySpec::drl_variant(
-        "drl-quick",
-        DrlAllocatorConfig {
-            warmup_decisions: 20,
-            ae_pretrain_samples: 50,
-            ae_epochs: 2,
-            minibatch: 8,
-            train_interval: 8,
-            ..Default::default()
-        },
-        Pretrain {
-            segments: 1,
-            fraction: 0.5,
-        },
-    )
+    PolicySpec::drl_variant("drl-quick", quick_config(), quick_pretrain())
 }
 
 /// A small Table-I-style grid: cluster sizes × the baseline systems plus a
@@ -141,4 +149,41 @@ fn learned_cells_restore_identical_pretraining_across_thread_counts() {
         "pre-training must be schedule-independent"
     );
     assert!(stats_a.decisions > 0);
+}
+
+#[test]
+fn rl_local_tier_reports_are_byte_identical_across_thread_budgets() {
+    // A one-cell suite on two threads leaves the cell a spare thread, so
+    // its RL local tier trains its predictors on a worker; serially it
+    // trains them inline. Both must report the same bytes.
+    let rl_dpm = PolicySpec::static_pair(
+        "rr+rl-dpm",
+        AllocatorKind::RoundRobin,
+        PowerKind::Rl(RlPowerConfig::default()),
+    );
+    let hierarchical = PolicySpec::hierarchical_variant(0.5, quick_config(), quick_pretrain());
+    for policy in [rl_dpm, hierarchical] {
+        let suite = Suite::builder("local-tier-threads")
+            .topologies([Topology::paper(4)])
+            .workloads([WorkloadSpec::paper().with_total_jobs(300)])
+            .policies([policy])
+            .seeds([11])
+            .build();
+        let serial = SuiteRunner::serial().run(&suite).expect("serial run");
+        let workers = training_workers_started();
+        let threaded = SuiteRunner::new()
+            .with_threads(2)
+            .run(&suite)
+            .expect("2-thread run");
+        assert!(
+            training_workers_started() > workers,
+            "the 2-thread run trains on a worker"
+        );
+        assert_eq!(
+            serial.report().to_json(),
+            threaded.report().to_json(),
+            "{}: inline and background training must report the same bytes",
+            suite.scenarios[0].id
+        );
+    }
 }

@@ -307,6 +307,29 @@ impl Dense {
         self.spare.push(cache);
     }
 
+    /// Sizes the workspace path's buffers for one `rows`-row forward call
+    /// and its backward call (`input_grad`: [`Dense::backward_ws`], else
+    /// [`Dense::backward_params_only_ws`]) without computing anything, so
+    /// that the first such pair allocates nothing. Every buffer is
+    /// overwritten before it is read, so no result changes.
+    pub(crate) fn reserve_ws(&mut self, rows: usize, input_grad: bool) {
+        let (inputs, outputs) = (self.input_size(), self.output_size());
+        if self.spare.is_empty() {
+            let mut cache = DenseCache::default();
+            cache.input.resize_to(rows, inputs);
+            cache.pre.resize_to(rows, outputs);
+            cache.post.resize_to(rows, outputs);
+            self.spare.push(cache);
+        }
+        self.cache.reserve(self.spare.len());
+        self.ws.dz.resize_to(rows, outputs);
+        self.ws.rowsum.resize_to(1, outputs);
+        if input_grad {
+            self.ws.w_t.resize_to(outputs, inputs);
+            self.ws.dx.resize_to(rows, inputs);
+        }
+    }
+
     /// Number of pending (cached, not yet back-propagated) forward calls.
     pub fn pending_backwards(&self) -> usize {
         self.cache.len()

@@ -477,6 +477,27 @@ impl LstmCell {
         self.cache.clear();
         self.sweep.steps = 0;
     }
+
+    /// Sizes the flat per-sweep buffers for a `steps`-step
+    /// [`LstmCell::forward_sequence`] and its [`LstmCell::backward_sequence`]
+    /// without computing anything. Every buffer is overwritten before it is
+    /// read, so no result changes.
+    fn reserve_sequence(&mut self, steps: usize) {
+        let (iw, hw) = (self.input_size, self.hidden_size);
+        let s = &mut self.sweep;
+        s.z.shape_for_overwrite(steps, iw + hw);
+        s.gates.shape_for_overwrite(steps, 4 * hw);
+        s.c_prev.shape_for_overwrite(steps, hw);
+        s.tanh_c.shape_for_overwrite(steps, hw);
+        s.da.shape_for_overwrite(steps, 4 * hw);
+        s.w_t.shape_for_overwrite(4 * hw, iw + hw);
+        s.state.h.shape_for_overwrite(1, hw);
+        s.state.c.shape_for_overwrite(1, hw);
+        for v in [&mut s.dh, &mut s.dc, &mut s.dc_next] {
+            v.reserve(hw);
+        }
+        s.dz.reserve(iw + hw);
+    }
 }
 
 impl Trainable for LstmCell {
@@ -657,6 +678,19 @@ impl LstmNetwork {
             dc = dc_prev;
         }
         self.input_layer.backward_params_only(&dproj);
+    }
+
+    /// Allocates every buffer a training step on `steps`-step sequences
+    /// uses ([`LstmNetwork::forward_seq`] and [`LstmNetwork::backward_seq`])
+    /// without computing anything, so that later steps allocate nothing: a
+    /// caller can size them on one thread and train on another. Shape-only:
+    /// no weight, gradient or later result changes.
+    pub fn reserve_training(&mut self, steps: usize) {
+        self.input_layer.reserve_ws(steps, false);
+        self.cell.reserve_sequence(steps);
+        self.output_layer.reserve_ws(1, true);
+        self.dproj
+            .shape_for_overwrite(steps, self.input_layer.output_size());
     }
 
     /// Drops cached forward state in all layers.

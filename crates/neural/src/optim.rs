@@ -74,6 +74,27 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
+
+    /// Allocates the zeroed moments of every parameter of `net` now
+    /// instead of at the first [`Optimizer::step`], so that a caller can
+    /// size them on one thread and step on another. Shape-only: the
+    /// moments start at zero either way.
+    pub fn reserve(&mut self, net: &mut dyn Trainable) {
+        let (m, v) = (&mut self.m, &mut self.v);
+        let mut idx = 0;
+        net.visit_params(&mut |p, _| {
+            push_moments(m, v, idx, p);
+            idx += 1;
+        });
+    }
+}
+
+/// Gives parameter `idx` (`p`) its zeroed moments if it has none yet.
+fn push_moments(m: &mut Vec<Matrix>, v: &mut Vec<Matrix>, idx: usize, p: &Matrix) {
+    if m.len() <= idx {
+        m.push(Matrix::zeros(p.rows(), p.cols()));
+        v.push(Matrix::zeros(p.rows(), p.cols()));
+    }
 }
 
 impl Optimizer for Adam {
@@ -85,10 +106,7 @@ impl Optimizer for Adam {
         let (m, v) = (&mut self.m, &mut self.v);
         let mut idx = 0;
         net.visit_params(&mut |p, g| {
-            if m.len() <= idx {
-                m.push(Matrix::zeros(p.rows(), p.cols()));
-                v.push(Matrix::zeros(p.rows(), p.cols()));
-            }
+            push_moments(m, v, idx, p);
             let (mi, vi) = (&mut m[idx], &mut v[idx]);
             assert_eq!(
                 mi.shape(),

@@ -5,25 +5,35 @@
 //! `ThreadPool::install` for pinning the worker count — on top of
 //! `std::thread::scope`. Work is distributed by an atomic index counter
 //! (index stealing), results are written back by index, so output order is
-//! always the input order regardless of scheduling.
+//! always the input order regardless of scheduling. The calling thread is
+//! one of the workers: a map with `n` workers spawns `n - 1` threads.
 
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Worker-count override installed by [`ThreadPool::install`].
     static POOL_THREADS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
-/// The number of worker threads parallel iterators will use on this thread.
-pub fn current_num_threads() -> usize {
-    POOL_THREADS.with(|c| c.get()).unwrap_or_else(|| {
+/// The machine's parallelism, read once: `available_parallelism` re-reads
+/// the cgroup limits on every call, which costs tens of microseconds.
+fn machine_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
+}
+
+/// The number of worker threads parallel iterators will use on this thread.
+pub fn current_num_threads() -> usize {
+    POOL_THREADS
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(machine_threads)
 }
 
 /// Builder for a fixed-size [`ThreadPool`].
@@ -52,9 +62,7 @@ impl ThreadPoolBuilder {
     /// Infallible in the shim; the `Result` mirrors rayon's signature.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let n = match self.num_threads {
-            Some(0) | None => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            Some(0) | None => machine_threads(),
             Some(n) => n,
         };
         Ok(ThreadPool { num_threads: n })
@@ -89,11 +97,21 @@ impl ThreadPool {
     /// Runs `op` with this pool's worker count installed for any parallel
     /// iterators it creates.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let previous = POOL_THREADS.with(|c| c.replace(Some(self.num_threads)));
-        let result = op();
-        POOL_THREADS.with(|c| c.set(previous));
-        result
+        with_budget(Some(self.num_threads), op)
     }
+}
+
+/// Runs `op` with `budget` as this thread's worker count, restoring the
+/// previous count afterwards, also when `op` panics.
+fn with_budget<R>(budget: Option<usize>, op: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            POOL_THREADS.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(POOL_THREADS.with(|c| c.replace(budget)));
+    op()
 }
 
 fn par_map_vec<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
@@ -117,25 +135,28 @@ where
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<O>>> = (0..len).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let share = || {
+        with_budget(nested, || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                break;
+            }
+            let item = slots[i]
+                .lock()
+                .expect("input slot lock")
+                .take()
+                .expect("each index is claimed once");
+            let out = f(item);
+            *results[i].lock().expect("output slot lock") = Some(out);
+        });
+    };
+    // The caller is the last worker: it takes its share while the others
+    // run, instead of spawning one more thread and waiting.
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                POOL_THREADS.with(|c| c.set(nested));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    let item = slots[i]
-                        .lock()
-                        .expect("input slot lock")
-                        .take()
-                        .expect("each index is claimed once");
-                    let out = f(item);
-                    *results[i].lock().expect("output slot lock") = Some(out);
-                }
-            });
+        for _ in 1..workers {
+            scope.spawn(share);
         }
+        share();
     });
     results
         .into_iter()
@@ -257,6 +278,8 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::ThreadPoolBuilder;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn map_preserves_order() {
@@ -277,6 +300,66 @@ mod tests {
                 .collect()
         });
         assert_eq!(out.len(), 10);
+    }
+
+    /// Maps `items` items under a `threads`-worker pool, returning the id
+    /// of the thread each item ran on. Every item waits (up to a bound)
+    /// until `together` items have started, so that many run at once.
+    fn threads_of(threads: usize, items: usize, together: usize) -> Vec<std::thread::ThreadId> {
+        let started = AtomicUsize::new(0);
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            (0..items)
+                .into_par_iter()
+                .map(|_| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while started.load(Ordering::SeqCst) < together && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    std::thread::current().id()
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn a_two_worker_map_runs_items_on_the_callers_thread() {
+        // Both items must run at once, so each ran on a different one of
+        // the two workers; the caller is one of them.
+        let caller = std::thread::current().id();
+        let ids = threads_of(2, 2, 2);
+        assert_ne!(ids[0], ids[1], "two workers ran the two items");
+        assert!(ids.contains(&caller), "the caller ran one share: {ids:?}");
+    }
+
+    #[test]
+    fn a_one_thread_pool_spawns_nothing() {
+        let caller = std::thread::current().id();
+        assert!(threads_of(1, 4, 1).iter().all(|&id| id == caller));
+        // A map over one item needs no second worker either.
+        assert_eq!(threads_of(4, 1, 1), vec![caller]);
+    }
+
+    #[test]
+    fn nested_budgets_split_the_pool_and_are_restored() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let nested: Vec<usize> = pool.install(|| {
+            let nested = (0..2)
+                .into_par_iter()
+                .map(|_| super::current_num_threads())
+                .collect();
+            assert_eq!(
+                super::current_num_threads(),
+                4,
+                "the caller's budget is back"
+            );
+            nested
+        });
+        assert_eq!(nested, vec![2, 2]);
     }
 
     #[test]
