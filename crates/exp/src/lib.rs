@@ -18,10 +18,10 @@
 //! - a [`suite::Suite`] is a cartesian grid of cells, built with
 //!   [`suite::SuiteBuilder`] or taken from the paper [`presets`];
 //! - the [`runner::SuiteRunner`] executes cells in parallel (rayon) with
-//!   per-cell seed derivation, shared trace materialization
-//!   ([`hierdrl_trace::materialize::TraceCache`]), and memoized
-//!   pre-training, producing a canonical [`report::SuiteReport`] that is
-//!   **byte-identical** between serial and parallel execution.
+//!   per-cell seed derivation and one memo for the work cells share
+//!   (materialized [`hierdrl_trace::materialize::TraceSpec`]s, parsed real
+//!   traces, pre-training), producing a canonical [`report::SuiteReport`]
+//!   that is **byte-identical** between serial and parallel execution.
 //!
 //! # Building a grid
 //!

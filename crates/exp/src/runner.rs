@@ -3,11 +3,12 @@
 //! Every cell is self-contained: its trace, pre-training rollouts, and
 //! learner RNGs all derive from the scenario's own seed, so cells can run
 //! on any thread in any order and still produce identical results. Shared
-//! state is limited to two caches keyed by *content fingerprints* — the
-//! trace cache (identical workload specs materialize once) and a
-//! pre-training cache (identical (cluster, segments, config) pre-train
-//! once) — and cached values are themselves deterministic functions of
-//! their keys, so caching never changes results, only wall-clock.
+//! state is limited to one memo per kind of shared work, keyed by content:
+//! synthetic traces (identical workload specs materialize once), parsed
+//! real traces (each file parses once) and pre-training (identical
+//! (cluster, segments, config) pre-train once). Memoized values are
+//! deterministic functions of their keys, so sharing never changes
+//! results, only wall-clock.
 //!
 //! # Execution units
 //!
@@ -42,11 +43,12 @@ use hierdrl_sim::config::ClusterConfig;
 use hierdrl_sim::policies::SleepImmediatelyPower;
 use hierdrl_sim::router::Router;
 use hierdrl_trace::google::ParseStats;
-use hierdrl_trace::materialize::{TraceCache, TraceSpec};
-use hierdrl_trace::source::{with_synthetic_demands, RealTraceSource};
+use hierdrl_trace::materialize::TraceSpec;
+use hierdrl_trace::source::with_synthetic_demands;
 use hierdrl_trace::trace::Trace;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -59,73 +61,80 @@ struct Pretrained {
     dpm: Option<DpmSnapshot>,
 }
 
-type PretrainSlot = Arc<Mutex<Option<Pretrained>>>;
-
-// Key-ordered maps for both memoization caches: lookups don't care, but
-// key order means any future iteration (diagnostics, eviction sweeps) is
-// deterministic by construction, and the nondet-iteration lint stays quiet.
-#[derive(Default)]
-struct PretrainCache {
-    slots: Mutex<BTreeMap<String, PretrainSlot>>,
+/// A thread-safe memo of fallible computations keyed by content.
+///
+/// Locking is two-level: a brief map lock finds or creates the key's slot,
+/// then the slot's lock is held while computing, so concurrent requests
+/// for one key wait for the first and share its value while distinct keys
+/// compute in parallel. An error is returned without being stored, so the
+/// next request for that key computes again. The map is key-ordered, so
+/// any iteration over it is deterministic by construction.
+struct Memo<V> {
+    slots: Mutex<BTreeMap<String, Arc<Mutex<Option<V>>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-impl PretrainCache {
-    fn get_or_train(
-        &self,
-        key: &str,
-        train: impl FnOnce() -> Result<Pretrained, String>,
-    ) -> Result<Pretrained, String> {
-        let slot = {
-            let mut slots = self.slots.lock().expect("pretrain cache map lock");
-            slots
-                .entry(key.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(None)))
-                .clone()
-        };
-        let mut entry = slot.lock().expect("pretrain cache slot lock");
-        if let Some(pair) = entry.as_ref() {
-            return Ok(pair.clone());
+impl<V> Default for Memo<V> {
+    fn default() -> Self {
+        Self {
+            slots: Mutex::default(),
+            hits: AtomicU64::default(),
+            misses: AtomicU64::default(),
         }
-        let pair = train()?;
-        *entry = Some(pair.clone());
-        Ok(pair)
+    }
+}
+
+impl<V: Clone> Memo<V> {
+    /// Returns `key`'s value, running `compute` unless a value is stored.
+    fn get(&self, key: String, compute: impl FnOnce() -> Result<V, String>) -> Result<V, String> {
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .expect("memo map lock")
+                .entry(key)
+                .or_default(),
+        );
+        let mut stored = slot.lock().expect("memo slot lock");
+        if let Some(value) = stored.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(value.clone());
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = compute()?;
+        *stored = Some(value.clone());
+        Ok(value)
+    }
+
+    /// Requests answered with a stored value.
+    fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Computations run: first requests, and requests after an error.
+    fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
 /// Shared per-run context handed to every cell; every run starts from an
-/// empty one.
+/// empty one. Each memoized value is a deterministic function of its key.
 #[derive(Default)]
 struct RunContext {
-    traces: TraceCache,
-    pretrained: PretrainCache,
-    /// Parsed on-disk traces, memoized by source label (`format:path`) so
-    /// every cell replaying the same file parses it once. Parsing is a
-    /// pure function of the file, so the cache never changes results.
-    real_traces: Mutex<BTreeMap<String, Arc<(Trace, ParseStats)>>>,
+    /// Synthetic traces, keyed by their [`TraceSpec`]'s JSON.
+    traces: Memo<Arc<Trace>>,
+    /// Pre-trained tiers, keyed by the JSON of (cluster, rollout segments,
+    /// learner configs).
+    pretrained: Memo<Pretrained>,
+    /// Parsed real traces, keyed by source label (`format:path`).
+    real_traces: Memo<(Arc<Trace>, ParseStats)>,
 }
 
 impl RunContext {
-    /// Loads (or returns the memoized) parse of a real-trace source.
-    fn load_real(&self, source: &RealTraceSource) -> Result<Arc<(Trace, ParseStats)>, String> {
-        let label = source.label();
-        if let Some(hit) = self
-            .real_traces
-            .lock()
-            .expect("real-trace cache lock")
-            .get(&label)
-        {
-            return Ok(hit.clone());
-        }
-        // Parse outside the lock; racing cells parse the same bytes and
-        // the first insert wins, so results stay deterministic either way.
-        let parsed = Arc::new(source.load()?);
-        Ok(self
-            .real_traces
-            .lock()
-            .expect("real-trace cache lock")
-            .entry(label)
-            .or_insert(parsed)
-            .clone())
+    /// The trace `spec` generates, materialized on the first request.
+    fn trace(&self, spec: &TraceSpec) -> Result<Arc<Trace>, String> {
+        let key = serde_json::to_string(spec).expect("trace spec serializes");
+        self.traces.get(key, || spec.materialize().map(Arc::new))
     }
 }
 
@@ -780,7 +789,7 @@ fn drl_allocator(
 
 /// Memoized pre-training of one (cluster, segments, learner configs)
 /// problem. Identical inputs must produce identical learners, so the JSON
-/// of all inputs is a sound cache key.
+/// of all inputs is a sound memo key.
 fn pretrain(
     ctx: &RunContext,
     cluster: &ClusterConfig,
@@ -790,11 +799,11 @@ fn pretrain(
 ) -> Result<Pretrained, String> {
     let payload = (cluster, segments, drl_config, dpm_config);
     let key = serde_json::to_string(&payload).expect("pretrain key serializes");
-    ctx.pretrained.get_or_train(&key, || {
+    ctx.pretrained.get(key, || {
         let mut allocator = drl_allocator(cluster, drl_config)?;
         let traces: Vec<Trace> = segments
             .iter()
-            .map(|spec| ctx.traces.get(spec).map(|t| (*t).clone()))
+            .map(|spec| ctx.trace(spec).map(|t| (*t).clone()))
             .collect::<Result<_, _>>()?;
         // The rollouts' local tier: the co-pre-trained RL tier, else the
         // ad-hoc behaviour, so learned values reflect wake penalties
@@ -997,7 +1006,7 @@ fn run_unit(
     // mid-run joins have slots and learners size their padded width from
     // the same `effective_max`. Pre-training itself stays membership- and
     // fault-free: the paper's learners train on healthy fleets, fleet
-    // schedules apply only at evaluation, and pre-train cache keys stay
+    // schedules apply only at evaluation, and pre-train memo keys stay
     // stable across both axes.
     let headroom = scenario
         .elastic
@@ -1072,13 +1081,14 @@ fn merge_drl_stats(per_unit: impl IntoIterator<Item = Option<DrlStats>>) -> Opti
 }
 
 /// Resolves a cell's evaluation segments. Synthetic workloads materialize
-/// their deterministic generator recipes through the shared [`TraceCache`];
+/// their deterministic generator recipes through the run's trace memo;
 /// real-trace workloads parse their file (memoized per source), apply the
 /// configured job cap, pass the [`ParseStats`] demand gate — falling back
 /// to seeded synthetic demands over the file's arrival process when too
 /// many demand columns were defaulted — and, on the drift axis, split into
 /// wall-clock windows so segment boundaries follow the *trace's* regime
-/// changes rather than a generator schedule.
+/// changes rather than a generator schedule. A cell that neither caps nor
+/// re-draws the file replays the parsed trace itself.
 fn resolve_cell_traces(
     scenario: &Scenario,
     ctx: &RunContext,
@@ -1087,15 +1097,17 @@ fn resolve_cell_traces(
         let traces = scenario
             .segment_trace_specs()
             .iter()
-            .map(|spec| ctx.traces.get(spec))
+            .map(|spec| ctx.trace(spec))
             .collect::<Result<_, _>>()?;
         return Ok((traces, None));
     };
-    let parsed = ctx.load_real(&source)?;
-    let (full, stats) = (&parsed.0, parsed.1);
+    let (mut trace, stats) = ctx.real_traces.get(source.label(), || {
+        let (trace, stats) = source.load()?;
+        Ok((Arc::new(trace), stats))
+    })?;
     // A file can parse cleanly to zero jobs (e.g. only incomplete task
     // lifecycles); there is no stream to replay, so name the cell and file.
-    if full.is_empty() {
+    if trace.is_empty() {
         return Err(format!(
             "empty real trace: cell {} replays {}, which holds no complete jobs",
             scenario.id,
@@ -1105,12 +1117,11 @@ fn resolve_cell_traces(
     // The workload's job cap truncates the arrival stream itself, before
     // gating and segmentation.
     let cap = scenario.workload.jobs_for(scenario.topology.servers()) as usize;
-    let mut trace = if cap > 0 && cap < full.len() {
-        Trace::new(full.jobs()[..cap].to_vec())
-            .map_err(|e| format!("{}: capped to {cap} jobs: {e}", source.label()))?
-    } else {
-        (*full).clone()
-    };
+    if cap > 0 && cap < trace.len() {
+        let capped = Trace::new(trace.jobs()[..cap].to_vec())
+            .map_err(|e| format!("{}: capped to {cap} jobs: {e}", source.label()))?;
+        trace = Arc::new(capped);
+    }
     // Demand gate: the file's demand columns are only trusted when the
     // defaulted fraction stays under the cell's threshold. Past it, keep
     // the arrival process but re-draw every demand vector from the cell's
@@ -1122,7 +1133,7 @@ fn resolve_cell_traces(
         .expect("real workload has a demand gate");
     let synthetic_demand = stats.demand_defaulted as f64 / stats.jobs_kept.max(1) as f64 > gate;
     if synthetic_demand {
-        trace = with_synthetic_demands(&trace, scenario.trace_seed());
+        trace = Arc::new(with_synthetic_demands(&trace, scenario.trace_seed()));
     }
     let provenance = TraceProvenance {
         source: source.label(),
@@ -1142,7 +1153,7 @@ fn resolve_cell_traces(
             .map(Arc::new)
             .collect()
     } else {
-        vec![Arc::new(trace)]
+        vec![trace]
     };
     Ok((traces, Some(provenance)))
 }
@@ -1295,6 +1306,9 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::WorkloadSpec;
+    use hierdrl_trace::generator::WorkloadConfig;
+    use hierdrl_trace::source::TraceFormat;
 
     fn stats(decisions: u64, loss_ema: f64) -> DrlStats {
         DrlStats {
@@ -1320,5 +1334,108 @@ mod tests {
         assert_eq!(merged.decisions, 40);
         assert_eq!(merged.train_steps, 20);
         assert!((merged.loss_ema - 0.75).abs() < 1e-12);
+    }
+
+    fn spec(seed: u64, jobs: usize) -> TraceSpec {
+        TraceSpec::new(WorkloadConfig::google_like(seed, 50_000.0), jobs)
+    }
+
+    #[test]
+    fn memo_shares_one_value_per_key() {
+        let ctx = RunContext::default();
+        let a = ctx.trace(&spec(1, 100)).unwrap();
+        let b = ctx.trace(&spec(1, 100)).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((ctx.traces.hits(), ctx.traces.misses()), (1, 1));
+    }
+
+    #[test]
+    fn memo_trace_matches_direct_materialization() {
+        let ctx = RunContext::default();
+        let via_memo = ctx.trace(&spec(42, 200)).unwrap();
+        assert_eq!(*via_memo, spec(42, 200).materialize().unwrap());
+    }
+
+    #[test]
+    fn memo_computes_distinct_keys_separately() {
+        let ctx = RunContext::default();
+        let a = ctx.trace(&spec(1, 100)).unwrap();
+        let b = ctx.trace(&spec(2, 100)).unwrap();
+        let c = ctx.trace(&spec(1, 150)).unwrap();
+        assert_ne!(a.jobs(), b.jobs());
+        assert_eq!(c.len(), 150);
+        assert_eq!((ctx.traces.hits(), ctx.traces.misses()), (0, 3));
+    }
+
+    #[test]
+    fn memo_returns_errors_without_storing_them() {
+        let ctx = RunContext::default();
+        let mut bad = spec(1, 10);
+        bad.workload.mem_cpu_correlation = 5.0;
+        assert!(ctx.trace(&bad).is_err());
+        assert!(ctx.trace(&bad).is_err(), "the retry computes again");
+        assert_eq!((ctx.traces.hits(), ctx.traces.misses()), (0, 2));
+
+        let memo = Memo::default();
+        assert!(memo.get("k".into(), || Err("transient".into())).is_err());
+        assert_eq!(memo.get("k".into(), || Ok(7)), Ok(7));
+        assert_eq!(memo.get("k".into(), || Ok(8)), Ok(7));
+        assert_eq!((memo.hits(), memo.misses()), (1, 2));
+    }
+
+    #[test]
+    fn memo_shares_one_computation_between_concurrent_requests() {
+        let memo = Memo::default();
+        let computations = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        memo.get("k".into(), || {
+                            computations.fetch_add(1, Ordering::Relaxed);
+                            Ok(Arc::new(spec(9, 300).materialize()?))
+                        })
+                    })
+                })
+                .collect();
+            let traces: Vec<Arc<Trace>> = handles
+                .into_iter()
+                .map(|h| h.join().expect("request thread").expect("valid spec"))
+                .collect();
+            assert!(traces.iter().all(|t| Arc::ptr_eq(t, &traces[0])));
+        });
+        assert_eq!(computations.load(Ordering::Relaxed), 1);
+        assert_eq!((memo.hits(), memo.misses()), (3, 1));
+    }
+
+    #[test]
+    fn uncapped_real_trace_cells_replay_the_parsed_trace() {
+        let fixture = format!(
+            "{}/../trace/tests/fixtures/alibaba_batch_task.csv",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let suite = Suite::builder("replay")
+            .topologies([Topology::paper(4)])
+            .workloads([WorkloadSpec::real_trace(
+                "real",
+                fixture,
+                TraceFormat::AlibabaBatchTask,
+            )])
+            .policies([PolicySpec::round_robin()])
+            .seeds([1, 2])
+            .build();
+        let ctx = RunContext::default();
+        let cells: Vec<_> = suite
+            .scenarios
+            .iter()
+            .map(|s| resolve_cell_traces(s, &ctx).expect("fixture resolves"))
+            .collect();
+        for (traces, provenance) in &cells {
+            assert!(!provenance.as_ref().expect("real cell").synthetic_demand);
+            assert!(Arc::ptr_eq(&traces[0], &cells[0].0[0]), "no per-cell copy");
+        }
+        assert_eq!((ctx.real_traces.hits(), ctx.real_traces.misses()), (1, 1));
     }
 }

@@ -191,7 +191,6 @@ impl SegmentedTraceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::materialize::TraceCache;
 
     fn base() -> WorkloadConfig {
         WorkloadConfig::google_like(7, 50_000.0)
@@ -250,14 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn materializes_valid_segments_through_the_cache() {
+    fn materializes_valid_segments() {
         let shifts = [SegmentShift::Stationary, SegmentShift::RateScale(2.0)];
         let spec = SegmentedTraceSpec::from_shifts(&base(), &shifts, 200, 9);
-        let cache = TraceCache::new();
         let traces: Vec<_> = spec
             .segments
             .iter()
-            .map(|s| cache.get(s).unwrap())
+            .map(|s| s.materialize().unwrap())
             .collect();
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].len() + traces[1].len(), 200);

@@ -1,10 +1,10 @@
 //! # hierdrl-trace
 //!
 //! Workload substrate for the hierarchical DRL framework: synthetic
-//! Google-cluster-style trace generation (materialized through a
-//! [`materialize::TraceCache`] or streamed by [`stream::GeneratorStream`]),
-//! trace statistics/slicing, and parsers for two real cluster-trace
-//! formats behind [`source::RealTraceSource`].
+//! Google-cluster-style trace recipes ([`materialize::TraceSpec`],
+//! materialized into a [`trace::Trace`] or streamed by
+//! [`stream::GeneratorStream`]), trace statistics/slicing, and parsers for
+//! two real cluster-trace formats behind [`source::RealTraceSource`].
 //!
 //! The paper evaluates on the May-2011 Google cluster-usage traces, split
 //! into ~week-long segments of ~100,000 jobs for a 30–40 machine cluster,
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::drift::{mix_seed, SegmentShift, SegmentedTraceSpec};
     pub use crate::generator::{TraceGenerator, WorkloadConfig};
     pub use crate::google::{parse_task_events, ParseError, ParseStats};
-    pub use crate::materialize::{TraceCache, TraceSpec};
+    pub use crate::materialize::TraceSpec;
     pub use crate::pattern::{ArrivalPattern, SECS_PER_DAY, SECS_PER_WEEK};
     pub use crate::source::{with_synthetic_demands, RealTraceSource, TraceFormat};
     pub use crate::stream::GeneratorStream;

@@ -3,9 +3,9 @@
 //!
 //! At the paper's pitched warehouse scale (10⁵ servers, 10⁶⁺ jobs per
 //! cell) a materialized trace is tens-to-hundreds of megabytes *per cell*,
-//! and the suite-level [`crate::materialize::TraceCache`] pins every one of
-//! them for the whole run. [`GeneratorStream`] drives the synthetic
-//! generator lazily instead, emitting jobs **byte-identical** to
+//! and a suite runner that shares materialized traces between cells keeps
+//! every one of them for the whole run. [`GeneratorStream`] drives the
+//! synthetic generator lazily instead, emitting jobs **byte-identical** to
 //! `TraceSpec::materialize()` (`generate_n` + rebase) while holding only
 //! the small reorder frontier in memory — a committed equivalence test in
 //! `tests/stream_equivalence.rs` pins this. Any `Iterator<Item = Job> + Send`
@@ -103,16 +103,6 @@ impl GeneratorStream {
             count,
             base: None,
         })
-    }
-
-    /// The number of jobs this stream will emit in total.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the stream emits no jobs at all.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Pending tasks currently buffered in the reorder frontier (a measure

@@ -5,7 +5,7 @@ use hierdrl_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Errors produced when constructing or loading a trace.
+/// Errors produced when constructing a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceError {
     /// Jobs were not sorted by arrival time.
@@ -20,8 +20,6 @@ pub enum TraceError {
         /// Description of the problem.
         reason: String,
     },
-    /// (De)serialization failed.
-    Serde(String),
 }
 
 impl fmt::Display for TraceError {
@@ -33,7 +31,6 @@ impl fmt::Display for TraceError {
             TraceError::InvalidJob { index, reason } => {
                 write!(f, "invalid job at index {index}: {reason}")
             }
-            TraceError::Serde(e) => write!(f, "trace serialization error: {e}"),
         }
     }
 }
@@ -72,7 +69,7 @@ impl TraceStats {
 }
 
 /// A validated workload trace: jobs sorted by arrival time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     jobs: Vec<Job>,
 }
@@ -174,26 +171,6 @@ impl Trace {
         })
     }
 
-    /// Splits the trace into `k` contiguous segments of (nearly) equal job
-    /// count, each re-based so its first arrival is at time zero — the
-    /// paper splits the month-long Google trace into week-scale segments
-    /// this way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn segments(&self, k: usize) -> Vec<Trace> {
-        assert!(k > 0, "segment count must be positive");
-        let n = self.jobs.len();
-        let mut out = Vec::with_capacity(k);
-        for s in 0..k {
-            let lo = n * s / k;
-            let hi = n * (s + 1) / k;
-            out.push(Self::rebased_slice(&self.jobs[lo..hi]));
-        }
-        out
-    }
-
     /// Returns the first `count` jobs as a re-based trace (arrivals shifted
     /// so the first is at zero).
     pub fn take(&self, count: usize) -> Trace {
@@ -206,10 +183,8 @@ impl Trace {
     /// no arrivals are skipped, so every returned segment is non-empty —
     /// this is how a real month-long trace becomes the week-long regime
     /// segments the drift axis replays ([`crate::pattern::SECS_PER_WEEK`]
-    /// is the canonical window).
-    ///
-    /// Unlike [`Trace::segments`], segment sizes follow the trace's own
-    /// arrival intensity rather than being equalized by job count.
+    /// is the canonical window). Segment sizes follow the trace's own
+    /// arrival intensity.
     ///
     /// # Panics
     ///
@@ -255,27 +230,6 @@ impl Trace {
             })
             .collect();
         Trace { jobs }
-    }
-
-    /// Serializes the trace to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Serde`] on failure.
-    pub fn to_json(&self) -> Result<String, TraceError> {
-        serde_json::to_string(&self.jobs).map_err(|e| TraceError::Serde(e.to_string()))
-    }
-
-    /// Loads a trace from JSON produced by [`Trace::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Serde`] on malformed JSON, or a validation
-    /// error for inconsistent jobs.
-    pub fn from_json(json: &str) -> Result<Self, TraceError> {
-        let jobs: Vec<Job> =
-            serde_json::from_str(json).map_err(|e| TraceError::Serde(e.to_string()))?;
-        Self::new(jobs)
     }
 
     /// Per-server inter-arrival times (seconds) of the whole trace, for
@@ -347,18 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn segments_partition_and_rebase() {
-        let jobs: Vec<Job> = (0..10).map(|i| job(i, 100.0 + i as f64, 10.0)).collect();
-        let t = Trace::new(jobs).unwrap();
-        let segs = t.segments(3);
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), 10);
-        for s in &segs {
-            assert_eq!(s.jobs()[0].arrival, SimTime::ZERO);
-        }
-    }
-
-    #[test]
     fn wall_clock_segments_follow_arrival_intensity() {
         // Arrivals at 0..5 s, 100..102 s, 250 s with a 100 s window:
         // three non-empty windows (an empty 3rd window would start at 200,
@@ -404,22 +346,6 @@ mod tests {
         assert_eq!(head.len(), 3);
         assert_eq!(head.jobs()[0].arrival, SimTime::ZERO);
         assert_eq!(head.jobs()[2].arrival, SimTime::from_secs(4.0));
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = Trace::new(vec![job(0, 0.0, 10.0), job(1, 5.0, 10.0)]).unwrap();
-        let json = t.to_json().unwrap();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn malformed_json_reports_serde_error() {
-        assert!(matches!(
-            Trace::from_json("not json"),
-            Err(TraceError::Serde(_))
-        ));
     }
 
     #[test]

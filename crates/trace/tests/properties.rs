@@ -37,31 +37,6 @@ proptest! {
             "weekly count {n} too far from {target_per_week}");
     }
 
-    /// Segmenting preserves every job and re-bases each segment at zero.
-    #[test]
-    fn segments_partition_without_loss(seed in 0u64..200, k in 1usize..8) {
-        let config = WorkloadConfig::google_like(seed, 50_000.0);
-        let trace = TraceGenerator::new(config).unwrap().generate_n(200);
-        let segments = trace.segments(k);
-        prop_assert_eq!(segments.len(), k);
-        let total: usize = segments.iter().map(|s| s.len()).sum();
-        prop_assert_eq!(total, 200);
-        for seg in &segments {
-            if let Some(first) = seg.jobs().first() {
-                prop_assert_eq!(first.arrival.as_secs(), 0.0);
-            }
-        }
-    }
-
-    /// JSON round-trips preserve traces exactly.
-    #[test]
-    fn json_round_trip(seed in 0u64..100) {
-        let config = WorkloadConfig::google_like(seed, 30_000.0);
-        let trace = TraceGenerator::new(config).unwrap().generate_n(50);
-        let back = Trace::from_json(&trace.to_json().unwrap()).unwrap();
-        prop_assert_eq!(trace, back);
-    }
-
     /// The arrival pattern's max_rate really bounds rate_at everywhere.
     #[test]
     fn pattern_bound_holds(base in 0.001f64..2.0, amp in 0.0f64..0.95,
