@@ -63,6 +63,23 @@ fn unknown_fault_name_exits_2_and_writes_nothing() {
 }
 
 #[test]
+fn repeated_list_item_exits_2_and_writes_nothing() {
+    // A repeated drift would build its cells twice under one id.
+    let dir = scratch("repeated-drift");
+    let args: Vec<&str> = "drift --quick --jobs 200 --drifts rate-step,rate-step --out x.json"
+        .split(' ')
+        .collect();
+    let out = bench(&dir, &args);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--drifts: \"rate-step\" is repeated"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(is_empty(&dir), "a rejected run must write nothing");
+}
+
+#[test]
 fn drl_cells_on_too_few_servers_exit_2_and_write_nothing() {
     // One server cannot fill the DRL state's two groups: the learned cells
     // fail by name instead of panicking inside the state encoder.

@@ -526,11 +526,11 @@ pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult 
 /// # Errors
 ///
 /// Returns an error if any rollout fails to construct.
-pub fn pretrain_pair(
+pub fn pretrain_pair<'a>(
     allocator: &mut dyn Allocator,
     power: &mut dyn PowerManager,
     cluster_config: &ClusterConfig,
-    segments: &[Trace],
+    segments: impl IntoIterator<Item = &'a Trace>,
 ) -> Result<(), String> {
     for segment in segments {
         let mut cluster = Cluster::new(cluster_config.clone(), segment.jobs().to_vec())?;

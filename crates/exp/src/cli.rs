@@ -26,8 +26,9 @@
 //!
 //! [`SweepArgs::parse`] rejects malformed input with a one-line message
 //! naming the flag, before any suite is built: an unparsable value, a zero
-//! `--m`, `--jobs`, `--clusters` or `--ms` item, and a `--rates` item that
-//! is not finite and positive.
+//! `--m`, `--jobs`, `--clusters` or `--ms` item, a `--rates` item that is
+//! not finite and positive, and an item repeated in a list flag (which
+//! would build and run the same cells twice).
 
 use crate::presets::{Scale, DRIFT_NAMES, ELASTIC_NAMES, FAULT_NAMES};
 use crate::runner::SuiteRunner;
@@ -81,8 +82,9 @@ impl SweepArgs {
     /// Returns a one-line message naming the flag for a missing or
     /// unparsable value, a zero server count, job count, cluster count or
     /// cluster size, a rate factor that is not finite and positive, an
-    /// unknown flag, a drift/fault/autoscaler name outside its preset axis,
-    /// an unknown `--format`, and `--out` together with `--merge`.
+    /// item repeated in a list flag, an unknown flag, a
+    /// drift/fault/autoscaler name outside its preset axis, an unknown
+    /// `--format`, and `--out` together with `--merge`.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = SweepArgs::default();
         let mut iter = args.into_iter();
@@ -212,13 +214,22 @@ fn parse_rate(flag: &str, value: &str) -> Result<f64, String> {
 }
 
 /// Parses a comma-separated flag value item by item with `item`: the one
-/// parser of every list flag.
-fn parse_list<T>(
+/// parser of every list flag. An item equal to an earlier one is an error,
+/// since each item becomes its own grid cells.
+fn parse_list<T: PartialEq>(
     flag: &str,
     value: &str,
     item: impl Fn(&str, &str) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
-    value.split(',').map(|v| item(flag, v)).collect()
+    let mut items = Vec::new();
+    for v in value.split(',') {
+        let parsed = item(flag, v)?;
+        if items.contains(&parsed) {
+            return Err(format!("{flag}: {:?} is repeated", v.trim()));
+        }
+        items.push(parsed);
+    }
+    Ok(items)
 }
 
 /// Parses a comma-separated list of names, each of which must be on the
@@ -268,7 +279,7 @@ mod tests {
 
     #[test]
     fn malformed_values_are_named_errors() {
-        let cases: [(&[&str], &str); 16] = [
+        let cases: [(&[&str], &str); 22] = [
             (&["--jobs"], "--jobs expects a value"),
             (&["--m", "ten"], "--m"),
             (&["--m", "0"], "--m must be at least 1"),
@@ -286,6 +297,21 @@ mod tests {
             (&["--faults", "meteor-strike"], "meteor-strike"),
             (&["--drifts", "rate-step,tidal"], "tidal"),
             (&["--elastics", "magic"], "magic"),
+            (
+                &["--drifts", "rate-step, rate-step"],
+                "--drifts: \"rate-step\" is repeated",
+            ),
+            (
+                &["--faults", "crash-storm,cap-window,crash-storm"],
+                "--faults: \"crash-storm\" is repeated",
+            ),
+            (
+                &["--elastics", "fixed,fixed"],
+                "--elastics: \"fixed\" is repeated",
+            ),
+            (&["--clusters", "2,4,2"], "--clusters: \"2\" is repeated"),
+            (&["--ms", "10,10"], "--ms: \"10\" is repeated"),
+            (&["--rates", "1.0,1"], "--rates: \"1\" is repeated"),
             (&["--format", "csv"], "--format"),
             (&["--out", "a.json", "--merge", "b.json"], "exclusive"),
         ];

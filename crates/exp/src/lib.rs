@@ -138,13 +138,13 @@
 //!
 //! A [`scenario::FaultSpec`] adds the chaos axis: a named, deterministic,
 //! seed-derived fault schedule — server crashes with recovery, transient
-//! stragglers, fleet-wide power-cap windows, arrival spikes — lowered to
-//! event-level fleet changes the simulator applies between arrivals. Jobs
-//! on a crashed server are requeued through the allocator exactly once,
-//! and the degraded fleet is what routing, state encoding, and the
-//! Eqn.-4/5 rewards see. Declarative [`suite::Expectation`]s (metric
-//! bounds, conservation invariants, determinism pins, and the
-//! graceful-degradation headline) attach to the suite and land as
+//! stragglers, fleet-wide power-cap windows — lowered per execution unit,
+//! after routing, to event-level fleet changes the simulator applies
+//! between arrivals. Jobs on a crashed server are requeued through the
+//! allocator exactly once, and the degraded fleet is what routing, state
+//! encoding, and the Eqn.-4/5 rewards see. Declarative
+//! [`suite::Expectation`]s (conservation invariants, determinism pins, and
+//! the graceful-degradation headline) attach to the suite and land as
 //! pass/fail rows in the report.
 //!
 //! ```
@@ -175,14 +175,13 @@
 //!
 //! An [`scenario::ElasticSpec`] adds the elastic axis: a named,
 //! deterministic membership schedule — `Join`/`Leave` fleet ops lowered at
-//! epoch boundaries from the cell's own arrival stream by a reactive
-//! threshold autoscaler or a learned tabular policy
-//! ([`scenario::AutoscalePolicy`]) — applied between arrivals exactly like
-//! fault events. Departing servers drain-and-requeue like crashes, joins
-//! add capacity-scaled slots under the spec's headroom ceiling, and on
-//! multi-cluster cells the front-end router re-derives capacity weights at
-//! the scheduled membership epochs, so sharded elastic cells stay
-//! byte-identical to serial execution. Every fresh cell reports
+//! epoch boundaries from the cell's own arrival stream by one of two
+//! autoscalers, a reactive threshold rule or a learned tabular policy —
+//! applied between arrivals exactly like fault events. Departing servers
+//! drain-and-requeue like crashes, joins add capacity-scaled slots under
+//! the spec's headroom ceiling, and on multi-cluster cells the front-end
+//! router re-derives capacity weights at the scheduled membership epochs,
+//! so sharded elastic cells stay byte-identical to serial execution. Every fresh cell reports
 //! [`report::FleetSize`] columns (fixed fleets as `min = max = M`), and
 //! the [`suite::Expectation::AutoscaleEconomics`] headline pins the
 //! economics: autoscale + DRL must beat (or match) the fixed-fleet DRL
@@ -194,7 +193,7 @@
 //! let suite = Suite::builder("elastic")
 //!     .topologies([Topology::paper(4)])
 //!     .workloads([WorkloadSpec::paper().with_total_jobs(150)])
-//!     .elastics_with_baseline([ElasticSpec::threshold()])
+//!     .elastics_with_baseline([ElasticSpec::Threshold])
 //!     .policies([PolicySpec::round_robin()])
 //!     .seeds([1])
 //!     .build();
@@ -298,8 +297,8 @@ pub mod prelude {
     pub use crate::runner::{CellRun, SegmentRun, ShardRun, SuiteRun, SuiteRunner};
     pub use crate::scale::{ScaleCellRun, ScaleSpec};
     pub use crate::scenario::{
-        AutoscalePolicy, DriftSpec, ElasticSpec, FaultShape, FaultSpec, FleetSchedule, JobsBudget,
-        PolicySpec, Pretrain, Scenario, SeedStream, Topology, WorkloadSpec,
+        DriftSpec, ElasticSpec, FaultShape, FaultSpec, FleetSchedule, JobsBudget, PolicySpec,
+        Pretrain, Scenario, SeedStream, Topology, WorkloadSpec,
     };
     pub use crate::suite::{Expectation, Suite, SuiteBuilder};
     pub use hierdrl_core::hierarchical::{AllocatorKind, PowerKind};

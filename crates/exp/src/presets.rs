@@ -207,8 +207,8 @@ pub fn chaos(scale: Scale, names: &[String]) -> Suite {
 /// baseline entry of the axis and is handled by [`elastic`] directly.
 pub fn elastic_spec(name: &str) -> ElasticSpec {
     match name {
-        "threshold" => ElasticSpec::threshold(),
-        "learned" => ElasticSpec::learned(),
+        "threshold" => ElasticSpec::Threshold,
+        "learned" => ElasticSpec::Learned,
         other => panic!("unknown autoscaler {other:?}; expected one of fixed, threshold, learned"),
     }
 }
@@ -379,7 +379,7 @@ pub fn table1(scale: Scale) -> Suite {
     let elastic_row = Suite::builder("table1")
         .topologies([Topology::paper(m_small)])
         .workloads([scale.workload_per_server()])
-        .elastics([ElasticSpec::threshold()])
+        .elastics([ElasticSpec::Threshold])
         .policies(three_systems())
         .seeds([42])
         .build();
@@ -565,7 +565,7 @@ mod tests {
         // threshold policy at M=30.
         for s in &suite.scenarios[12..] {
             assert!(s.id.contains("~threshold"));
-            assert_eq!(s.elastic.as_ref().unwrap().name, "threshold");
+            assert_eq!(s.elastic.unwrap().name(), "threshold");
         }
         // Non-drift cells keep their historical ids (perf-gate stability).
         assert_eq!(suite.scenarios[0].id, "paper-m30/paper/round-robin/s42");

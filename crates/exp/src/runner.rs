@@ -28,7 +28,7 @@ use crate::report::{
     ExpectationRow, FleetSize, SegmentReport, ShardReport, SuiteReport, TraceProvenance,
 };
 use crate::scenario::{
-    mix_seed, CellFleet, FleetSchedule, PolicySpec, Pretrain, Scenario, SeedStream, Topology,
+    CellFleet, FleetSchedule, PolicySpec, Pretrain, Scenario, SeedStream, Topology,
 };
 use crate::suite::{Expectation, Suite};
 use hierdrl_core::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
@@ -239,7 +239,7 @@ fn cell_report(c: &CellRun) -> CellReport {
         capacity_skew: c.scenario.topology.capacity_skew(),
         workload: c.scenario.workload.name().to_string(),
         fault: c.scenario.fault.as_ref().map(|f| f.name.clone()),
-        elastic: c.scenario.elastic.as_ref().map(|e| e.name.clone()),
+        elastic: c.scenario.elastic.map(|e| e.name().to_string()),
         fleet_size: c.fleet_size,
         policy: c.scenario.policy.name(),
         seed: c.scenario.seed,
@@ -459,13 +459,6 @@ fn evaluate_expectations(expectations: &[Expectation], run: &SuiteRun) -> Vec<Ex
         .iter()
         .map(|e| {
             let (passed, detail) = match e {
-                Expectation::MetricBound {
-                    cell_contains,
-                    metric,
-                    min,
-                    max,
-                    ..
-                } => check_metric_bound(run, cell_contains, metric, *min, *max),
                 Expectation::JobConservation { .. } => check_job_conservation(run),
                 Expectation::DeterminismPin { cell_contains, .. } => {
                     check_determinism_pin(run, cell_contains)
@@ -498,62 +491,6 @@ fn evaluate_expectations(expectations: &[Expectation], run: &SuiteRun) -> Vec<Ex
             }
         })
         .collect()
-}
-
-/// Looks up one of the documented metric keys on a cell.
-fn metric_value(cell: &CellRun, key: &str) -> Option<f64> {
-    let m = CellMetrics::from_result(&cell.result);
-    Some(match key {
-        "jobs_completed" => m.jobs_completed as f64,
-        "energy_kwh" => m.energy_kwh,
-        "mean_latency_s" => m.mean_latency_s,
-        "average_power_w" => m.average_power_w,
-        "span_hours" => m.span_hours,
-        "jobs_requeued" => cell.result.outcome.totals.jobs_requeued as f64,
-        _ => return None,
-    })
-}
-
-fn check_metric_bound(
-    run: &SuiteRun,
-    cell_contains: &str,
-    metric: &str,
-    min: f64,
-    max: f64,
-) -> (bool, String) {
-    let matched: Vec<&CellRun> = run
-        .cells
-        .iter()
-        .filter(|c| c.scenario.id.contains(cell_contains))
-        .collect();
-    if matched.is_empty() {
-        // An expectation that silently matches nothing would rot unnoticed.
-        return (false, format!("no cell id contains {cell_contains:?}"));
-    }
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for cell in &matched {
-        let Some(v) = metric_value(cell, metric) else {
-            return (false, format!("unknown metric {metric:?}"));
-        };
-        if !(v.is_finite() && v >= min && v <= max) {
-            return (
-                false,
-                format!(
-                    "{}: {metric} = {v} outside [{min}, {max}]",
-                    cell.scenario.id
-                ),
-            );
-        }
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    (
-        true,
-        format!(
-            "{} cells: {metric} in [{lo:.4}, {hi:.4}] within [{min}, {max}]",
-            matched.len()
-        ),
-    )
 }
 
 fn check_job_conservation(run: &SuiteRun) -> (bool, String) {
@@ -709,10 +646,7 @@ fn check_autoscale_economics(
         .iter()
         .filter(|c| {
             c.scenario.policy.name() == policy
-                && c.scenario
-                    .elastic
-                    .as_ref()
-                    .is_some_and(|e| e.name == elastic)
+                && c.scenario.elastic.is_some_and(|e| e.name() == elastic)
         })
         .collect();
     if scaled.is_empty() {
@@ -801,9 +735,9 @@ fn pretrain(
     let key = serde_json::to_string(&payload).expect("pretrain key serializes");
     ctx.pretrained.get(key, || {
         let mut allocator = drl_allocator(cluster, drl_config)?;
-        let traces: Vec<Trace> = segments
+        let traces: Vec<Arc<Trace>> = segments
             .iter()
-            .map(|spec| ctx.trace(spec).map(|t| (*t).clone()))
+            .map(|spec| ctx.trace(spec))
             .collect::<Result<_, _>>()?;
         // The rollouts' local tier: the co-pre-trained RL tier, else the
         // ad-hoc behaviour, so learned values reflect wake penalties
@@ -816,7 +750,12 @@ fn pretrain(
             Some(dpm) => dpm,
             None => &mut sleep,
         };
-        pretrain_pair(&mut allocator, power, cluster, &traces)?;
+        pretrain_pair(
+            &mut allocator,
+            power,
+            cluster,
+            traces.iter().map(Arc::as_ref),
+        )?;
         Ok(Pretrained {
             drl: allocator.snapshot(),
             dpm: dpm.map(|dpm| dpm.snapshot()),
@@ -1010,7 +949,6 @@ fn run_unit(
     // stable across both axes.
     let headroom = scenario
         .elastic
-        .as_ref()
         .map(|spec| spec.cluster_with_headroom(member));
     let cluster = headroom.as_ref().unwrap_or(member);
     let (mut allocator, mut power) =
@@ -1186,29 +1124,6 @@ fn route(
 fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
     let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
     let (mut traces, provenance) = resolve_cell_traces(scenario, ctx)?;
-    // Arrival-spike fault shapes extend the evaluation stream itself, so
-    // they inject here — before routing — from the *cell-level* fault
-    // seed, so every unit sees its share of the same merged stream.
-    if let Some(fault) = scenario.fault.as_ref().filter(|f| f.has_spikes()) {
-        let fault_seed = scenario.fault_seed();
-        traces = traces
-            .iter()
-            .enumerate()
-            .map(|(i, trace)| {
-                let template = trace.jobs();
-                let span = template.last().map_or(0.0, |j| j.arrival.as_secs());
-                // Per-segment spike sub-stream, disjoint from the shape
-                // streams `lower` draws from (0x200 + i vs 0..shapes).
-                let spikes =
-                    fault.spike_jobs(mix_seed(fault_seed, 0x200 + i as u64), template, span);
-                let mut jobs = template.to_vec();
-                jobs.extend(spikes);
-                Trace::from_unsorted(jobs)
-                    .map(Arc::new)
-                    .map_err(|e| format!("segment {i} spike merge: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-    }
     // `max_jobs` truncates each segment's arrival stream before routing.
     if let Some(n) = scenario.max_jobs.map(|n| n as usize) {
         for (i, trace) in traces.iter_mut().enumerate() {

@@ -8,62 +8,33 @@ use hierdrl_sim::events::{FleetOp, ServerSpec};
 use hierdrl_sim::job::{Job, ServerId};
 use serde::{Deserialize, Serialize};
 
-/// How the autoscaler tier picks a scaling action at each epoch boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AutoscalePolicy {
-    /// The classic reactive baseline: scale out above the high-water
-    /// utilization mark, scale in below the low-water mark.
-    Threshold {
-        /// High-water offered utilization (scale out above).
-        high: f64,
-        /// Low-water offered utilization (scale in below).
-        low: f64,
-    },
-    /// A learned tabular policy: epsilon-greedy SMDP Q-learning (reusing
-    /// [`hierdrl_rl::qtable::QTable`]) over offered-utilization bins with
-    /// actions {scale-in, hold, scale-out}, trained online during the
-    /// feed-forward lowering pass against a cost of fleet fraction plus
-    /// overload overshoot.
-    Learned {
-        /// Number of utilization bins (states).
-        bins: usize,
-        /// Exploration rate in `[0, 1)`.
-        epsilon: f64,
-    },
-}
+/// Equal decision epochs across each evaluation segment.
+const EPOCHS: usize = 12;
+/// Fleet floor as a fraction of the initial size (rounded, >= 1).
+const MIN_FRAC: f64 = 0.5;
+/// Fleet ceiling as a fraction of the initial size (rounded up).
+const MAX_FRAC: f64 = 1.5;
+/// Boundaries to hold after a scaling action before the next one.
+const COOLDOWN: usize = 1;
+/// The threshold autoscaler's high-water offered utilization (scale out
+/// above).
+const HIGH_WATER: f64 = 0.75;
+/// The threshold autoscaler's low-water offered utilization (scale in
+/// below).
+const LOW_WATER: f64 = 0.30;
+/// The learned autoscaler's utilization bins (states).
+const BINS: usize = 8;
+/// The learned autoscaler's exploration rate.
+const EPSILON: f64 = 0.2;
 
-impl AutoscalePolicy {
-    fn validate(&self) -> Result<(), String> {
-        match *self {
-            AutoscalePolicy::Threshold { high, low } => {
-                if !(low.is_finite() && high.is_finite() && 0.0 < low && low < high) {
-                    return Err(format!(
-                        "threshold autoscaler needs 0 < low < high, got low {low} high {high}"
-                    ));
-                }
-                Ok(())
-            }
-            AutoscalePolicy::Learned { bins, epsilon } => {
-                if bins < 2 {
-                    return Err(format!("learned autoscaler needs >= 2 bins, got {bins}"));
-                }
-                if !(epsilon.is_finite() && (0.0..1.0).contains(&epsilon)) {
-                    return Err(format!(
-                        "learned autoscaler epsilon must be in [0, 1), got {epsilon}"
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// The elastic axis of a scenario: a named autoscaler tier that grows and
-/// shrinks fleet membership at deterministic epoch boundaries. Like the
-/// chaos axis, the spec lowers *feed-forward* — the schedule is a pure
-/// function of the elastic seed (`mix(seed, 5)`) and the segment's arrival
-/// stream, never of live simulation state — so elastic cells keep every
-/// byte-identity guarantee (sharded vs. serial, re-run vs. suite run).
+/// The elastic axis of a scenario: one of two autoscaler tiers that grow
+/// and shrink fleet membership at 12 equal epoch boundaries per segment,
+/// within `[0.5, 1.5] × M` servers, holding one boundary after each
+/// action. Like the chaos axis, the spec lowers *feed-forward* — the
+/// schedule is a pure function of the elastic seed (`mix(u, 5)` over the
+/// unit seed `u`) and the segment's arrival stream, never of live
+/// simulation state — so elastic cells keep every byte-identity guarantee
+/// (sharded vs. serial, re-run vs. suite run).
 ///
 /// Lowering simulates the autoscaler against the *offered* utilization
 /// trajectory: per epoch, arrival-windowed `cpu x duration` demand divided
@@ -71,104 +42,43 @@ impl AutoscalePolicy {
 /// ([`ServerSpec::unit`]); scale-in retires the highest-index live member
 /// (LIFO), mirroring the cluster's lowest-departed-slot reuse on rejoin so
 /// the scheduled slot bookkeeping matches the simulator's exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ElasticSpec {
-    /// Display name (joined into the scenario id as `workload~elastic`).
-    pub name: String,
-    /// The autoscaler's decision rule.
-    pub policy: AutoscalePolicy,
-    /// Number of equal decision epochs across each evaluation segment.
-    pub epochs: usize,
-    /// Fleet floor as a fraction of the initial size (rounded, >= 1).
-    pub min_frac: f64,
-    /// Fleet ceiling as a fraction of the initial size (rounded up).
-    pub max_frac: f64,
-    /// Boundaries to hold after a scaling action before the next one.
-    pub cooldown: usize,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ElasticSpec {
+    /// The classic reactive baseline: scale out above 75% offered
+    /// utilization, scale in below 30%.
+    Threshold,
+    /// A learned tabular policy: epsilon-greedy (ε = 0.2) SMDP Q-learning
+    /// (reusing [`hierdrl_rl::qtable::QTable`]) over 8 offered-utilization
+    /// bins with actions {scale-in, hold, scale-out}, trained online during
+    /// the feed-forward lowering pass against a cost of fleet fraction plus
+    /// overload overshoot.
+    Learned,
 }
 
 impl ElasticSpec {
-    /// A named elastic schedule from explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy parameters are out of range, `epochs < 2`,
-    /// `min_frac` is outside `(0, 1]`, or `max_frac < 1`.
-    pub fn new(
-        name: impl Into<String>,
-        policy: AutoscalePolicy,
-        epochs: usize,
-        min_frac: f64,
-        max_frac: f64,
-        cooldown: usize,
-    ) -> Self {
-        policy.validate().unwrap_or_else(|e| panic!("{e}"));
-        assert!(epochs >= 2, "elastic spec needs >= 2 epochs, got {epochs}");
-        assert!(
-            min_frac.is_finite() && min_frac > 0.0 && min_frac <= 1.0,
-            "min_frac must be in (0, 1], got {min_frac}"
-        );
-        assert!(
-            max_frac.is_finite() && max_frac >= 1.0,
-            "max_frac must be >= 1, got {max_frac}"
-        );
-        Self {
-            name: name.into(),
-            policy,
-            epochs,
-            min_frac,
-            max_frac,
-            cooldown,
+    /// Display name (joined into the scenario id as `workload~elastic`).
+    pub fn name(self) -> &'static str {
+        match self {
+            ElasticSpec::Threshold => "threshold",
+            ElasticSpec::Learned => "learned",
         }
     }
 
-    /// The canonical threshold autoscaler: 75%/30% water marks, 12 epochs,
-    /// half-to-1.5x fleet range, one-boundary cooldown.
-    pub fn threshold() -> Self {
-        Self::new(
-            "threshold",
-            AutoscalePolicy::Threshold {
-                high: 0.75,
-                low: 0.30,
-            },
-            12,
-            0.5,
-            1.5,
-            1,
-        )
-    }
-
-    /// The canonical learned autoscaler: 8 utilization bins, 20%
-    /// exploration, same range and cadence as [`ElasticSpec::threshold`].
-    pub fn learned() -> Self {
-        Self::new(
-            "learned",
-            AutoscalePolicy::Learned {
-                bins: 8,
-                epsilon: 0.2,
-            },
-            12,
-            0.5,
-            1.5,
-            1,
-        )
-    }
-
     /// The fleet ceiling in slots for an initial size of `num_servers`.
-    pub fn max_slots(&self, num_servers: usize) -> usize {
-        ((num_servers as f64 * self.max_frac).ceil() as usize).max(num_servers)
+    pub fn max_slots(self, num_servers: usize) -> usize {
+        ((num_servers as f64 * MAX_FRAC).ceil() as usize).max(num_servers)
     }
 
     /// The fleet floor in slots for an initial size of `num_servers`.
-    pub fn min_slots(&self, num_servers: usize) -> usize {
-        ((num_servers as f64 * self.min_frac).round() as usize).clamp(1, num_servers)
+    pub fn min_slots(self, num_servers: usize) -> usize {
+        ((num_servers as f64 * MIN_FRAC).round() as usize).clamp(1, num_servers)
     }
 
     /// The cell's cluster configuration with join headroom: `max_servers`
     /// raised to this spec's ceiling so mid-run [`FleetOp::Join`]s have
     /// slots to land in. Learners size their padded slot width from the
     /// same `effective_max`, keeping batched paths bitwise stable.
-    pub fn cluster_with_headroom(&self, cluster: &ClusterConfig) -> ClusterConfig {
+    pub fn cluster_with_headroom(self, cluster: &ClusterConfig) -> ClusterConfig {
         let mut grown = cluster.clone();
         grown.max_servers = Some(
             self.max_slots(cluster.num_servers)
@@ -186,7 +96,7 @@ impl ElasticSpec {
     /// boundaries from the utilization observed over the *previous* epoch,
     /// so the schedule is causal as well as feed-forward.
     pub fn lower(
-        &self,
+        self,
         elastic_seed: u64,
         num_servers: usize,
         resource_dims: usize,
@@ -199,12 +109,12 @@ impl ElasticSpec {
         if span_s <= 0.0 || span_s.is_nan() || jobs.is_empty() {
             return schedule;
         }
-        let epoch_s = span_s / self.epochs as f64;
+        let epoch_s = span_s / EPOCHS as f64;
         // Offered demand per epoch: arrival-windowed cpu x duration, in
         // unit-server-seconds (the share scales multi-cluster lowering).
-        let mut demand = vec![0.0f64; self.epochs];
+        let mut demand = [0.0f64; EPOCHS];
         for job in jobs {
-            let e = ((job.arrival.as_secs() / epoch_s) as usize).min(self.epochs - 1);
+            let e = ((job.arrival.as_secs() / epoch_s) as usize).min(EPOCHS - 1);
             demand[e] += job.demand.cpu() * job.duration * demand_share;
         }
         let (min, max) = (self.min_slots(num_servers), self.max_slots(num_servers));
@@ -218,24 +128,24 @@ impl ElasticSpec {
         let mut qtable: QTable<u64> = QTable::new(3, 0.0);
         let params = SmdpParams::new(0.5, 1e-3);
         let mut prev: Option<(u64, usize)> = None;
-        for e in 1..self.epochs {
+        for e in 1..EPOCHS {
             let t = e as f64 * epoch_s;
             let util = demand[e - 1] / (epoch_s * live as f64);
             // Action encoding: 0 = scale in, 1 = hold, 2 = scale out.
-            let action = match self.policy {
-                AutoscalePolicy::Threshold { high, low } => {
-                    if util > high {
+            let action = match self {
+                ElasticSpec::Threshold => {
+                    if util > HIGH_WATER {
                         2
-                    } else if util < low {
+                    } else if util < LOW_WATER {
                         0
                     } else {
                         1
                     }
                 }
-                AutoscalePolicy::Learned { bins, epsilon } => {
+                ElasticSpec::Learned => {
                     // Bin offered utilization over [0, 2) (>= 2x live
                     // capacity saturates the top bin).
-                    let state = (((util / 2.0) * bins as f64) as u64).min(bins as u64 - 1);
+                    let state = (((util / 2.0) * BINS as f64) as u64).min(BINS as u64 - 1);
                     // Cost rate of the epoch that just elapsed: fleet
                     // fraction (energy proxy) plus overload overshoot
                     // (latency proxy), credited to the previous decision.
@@ -246,7 +156,7 @@ impl ElasticSpec {
                     let draw = mix_seed(elastic_seed, e as u64);
                     // A uniform draw in [0, 1) from the high 53 bits.
                     let u = (draw >> 11) as f64 / (1u64 << 53) as f64;
-                    let action = if u < epsilon {
+                    let action = if u < EPSILON {
                         mix_seed(draw, 1) as usize % 3
                     } else {
                         qtable.best_action(&state)
@@ -266,7 +176,7 @@ impl ElasticSpec {
                     live -= 1;
                     schedule.events.push((t, FleetOp::Leave(ServerId(idx))));
                     schedule.sizes.push((t, live));
-                    cooldown_left = self.cooldown;
+                    cooldown_left = COOLDOWN;
                 }
                 2 if live < max => {
                     match slots.iter().position(|&l| !l) {
@@ -278,7 +188,7 @@ impl ElasticSpec {
                         .events
                         .push((t, FleetOp::Join(ServerSpec::unit(resource_dims, true))));
                     schedule.sizes.push((t, live));
-                    cooldown_left = self.cooldown;
+                    cooldown_left = COOLDOWN;
                 }
                 _ => {}
             }

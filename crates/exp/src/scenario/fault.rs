@@ -2,11 +2,10 @@
 
 use super::mix_seed;
 use hierdrl_sim::events::FleetOp;
-use hierdrl_sim::job::{Job, JobId, ServerId};
-use hierdrl_sim::time::SimTime;
+use hierdrl_sim::job::ServerId;
 use serde::{Deserialize, Serialize};
 
-/// One injected fault shape. Every time, duration, and spread is a
+/// One injected fault shape. Every time and duration is a
 /// *fraction of the evaluation span* (the segment's last arrival time), so
 /// one spec scales unchanged from smoke runs to paper-length traces; the
 /// schedule is lowered to absolute event times per segment by
@@ -55,17 +54,6 @@ pub enum FaultShape {
         start: f64,
         /// Window length as a fraction of the span.
         duration: f64,
-    },
-    /// Inject `fraction` (of the stream length) extra arrivals around
-    /// `at`, spread over `spread` of the span — a flash crowd. Lowered at
-    /// the trace level ([`FaultSpec::spike_jobs`]), before routing.
-    ArrivalSpike {
-        /// Spike start as a fraction of the span.
-        at: f64,
-        /// Extra arrivals as a fraction of the stream length, in `(0, 1]`.
-        fraction: f64,
-        /// Spike width as a fraction of the span.
-        spread: f64,
     },
 }
 
@@ -147,15 +135,6 @@ impl FaultShape {
                 check_time("cap-window start", start)?;
                 check_len("cap-window duration", duration)
             }
-            FaultShape::ArrivalSpike {
-                at,
-                fraction,
-                spread,
-            } => {
-                check_time("arrival-spike", at)?;
-                check_fraction(fraction)?;
-                check_len("arrival-spike spread", spread)
-            }
         }
     }
 }
@@ -174,11 +153,12 @@ fn draw_distinct_servers(seed: u64, count: usize, n: usize) -> Vec<usize> {
 }
 
 /// The chaos axis of a scenario: a named, deterministic, seed-derived
-/// schedule of injected faults, lowered to event-level
-/// [`FleetOp`]s per evaluation segment. Everything about the schedule —
-/// which servers crash, when, for how long — derives from the cell's
-/// fault seed (`mix(seed, 4)`), so fault cells are exactly as reproducible
-/// and mutually independent as every other axis.
+/// schedule of injected faults, lowered to event-level [`FleetOp`]s per
+/// execution unit and evaluation segment, after routing. Everything about
+/// the schedule — which servers crash, when, for how long — derives from
+/// the unit's fault seed (`mix(u, 4)` over the unit seed `u`), so fault
+/// cells are exactly as reproducible and mutually independent as every
+/// other axis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Display name (joined into the scenario id as `workload%fault`).
@@ -268,32 +248,11 @@ impl FaultSpec {
         )
     }
 
-    /// The canonical arrival spike: a quarter extra arrivals concentrated
-    /// over a tenth of the span.
-    pub fn arrival_spike() -> Self {
-        Self::new(
-            "arrival-spike",
-            vec![FaultShape::ArrivalSpike {
-                at: 0.4,
-                fraction: 0.25,
-                spread: 0.1,
-            }],
-        )
-    }
-
-    /// Whether any shape injects extra arrivals (handled at the trace
-    /// level, before routing, unlike the event-lowered shapes).
-    pub fn has_spikes(&self) -> bool {
-        self.shapes
-            .iter()
-            .any(|s| matches!(s, FaultShape::ArrivalSpike { .. }))
-    }
-
     /// Lowers the schedule to absolute-time [`FleetOp`] events for one
     /// evaluation segment of `num_servers` servers spanning `span_s`
     /// seconds of arrivals, sorted by time (ties keep shape order). Every
     /// seed-drawn choice derives from `fault_seed` via per-shape SplitMix64
-    /// sub-streams. [`FaultShape::ArrivalSpike`]s lower to no events.
+    /// sub-streams.
     ///
     /// # Errors
     ///
@@ -377,51 +336,9 @@ impl FaultSpec {
                         ));
                     }
                 }
-                FaultShape::ArrivalSpike { .. } => {}
             }
         }
         events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("fault times are finite"));
         Ok(events)
-    }
-
-    /// The extra arrivals [`FaultShape::ArrivalSpike`]s inject into one
-    /// segment's stream: deterministic clones of seed-picked template jobs
-    /// with fresh ids past the template's largest, arrival times drawn in
-    /// the spike window. Returned sorted by arrival; the caller merges
-    /// them into the stream before routing.
-    pub fn spike_jobs(&self, fault_seed: u64, template: &[Job], span_s: f64) -> Vec<Job> {
-        let mut extra: Vec<Job> = Vec::new();
-        if template.is_empty() {
-            return extra;
-        }
-        let mut next_id = template.iter().map(|j| j.id.0).max().unwrap_or(0) + 1;
-        for (i, shape) in self.shapes.iter().enumerate() {
-            let FaultShape::ArrivalSpike {
-                at,
-                fraction,
-                spread,
-            } = *shape
-            else {
-                continue;
-            };
-            let shape_seed = mix_seed(fault_seed, i as u64);
-            let count = ((fraction * template.len() as f64).round() as usize).max(1);
-            for k in 0..count {
-                let draw = mix_seed(shape_seed, 1 + k as u64);
-                let source = &template[draw as usize % template.len()];
-                // A uniform draw in [0, 1) from the high 53 bits.
-                let u = (mix_seed(draw, 1) >> 11) as f64 / (1u64 << 53) as f64;
-                let arrival = (at + u * spread).min(1.0) * span_s;
-                extra.push(Job::new(
-                    JobId(next_id),
-                    SimTime::from_secs(arrival),
-                    source.duration,
-                    source.demand,
-                ));
-                next_id += 1;
-            }
-        }
-        extra.sort_by_key(|j| (j.arrival, j.id));
-        extra
     }
 }

@@ -209,11 +209,8 @@ mod tests {
             None,
         )
         .with_fault(FaultSpec::crash_storm())
-        .with_elastic(ElasticSpec::threshold());
-        let (fault, elastic) = (
-            scenario.fault.clone().unwrap(),
-            scenario.elastic.clone().unwrap(),
-        );
+        .with_elastic(ElasticSpec::Threshold);
+        let (fault, elastic) = (scenario.fault.clone().unwrap(), scenario.elastic.unwrap());
         let stream = Arc::new(scenario.trace_spec().materialize().unwrap());
         let (cell_jobs, clusters) = (stream.jobs(), scenario.topology.clusters());
         let cell_span = cell_jobs.last().unwrap().arrival.as_secs();
@@ -379,7 +376,7 @@ mod tests {
         // 100 s each at 6, 7, 8 and 6 live; the change at 500 s lies past
         // the span, and the empty segment's 5 servers hold for no time.
         assert_eq!(
-            fleet.fleet_size(&scenario.clone().with_elastic(ElasticSpec::threshold())),
+            fleet.fleet_size(&scenario.clone().with_elastic(ElasticSpec::Threshold)),
             FleetSize {
                 min: 5,
                 max: 8,

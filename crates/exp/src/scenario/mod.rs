@@ -15,7 +15,7 @@ mod topology;
 mod workload;
 
 pub use drift::DriftSpec;
-pub use elastic::{AutoscalePolicy, ElasticSpec};
+pub use elastic::ElasticSpec;
 pub use fault::{FaultShape, FaultSpec};
 pub(crate) use fleet::CellFleet;
 pub use fleet::FleetSchedule;
@@ -131,7 +131,7 @@ impl Scenario {
             workload = format!("{workload}%{}", fault.name);
         }
         if let Some(elastic) = &self.elastic {
-            workload = format!("{workload}~{}", elastic.name);
+            workload = format!("{workload}~{}", elastic.name());
         }
         format!(
             "{}/{}/{}/s{}",
@@ -198,13 +198,6 @@ impl Scenario {
     /// execution unit seeds from the cell seed.
     pub fn policy_seed(&self) -> u64 {
         SeedStream::Policy.derive(self.seed)
-    }
-
-    /// Seed of the cell-level fault stream, which draws the arrival spikes
-    /// injected into the stream before routing (per-unit fault schedules
-    /// derive from [`Scenario::unit_seed`]).
-    pub fn fault_seed(&self) -> u64 {
-        SeedStream::Fault.derive(self.seed)
     }
 
     /// Seed of named stream `stream` in execution unit `unit` — the one

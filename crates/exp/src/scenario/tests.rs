@@ -1,6 +1,6 @@
 use super::*;
 use hierdrl_sim::config::ClusterConfig;
-use hierdrl_sim::events::FleetOp;
+use hierdrl_sim::events::{FleetOp, ServerSpec};
 use hierdrl_sim::job::{Job, JobId, ServerId};
 use hierdrl_sim::router::RouterPolicy;
 use hierdrl_sim::time::SimTime;
@@ -321,7 +321,7 @@ fn fault_cells_rename_the_id_and_derive_a_disjoint_seed() {
         faulted.trace_seed(),
         faulted.policy_seed(),
         faulted.unit_seed(0, SeedStream::Dpm),
-        faulted.fault_seed(),
+        faulted.unit_seed(0, SeedStream::Fault),
     ];
     let mut dedup = seeds.to_vec();
     dedup.sort_unstable();
@@ -330,7 +330,7 @@ fn fault_cells_rename_the_id_and_derive_a_disjoint_seed() {
     // The single cluster's one unit lowers faults from the cell stream.
     assert_eq!(
         faulted.unit_seed(0, SeedStream::Fault),
-        faulted.fault_seed()
+        SeedStream::Fault.derive(faulted.seed)
     );
     // The fault axis changes nothing about the evaluation stream.
     assert_eq!(faulted.segment_trace_specs(), base.segment_trace_specs());
@@ -393,38 +393,6 @@ fn fault_lowering_is_deterministic_and_span_scaled() {
     assert!(cap[3..].iter().all(
         |(t, op)| *t == 60.0 && matches!(op, FleetOp::SetScale { scale, .. } if *scale == 1.0)
     ));
-}
-
-#[test]
-fn spike_jobs_extend_the_stream_without_colliding_ids() {
-    let template: Vec<Job> = (0..40)
-        .map(|i| {
-            Job::new(
-                JobId(i),
-                SimTime::from_secs(i as f64 * 10.0),
-                60.0,
-                hierdrl_sim::resources::ResourceVec::cpu_mem_disk(0.2, 0.1, 0.05),
-            )
-        })
-        .collect();
-    let spec = FaultSpec::arrival_spike();
-    let extra = spec.spike_jobs(5, &template, 390.0);
-    assert_eq!(extra.len(), 10, "a quarter of 40 template jobs");
-    assert_eq!(extra, spec.spike_jobs(5, &template, 390.0));
-    let window = (0.4 * 390.0, (0.4 + 0.1) * 390.0);
-    for (i, job) in extra.iter().enumerate() {
-        assert!(job.id.0 >= 40, "spike ids continue past the template's");
-        assert!(job.arrival.as_secs() >= window.0 && job.arrival.as_secs() <= window.1);
-        if i > 0 {
-            assert!(extra[i - 1].arrival <= job.arrival, "sorted by arrival");
-        }
-    }
-    // Non-spike shapes inject nothing.
-    assert!(FaultSpec::crash_storm()
-        .spike_jobs(5, &template, 390.0)
-        .is_empty());
-    assert!(!FaultSpec::crash_storm().has_spikes());
-    assert!(spec.has_spikes());
 }
 
 #[test]
@@ -583,7 +551,7 @@ fn elastic_axis_joins_the_id_after_the_fault_component() {
         None,
     )
     .with_fault(FaultSpec::cap_window())
-    .with_elastic(ElasticSpec::threshold());
+    .with_elastic(ElasticSpec::Threshold);
     assert_eq!(s.id, "paper-m4/paper%cap-window~threshold/round-robin/s7");
     // The fixed-fleet twin differs only by the `~elastic` component —
     // the strip the autoscale-economics expectation relies on.
@@ -594,7 +562,7 @@ fn elastic_axis_joins_the_id_after_the_fault_component() {
     // Stream 5 is disjoint from the other per-cell streams.
     let elastic_seed = s.unit_seed(0, SeedStream::Elastic);
     assert_eq!(elastic_seed, SeedStream::Elastic.derive(s.seed));
-    assert_ne!(elastic_seed, s.fault_seed());
+    assert_ne!(elastic_seed, s.unit_seed(0, SeedStream::Fault));
     assert_ne!(elastic_seed, s.trace_seed());
     let sharded = Scenario {
         topology: Topology::sharded_paper(2, 4, RouterPolicy::RoundRobin),
@@ -627,9 +595,26 @@ fn front_loaded_jobs(n: usize, span_s: f64) -> Vec<Job> {
         .collect()
 }
 
+/// One job per 1,000 s epoch of a 12,000 s span, each offering `loads[e]`
+/// times the capacity of four unit servers over its epoch.
+fn epoch_load_jobs(loads: &[f64]) -> Vec<Job> {
+    loads
+        .iter()
+        .enumerate()
+        .map(|(e, &load)| {
+            Job::new(
+                JobId(e as u64),
+                SimTime::from_secs(e as f64 * 1_000.0 + 1.0),
+                load * 4.0 * 1_000.0 / 0.5,
+                hierdrl_sim::resources::ResourceVec::cpu_mem_disk(0.5, 0.1, 0.01),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn threshold_lowering_scales_out_under_load_and_back_in_when_quiet() {
-    let spec = ElasticSpec::threshold();
+    let spec = ElasticSpec::Threshold;
     let jobs = front_loaded_jobs(200, 12_000.0);
     let schedule = spec.lower(99, 4, 3, &jobs, 12_000.0, 1.0);
     assert!(!schedule.events.is_empty(), "autoscaler never acted");
@@ -657,7 +642,7 @@ fn threshold_lowering_scales_out_under_load_and_back_in_when_quiet() {
 
 #[test]
 fn elastic_lowering_is_deterministic_and_seed_sensitive() {
-    let spec = ElasticSpec::learned();
+    let spec = ElasticSpec::Learned;
     let jobs = front_loaded_jobs(200, 12_000.0);
     let a = spec.lower(5, 4, 3, &jobs, 12_000.0, 1.0);
     let b = spec.lower(5, 4, 3, &jobs, 12_000.0, 1.0);
@@ -668,25 +653,122 @@ fn elastic_lowering_is_deterministic_and_seed_sensitive() {
 }
 
 #[test]
-fn elastic_headroom_raises_max_servers() {
-    let spec = ElasticSpec::threshold();
-    let grown = spec.cluster_with_headroom(&ClusterConfig::paper(4));
-    assert_eq!(grown.effective_max(), 6);
-    assert_eq!(grown.num_servers, 4);
+fn canonical_autoscalers_lower_their_pinned_schedules() {
+    // The exact schedules both autoscalers lower on three streams. A step
+    // in any one of their constants (epochs, fleet range, cooldown, water
+    // marks, bins, exploration rate) alters at least one of them.
+    let join = || FleetOp::Join(ServerSpec::unit(3, true));
+    let leave = |k| FleetOp::Leave(ServerId(k));
+    let lower = |spec: ElasticSpec, seed, jobs: &[Job]| spec.lower(seed, 4, 3, jobs, 12_000.0, 1.0);
+
+    let front = front_loaded_jobs(200, 12_000.0);
+    let threshold = lower(ElasticSpec::Threshold, 99, &front);
+    assert_eq!(
+        threshold.events,
+        vec![
+            (1_000.0, join()),
+            (3_000.0, join()),
+            (7_000.0, leave(5)),
+            (9_000.0, leave(4)),
+            (11_000.0, leave(3)),
+        ]
+    );
+    assert_eq!(
+        threshold.sizes,
+        vec![
+            (0.0, 4),
+            (1_000.0, 5),
+            (3_000.0, 6),
+            (7_000.0, 5),
+            (9_000.0, 4),
+            (11_000.0, 3),
+        ]
+    );
+    let learned = lower(ElasticSpec::Learned, 5, &front);
+    assert_eq!(
+        learned.events,
+        vec![
+            (1_000.0, leave(3)),
+            (3_000.0, join()),
+            (5_000.0, leave(3)),
+            (7_000.0, leave(2)),
+            (9_000.0, join()),
+            (11_000.0, join()),
+        ]
+    );
+    assert_eq!(
+        learned.sizes,
+        vec![
+            (0.0, 4),
+            (1_000.0, 3),
+            (3_000.0, 4),
+            (5_000.0, 3),
+            (7_000.0, 2),
+            (9_000.0, 3),
+            (11_000.0, 4),
+        ]
+    );
+
+    // Loads just past each water mark (0.76 of four servers scales out,
+    // 0.29 of five scales in, 0.74 and 0.31 hold), up to the ceiling of
+    // six; the learned rule's states here depend on its bin count.
+    let edge = epoch_load_jobs(&[
+        0.76, 1.0, 0.3625, 0.1, 0.74, 0.31, 1.9, 1.9, 1.5, 0.05, 0.05, 0.05,
+    ]);
+    let threshold = lower(ElasticSpec::Threshold, 99, &edge);
+    assert_eq!(
+        threshold.events,
+        vec![
+            (1_000.0, join()),
+            (3_000.0, leave(4)),
+            (7_000.0, join()),
+            (9_000.0, join()),
+            (11_000.0, leave(5)),
+        ]
+    );
+    assert_eq!(
+        threshold.sizes,
+        vec![
+            (0.0, 4),
+            (1_000.0, 5),
+            (3_000.0, 4),
+            (7_000.0, 5),
+            (9_000.0, 6),
+            (11_000.0, 5),
+        ]
+    );
+    assert_eq!(lower(ElasticSpec::Learned, 5, &edge), learned);
+    let learned = lower(ElasticSpec::Learned, 25, &edge);
+    assert_eq!(
+        learned.events,
+        vec![
+            (1_000.0, join()),
+            (3_000.0, leave(4)),
+            (7_000.0, leave(3)),
+            (9_000.0, join()),
+        ]
+    );
+    assert_eq!(
+        learned.sizes,
+        vec![
+            (0.0, 4),
+            (1_000.0, 5),
+            (3_000.0, 4),
+            (7_000.0, 3),
+            (9_000.0, 4),
+        ]
+    );
+
+    // A quiet stream scales in to the floor of two and stays there.
+    let quiet = lower(ElasticSpec::Threshold, 99, &epoch_load_jobs(&[0.05; 12]));
+    assert_eq!(quiet.events, vec![(1_000.0, leave(3)), (3_000.0, leave(2))]);
+    assert_eq!(quiet.sizes, vec![(0.0, 4), (1_000.0, 3), (3_000.0, 2)]);
 }
 
 #[test]
-#[should_panic(expected = "0 < low < high")]
-fn inverted_thresholds_are_rejected() {
-    let _ = ElasticSpec::new(
-        "bad",
-        AutoscalePolicy::Threshold {
-            high: 0.2,
-            low: 0.8,
-        },
-        12,
-        0.5,
-        1.5,
-        1,
-    );
+fn elastic_headroom_raises_max_servers() {
+    let spec = ElasticSpec::Threshold;
+    let grown = spec.cluster_with_headroom(&ClusterConfig::paper(4));
+    assert_eq!(grown.effective_max(), 6);
+    assert_eq!(grown.num_servers, 4);
 }

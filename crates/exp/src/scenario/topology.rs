@@ -139,14 +139,6 @@ impl Topology {
         )
     }
 
-    /// A custom single-cluster topology.
-    pub fn custom(name: impl Into<String>, cluster: ClusterConfig) -> Self {
-        Topology::Single {
-            name: name.into(),
-            cluster,
-        }
-    }
-
     /// A multi-cluster topology behind the given router.
     ///
     /// # Panics

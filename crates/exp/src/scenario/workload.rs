@@ -59,10 +59,6 @@ pub enum WorkloadSpec {
         demand_gate: f64,
         /// Optional cap: replay only the first `n` jobs of the trace.
         max_jobs: Option<u64>,
-        /// Per-server weekly rate of the *synthetic* pre-training rollouts
-        /// (learned policies still pre-train on generated workload — the
-        /// trace is held out for evaluation).
-        pretrain_weekly_jobs_per_server: f64,
     },
 }
 
@@ -109,7 +105,6 @@ impl WorkloadSpec {
             segment_wall_clock_s: None,
             demand_gate: DEFAULT_DEMAND_GATE,
             max_jobs: None,
-            pretrain_weekly_jobs_per_server: PAPER_WEEKLY_JOBS_PER_SERVER,
         }
     }
 
@@ -190,18 +185,17 @@ impl WorkloadSpec {
     }
 
     /// Per-server weekly arrival rate: the generator law for synthetic
-    /// workloads, the synthetic *pre-training* rate for real traces (whose
-    /// evaluation arrivals come from the file).
+    /// workloads; for real traces, the paper's rate
+    /// ([`PAPER_WEEKLY_JOBS_PER_SERVER`]) of the *synthetic* pre-training
+    /// rollouts (learned policies still pre-train on generated workload —
+    /// the trace is held out for evaluation).
     pub fn weekly_jobs_per_server(&self) -> f64 {
         match self {
             Self::Synthetic {
                 weekly_jobs_per_server,
                 ..
             } => *weekly_jobs_per_server,
-            Self::RealTrace {
-                pretrain_weekly_jobs_per_server,
-                ..
-            } => *pretrain_weekly_jobs_per_server,
+            Self::RealTrace { .. } => PAPER_WEEKLY_JOBS_PER_SERVER,
         }
     }
 

@@ -15,21 +15,6 @@ use serde::{Deserialize, Serialize};
 /// into first-class, committed suite outputs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Expectation {
-    /// Every matching cell's named metric stays inside `[min, max]`.
-    MetricBound {
-        /// Row label in the report.
-        name: String,
-        /// Substring filter on cell ids (empty matches every cell).
-        cell_contains: String,
-        /// Metric key: one of `jobs_completed`, `energy_kwh`,
-        /// `mean_latency_s`, `average_power_w`, `span_hours`,
-        /// `jobs_requeued`.
-        metric: String,
-        /// Inclusive lower bound.
-        min: f64,
-        /// Inclusive upper bound.
-        max: f64,
-    },
     /// Conservation invariant: in every cell, each arrived job completes —
     /// exactly once — even through crash-requeue churn.
     JobConservation {
@@ -85,8 +70,7 @@ impl Expectation {
     /// The row label.
     pub fn name(&self) -> &str {
         match self {
-            Expectation::MetricBound { name, .. }
-            | Expectation::JobConservation { name }
+            Expectation::JobConservation { name }
             | Expectation::DeterminismPin { name, .. }
             | Expectation::GracefulDegradation { name, .. }
             | Expectation::AutoscaleEconomics { name, .. } => name,
@@ -304,7 +288,7 @@ impl SuiteBuilder {
                                         scenario = scenario.with_fault(f.clone());
                                     }
                                     if let Some(e) = elastic {
-                                        scenario = scenario.with_elastic(e.clone());
+                                        scenario = scenario.with_elastic(*e);
                                     }
                                     scenarios.push(scenario);
                                 }
@@ -418,7 +402,7 @@ mod tests {
         let suite = Suite::builder("t")
             .topologies([Topology::paper(4)])
             .workloads([WorkloadSpec::paper()])
-            .elastics_with_baseline([ElasticSpec::threshold()])
+            .elastics_with_baseline([ElasticSpec::Threshold])
             .policies([PolicySpec::round_robin(), PolicySpec::drl_only()])
             .seeds([1])
             .build();
@@ -439,7 +423,7 @@ mod tests {
             .topologies([Topology::paper(4)])
             .workloads([WorkloadSpec::paper()])
             .faults([FaultSpec::cap_window()])
-            .elastics([ElasticSpec::learned()])
+            .elastics([ElasticSpec::Learned])
             .policies([PolicySpec::round_robin()])
             .seeds([1])
             .build();

@@ -194,8 +194,8 @@ fn graceful_degradation_acceptance_via_expectation_layer() {
     // declarative layer itself: under both a crash storm and a straggler
     // wave, the full hierarchical framework's Eqn.-4 objective must
     // degrade (relative to its own fault-free twin) by no more than
-    // round-robin's does — alongside conservation-through-requeue, a
-    // requeue-count bound, and a determinism pin on a fault cell.
+    // round-robin's does — alongside conservation-through-requeue and a
+    // determinism pin on a fault cell.
     let suite = Suite::builder("chaos-acceptance")
         .topologies([Topology::paper(6)])
         .workloads([WorkloadSpec::paper_scaled(2.2).with_total_jobs(400)])
@@ -204,13 +204,6 @@ fn graceful_degradation_acceptance_via_expectation_layer() {
         .seeds([42])
         .expect(Expectation::JobConservation {
             name: "jobs-conserved".into(),
-        })
-        .expect(Expectation::MetricBound {
-            name: "crash-storm-requeues".into(),
-            cell_contains: "%crash-storm/round-robin".into(),
-            metric: "jobs_requeued".into(),
-            min: 1.0,
-            max: 1e18,
         })
         .expect(Expectation::DeterminismPin {
             name: "pin-straggler-wave".into(),
@@ -234,7 +227,7 @@ fn graceful_degradation_acceptance_via_expectation_layer() {
     assert_eq!(suite.len(), 6);
 
     let run = SuiteRunner::new().run(&suite).expect("acceptance run");
-    assert_eq!(run.expectations.len(), 5);
+    assert_eq!(run.expectations.len(), 4);
     for row in &run.expectations {
         eprintln!(
             "[{}] {}: {}",
@@ -253,6 +246,14 @@ fn graceful_degradation_acceptance_via_expectation_layer() {
     let report = run.report();
     assert_eq!(report.expectations, run.expectations);
     assert_eq!(run.bench_report().expectations, run.expectations);
+
+    // And the crash storm requeued jobs on the round-robin fleet.
+    let storm = report
+        .cells
+        .iter()
+        .find(|c| c.id.contains("%crash-storm/round-robin"))
+        .expect("a crash-storm round-robin cell");
+    assert!(storm.jobs_requeued > 0, "crash storm must requeue jobs");
 }
 
 /// Runs a one-cell round-robin suite under `fault` and returns its error.

@@ -55,7 +55,7 @@ fn elastic_sharded_byte_identity() {
             Topology::paper(5),
         ])
         .workloads([WorkloadSpec::paper().with_total_jobs(STREAM_JOBS)])
-        .elastics_with_baseline([ElasticSpec::threshold(), ElasticSpec::learned()])
+        .elastics_with_baseline([ElasticSpec::Threshold, ElasticSpec::Learned])
         .policies([PolicySpec::round_robin(), quick_drl()])
         .seeds([21])
         .build();
@@ -108,7 +108,7 @@ fn elastic_grid_conserves_jobs_under_churn() {
         .topologies([Topology::paper(5)])
         .workloads([WorkloadSpec::paper_scaled(1.5).with_total_jobs(300)])
         .faults_with_baseline([FaultSpec::crash_storm()])
-        .elastics_with_baseline([ElasticSpec::threshold()])
+        .elastics_with_baseline([ElasticSpec::Threshold])
         .policies([PolicySpec::round_robin(), quick_drl()])
         .seeds([31])
         .expect(Expectation::JobConservation {
@@ -139,7 +139,7 @@ fn autoscale_beats_fixed_fleet_or_holds() {
     let suite = Suite::builder("elastic-acceptance")
         .topologies([Topology::paper(6)])
         .workloads([WorkloadSpec::paper_scaled(0.6).with_total_jobs(400)])
-        .elastics_with_baseline([ElasticSpec::threshold()])
+        .elastics_with_baseline([ElasticSpec::Threshold])
         .policies([PolicySpec::round_robin(), quick_hierarchical()])
         .seeds([42])
         .expect(Expectation::JobConservation {
@@ -191,7 +191,7 @@ fn static_pair_drl_tier_spans_the_slot_ceiling() {
     let suite = Suite::builder("elastic-static-drl")
         .topologies([Topology::paper(5)])
         .workloads([WorkloadSpec::paper_scaled(60.0).with_total_jobs(300)])
-        .elastics([ElasticSpec::threshold()])
+        .elastics([ElasticSpec::Threshold])
         .policies([PolicySpec::static_pair(
             "drl+sleep",
             AllocatorKind::Drl(Box::new(quick_config())),

@@ -50,9 +50,6 @@ pub enum SegmentShift {
         /// Weekend rate multiplier.
         weekend_factor: f64,
     },
-    /// Task batching changed to this mean batch size at the *same* mean
-    /// task rate (a burstiness change: fewer, larger submissions).
-    BatchMean(f64),
 }
 
 impl SegmentShift {
@@ -79,12 +76,6 @@ impl SegmentShift {
                 config.arrivals.weekend_factor = weekend_factor;
                 config.arrivals.base_rate *= old_mean / config.arrivals.mean_rate_factor();
             }
-            SegmentShift::BatchMean(mean) => {
-                // Tasks-per-second stays fixed: submissions thin out as
-                // batches grow.
-                config.arrivals.base_rate *= config.batch_mean / mean;
-                config.batch_mean = mean;
-            }
         }
         config
     }
@@ -101,7 +92,6 @@ impl SegmentShift {
             } => {
                 format!("pattern(amp={diurnal_amplitude},peak={peak_hour}h,wknd={weekend_factor})")
             }
-            SegmentShift::BatchMean(m) => format!("batch-mean-{m}"),
         }
     }
 
@@ -130,13 +120,6 @@ impl SegmentShift {
                     Err(format!(
                         "weekend_factor must be positive, got {weekend_factor}"
                     ))
-                }
-            }
-            SegmentShift::BatchMean(m) => {
-                if m.is_finite() && m >= 1.0 {
-                    Ok(())
-                } else {
-                    Err(format!("batch mean must be >= 1, got {m}"))
                 }
             }
         }
@@ -236,16 +219,6 @@ mod tests {
             "regime change must hold the mean task rate"
         );
         assert_eq!(shifted.arrivals.peak_hour, 3.0);
-    }
-
-    #[test]
-    fn batch_mean_shift_preserves_task_rate() {
-        let b = base();
-        let shifted = SegmentShift::BatchMean(8.0).apply(&b);
-        assert_eq!(shifted.batch_mean, 8.0);
-        let tasks_before = b.arrivals.base_rate * b.batch_mean;
-        let tasks_after = shifted.arrivals.base_rate * shifted.batch_mean;
-        assert!((tasks_before - tasks_after).abs() < 1e-12);
     }
 
     #[test]

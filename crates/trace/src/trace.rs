@@ -103,16 +103,6 @@ impl Trace {
         Ok(Self { jobs })
     }
 
-    /// Sorts `jobs` by arrival and wraps them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidJob`] for invalid jobs.
-    pub fn from_unsorted(mut jobs: Vec<Job>) -> Result<Self, TraceError> {
-        jobs.sort_by_key(|a| a.arrival);
-        Self::new(jobs)
-    }
-
     /// The jobs, sorted by arrival.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
@@ -267,12 +257,6 @@ mod tests {
     fn unsorted_jobs_rejected_with_index() {
         let err = Trace::new(vec![job(0, 5.0, 10.0), job(1, 1.0, 10.0)]).unwrap_err();
         assert_eq!(err, TraceError::Unsorted { index: 1 });
-    }
-
-    #[test]
-    fn from_unsorted_sorts() {
-        let t = Trace::from_unsorted(vec![job(0, 5.0, 10.0), job(1, 1.0, 10.0)]).unwrap();
-        assert_eq!(t.jobs()[0].id, JobId(1));
     }
 
     #[test]

@@ -118,7 +118,6 @@ fn segmented_streams_are_byte_identical_per_segment() {
             peak_hour: 3.0,
             weekend_factor: 1.2,
         },
-        SegmentShift::BatchMean(9.0),
     ];
     let spec = SegmentedTraceSpec::from_shifts(&base, &shifts, 2_001, 77);
     assert_eq!(spec.segments.len(), shifts.len());
