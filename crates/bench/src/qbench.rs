@@ -6,7 +6,13 @@
 //! reference implementations so the batching speedup stays measurable.
 //! `train_step` times one global-tier train step the way the allocator
 //! runs it: the target sweep over memoized replay rows, then `train_batch`
-//! on samples borrowing those rows.
+//! on samples borrowing those rows. `train_step_parts_m30` splits the
+//! step's network half into its four parts, timed apart through the public
+//! `hierdrl_neural` API: the Sub-Q `Mlp` [109, 128, 15] forward and
+//! parameter backward over 32 rows, the gradient clip, and the Adam step.
+//!
+//! The first line names the GEMM tier the CPU dispatched to (`avx512f`,
+//! `avx+fma` or `scalar`), so a timing says which kernel it measured.
 //!
 //! State rows carry zeros as real ones do: every third feature of each
 //! group block is `0.0`, the rest uniform in `[0, 1)`. About 35% of the
@@ -25,9 +31,11 @@
 use criterion::Criterion;
 use hierdrl_core::dqn::{GroupedQNetwork, QNetworkConfig, QSample, StateRow};
 use hierdrl_core::state::{GlobalState, StateEncoder, StateEncoderConfig};
+use hierdrl_neural::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn layout(m: usize) -> StateEncoder {
     StateEncoder::new(m, 3, StateEncoderConfig::default())
@@ -129,15 +137,100 @@ fn bench_m(c: &mut Criterion, m: usize, minibatch: usize, quick: bool) {
     group.finish();
 }
 
+/// The network half of one M = 30 train step, part by part: the Sub-Q
+/// [109, 128, 15] ELU/linear `Mlp` the global tier trains at M = 30, over
+/// `minibatch` rows a third zeros, with the output gradient one nonzero
+/// per row as `train_batch` scatters it, and the default clip and Adam
+/// learning rate. Each part is timed alone; the parts it needs first run
+/// outside the timing.
+fn bench_train_step_parts(c: &mut Criterion, minibatch: usize, quick: bool) {
+    const SHAPE: [usize; 3] = [109, 128, 15];
+    let config = QNetworkConfig::default();
+    let mut rng = StdRng::seed_from_u64(30);
+    let mut net = Mlp::new(
+        &SHAPE,
+        Activation::ELU,
+        Activation::Linear,
+        Init::HeNormal,
+        &mut rng,
+    );
+    let mut x = Matrix::zeros(minibatch, SHAPE[0]);
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+        *v = if i % 3 == 0 { 0.0 } else { rng.gen::<f32>() };
+    }
+    let mut dy = Matrix::zeros(minibatch, SHAPE[2]);
+    for r in 0..minibatch {
+        dy[(r, rng.gen_range(0..SHAPE[2]))] = rng.gen_range(-0.2..0.2);
+    }
+    let mut adam = Adam::new(config.learning_rate);
+    // Past step 165 Adam's first bias correction is exactly 1.0, as on
+    // every train step of an evaluation.
+    for _ in 0..200 {
+        net.zero_grad();
+        let _ = net.forward_ws(&x);
+        net.backward_params_only_ws(&dy);
+        adam.step(&mut net);
+    }
+    // Production gradients stay far inside the clip, so it never fires:
+    // scale the output gradient to put the global norm at a quarter of it.
+    let norm = global_grad_norm(&mut net);
+    for v in dy.as_mut_slice() {
+        *v *= 0.25 * config.grad_clip / norm;
+    }
+    net.zero_grad();
+    let _ = net.forward_ws(&x);
+    net.backward_params_only_ws(&dy);
+
+    let mut group = c.benchmark_group("qbench_m30");
+    group.sample_size(if quick { 10 } else { 50 });
+    group.bench_function(&format!("train_step_parts_m30/forward_{minibatch}"), |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let start = Instant::now();
+                black_box(net.forward_ws(black_box(&x)));
+                total += start.elapsed();
+                net.clear_cache();
+            }
+            total
+        })
+    });
+    group.bench_function(&format!("train_step_parts_m30/backward_{minibatch}"), |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                net.zero_grad();
+                let _ = net.forward_ws(&x);
+                let start = Instant::now();
+                net.backward_params_only_ws(black_box(&dy));
+                total += start.elapsed();
+            }
+            total
+        })
+    });
+    // The backward passes above leave the gradients of one pass, at a
+    // quarter of the clip, so clipping leaves them alone for every call.
+    group.bench_function("train_step_parts_m30/clip", |b| {
+        b.iter(|| black_box(clip_grad_norm(&mut net, black_box(config.grad_clip))))
+    });
+    group.bench_function("train_step_parts_m30/adam", |b| {
+        b.iter(|| adam.step(&mut net))
+    });
+    group.finish();
+}
+
 /// Benchmarks every fleet size; `quick` shrinks the sample count.
 pub fn run(quick: bool) {
     let minibatch = 32;
     eprintln!(
-        "qbench: batched vs unbatched-reference DQN hot path (minibatch = {minibatch}{})",
-        if quick { ", quick" } else { "" }
+        "qbench: batched vs unbatched-reference DQN hot path (minibatch = {minibatch}{}), \
+         gemm tier {}",
+        if quick { ", quick" } else { "" },
+        hierdrl_neural::gemm_tier()
     );
     let mut criterion = Criterion::default();
     for m in [10usize, 14, 30] {
         bench_m(&mut criterion, m, minibatch, quick);
     }
+    bench_train_step_parts(&mut criterion, minibatch, quick);
 }

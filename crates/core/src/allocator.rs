@@ -348,8 +348,11 @@ pub struct DrlAllocator {
     pending: Option<Pending>,
     num_servers: usize,
     learning: bool,
-    /// Group rows collected for the autoencoder pre-training, flat.
-    ae_buffer: Vec<f32>,
+    /// Group rows collected for the autoencoder pre-training, allocated
+    /// at its final shape with the first of them.
+    ae_buffer: Matrix,
+    /// How many rows of `ae_buffer` are filled.
+    ae_rows: usize,
     stats: DrlStats,
     /// Target-net era: bumped at every target sync, invalidating all
     /// [`TargetCache`] entries at once.
@@ -393,7 +396,8 @@ impl DrlAllocator {
             pending: None,
             num_servers,
             learning: true,
-            ae_buffer: Vec::new(),
+            ae_buffer: Matrix::default(),
+            ae_rows: 0,
             config,
             stats: DrlStats::default(),
             target_era: 0,
@@ -469,7 +473,8 @@ impl DrlAllocator {
             rng,
             pending: None,
             learning: true,
-            ae_buffer: Vec::new(),
+            ae_buffer: Matrix::default(),
+            ae_rows: 0,
             encoder: snapshot.encoder,
             qnet: snapshot.qnet,
             policy: snapshot.policy,
@@ -502,13 +507,20 @@ impl DrlAllocator {
         if self.stats.autoencoder_trained || self.config.ae_pretrain_samples == 0 {
             return;
         }
-        let group_width = self.encoder.group_width();
-        let groups = self.encoder.num_groups() * group_width;
-        self.ae_buffer
-            .extend_from_slice(&self.arena.state(row)[..groups]);
-        if self.ae_buffer.len() >= self.config.ae_pretrain_samples * group_width {
-            let rows = self.ae_buffer.len() / group_width;
-            let data = Matrix::from_vec(rows, group_width, std::mem::take(&mut self.ae_buffer));
+        let (group_width, num_groups) = (self.encoder.group_width(), self.encoder.num_groups());
+        if self.ae_rows == 0 {
+            // Each decision adds its `num_groups` rows, and training starts
+            // once `ae_pretrain_samples` are in, so the buffer's final
+            // shape is known now: one allocation, never grown or copied.
+            let rows = self.config.ae_pretrain_samples.div_ceil(num_groups) * num_groups;
+            self.ae_buffer = Matrix::zeros(rows, group_width);
+        }
+        let (start, groups) = (self.ae_rows * group_width, num_groups * group_width);
+        self.ae_buffer.as_mut_slice()[start..start + groups]
+            .copy_from_slice(&self.arena.state(row)[..groups]);
+        self.ae_rows += num_groups;
+        if self.ae_rows >= self.config.ae_pretrain_samples {
+            let data = std::mem::take(&mut self.ae_buffer);
             self.pretrain_autoencoder(&data);
         }
     }

@@ -110,10 +110,17 @@ impl Trainer {
             })
             .collect();
         let queued = vec![false; slots.len()];
+        // A server is listed at most once (`Queue::pending`), so the ready
+        // list never outgrows this. Reserving it here keeps the pushing
+        // thread's allocations independent of how far the worker lags.
+        let ready = Ready {
+            servers: VecDeque::with_capacity(slots.len()),
+            ..Ready::default()
+        };
         Self {
             shared: Arc::new(Shared {
                 slots,
-                ready: Mutex::default(),
+                ready: Mutex::new(ready),
                 work: Condvar::new(),
                 done: Condvar::new(),
             }),
@@ -425,5 +432,23 @@ mod tests {
         assert_eq!(trainer.wait_for(0).training_steps(), MAX_QUEUED as u64 + 1);
         let queue = trainer.shared.slots[0].queue.lock().unwrap();
         assert_eq!(queue.items.capacity(), capacity, "allocated once");
+    }
+
+    #[test]
+    fn the_ready_list_never_grows_however_far_the_worker_lags() {
+        // Growing it on the pushing thread would make that thread's
+        // allocations, and so its heap layout, depend on the worker's pace.
+        let servers = 9;
+        let mut trainer = without_worker(servers);
+        let capacity = |t: &Trainer| t.shared.ready.lock().unwrap().servers.capacity();
+        let reserved = capacity(&trainer);
+        assert!(reserved >= servers);
+        for server in 0..servers {
+            for _ in 0..4 {
+                trainer.learn(server, 0.25);
+            }
+        }
+        assert_eq!(trainer.shared.ready.lock().unwrap().servers.len(), servers);
+        assert_eq!(capacity(&trainer), reserved);
     }
 }

@@ -51,6 +51,8 @@ pub mod matrix;
 pub mod optim;
 mod simd;
 
+pub use simd::gemm_tier;
+
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::activation::Activation;

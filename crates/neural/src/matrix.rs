@@ -4,14 +4,24 @@
 //! layer), so a straightforward cache-friendly implementation is more than
 //! fast enough and keeps the crate dependency-free.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Deref, DerefMut, Index, IndexMut};
 
 /// A dense row-major matrix of `f32` values.
 ///
 /// Rows are the batch dimension throughout this crate: a batch of `n`
 /// feature vectors of width `d` is an `n x d` matrix.
+///
+/// The elements start on a 64-byte boundary: `as_slice().as_ptr()` is
+/// 64-byte aligned for every non-empty matrix, however it was built
+/// (constructors, `clone`, reshaping, deserialization). A row whose width
+/// is a multiple of 16 then starts a cache line too, so the GEMM kernels'
+/// 64-byte vector loads of it never split one (see the `simd` module doc);
+/// with the 16-byte alignment of a plain `Vec<f32>`, where the heap
+/// happened to put a buffer decided that. The storage holds up to 15
+/// floats of padding ahead of the elements to get there; no view, clone
+/// or serialization shows them.
 ///
 /// # Examples
 ///
@@ -22,12 +32,133 @@ use std::ops::{Index, IndexMut};
 /// let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
 /// let c = a.matmul(&b);
 /// assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+/// assert_eq!(c.as_slice().as_ptr() as usize % 64, 0);
 /// ```
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: AlignedBuf,
+}
+
+/// The alignment, in bytes, of every matrix's first element.
+const ALIGN: usize = 64;
+
+/// Floats a buffer holds beyond its elements so that a 64-byte boundary
+/// falls within its first sixteen floats, wherever the heap puts it (an
+/// `f32` allocation is at least 4-byte aligned).
+const PAD: usize = ALIGN / 4 - 1;
+
+/// `Vec<f32>` storage whose elements start on a 64-byte boundary: `buf`
+/// holds `start` leading floats of padding, then the elements, so that
+/// `buf[start..]` is aligned; `start` is at most [`PAD`]. An empty buffer
+/// holds nothing, padding included. It serializes as the float array a
+/// `Vec<f32>` gives.
+#[derive(Default)]
+struct AlignedBuf {
+    buf: Vec<f32>,
+    start: usize,
+}
+
+impl AlignedBuf {
+    /// `len` zeros, in memory the allocator hands out zeroed (`vec!`'s
+    /// path), as `Vec<f32>` storage got them.
+    fn zeros(len: usize) -> Self {
+        if len == 0 {
+            return Self::default();
+        }
+        let mut buf = vec![0.0; len + PAD];
+        let start = aligned_start(&buf);
+        buf.truncate(start + len);
+        Self { buf, start }
+    }
+
+    /// A copy of `values`.
+    fn from_slice(values: &[f32]) -> Self {
+        let mut out = Self::default();
+        out.assign(values);
+        out
+    }
+
+    /// Empties the buffer and makes room for `len` aligned floats, leaving
+    /// `buf` holding just the padding before them. The allocation is kept
+    /// when it holds `len` plus [`PAD`] floats, and otherwise grows the way
+    /// `Vec::reserve` grows it, as `Vec`'s `clear` and `resize` would. The
+    /// test is on sizes alone, not on where the allocation starts, so which
+    /// calls allocate never depends on where the heap put a buffer.
+    fn clear_for(&mut self, len: usize) {
+        self.buf.clear();
+        self.start = 0;
+        if len == 0 {
+            return;
+        }
+        if len + PAD > self.buf.capacity() {
+            self.buf.reserve(len + PAD);
+        }
+        self.start = aligned_start(&self.buf);
+        self.buf.resize(self.start, 0.0);
+    }
+
+    /// Becomes `len` zeros, reusing the allocation (see
+    /// [`AlignedBuf::clear_for`]).
+    fn reset_zeros(&mut self, len: usize) {
+        self.clear_for(len);
+        self.buf.resize(self.start + len, 0.0);
+    }
+
+    /// Becomes a copy of `src`, reusing the allocation (see
+    /// [`AlignedBuf::clear_for`]).
+    fn assign(&mut self, src: &[f32]) {
+        self.clear_for(src.len());
+        self.buf.extend_from_slice(src);
+    }
+}
+
+/// How many floats into `buf`'s allocation its first 64-byte boundary
+/// lies.
+fn aligned_start(buf: &[f32]) -> usize {
+    let addr = buf.as_ptr() as usize;
+    (ALIGN - addr % ALIGN) % ALIGN / 4
+}
+
+impl Clone for AlignedBuf {
+    fn clone(&self) -> Self {
+        Self::from_slice(self)
+    }
+}
+
+impl Deref for AlignedBuf {
+    type Target = [f32];
+
+    #[inline]
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.start..]
+    }
+}
+
+impl DerefMut for AlignedBuf {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.buf[self.start..]
+    }
+}
+
+impl PartialEq for AlignedBuf {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Serialize for AlignedBuf {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for AlignedBuf {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Vec::<f32>::from_value(v).map(|data| AlignedBuf::from_slice(&data))
+    }
 }
 
 impl Matrix {
@@ -43,7 +174,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: vec![0.0; len],
+            data: AlignedBuf::zeros(len),
         }
     }
 
@@ -54,7 +185,8 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a flat row-major vector.
+    /// Creates a matrix from a flat row-major vector, copied once into
+    /// aligned storage.
     ///
     /// # Panics
     ///
@@ -68,7 +200,11 @@ impl Matrix {
             rows,
             cols
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: AlignedBuf::from_slice(&data),
+        }
     }
 
     /// Creates a matrix from row slices.
@@ -79,21 +215,21 @@ impl Matrix {
     pub fn from_rows(rows: &[&[f32]]) -> Self {
         assert!(!rows.is_empty(), "from_rows requires at least one row");
         let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
+        let mut m = Self::zeros(rows.len(), cols);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.len(), cols, "row {i} has inconsistent length");
-            data.extend_from_slice(r);
+            m.row_mut(i).copy_from_slice(r);
         }
-        Self {
-            rows: rows.len(),
-            cols,
-            data,
-        }
+        m
     }
 
     /// Creates a `1 x n` row vector from a slice.
     pub fn row_vector(values: &[f32]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
+        Self {
+            rows: 1,
+            cols: values.len(),
+            data: AlignedBuf::from_slice(values),
+        }
     }
 
     /// Number of rows.
@@ -126,13 +262,14 @@ impl Matrix {
         self.data.is_empty()
     }
 
-    /// Flat row-major view of the data.
+    /// Flat row-major view of the data, starting on a 64-byte boundary.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
-    /// Mutable flat row-major view of the data.
+    /// Mutable flat row-major view of the data, starting on a 64-byte
+    /// boundary.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
@@ -162,7 +299,7 @@ impl Matrix {
 
     /// Copies row `r` into a new `1 x cols` matrix.
     pub fn row_matrix(&self, r: usize) -> Matrix {
-        Matrix::from_vec(1, self.cols, self.row(r).to_vec())
+        Matrix::row_vector(self.row(r))
     }
 
     /// Returns the transpose.
@@ -195,8 +332,7 @@ impl Matrix {
     pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
         self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
+        self.data.assign(&src.data);
     }
 
     /// Reshapes to `rows x cols` in place, reusing the existing allocation
@@ -212,8 +348,7 @@ impl Matrix {
             .expect("matrix dimensions overflow usize");
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
-        self.data.resize(len, 0.0);
+        self.data.reset_zeros(len);
     }
 
     /// Matrix product `self * rhs`.
@@ -397,7 +532,7 @@ impl Matrix {
 
     /// Multiplies every element by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
-        for x in &mut self.data {
+        for x in self.data.iter_mut() {
             *x *= alpha;
         }
     }
@@ -417,7 +552,7 @@ impl Matrix {
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
         for r in 0..self.rows {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (x, &b) in row.iter_mut().zip(&bias.data) {
+            for (x, &b) in row.iter_mut().zip(bias.data.iter()) {
                 *x += b;
             }
         }
@@ -673,5 +808,117 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let b: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Whether `m`'s first element sits on a 64-byte boundary.
+    fn aligned(m: &Matrix) -> bool {
+        (m.as_slice().as_ptr() as usize).is_multiple_of(64)
+    }
+
+    #[test]
+    fn every_way_of_building_a_matrix_aligns_its_storage() {
+        // Sizes from one float to several cache lines, none a multiple of
+        // sixteen floats, so no size lands on a boundary by luck.
+        for (rows, cols) in [(1, 1), (1, 15), (3, 7), (5, 17), (9, 109)] {
+            let len = rows * cols;
+            let values: Vec<f32> = (0..len).map(|i| i as f32 * 0.5 - 3.0).collect();
+            let row_slices: Vec<&[f32]> = values.chunks(cols).collect();
+            let built = [
+                ("zeros", Matrix::zeros(rows, cols)),
+                ("filled", Matrix::filled(rows, cols, 2.5)),
+                ("from_vec", Matrix::from_vec(rows, cols, values.clone())),
+                ("from_rows", Matrix::from_rows(&row_slices)),
+            ];
+            for (how, m) in &built {
+                assert!(aligned(m), "{how} {rows}x{cols}");
+                assert_eq!(m.len(), len, "{how} {rows}x{cols}");
+            }
+            let m = &built[2].1;
+            assert_eq!(m.as_slice(), &values[..]);
+            assert!(aligned(&m.clone()), "clone {rows}x{cols}");
+            // Growing from a smaller allocation moves the buffer, so the
+            // padding before the first element is recomputed.
+            let mut grown = Matrix::zeros(1, 1);
+            grown.resize_to(rows, cols + 40);
+            assert!(aligned(&grown), "resize_to {rows}x{cols}");
+            assert!(grown.as_slice().iter().all(|&x| x == 0.0));
+            let mut copied = Matrix::zeros(1, 1);
+            copied.copy_from(m);
+            assert!(aligned(&copied), "copy_from {rows}x{cols}");
+            assert_eq!(copied, *m);
+            let mut t = Matrix::zeros(1, 1);
+            m.transpose_into(&mut t);
+            assert!(aligned(&t), "transpose_into {rows}x{cols}");
+            assert_eq!(t, m.transpose());
+            let json = serde_json::to_string(m).unwrap();
+            let back: Matrix = serde_json::from_str(&json).unwrap();
+            assert!(aligned(&back), "deserialized {rows}x{cols}");
+            assert_eq!(back, *m);
+        }
+    }
+
+    #[test]
+    fn storage_reuse_depends_on_sizes_not_on_addresses() {
+        // If whether a reshape keeps its allocation depended on where the
+        // heap put the buffer, one allocation shifted anywhere before it
+        // would change which later reshapes allocate, and with them the
+        // layout of the whole heap.
+        for len in [1, 15, 16, 17, 109, 1000] {
+            for spare in 0..2 * PAD {
+                let mut b = AlignedBuf {
+                    buf: Vec::with_capacity(len + spare),
+                    start: 0,
+                };
+                b.clear_for(len);
+                if spare >= PAD {
+                    assert_eq!(b.buf.capacity(), len + spare, "len {len}, spare {spare}");
+                } else {
+                    assert!(b.buf.capacity() >= len + PAD, "len {len}, spare {spare}");
+                }
+                assert!((b.as_ptr() as usize).is_multiple_of(ALIGN));
+            }
+        }
+    }
+
+    #[test]
+    fn json_wire_format_is_rows_cols_and_the_flat_data() {
+        // Byte-equal to what the `Vec<f32>`-backed matrix printed: aligned
+        // storage adds padding that no view or serialization shows.
+        let m = Matrix::from_rows(&[
+            &[1.5, -2.5, 0.0, 1e-3, -0.0, 3.0e38, 7.0, 0.1, 1e-40],
+            &[
+                4.25,
+                f32::MIN_POSITIVE,
+                -1.0,
+                2.0,
+                0.333_333_34,
+                12_345.678,
+                -9.5,
+                0.5,
+                100.0,
+            ],
+        ]);
+        let expected = concat!(
+            r#"{"rows":2,"cols":9,"data":[1.5,-2.5,0.0,0.0010000000474974513,-0.0,"#,
+            r#"300000000549775580000000000000000000000,7.0,0.10000000149011612,"#,
+            r#"0.0000000000000000000000000000000000000000999994610111476,4.25,"#,
+            r#"0.000000000000000000000000000000000000011754943508222875,-1.0,2.0,"#,
+            r#"0.3333333432674408,12345.677734375,-9.5,0.5,100.0]}"#,
+        );
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(json, expected);
+        let back: Matrix = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.shape(), (2, 9));
+        for (a, b) in back.as_slice().iter().zip(m.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for empty in [Matrix::default(), Matrix::zeros(0, 3)] {
+            let json = serde_json::to_string(&empty).unwrap();
+            assert_eq!(
+                json,
+                format!(r#"{{"rows":0,"cols":{},"data":[]}}"#, empty.cols())
+            );
+            assert_eq!(serde_json::from_str::<Matrix>(&json).unwrap(), empty);
+        }
     }
 }

@@ -18,12 +18,31 @@
 //! suite, because the reference and hot paths share these kernels and so
 //! remain mutually bitwise identical.
 //!
+//! Dispatch is by CPU detection alone, once per process (`OnceLock`).
+//! The batched GEMM `gemm_row4` tries three tiers in order: AVX-512F (four
+//! rows × 64 columns, four 16-lane ZMM quarters per row), then AVX with
+//! FMA (four rows × 16 columns, two 8-lane YMM halves per row), then its
+//! scalar twin. The other kernels have an AVX (or AVX2) tier and a scalar
+//! one. All tiers agree bit for bit because a tier only changes how many
+//! output elements one instruction covers: each element's chain of FMAs,
+//! one per `k` in ascending order, is the same in all of them.
+//!
 //! Ragged widths never change that order either. `gemm_row` runs the
 //! columns after its 64-wide tiles as one tile of ⌈rest/8⌉ eight-lane
 //! accumulators, the last one masked; `gemm_row4` runs them as a single
-//! masked tile, 16 lanes wide or 8 when at most 8 columns remain. Masked
-//! lanes (`maskload`/`maskstore`) neither read nor write memory, so each
+//! masked tile: up to 63 columns under AVX-512 (as many ZMM quarters per
+//! row as they fill), up to 15 under AVX (one YMM half when at most 8
+//! remain). Masked lanes (`maskload`/`maskstore`, and AVX-512's
+//! mask-register loads and stores) neither read nor write memory, so each
 //! live lane is exactly a full-tile lane.
+//!
+//! The wide tiles want 64-byte rows. A ZMM load is 64 bytes, a whole cache
+//! line, so it splits two lines unless its address is a multiple of 64.
+//! [`crate::matrix::Matrix`] starts its elements on a 64-byte boundary, so
+//! a row whose width is a multiple of 16 floats, such as the Sub-Q's
+//! 128-wide hidden layer, starts a line too, and so does every tile of it;
+//! with the 16-byte alignment the heap gives, three of four placements
+//! would make every ZMM load of such a row a split load.
 //!
 //! Zero coefficients: the single-row `gemm_row` skips them, and the
 //! four-row `gemm_row4` feeds every coefficient to its FMA. Each kernel's
@@ -40,6 +59,8 @@
 //!
 //! On non-x86_64 targets (or CPUs without AVX and FMA) everything falls
 //! back to scalar `mul_add` loops with the identical accumulation order.
+//! [`gemm_tier`] names the tier `gemm_row4` runs at, so a timing can say
+//! which kernel it measured.
 
 /// `dst[j] += alpha * src[j]` — `Matrix::axpy` and friends.
 ///
@@ -155,12 +176,12 @@ fn gemm_row_scalar(
 /// module doc); the scalar twin feeds every coefficient too, so the AVX and
 /// scalar paths agree on every input.
 ///
-/// The SIMD path walks `j` in 16-wide tiles (two YMM halves × four rows =
-/// eight register accumulators) and finishes the 1-15 columns left over
-/// as one more tile with its dead lanes masked off (its high half only
-/// when more than 8 columns remain): a ragged width such as the 15-wide
-/// Sub-Q head at M = 30 then costs a single pass over `k` with all eight
-/// accumulator chains in flight.
+/// The AVX-512 tier walks `j` in 64-wide tiles (four ZMM quarters × four
+/// rows = sixteen register accumulators), the AVX tier in 16-wide ones
+/// (two YMM halves × four rows = eight); each finishes the columns left
+/// over as one more tile with its dead lanes masked off and only the
+/// vectors it needs: a ragged width such as the 15-wide Sub-Q head at
+/// M = 30 then costs a single pass over `k`.
 ///
 /// `matmul` passes four consecutive rows (`a_row_step = cols`,
 /// `a_k_stride = 1`); `matmul_tn` passes four consecutive columns
@@ -192,6 +213,11 @@ pub(crate) fn gemm_row4(
     assert!(b.len() >= (k_count - 1) * ldb + n, "b slice too short");
     #[cfg(target_arch = "x86_64")]
     {
+        if avx512f_available() {
+            // SAFETY: AVX-512F verified at runtime; bounds asserted above.
+            unsafe { gemm_row4_avx512(a, a_row_step, a_k_stride, k_count, b, ldb, o) };
+            return;
+        }
         if avx_available() && fma_available() {
             // SAFETY: AVX and FMA verified at runtime; bounds asserted above.
             unsafe { gemm_row4_avx(a, a_row_step, a_k_stride, k_count, b, ldb, o) };
@@ -199,6 +225,24 @@ pub(crate) fn gemm_row4(
         }
     }
     gemm_row4_scalar(a, a_row_step, a_k_stride, k_count, b, ldb, o);
+}
+
+/// The instruction-set tier the batched GEMM kernel (every product of four
+/// or more rows: training forward passes, weight gradients, target sweeps)
+/// runs at on this CPU: `"avx512f"`, `"avx+fma"` or `"scalar"`, the first
+/// the CPU supports in that order. Every tier computes the same bits; the
+/// name says only which one a timing measured.
+pub fn gemm_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512f_available() {
+            return "avx512f";
+        }
+        if avx_available() && fma_available() {
+            return "avx+fma";
+        }
+    }
+    "scalar"
 }
 
 /// Scalar twin of [`gemm_row4`]: the same per-element `mul_add` chain,
@@ -262,6 +306,13 @@ fn fma_available() -> bool {
     use std::sync::OnceLock;
     static FMA: OnceLock<bool> = OnceLock::new();
     *FMA.get_or_init(|| std::is_x86_feature_detected!("fma"))
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx512f_available() -> bool {
+    use std::sync::OnceLock;
+    static AVX512F: OnceLock<bool> = OnceLock::new();
+    *AVX512F.get_or_init(|| std::is_x86_feature_detected!("avx512f"))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1045,6 +1096,123 @@ unsafe fn gemm_row4_masked<const WIDE: bool>(
     }
 }
 
+/// The AVX-512 tier of [`gemm_row4`]: 64-wide j-tiles, four rows each,
+/// then the 1-63 columns left over as one masked tile (see
+/// [`gemm_row4_tile512`]). Every output element runs the FMA chain of the
+/// AVX and scalar tiers (ascending `k`, every coefficient fed), so the
+/// tiers agree bit for bit; only the lane count per instruction differs.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX-512F and that the slices
+/// cover the strides/widths (asserted by [`gemm_row4`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_row4_avx512(
+    a: &[f32],
+    a_row_step: usize,
+    a_k_stride: usize,
+    k_count: usize,
+    b: &[f32],
+    ldb: usize,
+    o: &mut [f32],
+) {
+    let n = o.len() / 4;
+    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), o.as_mut_ptr());
+    let (rs, ks) = (a_row_step, a_k_stride);
+    let mut j = 0;
+    while j + 64 <= n {
+        let (bj, oj) = (bp.add(j), op.add(j));
+        gemm_row4_tile512::<4>(ap, rs, ks, k_count, bj, ldb, oj, n, u16::MAX);
+        j += 64;
+    }
+    if j == n {
+        return;
+    }
+    let quarters = (n - j).div_ceil(16);
+    let last = lanes512(n - j - 16 * (quarters - 1));
+    let (bj, oj) = (bp.add(j), op.add(j));
+    match quarters {
+        1 => gemm_row4_tile512::<1>(ap, rs, ks, k_count, bj, ldb, oj, n, last),
+        2 => gemm_row4_tile512::<2>(ap, rs, ks, k_count, bj, ldb, oj, n, last),
+        3 => gemm_row4_tile512::<3>(ap, rs, ks, k_count, bj, ldb, oj, n, last),
+        _ => gemm_row4_tile512::<4>(ap, rs, ks, k_count, bj, ldb, oj, n, last),
+    }
+}
+
+/// The mask of the first `live` (`1..=16`) lanes of a sixteen-lane vector.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn lanes512(live: usize) -> u16 {
+    debug_assert!((1..=16).contains(&live));
+    (u32::MAX >> (32 - live)) as u16
+}
+
+/// One tile of [`gemm_row4_avx512`]: `Q` sixteen-column quarters of its
+/// four output rows, starting at `op` (row stride `n`), against `b`
+/// columns starting at `bp` (row stride `ldb`); the last quarter's lanes
+/// are masked by `last`. The `4·Q` accumulators stay in registers for the
+/// whole `k` loop, every `b` vector feeds four independent chains, and each
+/// coefficient is one broadcast feeding `Q` FMAs, with no branch. A full
+/// tile (`Q = 4`, all lanes live) needs 16 accumulators, four `b` vectors
+/// and one broadcast: 21 of the 32 ZMM registers. Masked-off lanes are
+/// neither read nor written: masked loads fill them with zero without
+/// touching memory and masked stores leave them alone, so every live lane
+/// performs exactly the per-element FMA sequence of the full tiles, and a
+/// ragged width such as the 15-wide Sub-Q head at M = 30 costs one pass
+/// over `k`.
+///
+/// # Safety
+///
+/// The caller must ensure AVX-512F support, `Q` in `1..=4`, and that the
+/// four output rows and the `k_count` rows of `b` hold the `16·(Q − 1)`
+/// columns before the last quarter and that quarter's live columns, from
+/// `op`/`bp` on.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_row4_tile512<const Q: usize>(
+    ap: *const f32,
+    a_row_step: usize,
+    a_k_stride: usize,
+    k_count: usize,
+    bp: *const f32,
+    ldb: usize,
+    op: *mut f32,
+    n: usize,
+    last: u16,
+) {
+    use std::arch::x86_64::*;
+    let rows = [op, op.add(n), op.add(2 * n), op.add(3 * n)];
+    let mask = |q: usize| if q + 1 == Q { last } else { u16::MAX };
+    let mut acc = [[_mm512_setzero_ps(); Q]; 4];
+    for (row, acc) in rows.iter().zip(&mut acc) {
+        for (q, v) in acc.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(mask(q), row.add(16 * q));
+        }
+    }
+    for k in 0..k_count {
+        let bk = bp.add(k * ldb);
+        let mut bv = [_mm512_setzero_ps(); Q];
+        for (q, v) in bv.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(mask(q), bk.add(16 * q));
+        }
+        let ak = ap.add(k * a_k_stride);
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*ak.add(r * a_row_step));
+            for (v, &bq) in acc.iter_mut().zip(&bv) {
+                *v = _mm512_fmadd_ps(av, bq, *v);
+            }
+        }
+    }
+    for (row, acc) in rows.iter().zip(&acc) {
+        for (q, v) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(row.add(16 * q), mask(q), *v);
+        }
+    }
+}
+
 /// # Safety
 ///
 /// The caller must ensure AVX support and that `src` and `dst` hold
@@ -1205,8 +1373,15 @@ pub(crate) fn adam_update(
     #[cfg(target_arch = "x86_64")]
     {
         if avx_available() {
-            // SAFETY: AVX verified at runtime; lengths asserted above.
-            unsafe { adam_update_avx(p, g, m, v, lr, b1, b2, eps, bias1, bias2) };
+            let avx = match (bias1 == 1.0, bias2 == 1.0) {
+                (false, false) => adam_update_avx::<true, true>,
+                (true, false) => adam_update_avx::<false, true>,
+                (false, true) => adam_update_avx::<true, false>,
+                (true, true) => adam_update_avx::<false, false>,
+            };
+            // SAFETY: AVX verified at runtime; lengths asserted above; a
+            // division is skipped only where its divisor is 1.0.
+            unsafe { avx(p, g, m, v, lr, b1, b2, eps, bias1, bias2) };
             return;
         }
     }
@@ -1263,14 +1438,22 @@ unsafe fn flush_subnormal256(x: std::arch::x86_64::__m256) -> std::arch::x86_64:
     _mm256_andnot_ps(_mm256_andnot_ps(sign, tiny), x)
 }
 
+/// The AVX path of [`adam_update`], dividing the first moment by `bias1`
+/// only when `DIV1` and the second by `bias2` only when `DIV2`. A bias
+/// correction of exactly `1.0` (`bias1` from step 165 on at β₁ = 0.9)
+/// needs no division: `x / 1.0` returns `x` bit for bit for every `f32`,
+/// ±0, subnormals, ±∞ and NaN included, so skipping it changes only the
+/// divider's time, which bounds this loop.
+///
 /// # Safety
 ///
-/// The caller must ensure the CPU supports AVX and that all slices have
-/// equal length (asserted by [`adam_update`]).
+/// The caller must ensure the CPU supports AVX, that all slices have
+/// equal length (asserted by [`adam_update`]), and that a skipped divisor
+/// equals `1.0`.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx")]
-unsafe fn adam_update_avx(
+unsafe fn adam_update_avx<const DIV1: bool, const DIV2: bool>(
     p: &mut [f32],
     g: &[f32],
     m: &mut [f32],
@@ -1306,8 +1489,8 @@ unsafe fn adam_update_avx(
         ));
         _mm256_storeu_ps(m.as_mut_ptr().add(j), mk);
         _mm256_storeu_ps(v.as_mut_ptr().add(j), vk);
-        let m_hat = _mm256_div_ps(mk, bias1v);
-        let v_hat = _mm256_div_ps(vk, bias2v);
+        let m_hat = if DIV1 { _mm256_div_ps(mk, bias1v) } else { mk };
+        let v_hat = if DIV2 { _mm256_div_ps(vk, bias2v) } else { vk };
         let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), epsv);
         let step = _mm256_div_ps(_mm256_mul_ps(lrv, m_hat), denom);
         let pk = _mm256_sub_ps(_mm256_loadu_ps(p.as_ptr().add(j)), step);
@@ -1486,6 +1669,92 @@ mod tests {
     }
 
     #[test]
+    fn every_gemm_row4_tier_matches_the_scalar_twin_bitwise() {
+        // Each vector tier the CPU has, called directly, so the AVX tier
+        // stays pinned on hosts that dispatch to AVX-512. Widths 1..=70
+        // cover every masked remainder of the 64-column tiles, alone and
+        // after a full tile (and the AVX tier's 16-wide tiles); k spans one
+        // step to the Sub-Q's 109; both coefficient layouts run. Zero
+        // coefficients (±0) meet ±inf and NaN in `b`, some outputs start
+        // at −0.0, and every operand starts 0-15 floats past a 64-byte
+        // boundary. The NaNs carry x86's default NaN bits (what `0 · inf`
+        // yields), so every NaN here is the same whichever FMA operand the
+        // hardware propagates.
+        // SAFETY: a type only; each kernel is called below once its CPU
+        // features are detected.
+        type Kernel = unsafe fn(&[f32], usize, usize, usize, &[f32], usize, &mut [f32]);
+        let mut tiers: Vec<(&str, Kernel)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx512f_available() {
+                tiers.push(("avx512f", gemm_row4_avx512));
+            }
+            if avx_available() && fma_available() {
+                tiers.push(("avx+fma", gemm_row4_avx));
+            }
+        }
+        let special = [f32::INFINITY, f32::NEG_INFINITY, -f32::NAN, 0.75, -1.25];
+        // Aligned backing stores; each operand is a slice `off` floats in.
+        let backing = |len: usize, off: usize, f: &dyn Fn(usize) -> f32| {
+            let mut m = crate::matrix::Matrix::zeros(1, len + off);
+            for (i, x) in m.as_mut_slice()[off..].iter_mut().enumerate() {
+                *x = f(i);
+            }
+            m
+        };
+        let mut case = 0usize;
+        for w in 1usize..=70 {
+            for k_count in [1usize, 7, 32, 109] {
+                // (row_step, k_stride): matmul passes four rows of a
+                // k-wide left operand, matmul_tn four columns of a 4-wide one.
+                for (row_step, k_stride) in [(k_count, 1usize), (1, 4)] {
+                    case += 1;
+                    let (off_a, off_b, off_o) = (case % 16, (case * 7) % 16, (case * 11) % 16);
+                    let a_len = 3 * row_step + (k_count - 1) * k_stride + 1;
+                    let a = backing(a_len, off_a, &|i| match i % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (i as f32) * 0.19 - 1.3,
+                    });
+                    let b = backing(k_count * w, off_b, &|i| {
+                        if i % 9 == 4 {
+                            special[i / 9 % special.len()]
+                        } else {
+                            (i as f32) * 0.05 - 1.7
+                        }
+                    });
+                    let o = backing(4 * w, off_o, &|i| {
+                        if i % 3 == 0 {
+                            -0.0
+                        } else {
+                            i as f32 * 0.02
+                        }
+                    });
+                    let (a, b) = (&a.as_slice()[off_a..], &b.as_slice()[off_b..]);
+                    let mut expected = o.as_slice()[off_o..].to_vec();
+                    gemm_row4_scalar(a, row_step, k_stride, k_count, b, w, &mut expected);
+                    for &(tier, kernel) in &tiers {
+                        let mut out = o.clone();
+                        let out = &mut out.as_mut_slice()[off_o..];
+                        // SAFETY: the tier's features were detected above,
+                        // and the slices cover the four rows, the strides
+                        // and the `k_count` rows of `b` at width `w`.
+                        unsafe { kernel(a, row_step, k_stride, k_count, b, w, out) };
+                        for (i, (x, y)) in out.iter().zip(&expected).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{tier} w={w} k={k_count} row_step={row_step} \
+                                 offsets=({off_a},{off_b},{off_o}) i={i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mul_elu_derivative_matches_the_per_element_derivative_bitwise() {
         // Every length 0..=17 runs the eight-lane body, the scalar tail or
         // both; the pre-activations cycle through ±0, subnormals, ±inf,
@@ -1603,7 +1872,12 @@ mod tests {
     #[test]
     fn adam_update_matches_scalar_bitwise() {
         // Moments near and below `f32::MIN_POSITIVE` (some fed zero
-        // gradients) exercise the subnormal flush of both paths.
+        // gradients) exercise the subnormal flush of both paths; ±0, ±inf
+        // and NaN reach every operand. Bias corrections of exactly 1.0,
+        // which the vector path does not divide by, run next to ordinary
+        // ones. The NaNs carry x86's default NaN bits, the ones every
+        // invalid operation here yields, so each NaN result is the same
+        // whichever operand the hardware propagates.
         let tiny = [
             f32::MIN_POSITIVE,
             -f32::MIN_POSITIVE,
@@ -1614,49 +1888,66 @@ mod tests {
             0.0,
             -0.0,
         ];
-        for n in [1usize, 7, 8, 9, 31, 64] {
-            let g: Vec<f32> = (0..n)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        0.0
-                    } else {
-                        (i as f32 - 3.0) * 0.21
-                    }
-                })
-                .collect();
-            let mut p1: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
-            let mut m1: Vec<f32> = (0..n)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        tiny[i / 2 % 8]
-                    } else {
-                        i as f32 * -0.03
-                    }
-                })
-                .collect();
-            let mut v1: Vec<f32> = (0..n)
-                .map(|i| {
-                    if i % 2 == 1 {
-                        tiny[i / 2 % 8].abs()
-                    } else {
-                        i as f32 * 0.02
-                    }
-                })
-                .collect();
-            let (mut p2, mut m2, mut v2) = (p1.clone(), m1.clone(), v1.clone());
-            adam_update(
-                &mut p1, &g, &mut m1, &mut v1, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.002,
-            );
-            adam_update_scalar(
-                &mut p2, &g, &mut m2, &mut v2, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.002,
-            );
-            for (a, b) in p1
-                .iter()
-                .zip(&p2)
-                .chain(m1.iter().zip(&m2))
-                .chain(v1.iter().zip(&v2))
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
+        let special = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -f32::NAN,
+            1e-40,
+        ];
+        for (bias1, bias2) in [(0.1, 0.002), (1.0, 0.002), (0.1, 1.0), (1.0, 1.0)] {
+            for n in [1usize, 7, 8, 9, 31, 64] {
+                let g: Vec<f32> = (0..n)
+                    .map(|i| match i % 5 {
+                        0 => 0.0,
+                        4 => special[i / 5 % special.len()],
+                        _ => (i as f32 - 3.0) * 0.21,
+                    })
+                    .collect();
+                let mut p1: Vec<f32> = (0..n)
+                    .map(|i| {
+                        if i % 7 == 6 {
+                            special[i / 7 % special.len()]
+                        } else {
+                            i as f32 * 0.1
+                        }
+                    })
+                    .collect();
+                let mut m1: Vec<f32> = (0..n)
+                    .map(|i| match i % 4 {
+                        0 | 2 => tiny[i / 2 % 8],
+                        3 => special[i / 4 % special.len()],
+                        _ => i as f32 * -0.03,
+                    })
+                    .collect();
+                let mut v1: Vec<f32> = (0..n)
+                    .map(|i| match i % 4 {
+                        1 => tiny[i / 2 % 8].abs(),
+                        2 => special[(i / 4 + 2) % special.len()],
+                        _ => i as f32 * 0.02,
+                    })
+                    .collect();
+                let (mut p2, mut m2, mut v2) = (p1.clone(), m1.clone(), v1.clone());
+                adam_update(
+                    &mut p1, &g, &mut m1, &mut v1, 1e-3, 0.9, 0.999, 1e-8, bias1, bias2,
+                );
+                adam_update_scalar(
+                    &mut p2, &g, &mut m2, &mut v2, 1e-3, 0.9, 0.999, 1e-8, bias1, bias2,
+                );
+                for (i, (a, b)) in p1
+                    .iter()
+                    .zip(&p2)
+                    .chain(m1.iter().zip(&m2))
+                    .chain(v1.iter().zip(&v2))
+                    .enumerate()
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "bias=({bias1}, {bias2}) n={n} i={i}"
+                    );
+                }
             }
         }
     }

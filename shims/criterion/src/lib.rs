@@ -1,9 +1,9 @@
 //! Offline stand-in for the `criterion` crate.
 //!
 //! Provides `criterion_group!`/`criterion_main!`, `Criterion`,
-//! `benchmark_group`, and `Bencher::iter` with a plain wall-clock
-//! measurement loop (short warm-up, then a timed batch) instead of
-//! criterion's statistical machinery. Each benchmark prints one
+//! `benchmark_group`, and `Bencher::{iter, iter_custom}` with a plain
+//! wall-clock measurement loop (short warm-up, then a timed batch) instead
+//! of criterion's statistical machinery. Each benchmark prints one
 //! `name ... time per iter` line.
 
 #![forbid(unsafe_code)]
@@ -110,6 +110,13 @@ impl Bencher {
             black_box(f());
         }
         self.elapsed = start.elapsed();
+    }
+
+    /// Hands the harness-chosen iteration count to `routine`, which runs
+    /// that many iterations and returns the time they took by its own
+    /// measure, so it can leave per-iteration set-up out of the timing.
+    pub fn iter_custom(&mut self, mut routine: impl FnMut(u64) -> Duration) {
+        self.elapsed = routine(self.iters);
     }
 }
 
