@@ -23,10 +23,11 @@ use crate::state::{StateEncoder, StateEncoderConfig};
 use hierdrl_neural::matrix::Matrix;
 use hierdrl_rl::policy::{EpsilonGreedy, EpsilonSchedule};
 use hierdrl_rl::replay::ReplayMemory;
-use hierdrl_rl::smdp::{smdp_target, SmdpParams};
+use hierdrl_rl::smdp::{smdp_update, SmdpParams};
 use hierdrl_sim::cluster::{Allocator, ClusterView};
 use hierdrl_sim::job::{Job, ServerId};
 use hierdrl_sim::metrics::ClusterTotals;
+use hierdrl_sim::policies::FirstFitAllocator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -46,8 +47,9 @@ pub struct DrlAllocatorConfig {
     pub smdp: SmdpParams,
     /// Exploration schedule.
     pub epsilon: EpsilonSchedule,
-    /// Probability of following the first-fit *guide* policy instead of the
-    /// epsilon-greedy DNN policy, as a function of the decision counter.
+    /// Probability of following the first-fit *guide* policy
+    /// ([`FirstFitAllocator`]) instead of the epsilon-greedy DNN policy, as
+    /// a function of the decision counter.
     /// Algorithm 1 collects offline experience under "certain control
     /// policies ... arbitrary policy and gradually refined policy"; using a
     /// sensible behavior policy early fills the experience memory with
@@ -569,36 +571,6 @@ impl DrlAllocator {
         }
     }
 
-    /// Consolidating guide action: the lowest-numbered awake server where
-    /// the job fits immediately within the anti-colocation cap; otherwise
-    /// the lowest-numbered sleeping server; otherwise the least-loaded
-    /// server. (First-fit; a stable server ordering keeps the awake set
-    /// small and maximizes sleeping time.)
-    fn guided_action(&mut self, job: &Job, view: &ClusterView<'_>) -> usize {
-        let cap = view.config().reliability.hot_queue_len;
-        let mut sleeping: Option<usize> = None;
-        let mut fallback = (usize::MAX, 0usize);
-        for (i, s) in view.servers().iter().enumerate() {
-            if !s.is_live() {
-                continue; // departed slot: never a consolidation target
-            }
-            if s.state().is_on() {
-                if s.queue_len() == 0
-                    && s.jobs_in_system() < cap
-                    && s.used().fits_with(&job.demand, s.capacity())
-                {
-                    return i;
-                }
-                if s.jobs_in_system() < fallback.0 {
-                    fallback = (s.jobs_in_system(), i);
-                }
-            } else if sleeping.is_none() {
-                sleeping = Some(i);
-            }
-        }
-        sleeping.unwrap_or(fallback.1)
-    }
-
     fn maybe_train(&mut self) {
         if !self.learning
             || self.stats.decisions < self.config.warmup_decisions
@@ -652,14 +624,13 @@ impl DrlAllocator {
             .map(|t| {
                 let cached = t.cache.get().expect("miss pass filled every cache entry");
                 debug_assert_eq!(cached.era, era, "stale target cache survived the miss pass");
-                let raw = smdp_target(
+                let blended = smdp_update(
                     &self.config.smdp,
+                    f64::from(cached.prev),
                     t.reward_rate,
                     t.sojourn,
                     f64::from(cached.max_next),
                 );
-                let prev = f64::from(cached.prev);
-                let blended = prev + self.config.smdp.alpha * (raw - prev);
                 QSample {
                     state: self.arena.row(t.state),
                     action: t.action,
@@ -722,12 +693,12 @@ impl Allocator for DrlAllocator {
         let guide_p = self.config.guide.value(self.stats.decisions - 1);
         let action = if self.learning && self.rng.gen::<f64>() < guide_p {
             // Behavior-policy guidance (Algorithm 1's offline experience
-            // collection): consolidate like first-fit, but choose uniformly
-            // among the feasible awake servers — a learned policy has no
-            // canonical server ordering, and spreading keeps the awake set
-            // interchangeable.
+            // collection): first-fit, which takes the lowest-numbered awake
+            // server the job fits on, else wakes the lowest-numbered
+            // sleeping one. The DNN policy still draws, so the exploration
+            // schedule and the RNG stream advance as on a DNN decision.
             self.policy.select(&q64, &mut self.rng); // advance the schedule
-            self.guided_action(job, view)
+            FirstFitAllocator.select(job, view).0
         } else {
             self.policy.select(&q64, &mut self.rng)
         };
@@ -858,6 +829,58 @@ mod tests {
         assert_eq!(cluster.num_live(), 4); // 3 - 1 left + rejoin + append
                                            // Jobs drained by the leave re-enter through the allocator.
         assert_eq!(alloc.stats().decisions, 300 + out.totals.jobs_requeued);
+    }
+
+    #[test]
+    fn the_guide_is_first_fit() {
+        // With the guide always on, every placement, on a fleet whose
+        // members leave and join, is first-fit's on the same view.
+        use hierdrl_sim::events::{FleetOp, ServerSpec};
+        struct Checked {
+            drl: DrlAllocator,
+            placements: u64,
+        }
+        impl Allocator for Checked {
+            fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
+                let first_fit = FirstFitAllocator.select(job, view);
+                let placed = self.drl.select(job, view);
+                assert_eq!(placed, first_fit, "{} at {:?}", job.id, view.now);
+                self.placements += 1;
+                placed
+            }
+        }
+        let config = DrlAllocatorConfig {
+            guide: EpsilonSchedule::Constant(1.0),
+            ..small_config()
+        };
+        let mut alloc = Checked {
+            drl: DrlAllocator::new(6, 3, config),
+            placements: 0,
+        };
+        let mut cluster_config = ClusterConfig::paper(4);
+        cluster_config.max_servers = Some(6);
+        let mut cluster = Cluster::new(cluster_config, jobs(300, 12.0)).unwrap();
+        let unit = ServerSpec::unit(3, true);
+        let ops = [
+            (300.0, FleetOp::Leave(ServerId(1))),
+            (700.0, FleetOp::Leave(ServerId(0))),
+            (1100.0, FleetOp::Join(unit.clone())),
+            (1500.0, FleetOp::Join(unit.clone())),
+            (1900.0, FleetOp::Join(unit)),
+            (2300.0, FleetOp::Leave(ServerId(2))),
+        ];
+        for (t, op) in ops {
+            cluster.schedule_fleet_op(SimTime::from_secs(t), op);
+        }
+        let out = cluster.run(
+            &mut alloc,
+            &mut SleepImmediatelyPower,
+            RunLimit::unbounded(),
+        );
+        assert_eq!(cluster.fleet_ops_ignored(), 0);
+        assert_eq!(out.totals.jobs_completed, 300);
+        assert!(out.totals.jobs_requeued > 0, "no leave drained a job");
+        assert_eq!(alloc.placements, 300 + out.totals.jobs_requeued);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! — equivalent to the per-case update under forced transitions, with fewer
 //! bookkeeping states.
 //!
+//! A frozen manager ([`RlPowerManager::set_learning`]`(false)`) acts by the
+//! learner's own greedy rule ([`hierdrl_rl::policy::greedy_action`]: the
+//! lowest index wins ties), so freezing stops the learning and the
+//! exploration but never changes how a learned row is read.
+//!
 //! # Who trains the predictors, and when
 //!
 //! An arrival's inter-arrival time is checked, counted and normalized on
@@ -401,8 +406,9 @@ impl RlPowerManager {
     }
 
     /// Enables or disables learning. While off, the Q-tables stop
-    /// updating, action selection is pure greedy argmax (exploration
-    /// would be pointless without updates to profit from it), and the
+    /// updating, action selection is the learner's greedy rule with no
+    /// exploration ([`QTable::best_action`]; exploring would be pointless
+    /// without updates to profit from it), and the
     /// per-server LSTM predictors freeze their weights — though their
     /// look-back windows keep tracking arrivals so the RL state stays
     /// current. This is the "no continued training" ablation that online
@@ -491,20 +497,10 @@ impl PowerManager for RlPowerManager {
         let state = self.state_for(server);
         let table = self.agents[server.0].table;
         if !self.learning {
-            // Frozen (the no-continued-training ablation): pure greedy
-            // exploitation of the learned values, no bookkeeping.
-            let row = self.tables[table].q_row(&state);
-            let action = row
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("Q values are finite"))
-                .map_or(0, |(i, _)| i);
-            let timeout = self.config.timeouts[action];
-            return if timeout == 0.0 {
-                TimeoutDecision::SleepNow
-            } else {
-                TimeoutDecision::After(timeout)
-            };
+            // Frozen (the no-continued-training ablation): the learner's
+            // greedy choice, no bookkeeping.
+            let action = self.tables[table].best_action(&state);
+            return TimeoutDecision::after_idle(self.config.timeouts[action]);
         }
         // Close the previous case-(1) decision with the observed sojourn.
         let agent = &mut self.agents[server.0];
@@ -528,13 +524,7 @@ impl PowerManager for RlPowerManager {
             energy_j,
             queue_integral,
         });
-
-        let timeout = self.config.timeouts[action];
-        if timeout == 0.0 {
-            TimeoutDecision::SleepNow
-        } else {
-            TimeoutDecision::After(timeout)
-        }
+        TimeoutDecision::after_idle(self.config.timeouts[action])
     }
 
     fn on_job_arrival(&mut self, server: ServerId, _view: &ClusterView<'_>, now: SimTime) {
@@ -929,6 +919,32 @@ mod tests {
             training_steps(&mgr),
             trained_steps,
             "predictor weights frozen too"
+        );
+    }
+
+    #[test]
+    fn frozen_manager_reads_an_unvisited_state_as_the_learner_does() {
+        // Frozen before any update, every state the run meets is unvisited:
+        // its row is all zeros, on which the learner's greedy choice (ε = 0)
+        // is action 0, a timeout of 0 s.
+        let mut mgr = RlPowerManager::for_cluster(&ClusterConfig::paper(2), fast_config());
+        mgr.set_learning(false);
+        let mut cluster = Cluster::new(ClusterConfig::paper(2), bursty_jobs(30)).unwrap();
+        let mut recorder = Recorder(&mut mgr, Vec::new());
+        cluster.run(
+            &mut RoundRobinAllocator::new(),
+            &mut recorder,
+            RunLimit::unbounded(),
+        );
+        let decisions = recorder.1;
+        assert_eq!(mgr.tables[0].num_states(), 0, "no state was visited");
+        let mut rng = StdRng::seed_from_u64(0);
+        let greedy = EpsilonGreedy::constant(0.0).select(&mgr.tables[0].q_row(&0), &mut rng);
+        assert_eq!(mgr.config.timeouts[greedy], 0.0);
+        assert!(decisions.len() >= 10, "only {} epochs", decisions.len());
+        assert!(
+            decisions.iter().all(|&d| d == TimeoutDecision::SleepNow),
+            "{decisions:?}"
         );
     }
 

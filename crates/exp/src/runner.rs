@@ -34,12 +34,14 @@ use crate::suite::{Expectation, Suite};
 use hierdrl_core::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
 use hierdrl_core::dpm::{DpmSnapshot, RlPowerConfig, RlPowerManager};
 use hierdrl_core::hierarchical::{AllocatorKind, PowerKind};
+use hierdrl_core::reward::{reward_rate_between, RewardWeights};
 use hierdrl_core::runner::{
     aggregate_shards, concat_segments, pretrain_pair, Experiment, ExperimentResult, Segment,
     ShardResult,
 };
 use hierdrl_sim::cluster::{Allocator, PowerManager};
 use hierdrl_sim::config::ClusterConfig;
+use hierdrl_sim::metrics::ClusterTotals;
 use hierdrl_sim::policies::SleepImmediatelyPower;
 use hierdrl_sim::router::Router;
 use hierdrl_trace::google::ParseStats;
@@ -558,26 +560,27 @@ fn check_determinism_pin(run: &SuiteRun, cell_contains: &str) -> (bool, String) 
     )
 }
 
-/// The cell's Eqn.-4 objective: time-averaged normalized fleet power +
-/// per-server queueing + overload, under the paper's balanced weights. The
+/// The cell's Eqn.-4 objective: the global tier's reward rate
+/// ([`reward_rate_between`]) over the whole run under the paper's balanced
+/// weights, negated into a cost: time-averaged fleet power over the
+/// capacity-scaled peak, plus per-server queueing, plus overload. The
 /// scale-free cost both sides of a graceful-degradation comparison share;
 /// normalization uses the *nominal* fleet (crashed capacity does not
 /// shrink the denominator, so losing servers cannot flatter a policy).
 fn eqn4_objective(cell: &CellRun) -> f64 {
-    let m = cell.scenario.topology.servers() as f64;
-    let peak: f64 = cell
-        .scenario
-        .topology
+    let topology = &cell.scenario.topology;
+    let peak: f64 = topology
         .clusters()
         .iter()
-        .map(|c| c.num_servers as f64 * c.power.peak_watts)
+        .map(|c| c.total_peak_scale() * c.power.peak_watts)
         .sum();
-    let w = hierdrl_core::reward::RewardWeights::balanced();
-    let t = &cell.result.outcome.totals;
-    let span = t.time_s.max(1e-9);
-    w.power * (t.energy_joules / span / peak.max(1e-9))
-        + w.vms * (t.queue_time_integral / span / m)
-        + w.reliability * (t.overload_integral / span)
+    -reward_rate_between(
+        &ClusterTotals::default(),
+        &cell.result.outcome.totals,
+        &RewardWeights::balanced(),
+        topology.servers(),
+        peak,
+    )
 }
 
 /// Mean (across seeds) of `eqn4(faulted) / eqn4(no-fault twin)` for one
@@ -1249,6 +1252,33 @@ mod tests {
         assert_eq!(merged.decisions, 40);
         assert_eq!(merged.train_steps, 20);
         assert!((merged.loss_ema - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn eqn4_objective_is_the_learners_reward_over_the_run() {
+        // On a big/little fleet the capacity-scaled peak exceeds
+        // `M * peak_watts`, so a count-based peak would weigh power
+        // against queueing differently from the reward the learner
+        // optimizes.
+        let suite = Suite::builder("eqn4")
+            .topologies([Topology::big_little(6, 0.34, 2.0)])
+            .workloads([WorkloadSpec::paper().with_total_jobs(120)])
+            .policies([PolicySpec::round_robin()])
+            .seeds([3])
+            .build();
+        let run = SuiteRunner::serial().run(&suite).expect("suite runs");
+        let cell = &run.cells[0];
+        let cluster = &cell.scenario.topology.clusters()[0];
+        assert!(cluster.total_peak_scale() > cluster.num_servers as f64);
+        let reward = reward_rate_between(
+            &ClusterTotals::default(),
+            &cell.result.outcome.totals,
+            &RewardWeights::balanced(),
+            cluster.num_servers,
+            cluster.total_peak_scale() * cluster.power.peak_watts,
+        );
+        assert!(reward < 0.0);
+        assert_eq!(eqn4_objective(cell).to_bits(), (-reward).to_bits());
     }
 
     fn spec(seed: u64, jobs: usize) -> TraceSpec {

@@ -9,7 +9,8 @@
 //! - [`qtable`] — tabular `Q(s, a)` over ordered states (key-ordered
 //!   storage, so snapshots are insertion-order independent);
 //! - [`policy`] — epsilon-greedy exploration with a constant or
-//!   exponentially decaying epsilon;
+//!   exponentially decaying epsilon, and the greedy rule
+//!   ([`policy::greedy_action`]) every reader of learned values shares;
 //! - [`replay`] — bounded experience memory with uniform sampling
 //!   (Algorithm 1's memory `D`);
 //! - [`discretize`] — binning of continuous observations (e.g. predicted

@@ -93,7 +93,7 @@ impl EpsilonGreedy {
     }
 
     /// Selects an action index given per-action values: with probability
-    /// `epsilon` a uniformly random action, otherwise the greedy argmax
+    /// `epsilon` a uniformly random action, otherwise [`greedy_action`]
     /// (lowest index wins ties). Advances the schedule by one step.
     ///
     /// # Panics
@@ -106,15 +106,23 @@ impl EpsilonGreedy {
         if rng.gen::<f64>() < eps {
             rng.gen_range(0..q_values.len())
         } else {
-            let mut best = 0;
-            for (i, &v) in q_values.iter().enumerate() {
-                if v > q_values[best] {
-                    best = i;
-                }
-            }
-            best
+            greedy_action(q_values)
         }
     }
+}
+
+/// The greedy choice over per-action values: the index of the largest,
+/// the lowest index winning ties (`0` for an empty slice). Every reader of
+/// learned values acts by this rule. It never panics: a NaN never compares
+/// greater, so it is chosen only at index 0.
+pub fn greedy_action(q_values: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, &v) in q_values.iter().enumerate() {
+        if v > q_values[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Tabular Q-function over ordered states.
 
+use crate::policy::greedy_action;
 use crate::smdp::{smdp_update, SmdpParams};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -81,16 +82,11 @@ where
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Greedy action (lowest index wins ties).
+    /// The greedy action: [`greedy_action`] over the state's row, so the
+    /// lowest index wins ties and an unseen state, whose values are all
+    /// equal, gets action 0.
     pub fn best_action(&self, state: &S) -> usize {
-        let row = self.q_row(state);
-        let mut best = 0;
-        for (i, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = i;
-            }
-        }
-        best
+        self.values.get(state).map_or(0, |row| greedy_action(row))
     }
 
     /// Applies one SMDP Q-learning update (Eqn. 2) for an observed

@@ -139,6 +139,18 @@ pub enum TimeoutDecision {
     StayAwake,
 }
 
+impl TimeoutDecision {
+    /// The decision a timeout of `seconds` makes: [`SleepNow`](Self::SleepNow)
+    /// at 0 s, [`After`](Self::After) otherwise.
+    pub fn after_idle(seconds: f64) -> Self {
+        if seconds == 0.0 {
+            Self::SleepNow
+        } else {
+            Self::After(seconds)
+        }
+    }
+}
+
 /// The local-tier control interface: per-server dynamic power management.
 ///
 /// The callbacks correspond to the paper's three decision-epoch cases:

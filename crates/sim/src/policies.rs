@@ -33,7 +33,10 @@ impl Allocator for RoundRobinAllocator {
 
 /// Dispatches each job to the server with the fewest jobs in its system
 /// (queued + running); ties break toward lower CPU utilization, then lower
-/// id. A simple join-the-shortest-queue heuristic.
+/// id. A simple join-the-shortest-queue heuristic. Departed slots (elastic
+/// scale-in) are skipped: an empty slot that is not in the fleet would win
+/// every placement, and the kernel would remap the job to the next healthy
+/// server whatever its load.
 #[derive(Debug, Clone, Default)]
 pub struct LeastLoadedAllocator;
 
@@ -42,6 +45,9 @@ impl Allocator for LeastLoadedAllocator {
         let mut best = 0usize;
         let mut best_key = (usize::MAX, f64::MAX);
         for (i, s) in view.servers().iter().enumerate() {
+            if !s.is_live() {
+                continue;
+            }
             let key = (s.jobs_in_system(), s.cpu_utilization());
             if key.0 < best_key.0 || (key.0 == best_key.0 && key.1 < best_key.1) {
                 best_key = key;
@@ -58,6 +64,11 @@ impl Allocator for LeastLoadedAllocator {
 /// sleeping server; only when every server is awake and saturated does it
 /// queue on the least-loaded one. Greedy packing concentrates load so idle
 /// servers can sleep, while waking capacity rather than building queues.
+/// Departed slots (elastic scale-in) are skipped: one sleeps at 0 W, but
+/// it is not a server to wake.
+///
+/// This is also the DRL allocator's behaviour guide (Algorithm 1's
+/// offline experience collection).
 #[derive(Debug, Clone, Default)]
 pub struct FirstFitAllocator;
 
@@ -67,6 +78,9 @@ impl Allocator for FirstFitAllocator {
         let mut sleeper: Option<usize> = None;
         let mut fallback: Option<(usize, usize)> = None; // (jobs_in_system, id)
         for (i, s) in view.servers().iter().enumerate() {
+            if !s.is_live() {
+                continue;
+            }
             if s.state().is_on() {
                 if s.queue_len() == 0
                     && s.jobs_in_system() < colo_cap
@@ -153,11 +167,7 @@ impl PowerManager for FixedTimeoutPower {
         _view: &ClusterView<'_>,
         _now: SimTime,
     ) -> TimeoutDecision {
-        if self.timeout == 0.0 {
-            TimeoutDecision::SleepNow
-        } else {
-            TimeoutDecision::After(self.timeout)
-        }
+        TimeoutDecision::after_idle(self.timeout)
     }
 }
 
@@ -166,6 +176,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, RunLimit};
     use crate::config::ClusterConfig;
+    use crate::events::FleetOp;
     use crate::job::JobId;
     use crate::resources::ResourceVec;
 
@@ -226,6 +237,75 @@ mod tests {
         );
         assert_eq!(c.servers()[0].stats().jobs_completed, 4);
         assert_eq!(c.servers()[1].stats().jobs_completed, 0);
+    }
+
+    /// Where `probe` places a half-server job on a fleet of [on and full,
+    /// departed, on and full, asleep].
+    fn placement_beside_a_departed_slot(probe: impl Allocator) -> ServerId {
+        /// Fills servers 0 and 2, then lets `probe` place the third job.
+        struct Script<A> {
+            probe: A,
+            placed: usize,
+            probed: Option<ServerId>,
+        }
+        impl<A: Allocator> Allocator for Script<A> {
+            fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
+                self.placed += 1;
+                match self.placed {
+                    1 => ServerId(0),
+                    2 => ServerId(2),
+                    _ => *self.probed.insert(self.probe.select(job, view)),
+                }
+            }
+        }
+        /// Sleeps server 3 at once and keeps the others awake.
+        struct SleepThree;
+        impl PowerManager for SleepThree {
+            fn on_idle(
+                &mut self,
+                server: ServerId,
+                _view: &ClusterView<'_>,
+                _now: SimTime,
+            ) -> TimeoutDecision {
+                if server == ServerId(3) {
+                    TimeoutDecision::SleepNow
+                } else {
+                    TimeoutDecision::StayAwake
+                }
+            }
+        }
+
+        let jobs = vec![
+            job(0, 0.0, 1000.0, 1.0),
+            job(1, 0.0, 1000.0, 1.0),
+            job(2, 100.0, 10.0, 0.5),
+        ];
+        let mut c = Cluster::new(ClusterConfig::paper(4), jobs).unwrap();
+        c.schedule_fleet_op(SimTime::from_secs(1.0), FleetOp::Leave(ServerId(1)));
+        let mut script = Script {
+            probe,
+            placed: 0,
+            probed: None,
+        };
+        c.run(&mut script, &mut SleepThree, RunLimit::unbounded());
+        assert!(!c.servers()[1].is_live(), "slot 1 departed");
+        script.probed.expect("the third job reached the probe")
+    }
+
+    #[test]
+    fn first_fit_wakes_a_sleeping_server_not_a_departed_slot() {
+        assert_eq!(
+            placement_beside_a_departed_slot(FirstFitAllocator),
+            ServerId(3)
+        );
+    }
+
+    #[test]
+    fn least_loaded_never_picks_a_departed_slot() {
+        assert_eq!(
+            placement_beside_a_departed_slot(LeastLoadedAllocator),
+            ServerId(3)
+        );
     }
 
     #[test]

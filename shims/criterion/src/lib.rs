@@ -2,9 +2,9 @@
 //!
 //! Provides `criterion_group!`/`criterion_main!`, `Criterion`,
 //! `benchmark_group`, and `Bencher::{iter, iter_custom}` with a plain
-//! wall-clock measurement loop (short warm-up, then a timed batch) instead
-//! of criterion's statistical machinery. Each benchmark prints one
-//! `name ... time per iter` line.
+//! wall-clock measurement loop (short warm-up, then five timed batches, the
+//! fastest reported) instead of criterion's statistical machinery. Each
+//! benchmark prints one `name ... time per iter` line.
 
 #![forbid(unsafe_code)]
 
@@ -24,7 +24,13 @@ impl Default for Criterion {
     }
 }
 
-/// Runs one benchmark closure through a warm-up and a timed batch.
+/// Timed batches per benchmark; the fastest one's time is reported.
+const BATCHES: u64 = 5;
+
+/// Runs one benchmark closure through a warm-up and [`BATCHES`] timed
+/// batches, and reports the fastest batch's time per iteration: other load
+/// on the host only ever slows a batch down, so the minimum moves least
+/// with it.
 fn run_bench(name: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
     let mut bencher = Bencher {
         iters: 1,
@@ -41,14 +47,20 @@ fn run_bench(name: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
         iters *= 4;
     }
     let per_iter_estimate = bencher.elapsed.as_secs_f64() / iters as f64;
-    // Timed batch sized to roughly 100ms or `sample_size` iterations,
+    // The batches share roughly 100ms or `sample_size` iterations,
     // whichever is larger.
     let target = (0.1 / per_iter_estimate.max(1e-9)) as u64;
-    bencher.iters = target.clamp(sample_size as u64, 10_000_000).max(1);
-    f(&mut bencher);
-    let per_iter = bencher.elapsed.as_secs_f64() / bencher.iters as f64;
+    bencher.iters = target
+        .clamp(sample_size as u64, 10_000_000)
+        .div_ceil(BATCHES)
+        .max(1);
+    let mut per_iter = f64::INFINITY;
+    for _ in 0..BATCHES {
+        f(&mut bencher);
+        per_iter = per_iter.min(bencher.elapsed.as_secs_f64() / bencher.iters as f64);
+    }
     println!(
-        "bench {name:<40} {:>12.3} ns/iter ({} iters)",
+        "bench {name:<40} {:>12.3} ns/iter (fastest of {BATCHES} x {} iters)",
         per_iter * 1e9,
         bencher.iters
     );
